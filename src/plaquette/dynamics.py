@@ -19,18 +19,20 @@ SeedSequence so runs are reproducible and replicas independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import (
-    PERIODIC,
-    PLUS,
     FIXED,
     BudgetExceededError,
     LatticeSpec,
     SpinConfig,
-    defect_count,
+    _grid_from_text,
+    _grid_to_text,
+    _plaquettes,
+    _site_index,
+    _site_k,
     defect_map,
 )
 
@@ -65,39 +67,15 @@ class RateModel:
         return f"RateModel(beta={self.beta}, kind={self.kind!r})"
 
 
-def _block_defects(spec, P, x):
-    if spec.is_periodic:
-        L = spec.side
-        i, j = x
-        rows = [(i - 1) % L, i % L]
-        cols = [(j - 1) % L, j % L]
-        block = P[np.ix_(rows, cols)]
-    else:
-        if not spec.contains_site(x):
-            raise ValueError(f"site {x} outside the box")
-        i, j = x
-        block = P[i - 1 : i + 1, j - 1 : j + 1]
-    return int(np.count_nonzero(block == -1))
-
-
 def site_defect_count(cfg, x):
     """How many of the plaquettes containing site x are defective."""
-    return _block_defects(cfg.spec, defect_map(cfg).plaq, x)
+    spec = cfg.spec
+    return int(_site_k(spec, defect_map(cfg).plaq == -1)[_site_index(spec, x)])
 
 
 def site_rate(model, cfg, x):
     """Jump rate of the flip at x from configuration cfg."""
     return model.rate_for_k(site_defect_count(cfg, x))
-
-
-def defect_rate(model, d, x):
-    """Jump rate read off the defect picture alone; equals site_rate on
-    any spin configuration whose defect map is d."""
-    return model.rate_for_k(_block_defects(d.spec, d.plaq, x))
-
-
-# Backwards-friendly alias used informally in a few tests.
-flip_rate = site_rate
 
 
 class Simulator:
@@ -116,23 +94,15 @@ class Simulator:
         self.rng = rng
         self.time = 0.0
         self.n_events = 0
-        L = spec.side
-        self._L = L
+        self._L = spec.side
         if spec.is_periodic:
             self._spins = init.spins.copy()
         else:
             self._spins = init.padded()
-        self._P = None
-        self._k = np.zeros((L, L), dtype=np.int8)
-        self._recompute_all(init)
-
-    def _recompute_all(self, cfg):
-        self._P = defect_map(cfg).plaq.copy()
-        L = self._L
-        for i in range(L):
-            for j in range(L):
-                self._k[i, j] = self._count_k(i, j)
-        self.n_defects = int(np.count_nonzero(self._P == -1))
+        self._P = _plaquettes(spec, self._spins)
+        defective = self._P == -1
+        self._k = _site_k(spec, defective)
+        self.n_defects = int(np.count_nonzero(defective))
         self._rates = self.model.table[self._k]
         self._total = float(self._rates.sum())
 
@@ -318,13 +288,18 @@ def replay_trajectory(traj):
     """Recompute the final state from the initial state and the event list."""
     if traj.events is None:
         raise ValueError("trajectory was not recorded")
-    cfg = traj.initial
-    arr = cfg.spins.copy()
-    off = 0 if traj.spec.is_periodic else 1
-    for _, site in traj.events:
-        i, j = site[0] - off, site[1] - off
-        arr[i, j] = -arr[i, j]
-    return SpinConfig._from_frozen(traj.spec, arr)
+    spec = traj.spec
+    L = spec.side
+    off = 0 if spec.is_periodic else 1
+    n = len(traj.events)
+    idx = np.fromiter((c for _, site in traj.events for c in site), np.int64, 2 * n).reshape(n, 2)
+    idx -= off
+    outside = np.nonzero(((idx < 0) | (idx >= L)).any(axis=1))[0]
+    if outside.size:
+        raise ValueError(f"event site {traj.events[outside[0]][1]} outside the box")
+    odd = np.bincount(idx[:, 0] * L + idx[:, 1], minlength=L * L).reshape(L, L) % 2 == 1
+    spins = traj.initial.spins
+    return SpinConfig._from_frozen(spec, np.where(odd, -spins, spins))
 
 
 @dataclass
@@ -443,27 +418,9 @@ def trace_chain(
 # be stored, inspected, and replayed exactly.
 
 
-def _frame_to_text(spec):
-    t = spec.frame_template()
-    n = t.shape[0]
-    lines = []
-    for j in range(n - 1, -1, -1):
-        lines.append("".join("+" if t[i, j] == 1 else "-" for i in range(n)))
-    return "\n".join(lines)
-
-
 def frame_from_text(side, text):
     """Parse an (L+2)-line frame block into a theta array for LatticeSpec."""
-    rows = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    n = side + 2
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"expected {n} rows of {n} characters")
-    arr = np.ones((n, n), dtype=np.int8)
-    for r, line in enumerate(rows):
-        j = n - 1 - r
-        for i, ch in enumerate(line):
-            arr[i, j] = 1 if ch == "+" else -1
-    return arr
+    return _grid_from_text(text, side + 2)
 
 
 def trajectory_to_text(traj):
@@ -479,7 +436,7 @@ def trajectory_to_text(traj):
     out.append(f"elapsed = {traj.elapsed!r}")
     if spec.bc == FIXED:
         out.append("[frame]")
-        out.append(_frame_to_text(spec))
+        out.append(_grid_to_text(spec.frame_template()))
     out.append("[init]")
     out.append(traj.initial.to_text())
     out.append("[events]")
@@ -509,29 +466,39 @@ def trajectory_from_text(text):
             header[k.strip()] = v.strip()
         else:
             sections[current].append(s)
-    side = int(header["side"])
-    bc = header["bc"]
+
+    def header_value(key):
+        if key not in header:
+            raise ValueError(f"trajectory text lacks the header key {key!r}")
+        return header[key]
+
+    def section_text(name):
+        if name not in sections:
+            raise ValueError(f"trajectory text lacks the [{name}] section")
+        return "\n".join(sections[name])
+
+    side = int(header_value("side"))
+    bc = header_value("bc")
     if bc == FIXED:
-        theta = frame_from_text(side, "\n".join(sections["frame"]))
-        spec = LatticeSpec(side, FIXED, theta)
+        spec = LatticeSpec(side, FIXED, frame_from_text(side, section_text("frame")))
     else:
         spec = LatticeSpec(side, bc)
-    init = SpinConfig.from_text(spec, "\n".join(sections["init"]))
-    final = SpinConfig.from_text(spec, "\n".join(sections["final"]))
+    init = SpinConfig.from_text(spec, section_text("init"))
+    final = SpinConfig.from_text(spec, section_text("final"))
     events = []
     for row in sections.get("events", []):
         t_s, a, b = row.split()
         events.append((float(t_s), (int(a), int(b))))
     traj = Trajectory(
         spec=spec,
-        beta=float(header["beta"]),
-        kind=header["rates"],
+        beta=float(header_value("beta")),
+        kind=header_value("rates"),
         seed=None,
         initial=init,
         events=events,
         final=final,
-        n_events=int(header["n_events"]),
-        elapsed=float(header["elapsed"]),
+        n_events=int(header_value("n_events")),
+        elapsed=float(header_value("elapsed")),
         stopped=True,
     )
     if replay_trajectory(traj) != final:

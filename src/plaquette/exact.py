@@ -28,7 +28,8 @@ from .lattice import (
     PLUS,
     BudgetExceededError,
     SpinConfig,
-    _all_spin_arrays,
+    _all_defects,
+    _site_k,
 )
 
 DENSE_THRESHOLD = 4096
@@ -43,7 +44,6 @@ class SparseGenerator:
         self.Q = Q
         self.counts = counts
         self._pi = None
-        self._states = None
 
     @property
     def n_states(self):
@@ -61,12 +61,6 @@ class SparseGenerator:
         return int((bits << np.arange(bits.size, dtype=np.uint64)).sum())
 
     @property
-    def states(self):
-        if self._states is None:
-            self._states = [self.config(i) for i in range(self.n_states)]
-        return self._states
-
-    @property
     def pi(self):
         if self._pi is None:
             self._pi = stationary_distribution(self)
@@ -75,38 +69,11 @@ class SparseGenerator:
 
 def build_generator(spec, model, budget=ENUM_BUDGET_DEFAULT):
     """Assemble the full jump-rate matrix over every configuration."""
-    spins = _all_spin_arrays(spec, budget)
-    N = spins.shape[0]
-    L = spec.side
-    if spec.is_periodic:
-        P = (
-            spins
-            * np.roll(spins, -1, 1)
-            * np.roll(spins, -1, 2)
-            * np.roll(np.roll(spins, -1, 1), -1, 2)
-        )
-    else:
-        t = spec.frame_template()
-        padded = np.broadcast_to(t, (N, L + 2, L + 2)).copy()
-        padded[:, 1:-1, 1:-1] = spins
-        P = (
-            padded[:, :-1, :-1]
-            * padded[:, 1:, :-1]
-            * padded[:, :-1, 1:]
-            * padded[:, 1:, 1:]
-        )
-    dmask = P == -1
-    counts = np.count_nonzero(dmask, axis=(1, 2))
-    n = L * L
-    rates = np.empty((N, n))
-    for i in range(L):
-        for j in range(L):
-            if spec.is_periodic:
-                blk = dmask[:, [(i - 1) % L, i]][:, :, [(j - 1) % L, j]]
-            else:
-                blk = dmask[:, i : i + 2, j : j + 2]
-            k = blk.sum(axis=(1, 2))
-            rates[:, i * L + j] = model.table[k]
+    _, defective = _all_defects(spec, budget)
+    N = defective.shape[0]
+    n = spec.n_sites
+    counts = np.count_nonzero(defective, axis=(1, 2))
+    rates = model.table[_site_k(spec, defective)].reshape(N, n)
     rows = np.repeat(np.arange(N, dtype=np.int64), n)
     cols = (np.arange(N, dtype=np.int64)[:, None] ^ (1 << np.arange(n, dtype=np.int64))[None, :]).ravel()
     Q = sparse.coo_matrix((rates.ravel(), (rows, cols)), shape=(N, N)).tocsr()

@@ -18,21 +18,17 @@ inverts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec, SpinConfig, defect_map
+from .lattice import BudgetExceededError, SpinConfig, defect_count, defect_map
 from .dynamics import (
-    RateModel,
-    Simulator,
-    _as_rng,
+    MAX_EVENTS_DEFAULT,
     ground_membership,
+    simulate,
     trace_chain,
 )
-
-MAX_EVENTS_DEFAULT = 10**7
 
 
 def _require_periodic(spec):
@@ -291,34 +287,27 @@ def excursion_statistics(
     first jump until the chain either re-enters the ground set or its
     defect count exceeds 4."""
     _require_periodic(spec)
-    model = RateModel(beta, kind)
     init = SpinConfig.all_plus(spec)
-    init_key = init.spins.tobytes()
     seeds = np.random.SeedSequence(seed).spawn(n_excursions)
     n_escape = n_other = n_same = n_unfinished = 0
     durations = []
+
+    def ended(sim):
+        return sim.n_events > 0 and not 0 < sim.n_defects <= 4
+
     for ss in seeds:
-        sim = Simulator(spec, model, init, _as_rng(np.random.default_rng(ss)))
-        sim.step()
-        t_start = sim.time
-        finished = False
-        while sim.n_events < max_events:
-            if sim.n_defects == 0:
-                if sim.state_key() == init_key:
-                    n_same += 1
-                else:
-                    n_other += 1
-                finished = True
-                break
-            if sim.n_defects > 4:
-                n_escape += 1
-                finished = True
-                break
-            sim.step()
-        if finished:
-            durations.append(sim.time - t_start)
-        else:
+        try:
+            traj = simulate(spec, beta, init, ended, seed=ss, kind=kind, max_events=max_events)
+        except BudgetExceededError:
             n_unfinished += 1
+            continue
+        durations.append(traj.elapsed - traj.events[0][0])
+        if defect_count(traj.final) > 0:
+            n_escape += 1
+        elif traj.final == init:
+            n_same += 1
+        else:
+            n_other += 1
     n_done = n_same + n_other + n_escape
     if n_done == 0:
         raise RuntimeError("no excursion finished within the event budget")

@@ -11,6 +11,14 @@ parity identities characterizing which defect pictures are reachable,
 inversion from defect pictures back to spins, enumeration helpers for
 small boxes, and the rectangle type shared by the path machinery.
 
+The plaquette geometry lives in two batch-aware kernels: `_plaquettes`
+forms the four-spin product of every plaquette, and `_site_k` counts,
+for every site, the defective plaquettes among the four that contain it
+(the k that a flip's rate depends on). Every layer (defect maps,
+enumeration, the exact generator, the simulator, the path walker) calls
+these two. The only other code that knows the geometry is the local 2x2
+update that `dynamics.Simulator` and `paths._Walker` apply on each flip.
+
 Coordinate conventions, used consistently across the package:
 
 * Fixed boundary ("plus" or a general frame): sites live on [1:L]^2.
@@ -211,29 +219,11 @@ class SpinConfig:
 
     def to_text(self):
         """Rows of '+'/'-' characters, top row first, columns left to right."""
-        L = self.spec.side
-        lines = []
-        for j in range(L - 1, -1, -1):
-            lines.append("".join("+" if self.spins[i, j] == 1 else "-" for i in range(L)))
-        return "\n".join(lines)
+        return _grid_to_text(self.spins)
 
     @classmethod
     def from_text(cls, spec, text):
-        rows = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        L = spec.side
-        if len(rows) != L or any(len(r) != L for r in rows):
-            raise ValueError(f"expected {L} rows of {L} characters")
-        arr = np.empty((L, L), dtype=np.int8)
-        for r, line in enumerate(rows):
-            j = L - 1 - r
-            for i, ch in enumerate(line):
-                if ch == "+":
-                    arr[i, j] = 1
-                elif ch == "-":
-                    arr[i, j] = -1
-                else:
-                    raise ValueError(f"bad spin character {ch!r}")
-        return cls._from_frozen(spec, arr)
+        return cls._from_frozen(spec, _grid_from_text(text, spec.side))
 
     def key(self):
         return self.spins.tobytes()
@@ -252,13 +242,51 @@ class SpinConfig:
         return f"SpinConfig({self.spec!r},\n{self.to_text()})"
 
 
-def plaquette_array(cfg):
-    """Plaquette variables of cfg as an int8 array over the plaquette grid."""
-    if cfg.spec.is_periodic:
-        s = cfg.spins
-        return s * np.roll(s, -1, 0) * np.roll(s, -1, 1) * np.roll(np.roll(s, -1, 0), -1, 1)
-    sp = cfg.padded()
-    return sp[:-1, :-1] * sp[1:, :-1] * sp[:-1, 1:] * sp[1:, 1:]
+def _grid_to_text(arr):
+    """Square +-1 array as rows of '+'/'-': top row (highest j) first,
+    columns left to right."""
+    rows = np.where(arr.T[::-1] == 1, b"+", b"-")
+    return "\n".join(r.tobytes().decode() for r in rows)
+
+
+def _grid_from_text(text, n):
+    """Inverse of _grid_to_text for an n x n grid; blank lines and
+    surrounding whitespace are ignored, any other character is an error."""
+    rows = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ValueError(f"expected {n} rows of {n} characters")
+    flat = "".join(rows)
+    bad = flat.replace("+", "").replace("-", "")
+    if bad:
+        raise ValueError(f"bad spin character {bad[0]!r}")
+    chars = np.frombuffer(flat.encode(), dtype=np.uint8).reshape(n, n)
+    return np.ascontiguousarray(np.where(chars == ord("+"), 1, -1).astype(np.int8)[::-1].T)
+
+
+def _plaquettes(spec, s):
+    """Plaquette variables over the last two axes of s, batch-aware.
+
+    Periodic boxes: s has shape (..., L, L) and the result the same.
+    Fixed boxes: s is padded, shape (..., L+2, L+2) with the frame in
+    place, and the result has shape (..., L+1, L+1). Plaquette (a, b) is
+    the product of the spins at (a, b), (a+1, b), (a, b+1), (a+1, b+1) in
+    array storage.
+    """
+    if spec.is_periodic:
+        r = np.roll(s, -1, -2)
+        return s * r * np.roll(s, -1, -1) * np.roll(r, -1, -1)
+    return s[..., :-1, :-1] * s[..., 1:, :-1] * s[..., :-1, 1:] * s[..., 1:, 1:]
+
+
+def _site_k(spec, defective):
+    """Per-site count of defective plaquettes containing the site, as int8
+    of shape (..., L, L) in site storage order, from a boolean defect mask
+    over the plaquette grid (..., *plaq_shape)."""
+    m = defective.astype(np.int8)  # a sum of bools would be a logical or
+    if spec.is_periodic:
+        r = np.roll(m, 1, -2)
+        return m + r + np.roll(m, 1, -1) + np.roll(r, 1, -1)
+    return m[..., :-1, :-1] + m[..., 1:, :-1] + m[..., :-1, 1:] + m[..., 1:, 1:]
 
 
 class DefectConfig:
@@ -319,16 +347,9 @@ class DefectConfig:
 
 def defect_map(cfg):
     """The defect picture of a spin configuration."""
-    return DefectConfig._from_frozen(cfg.spec, plaquette_array(cfg))
-
-
-def plaquette_value(cfg, x):
-    """Value of the single plaquette with lower-left corner x."""
-    a, b = x
-    sh = cfg.spec.plaq_shape
-    if not (0 <= a < sh[0] and 0 <= b < sh[1]):
-        raise ValueError(f"plaquette {x} outside the grid")
-    return int(plaquette_array(cfg)[a, b])
+    spec = cfg.spec
+    s = cfg.spins if spec.is_periodic else cfg.padded()
+    return DefectConfig._from_frozen(spec, _plaquettes(spec, s))
 
 
 def defect_count(cfg):
@@ -424,11 +445,6 @@ def invert_defects(spec, pattern, anchor=None):
     return cfg
 
 
-def flip_spins(cfg, sites):
-    """Alias for SpinConfig.flip, matching the operational vocabulary."""
-    return cfg.flip(sites)
-
-
 def _all_spin_arrays(spec, budget):
     """(N, L, L) int8 array of every configuration; index bit b flips
     the site at flat position b (array C-order), bit 0 meaning spin -1."""
@@ -444,46 +460,35 @@ def _all_spin_arrays(spec, budget):
     return (1 - 2 * bits.astype(np.int8)).reshape(N, L, L)
 
 
-def _defect_counts_all(spec, budget):
+def _all_defects(spec, budget):
+    """Every configuration, as from _all_spin_arrays, with its defect
+    mask: an (N, *plaq_shape) boolean array."""
     spins = _all_spin_arrays(spec, budget)
-    N = spins.shape[0]
-    L = spec.side
-    if spec.is_periodic:
-        P = (
-            spins
-            * np.roll(spins, -1, 1)
-            * np.roll(spins, -1, 2)
-            * np.roll(np.roll(spins, -1, 1), -1, 2)
-        )
-    else:
-        t = spec.frame_template()
-        padded = np.broadcast_to(t, (N, L + 2, L + 2)).copy()
-        padded[:, 1:-1, 1:-1] = spins
-        P = (
-            padded[:, :-1, :-1]
-            * padded[:, 1:, :-1]
-            * padded[:, :-1, 1:]
-            * padded[:, 1:, 1:]
-        )
-    return spins, np.count_nonzero(P == -1, axis=(1, 2))
+    s = spins
+    if not spec.is_periodic:
+        L = spec.side
+        s = np.broadcast_to(spec.frame_template(), (spins.shape[0], L + 2, L + 2)).copy()
+        s[:, 1:-1, 1:-1] = spins
+    return spins, _plaquettes(spec, s) == -1
 
 
 def enumerate_configs(spec, budget=ENUM_BUDGET_DEFAULT):
     """Every configuration of the box, in the fixed bit-index order."""
-    spins, _ = _defect_counts_all(spec, budget)
+    spins = _all_spin_arrays(spec, budget)
     return [SpinConfig._from_frozen(spec, spins[i].copy()) for i in range(spins.shape[0])]
 
 
 def count_by_defect_number(spec, budget=ENUM_BUDGET_DEFAULT):
     """Exhaustive histogram {defect count: number of configurations}."""
-    _, counts = _defect_counts_all(spec, budget)
-    binc = np.bincount(counts)
+    _, defective = _all_defects(spec, budget)
+    binc = np.bincount(np.count_nonzero(defective, axis=(1, 2)))
     return {int(k): int(v) for k, v in enumerate(binc) if v > 0}
+
 
 def enumerate_by_defect_count(spec, count, budget=ENUM_BUDGET_DEFAULT):
     """All configurations with exactly `count` defects."""
-    spins, counts = _defect_counts_all(spec, budget)
-    sel = np.nonzero(counts == count)[0]
+    spins, defective = _all_defects(spec, budget)
+    sel = np.nonzero(np.count_nonzero(defective, axis=(1, 2)) == count)[0]
     return [SpinConfig._from_frozen(spec, spins[i].copy()) for i in sel]
 
 
@@ -505,9 +510,7 @@ def ground_states(spec, budget=ENUM_BUDGET_DEFAULT):
                 a = np.array((1,) + abits, dtype=np.int8)
                 out.append(SpinConfig._from_frozen(spec, np.outer(a, b)))
         return out
-    spins, counts = _defect_counts_all(spec, budget)
-    sel = np.nonzero(counts == 0)[0]
-    return [SpinConfig._from_frozen(spec, spins[i].copy()) for i in sel]
+    return enumerate_by_defect_count(spec, 0, budget)
 
 
 def critical_length(beta):

@@ -25,21 +25,19 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import (
     ENUM_BUDGET_DEFAULT,
     PLUS,
-    BudgetExceededError,
-    DefectConfig,
-    LatticeSpec,
     Rectangle,
     SpinConfig,
     defect_map,
     reading_order_key,
-    _defect_counts_all,
+    _all_defects,
+    _plaquettes,
 )
 from .dynamics import RateModel, _as_rng
 
@@ -80,8 +78,7 @@ class _Walker:
         self.spec = cfg.spec
         self.L = cfg.spec.side
         self.padded = cfg.padded()
-        sp = self.padded
-        self.P = sp[:-1, :-1] * sp[1:, :-1] * sp[:-1, 1:] * sp[1:, 1:]
+        self.P = _plaquettes(self.spec, self.padded)
         self.count = int(np.count_nonzero(self.P == -1))
 
     def flip(self, site):
@@ -550,7 +547,8 @@ def _flow_exhaustive(spec, beta, level, c, kind, budget):
     L = spec.side
     trunc = level - 1
     M = math.floor(beta * L)
-    spins_all, counts_all = _defect_counts_all(spec, budget)
+    spins_all, defective = _all_defects(spec, budget)
+    counts_all = np.count_nonzero(defective, axis=(1, 2))
     N = spins_all.shape[0]
 
     def cfg_from_bytes(bb):

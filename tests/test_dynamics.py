@@ -36,6 +36,13 @@ from plaquette.lattice import (
 )
 
 
+def mixed_frame_spec(side):
+    """A fixed box whose frame is not all plus (and not all minus)."""
+    theta = np.ones((side + 2, side + 2), dtype=np.int8)
+    theta[0, 1] = theta[side + 1, 2] = theta[3, 0] = -1
+    return LatticeSpec(side, FIXED, theta=theta)
+
+
 def random_config(spec, rng):
     bits = rng.integers(0, 2, size=(spec.side, spec.side))
     return SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
@@ -63,7 +70,7 @@ def test_bad_rate_kind():
 
 def test_site_defect_count_matches_map():
     rng = np.random.default_rng(0)
-    for spec in (LatticeSpec(4, PLUS), LatticeSpec(4, PERIODIC)):
+    for spec in (LatticeSpec(4, PLUS), LatticeSpec(4, PERIODIC), mixed_frame_spec(4)):
         for _ in range(15):
             cfg = random_config(spec, rng)
             d = defect_map(cfg)
@@ -71,6 +78,11 @@ def test_site_defect_count_matches_map():
                 k = site_defect_count(cfg, x)
                 flipped = defect_map(cfg.flip([x]))
                 assert d.count - flipped.count == 2 * k - 4
+    # periodic boxes do not wrap site coordinates; fixed ones exclude the frame
+    with pytest.raises(ValueError):
+        site_defect_count(SpinConfig.all_plus(LatticeSpec(3, PERIODIC)), (5, 7))
+    with pytest.raises(ValueError):
+        site_defect_count(SpinConfig.all_plus(LatticeSpec(3, PLUS)), (0, 1))
 
 
 def test_detailed_balance_pointwise():
@@ -88,14 +100,14 @@ def test_detailed_balance_pointwise():
 
 
 def test_simulator_tracks_defects():
-    spec = LatticeSpec(3, PERIODIC)
-    rng = np.random.default_rng(2)
-    sim = Simulator(spec, RateModel(0.8), random_config(spec, rng), rng)
-    for _ in range(300):
-        sim.step()
-        assert sim.n_defects == defect_count(sim.state())
-    assert sim.n_events == 300
-    assert sim.time > 0
+    for spec in (LatticeSpec(3, PERIODIC), mixed_frame_spec(3)):
+        rng = np.random.default_rng(2)
+        sim = Simulator(spec, RateModel(0.8), random_config(spec, rng), rng)
+        for _ in range(300):
+            sim.step()
+            assert sim.n_defects == defect_count(sim.state())
+        assert sim.n_events == 300
+        assert sim.time > 0
 
 
 def test_simulate_deterministic_given_seed():
@@ -155,6 +167,49 @@ def test_trajectory_text_roundtrip_and_replay():
     assert back.n_events == traj.n_events
     assert back.elapsed == pytest.approx(traj.elapsed, rel=0, abs=0)
     assert replay_trajectory(back) == traj.final
+
+
+def test_replay_rejects_sites_outside_the_box():
+    spec = LatticeSpec(3, PLUS)
+    init = SpinConfig.all_minus(spec)
+    traj = simulate(spec, 1.0, init, stop_after_events(5), seed=0)
+    # (0, 1) is frame, not box; a negative index would land on (3, 1)
+    traj.events.append((traj.elapsed + 1.0, (0, 1)))
+    with pytest.raises(ValueError, match="outside the box"):
+        replay_trajectory(traj)
+    traj.events[-1] = (traj.elapsed + 1.0, (4, 1))
+    with pytest.raises(ValueError, match="outside the box"):
+        replay_trajectory(traj)
+
+
+def test_trajectory_text_names_what_is_missing():
+    spec = LatticeSpec(2, PERIODIC)
+    traj = simulate(spec, 1.0, SpinConfig.all_minus(spec), stop_after_events(3), seed=0)
+    text = trajectory_to_text(traj)
+    no_side = "\n".join(ln for ln in text.splitlines() if not ln.startswith("side"))
+    with pytest.raises(ValueError, match="'side'"):
+        trajectory_from_text(no_side)
+    no_final = text[: text.index("[final]")]
+    with pytest.raises(ValueError, match=r"\[final\]"):
+        trajectory_from_text(no_final)
+    spec = mixed_frame_spec(2)
+    traj = simulate(spec, 1.0, SpinConfig.all_minus(spec), stop_after_events(3), seed=0)
+    text = trajectory_to_text(traj)
+    no_frame = text.replace("[frame]", "[framing]")
+    with pytest.raises(ValueError, match=r"\[frame\]"):
+        trajectory_from_text(no_frame)
+    assert trajectory_from_text(text).spec == spec
+
+
+def test_frame_from_text_rejects_bad_characters():
+    good = "++++\n+++-\n-+++\n+-++"
+    assert frame_from_text(2, good)[0, 1] == -1
+    with pytest.raises(ValueError, match="bad spin character 'x'"):
+        frame_from_text(2, good.replace("+++-", "+x+-"))
+    with pytest.raises(ValueError):
+        frame_from_text(2, good.replace("+++-", "+0+-"))
+    with pytest.raises(ValueError):
+        SpinConfig.from_text(LatticeSpec(2, PLUS), "+.\n++")
 
 
 def test_fixed_frame_from_text():

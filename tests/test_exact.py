@@ -32,6 +32,7 @@ from plaquette.exact import (
     _lambda_of_subset,
 )
 from plaquette.lattice import (
+    FIXED,
     PERIODIC,
     PLUS,
     BudgetExceededError,
@@ -64,6 +65,26 @@ def test_generator_shape_and_rowsums():
     for i in range(16):
         assert G.counts[i] == defect_count(G.config(i))
         assert G.config_index(G.config(i)) == i
+
+
+def test_generator_rates_follow_the_defect_change():
+    # Q[i, i ^ (1 << b)] is the rate for k = (d(cfg) - d(cfg.flip([x])) + 4) / 2
+    theta = np.ones((4, 4), dtype=np.int8)
+    theta[0, 1] = theta[3, 2] = -1
+    specs = [LatticeSpec(2, PLUS), LatticeSpec(2, PERIODIC), LatticeSpec(2, FIXED, theta=theta)]
+    cases = [(spec, kind) for spec in specs for kind in ("metropolis", "heat_bath")]
+    cases.append((LatticeSpec(3, PERIODIC), "metropolis"))
+    for spec, kind in cases:
+        model = RateModel(1.3, kind)
+        G = build_generator(spec, model)
+        Q = G.Q.tocsr()
+        sites = spec.sites()  # storage order, so bit b is sites[b]
+        for i in range(G.n_states):
+            cfg = G.config(i)
+            d = defect_count(cfg)
+            for b, x in enumerate(sites):
+                k = (d - defect_count(cfg.flip([x])) + 4) // 2
+                assert Q[i, i ^ (1 << b)] == model.rate_for_k(k)
 
 
 def test_stationary_distribution_is_gibbs():

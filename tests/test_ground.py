@@ -250,6 +250,12 @@ def test_excursion_determinism():
     assert a.p_other_ground == b.p_other_ground
 
 
+def test_excursion_budget_too_small_to_finish():
+    # one event leaves four defects on a periodic box; nothing has ended
+    with pytest.raises(RuntimeError):
+        excursion_statistics(spec_of(3), 2.0, n_excursions=5, seed=0, max_events=1)
+
+
 def test_trace_kernel_report():
     rep = estimate_trace_kernel(spec_of(3), 3.0, n_records=400, seed=3)
     assert rep.n_pairs == 399
