@@ -137,6 +137,8 @@ class Simulator:
             raise ValueError(f"site {site} outside the box")
         if self.spec.is_periodic:
             self._spins[i, j] = -self._spins[i, j]
+            if L == 1:
+                return  # the flip toggles the one plaquette four times
         else:
             self._spins[i + 1, j + 1] = -self._spins[i + 1, j + 1]
         blk = self._plaq_block_index(i, j)
@@ -489,6 +491,12 @@ def trajectory_from_text(text):
     for row in sections.get("events", []):
         t_s, a, b = row.split()
         events.append((float(t_s), (int(a), int(b))))
+    n_events = int(header_value("n_events"))
+    if n_events != len(events):
+        raise ValueError(f"header key 'n_events' = {n_events} but [events] has {len(events)} lines")
+    elapsed = float(header_value("elapsed"))
+    if events and elapsed < events[-1][0]:
+        raise ValueError(f"header key 'elapsed' = {elapsed!r} is before the last event at {events[-1][0]!r}")
     traj = Trajectory(
         spec=spec,
         beta=float(header_value("beta")),
@@ -497,8 +505,8 @@ def trajectory_from_text(text):
         initial=init,
         events=events,
         final=final,
-        n_events=int(header_value("n_events")),
-        elapsed=float(header_value("elapsed")),
+        n_events=n_events,
+        elapsed=elapsed,
         stopped=True,
     )
     if replay_trajectory(traj) != final:

@@ -7,9 +7,18 @@ state. The generator acts as Q[i, i ^ (1 << b)] = rate of flipping site b.
 Everything here is dense or sparse linear algebra on at most a few
 thousand states (2^(L^2) grows fast; the hard budget is explicit), with
 three exceptions worth naming: the spectral gap falls back to a Lanczos
-solver above the dense threshold, total-variation mixing is evaluated by
-uniformization with a rigorously truncated Poisson sum, and the profile
-bound integrates a staircase built from level-set eigenvalues.
+solver above the dense threshold, total-variation mixing is searched on
+the spectral representation and certified by uniformization, and the
+profile bound integrates a staircase built from level-set eigenvalues.
+
+The chain is reversible, so S = D^1/2 Q D^-1/2 with D = diag(pi) is
+symmetric. Below the dense threshold one `eigh` of S, S = V diag(w) V^T,
+is cached on the generator; the gap, the slow eigenfunction and every
+step of the mixing-time search read it, the last through
+P_t = D^-1/2 V e^{tw} V^T D^1/2, one matrix product per time. The time
+returned is then checked by uniformization, exp(tQ) as a Poisson mixture
+of powers of I + Q/q whose truncated mass is bounded and added, so it is
+certified by a route that does not rest on the eigensolver.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
-from scipy.stats import poisson
+from scipy import special
 
 from .lattice import (
     ENUM_BUDGET_DEFAULT,
@@ -44,6 +53,7 @@ class SparseGenerator:
         self.Q = Q
         self.counts = counts
         self._pi = None
+        self._eigen = None
 
     @property
     def n_states(self):
@@ -65,6 +75,18 @@ class SparseGenerator:
         if self._pi is None:
             self._pi = stationary_distribution(self)
         return self._pi
+
+    @property
+    def eigen(self):
+        """(w, V) with S = V diag(w) V^T, w ascending, for the symmetrized
+        generator S; computed once, and only up to DENSE_THRESHOLD states."""
+        if self._eigen is None:
+            if self.n_states > DENSE_THRESHOLD:
+                raise BudgetExceededError(
+                    f"dense eigendecomposition limited to {DENSE_THRESHOLD} states"
+                )
+            self._eigen = np.linalg.eigh(_symmetrized(self).toarray())
+        return self._eigen
 
 
 def build_generator(spec, model, budget=ENUM_BUDGET_DEFAULT):
@@ -103,13 +125,14 @@ def _symmetrized(G):
 
 
 def spectral_gap(G, dense_threshold=DENSE_THRESHOLD):
-    """Smallest positive eigenvalue of -Q (via the symmetric conjugate)."""
-    S = _symmetrized(G)
-    N = S.shape[0]
-    if N <= dense_threshold:
-        w = np.linalg.eigvalsh(S.toarray())
-        return float(-w[-2])
-    w = splinalg.eigsh(S, k=2, which="LA", return_eigenvectors=False)
+    """Smallest positive eigenvalue of -Q (via the symmetric conjugate).
+
+    Up to min(dense_threshold, DENSE_THRESHOLD) states it is read off the
+    cached dense eigendecomposition; above that, Lanczos finds it.
+    """
+    if G.n_states <= min(dense_threshold, DENSE_THRESHOLD):
+        return float(-G.eigen[0][-2])
+    w = splinalg.eigsh(_symmetrized(G), k=2, which="LA", return_eigenvectors=False)
     return float(-np.min(w))
 
 
@@ -119,15 +142,8 @@ def relaxation_time(G):
 
 def slow_eigenfunction(G):
     """(gap, f) where f spans the slowest nontrivial mode of Q."""
-    S = _symmetrized(G)
-    N = S.shape[0]
-    if N > DENSE_THRESHOLD:
-        raise BudgetExceededError(f"dense eigenvector pass limited to {DENSE_THRESHOLD} states")
-    w, V = np.linalg.eigh(S.toarray())
-    gap = float(-w[-2])
-    u = V[:, -2]
-    f = u / np.sqrt(G.pi)
-    return gap, f
+    w, V = G.eigen
+    return float(-w[-2]), V[:, -2] / np.sqrt(G.pi)
 
 
 def dirichlet_form(G, f):
@@ -183,6 +199,20 @@ def spectral_profile(G, k):
     return _lambda_of_subset(G, level_set(G, k))
 
 
+def _poisson_weights(lam, tail):
+    """Poisson(lam) probabilities of 0..K, with P(X > K) <= tail.
+
+    K is one past the smallest k with P(X > k) <= tail. The weights are
+    formed in log space, so exp(-lam) does not underflow them at large lam.
+    """
+    hi = int(lam) + 1
+    while special.pdtrc(hi, lam) > tail:
+        hi *= 2
+    K = int(np.argmax(special.pdtrc(np.arange(hi + 1), lam) <= tail)) + 1
+    k = np.arange(K + 1)
+    return np.exp(k * math.log(lam) - lam - special.gammaln(k + 1))
+
+
 def _tv_all_starts(G, t, tail=1e-8):
     """Worst-start total variation distance from stationarity at time t.
 
@@ -198,12 +228,10 @@ def _tv_all_starts(G, t, tail=1e-8):
     if q <= 0 or t <= 0:
         return 0.5 * float(np.max(np.abs(np.eye(N) - pi[None, :]).sum(axis=1)))
     PT = (sparse.eye(N, format="csr") + Q / q).T.tocsr()
-    lam = q * t
-    K = int(poisson.isf(tail, lam)) + 1
-    w = poisson.pmf(np.arange(K + 1), lam)
+    w = _poisson_weights(q * t, tail)
     WT = np.eye(N)
     acc = w[0] * WT
-    for k in range(1, K + 1):
+    for k in range(1, w.size):
         WT = PT @ WT
         if w[k] > 0:
             acc += w[k] * WT
@@ -212,34 +240,58 @@ def _tv_all_starts(G, t, tail=1e-8):
     return d + tail
 
 
+def _tv_spectral(G, t, tail=1e-8):
+    """Worst-start total variation at time t from the cached eigenpairs.
+
+    P_t - Pi = D^-1/2 V' e^{tw'} V'^T D^1/2, where ' drops the stationary
+    mode (the top eigenvalue, 0). `tail` is added so that the value is
+    compared with eps as `_tv_all_starts` is.
+    """
+    w, V = G.eigen
+    r = np.sqrt(G.pi)[:, None]
+    U = V[:, :-1]
+    A = (U * (np.exp(t * w[:-1]) / r)) @ (U * r).T
+    return 0.5 * float(np.max(np.abs(A).sum(axis=1))) + tail
+
+
+def _first_time_below(tv, lo, t, eps, rtol):
+    """Double t until tv(t) < eps, then bisect [lo, t] to relative width
+    rtol; returns the upper endpoint, where tv is below eps."""
+    for _ in range(200):
+        if tv(t) < eps:
+            break
+        lo = t
+        t *= 2.0
+    else:
+        raise RuntimeError("mixing bracket not found; chain mixes too slowly")
+    hi = t
+    while hi - lo > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        if tv(mid) < eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def tv_mixing_time(G, eps=0.25, rtol=0.01, tail=1e-8, budget=DENSE_THRESHOLD):
     """Smallest time with worst-start TV below eps, to 1% relative precision.
 
-    Doubles an upper bracket, then bisects; the returned endpoint is
-    certified below eps (including the truncation slack).
+    Doubles an upper bracket from 1/q, then bisects, reading the distance
+    off the spectral representation. The endpoint is then certified by
+    uniformization (truncation slack included). Should the certificate
+    fail, the search goes on above that endpoint with uniformization
+    alone, so the time returned is always certified below eps. Above
+    min(budget, DENSE_THRESHOLD) states it raises BudgetExceededError.
     """
     if G.n_states > budget:
         raise BudgetExceededError(f"mixing computation limited to {budget} states")
     q = float(np.max(-G.Q.diagonal()))
     if q <= 0:
         raise ValueError("zero generator")
-    t = 1.0 / q
-    lo = 0.0
-    hi = None
-    for _ in range(200):
-        if _tv_all_starts(G, t, tail) < eps:
-            hi = t
-            break
-        lo = t
-        t *= 2.0
-    if hi is None:
-        raise RuntimeError("mixing bracket not found; chain mixes too slowly")
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if _tv_all_starts(G, mid, tail) < eps:
-            hi = mid
-        else:
-            lo = mid
+    hi = _first_time_below(lambda t: _tv_spectral(G, t, tail), 0.0, 1.0 / q, eps, rtol)
+    if _tv_all_starts(G, hi, tail) >= eps:
+        hi = _first_time_below(lambda t: _tv_all_starts(G, t, tail), hi, 2.0 * hi, eps, rtol)
     return hi
 
 

@@ -281,8 +281,16 @@ def _plaquettes(spec, s):
 def _site_k(spec, defective):
     """Per-site count of defective plaquettes containing the site, as int8
     of shape (..., L, L) in site storage order, from a boolean defect mask
-    over the plaquette grid (..., *plaq_shape)."""
+    over the plaquette grid (..., *plaq_shape).
+
+    This is the k of the rate rule: a flip changes the defect count by
+    4 - 2k. On the periodic 1x1 box the one plaquette holds the site four
+    times, so a flip toggles it back to itself; that flip is
+    energy-neutral, and k is 2.
+    """
     m = defective.astype(np.int8)  # a sum of bools would be a logical or
+    if spec.is_periodic and spec.side == 1:
+        return np.full(m.shape, 2, np.int8)
     if spec.is_periodic:
         r = np.roll(m, 1, -2)
         return m + r + np.roll(m, 1, -1) + np.roll(r, 1, -1)

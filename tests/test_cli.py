@@ -227,3 +227,15 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "# schema=1" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs more to import than the rest of the package
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, plaquette.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -23,6 +23,7 @@ from plaquette.dynamics import (
     trajectory_to_text,
     replay_trajectory,
 )
+from plaquette.exact import build_generator
 from plaquette.lattice import (
     FIXED,
     PERIODIC,
@@ -83,6 +84,23 @@ def test_site_defect_count_matches_map():
         site_defect_count(SpinConfig.all_plus(LatticeSpec(3, PERIODIC)), (5, 7))
     with pytest.raises(ValueError):
         site_defect_count(SpinConfig.all_plus(LatticeSpec(3, PLUS)), (0, 1))
+
+
+def test_periodic_unit_box_flips_are_energy_neutral():
+    # the one plaquette of the periodic 1x1 box holds its site four times,
+    # so a flip leaves it alone: no defect appears and the rate is that of k = 2
+    spec = LatticeSpec(1, PERIODIC)
+    for kind in ("metropolis", "heat_bath"):
+        model = RateModel(1.0, kind)
+        rng = np.random.default_rng(3)
+        sim = Simulator(spec, model, SpinConfig.all_plus(spec), rng)
+        for _ in range(6):
+            sim.step()
+            assert sim.n_defects == defect_count(sim.state()) == 0
+            assert sim._total == model.rate_for_k(2)
+        assert site_rate(model, sim.state(), (0, 0)) == model.rate_for_k(2)
+        Q = build_generator(spec, model).Q.toarray()
+        assert Q[0, 1] == Q[1, 0] == model.rate_for_k(2)
 
 
 def test_detailed_balance_pointwise():
@@ -199,6 +217,20 @@ def test_trajectory_text_names_what_is_missing():
     with pytest.raises(ValueError, match=r"\[frame\]"):
         trajectory_from_text(no_frame)
     assert trajectory_from_text(text).spec == spec
+
+
+def test_trajectory_header_must_match_the_events():
+    spec = LatticeSpec(3, PERIODIC)
+    traj = simulate(spec, 1.0, SpinConfig.all_minus(spec), stop_after_events(6), seed=0)
+    text = trajectory_to_text(traj)
+    too_many = text.replace("n_events = 6", "n_events = 999")
+    with pytest.raises(ValueError, match="'n_events'"):
+        trajectory_from_text(too_many)
+    early = text.replace(f"elapsed = {traj.elapsed!r}", f"elapsed = {0.5 * traj.events[-1][0]!r}")
+    with pytest.raises(ValueError, match="'elapsed'"):
+        trajectory_from_text(early)
+    late = text.replace(f"elapsed = {traj.elapsed!r}", "elapsed = 1000000000.0")
+    assert trajectory_from_text(late).elapsed == 1e9
 
 
 def test_frame_from_text_rejects_bad_characters():

@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
+
+from plaquette import exact
 
 from plaquette.dynamics import RateModel
 from plaquette.exact import (
@@ -30,6 +33,9 @@ from plaquette.exact import (
     tv_mixing_time,
     variance,
     _lambda_of_subset,
+    _poisson_weights,
+    _tv_all_starts,
+    _tv_spectral,
 )
 from plaquette.lattice import (
     FIXED,
@@ -172,6 +178,52 @@ def test_tv_mixing_time_pinned():
     # plus the uniformization tail
     assert abs(tmix - TMIX_L2_BETA1) < 0.12
     assert tmix >= math.log(2) * relaxation_time(G_of(2, 1.0)) * 0.98
+
+
+def test_spectral_tv_matches_uniformization():
+    tail = 1e-8
+    generators = [
+        G_of(2, 1.0),
+        G_of(2, 1.0, PERIODIC),
+        build_generator(LatticeSpec(2, PLUS), RateModel(1.0, "heat_bath")),
+        G_of(3, 1.0),
+    ]
+    for G in generators:
+        for t in (0.3, 2.0, 7.0, 20.0):
+            spec_tv = _tv_spectral(G, t, tail)
+            unif_tv = _tv_all_starts(G, t, tail)
+            assert abs(spec_tv - unif_tv) <= tail + 1e-9
+
+
+def test_tv_mixing_time_l3_rows_unchanged():
+    # the times the uniformization-only bisection returned on these rows
+    for bc, beta, tmix in (
+        (PLUS, 0.5, 2.402777777777778),
+        (PLUS, 1.0, 11.11111111111111),
+        (PERIODIC, 1.0, 13.11111111111111),
+    ):
+        assert tv_mixing_time(G_of(3, beta, bc)) == tmix
+
+
+def test_tv_mixing_time_certified_when_the_spectral_route_under_reports(monkeypatch):
+    G = G_of(2, 1.0)
+    honest = tv_mixing_time(G)
+    monkeypatch.setattr(exact, "_tv_spectral", lambda G, t, tail=1e-8: _tv_spectral(G, t, tail) - 0.05)
+    tmix = tv_mixing_time(G)
+    assert _tv_all_starts(G, tmix) < 0.25
+    assert abs(tmix - honest) <= 0.02 * honest
+
+
+def test_poisson_weights_match_scipy_stats():
+    tail = 1e-8
+    for lam in (0.1, 1.0, 11.0, 94.0, 1000.0):
+        w = _poisson_weights(lam, tail)
+        K = w.size - 1
+        assert K == int(poisson.isf(tail, lam)) + 1
+        assert poisson.sf(K, lam) <= tail
+        assert np.allclose(w, poisson.pmf(np.arange(K + 1), lam), rtol=1e-10, atol=1e-300)
+    assert np.all(np.isfinite(w))
+    assert w.sum() >= 1.0 - tail
 
 
 def test_tv_mixing_monotone_in_eps():
