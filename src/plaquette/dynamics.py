@@ -47,8 +47,8 @@ class RateModel:
     def __init__(self, beta, kind="metropolis"):
         if kind not in self.KINDS:
             raise ValueError(f"unknown rate kind {kind!r}")
-        if beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not (math.isfinite(beta) and beta >= 0):
+            raise ValueError("beta must be finite and nonnegative")
         self.beta = float(beta)
         self.kind = kind
         ks = np.arange(5)

@@ -17,7 +17,8 @@ for every site, the defective plaquettes among the four that contain it
 (the k that a flip's rate depends on). Every layer (defect maps,
 enumeration, the exact generator, the simulator, the path walker) calls
 these two. The only other code that knows the geometry is the local 2x2
-update that `dynamics.Simulator` and `paths._Walker` apply on each flip.
+update that `dynamics.Simulator` applies on each flip and the per-site
+plaquette bit masks (`paths._site_masks`) that the path walker XORs in.
 
 Coordinate conventions, used consistently across the package:
 

@@ -23,6 +23,9 @@ machinery elsewhere).
 
 from __future__ import annotations
 
+import bisect
+import collections
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -37,7 +40,7 @@ from .lattice import (
     defect_map,
     reading_order_key,
     _all_defects,
-    _plaquettes,
+    _site_index,
 )
 from .dynamics import RateModel, _as_rng
 
@@ -69,36 +72,57 @@ class EdgeRef:
         return self.e_minus.flip([self.site])
 
 
+@functools.lru_cache(maxsize=None)
+def _site_masks(L):
+    """Per site of a fixed L x L box, at its flat index t = (i-1)*L + (j-1),
+    the bits a*(L+1)+b of the four plaquettes (a, b) that contain it."""
+    n1 = L + 1
+    quad = 3 | 3 << n1
+    return tuple(quad << (a * n1 + b) for a in range(L) for b in range(L))
+
+
+def _defect_bits(defective):
+    """A boolean plaquette mask as one int, plaquette (a, b) at bit a*(L+1)+b."""
+    packed = np.packbits(defective, axis=None, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
 class _Walker:
-    """Mutable replay state: spins, plaquette grid, defect count."""
+    """Mutable replay state of a fixed box.
+
+    The spins are a byte buffer, so `key()` is `SpinConfig.key()` and a
+    flip is `buf[t] ^= 0xFE` (int8 1 <-> -1); the defects are one int `D`
+    over plaquette bits a*(L+1)+b, and a flip XORs in the site's four-bit
+    mask. The defect count and k are popcounts.
+    """
 
     def __init__(self, cfg):
         if cfg.spec.is_periodic:
             raise ValueError("path machinery is for non-periodic boxes")
         self.spec = cfg.spec
         self.L = cfg.spec.side
-        self.padded = cfg.padded()
-        self.P = _plaquettes(self.spec, self.padded)
-        self.count = int(np.count_nonzero(self.P == -1))
+        self.masks = _site_masks(self.L)
+        self.buf = bytearray(cfg.key())
+        self.D = _defect_bits(defect_map(cfg).plaq == -1)
+
+    @property
+    def count(self):
+        return self.D.bit_count()
 
     def flip(self, site):
-        i, j = site
-        self.padded[i, j] = -self.padded[i, j]
-        blk = self.P[i - 1 : i + 1, j - 1 : j + 1]
-        before = int(np.count_nonzero(blk == -1))
-        np.negative(blk, out=blk)
-        self.count += 4 - 2 * before
+        t = (site[0] - 1) * self.L + site[1] - 1
+        self.buf[t] ^= 0xFE
+        self.D ^= self.masks[t]
 
     def k_at(self, site):
-        i, j = site
-        blk = self.P[i - 1 : i + 1, j - 1 : j + 1]
-        return int(np.count_nonzero(blk == -1))
+        return (self.D & self.masks[(site[0] - 1) * self.L + site[1] - 1]).bit_count()
 
     def key(self):
-        return self.padded[1:-1, 1:-1].tobytes()
+        return bytes(self.buf)
 
     def config(self):
-        return SpinConfig._from_frozen(self.spec, self.padded[1:-1, 1:-1].copy())
+        arr = np.frombuffer(self.key(), dtype=np.int8).reshape(self.L, self.L)
+        return SpinConfig._from_frozen(self.spec, arr)
 
 
 class CanonicalPath:
@@ -159,6 +183,7 @@ def path_from_text(spec, text):
     for ln in lines[1:]:
         a, b = ln.split()
         flips.append((int(a), int(b)))
+        _site_index(spec, flips[-1])  # the walker indexes sites unchecked
     return CanonicalPath(initial, flips, [SegmentMark("naive", None, None, len(flips))])
 
 
@@ -178,19 +203,15 @@ def defect_neighbours(d, x):
     column, each None when absent. x must itself be a defect."""
     if d.value(x) != -1:
         raise ValueError(f"{x} is not a defect")
-    P = d.plaq
     i, j = x
-    row_cols = np.nonzero(P[:, j] == -1)[0]
-    col_rows = np.nonzero(P[i, :] == -1)[0]
-    left = row_cols[row_cols < i]
-    right = row_cols[row_cols > i]
-    down = col_rows[col_rows < j]
-    up = col_rows[col_rows > j]
+    rows, cols = _defect_lines(_defect_bits(d.plaq == -1), d.plaq.shape[0])
+    row, col = rows[j], cols[i]
+    p, q = row.index(i), col.index(j)
     return (
-        (int(left[-1]), j) if left.size else None,
-        (int(right[0]), j) if right.size else None,
-        (i, int(down[-1])) if down.size else None,
-        (i, int(up[0])) if up.size else None,
+        (row[p - 1], j) if p else None,
+        (row[p + 1], j) if p + 1 < len(row) else None,
+        (i, col[q - 1]) if q else None,
+        (i, col[q + 1]) if q + 1 < len(col) else None,
     )
 
 
@@ -234,10 +255,51 @@ def rectangle_removal_path(sigma, R):
     return CanonicalPath(sigma, flips, [SegmentMark("rectangle", R, None, len(flips))])
 
 
-def _rect_for_pair(ci, cj, j, z_row):
-    lo, hi = (ci, cj) if ci < cj else (cj, ci)
-    y1, y2 = (z_row, j) if z_row < j else (j, z_row)
-    return Rectangle.from_corners(lo, hi, y1, y2)
+def _defect_lines(D, n1):
+    """Rows and columns of the defect int D: rows[b] holds the plaquette
+    columns of the defects in row b, cols[a] the rows of those in column
+    a, both ascending."""
+    rows = [[] for _ in range(n1)]
+    cols = [[] for _ in range(n1)]
+    while D:
+        low = D & -D
+        a, b = divmod(low.bit_length() - 1, n1)
+        rows[b].append(a)
+        cols[a].append(b)
+        D ^= low
+    return rows, cols
+
+
+def _lines(sigma):
+    """_defect_lines of a configuration on a fixed box."""
+    if sigma.spec.is_periodic:
+        raise ValueError("splits are for non-periodic boxes")
+    return _defect_lines(_defect_bits(defect_map(sigma).plaq == -1), sigma.spec.side + 1)
+
+
+def _extended(rows, cols, pair_rows, a, b):
+    """Extended rectangles with pair row in `pair_rows` and columns in
+    a..b, as (y2, x1, y1, x2) tuples, which sort as Rectangle does."""
+    none_below, none_above = len(rows), -1
+    out = set()
+    for j in pair_rows:
+        cs = [i for i in rows[j] if a <= i <= b]
+        near = []
+        for i in cs:
+            col = cols[i]
+            p = bisect.bisect_left(col, j)
+            near.append((
+                col[p - 1] if p else none_below,
+                col[p + 1] if p + 1 < len(col) else none_above,
+            ))
+        for u, (dn_u, up_u) in enumerate(near):
+            for v in range(u + 1, len(cs)):
+                dn, up = min(dn_u, near[v][0]), max(up_u, near[v][1])
+                if dn != none_below:
+                    out.add((j, cs[u], dn, cs[v]))
+                if up != none_above:
+                    out.add((up, cs[u], j, cs[v]))
+    return out
 
 
 def extended_rectangles(d, row=None, col_range=None):
@@ -245,33 +307,11 @@ def extended_rectangles(d, row=None, col_range=None):
     nearest defects below them (pair on top) or above them (pair on
     bottom). `row` restricts the pair's row; `col_range` = (a, b)
     restricts all involved defects to plaquette columns a..b."""
-    P = d.plaq
-    ncols, nrows = P.shape
-    a, b = (0, ncols - 1) if col_range is None else col_range
-    out = set()
-    rows = range(nrows) if row is None else [row]
-    for j in rows:
-        cols = [i for i in np.nonzero(P[a : b + 1, j] == -1)[0] + a]
-        if len(cols) < 2:
-            continue
-        below = {}
-        above = {}
-        for i in cols:
-            col_rows = np.nonzero(P[i, :] == -1)[0]
-            dn = col_rows[col_rows < j]
-            up = col_rows[col_rows > j]
-            below[i] = int(dn[-1]) if dn.size else None
-            above[i] = int(up[0]) if up.size else None
-        for u in range(len(cols)):
-            for v in range(u + 1, len(cols)):
-                ci, cj = cols[u], cols[v]
-                dns = [r for r in (below[ci], below[cj]) if r is not None]
-                if dns:
-                    out.add(_rect_for_pair(ci, cj, j, min(dns)))
-                ups = [r for r in (above[ci], above[cj]) if r is not None]
-                if ups:
-                    out.add(_rect_for_pair(ci, cj, j, max(ups)))
-    return out
+    n1 = d.plaq.shape[0]
+    rows, cols = _defect_lines(_defect_bits(d.plaq == -1), n1)
+    a, b = (0, n1 - 1) if col_range is None else col_range
+    pair_rows = range(n1) if row is None else [row]
+    return {Rectangle(*t) for t in _extended(rows, cols, pair_rows, a, b)}
 
 
 @dataclass(frozen=True)
@@ -303,25 +343,24 @@ class SplitStructure:
         raise ValueError(f"column {col} outside the grid")
 
 
-def compute_split(sigma, c=100):
-    """Greedy left-to-right bands, each closed once it holds >= c*L defects."""
-    spec = sigma.spec
-    if spec.is_periodic:
-        raise ValueError("splits are for non-periodic boxes")
-    L = spec.side
-    colcount = np.count_nonzero(defect_map(sigma).plaq == -1, axis=1)
+def _split(cols, c):
+    L = len(cols) - 1
     bounds = [0]
     while bounds[-1] < L + 1:
-        s = bounds[-1]
         running = 0
         nxt = L + 1
-        for col in range(s, L + 1):
-            running += int(colcount[col])
+        for col in range(bounds[-1], L + 1):
+            running += len(cols[col])
             if running >= c * L:
                 nxt = col + 1
                 break
         bounds.append(nxt)
     return SplitStructure(boundaries=tuple(bounds), c=c)
+
+
+def compute_split(sigma, c=100):
+    """Greedy left-to-right bands, each closed once it holds >= c*L defects."""
+    return _split(_lines(sigma)[1], c)
 
 
 @dataclass(frozen=True)
@@ -342,14 +381,16 @@ class OccupancyVector:
         return sum(self.v)
 
 
+def _occupancy(rows, a, b):
+    return OccupancyVector(v=tuple(sum(1 for i in r if a <= i <= b) for r in rows))
+
+
 def occupancy_vector(sigma, i, c=100):
-    split = compute_split(sigma, c)
+    rows, cols = _lines(sigma)
+    split = _split(cols, c)
     if not 1 <= i <= split.m:
         raise ValueError(f"part index {i} out of range 1..{split.m}")
-    lo, hi = split.part_columns(i)
-    P = defect_map(sigma).plaq
-    v = np.count_nonzero(P[lo : hi + 1, :] == -1, axis=0)
-    return OccupancyVector(v=tuple(int(x) for x in v))
+    return _occupancy(rows, *split.part_columns(i))
 
 
 @dataclass(frozen=True)
@@ -367,14 +408,30 @@ def classify_occupancy(v, beta):
         v = OccupancyVector(v=tuple(int(x) for x in v))
     if v.v_max <= beta * beta:
         return ThetaClass(sparse=True, theta=None)
+    # A level within distance 32 that no row has passes for any beta >= 0.
+    num = collections.Counter(v.v)
     for theta in range(0, int(math.floor(beta)) + 1):
         target = v.v_max - theta
         if target < 0:
             break
-        nm = v.num(target)
-        if all(beta * nm >= v.num(target - k) for k in range(-32, 33)):
+        nm = num.get(target, 0)
+        if all(beta * nm >= k for lv, k in num.items() if abs(lv - target) <= 32):
             return ThetaClass(sparse=False, theta=theta)
     raise PartitionViolation("partition violation")
+
+
+def _pool(rows, cols, split, i, beta):
+    """good_rectangles of part i as (y2, x1, y1, x2) tuples."""
+    a, b = split.part_columns(i)
+    occ = _occupancy(rows, a, b)
+    try:
+        cls = classify_occupancy(occ, beta)
+    except PartitionViolation:
+        cls = ThetaClass(sparse=True, theta=None)
+    pair_rows = range(len(rows))
+    if not cls.sparse:
+        pair_rows = [j for j, vj in enumerate(occ.v) if vj == occ.v_max - cls.theta]
+    return _extended(rows, cols, pair_rows, a, b)
 
 
 def good_rectangles(sigma, i, beta, c=100):
@@ -386,24 +443,24 @@ def good_rectangles(sigma, i, beta, c=100):
     any exit-path measure yields a valid congestion bound, and the dense
     classification can fail at small beta.
     """
-    split = compute_split(sigma, c)
+    rows, cols = _lines(sigma)
+    split = _split(cols, c)
     if not 1 <= i <= split.n:
         raise ValueError(f"part index {i} out of range 1..{split.n}")
-    col_range = split.part_columns(i)
-    d = defect_map(sigma)
-    occ = occupancy_vector(sigma, i, c)
-    try:
-        cls = classify_occupancy(occ, beta)
-    except PartitionViolation:
-        cls = ThetaClass(sparse=True, theta=None)
-    if cls.sparse:
-        return extended_rectangles(d, col_range=col_range)
-    target = occ.v_max - cls.theta
-    out = set()
-    for j, vj in enumerate(occ.v):
-        if vj == target:
-            out |= extended_rectangles(d, row=j, col_range=col_range)
-    return out
+    return {Rectangle(*t) for t in _pool(rows, cols, split, i, beta)}
+
+
+def _rectangle_segment(rows, cols, beta, rng, c):
+    """One partial segment from the defect lines of a state: a uniform
+    part index i, a uniform rectangle R of its sorted pool, and R's
+    removal order. Returns (flips, R, i)."""
+    split = _split(cols, c)
+    i = int(rng.integers(1, split.n + 1))
+    pool = sorted(_pool(rows, cols, split, i, beta))
+    if not pool:
+        raise PathSamplingError(f"no good rectangles in part {i}")
+    R = Rectangle(*pool[int(rng.integers(len(pool)))])
+    return _removal_order(R, {(a, b) for a, col in enumerate(cols) for b in col}), R, i
 
 
 def sample_partial_path(sigma, beta, seed, c=100):
@@ -412,15 +469,8 @@ def sample_partial_path(sigma, beta, seed, c=100):
     if d.count == 0:
         raise ValueError("empty defect set")
     rng = _as_rng(seed)
-    split = compute_split(sigma, c)
-    i = int(rng.integers(1, split.n + 1))
-    pool = sorted(good_rectangles(sigma, i, beta, c))
-    if not pool:
-        raise PathSamplingError(f"no good rectangles in part {i}")
-    R = pool[int(rng.integers(len(pool)))]
-    path = rectangle_removal_path(sigma, R)
-    path.marks[0].part_index = i
-    return path
+    flips, R, i = _rectangle_segment(*_lines(sigma), beta, rng, c)
+    return CanonicalPath(sigma, flips, [SegmentMark("rectangle", R, i, len(flips))])
 
 
 def identify_split(e, c=100):
@@ -446,7 +496,7 @@ def edge_type(e, R, sigma):
     w = _Walker(sigma)
     for x in flips[:pos]:
         w.flip(x)
-    if w.key() != e.e_minus.spins.tobytes():
+    if w.key() != e.e_minus.key():
         return "none"
     rows_in_order = []
     for x in flips:
@@ -486,32 +536,30 @@ def sample_full_path(sigma, beta, seed, truncate_at=None, c=100):
     flips = []
     marks = []
     w = _Walker(sigma)
-    cur = sigma
     s = 1
     while True:
         if truncate_at is not None and w.count <= truncate_at:
             break
         if w.count == 0:
             break
-        seg = (
-            sample_partial_path(cur, beta, rng, c)
-            if s <= M
-            else naive_path(cur)
-        )
+        if s <= M:
+            seg, R, i = _rectangle_segment(*_defect_lines(w.D, L + 1), beta, rng, c)
+            kind = "rectangle"
+        else:
+            seg, R, i = naive_path(w.config()).flips, None, None
+            kind = "naive"
         taken = 0
         cut = False
-        for x in seg.flips:
+        for x in seg:
             w.flip(x)
             flips.append(x)
             taken += 1
             if truncate_at is not None and w.count <= truncate_at:
                 cut = True
                 break
-        mark = seg.marks[0]
-        marks.append(SegmentMark(mark.kind, mark.rectangle, mark.part_index, taken))
+        marks.append(SegmentMark(kind, R, i, taken))
         if cut:
             break
-        cur = w.config()
         s += 1
     return CanonicalPath(sigma, flips, marks)
 
@@ -542,112 +590,109 @@ def flow_report_csv(result):
     return "\n".join(rows) + "\n"
 
 
+def _flow_result(spec, congestion, **fields):
+    """FlowResult whose cost and edge are the first heaviest edge."""
+    best = max(congestion, key=congestion.get)
+    arr = np.frombuffer(best[0], dtype=np.int8).reshape(spec.side, spec.side)
+    edge = EdgeRef(SpinConfig._from_frozen(spec, arr), best[1])
+    return FlowResult(cost=congestion[best], edge=edge, congestion=congestion, **fields)
+
+
 def _flow_exhaustive(spec, beta, level, c, kind, budget):
     model = RateModel(beta, kind)
     L = spec.side
+    n = L * L
     trunc = level - 1
     M = math.floor(beta * L)
+    # A state is its enumeration index: bit t set when the spin at flat
+    # site t is minus. A flip at t XORs 1 << t into it and masks[t] into
+    # its defect int, as in _Walker.
     spins_all, defective = _all_defects(spec, budget)
     counts_all = np.count_nonzero(defective, axis=(1, 2))
-    N = spins_all.shape[0]
+    dbits = [_defect_bits(m) for m in defective]
+    masks = _site_masks(L)
 
-    def cfg_from_bytes(bb):
-        arr = np.frombuffer(bb, dtype=np.int8).reshape(L, L).copy()
-        return SpinConfig._from_frozen(spec, arr)
-
-    pool_cache = {}
-
-    def branches(bb):
-        """[(q, flips, part_index)] for one partial-segment draw from bb."""
-        if bb in pool_cache:
-            return pool_cache[bb]
-        cfg = cfg_from_bytes(bb)
-        split = compute_split(cfg, c)
-        dset = set(defect_map(cfg).defects())
-        out = []
-        for i in range(1, split.n + 1):
-            pool = sorted(good_rectangles(cfg, i, beta, c))
-            if not pool:
-                raise PathSamplingError(f"no good rectangles in part {i}")
-            q = 1.0 / (split.n * len(pool))
-            for R in pool:
-                out.append((q, _removal_order(R, dset), i))
-        pool_cache[bb] = out
-        return out
-
-    def naive_flips(bb):
-        return naive_path(cfg_from_bytes(bb)).flips
-
-    def replay(bb, flips):
-        """Walk flips from bb, stopping after the truncation crossing.
-        Returns (edge list [(bytes, site, k, count)], end bytes, end count,
-        steps taken)."""
-        w = _Walker(cfg_from_bytes(bb))
-        edges = []
+    def walk(code, flips):
+        """(steps, end state, end count) of flips from code, stopping
+        after the truncation crossing."""
+        D = dbits[code]
         taken = 0
-        for x in flips:
-            edges.append((w.key(), x, w.k_at(x), w.count))
-            w.flip(x)
+        for t in flips:
+            code ^= 1 << t
+            D ^= masks[t]
             taken += 1
-            if w.count <= trunc:
+            if D.bit_count() <= trunc:
                 break
-        return edges, w.key(), w.count, taken
+        return taken, code, D.bit_count()
+
+    tree = {}
+
+    def branches(code, s):
+        """[(q, flips, steps, end state, end count)] of segment s from
+        code: the rectangle draws while s <= M, then the naive path."""
+        key = (code, s > M)
+        if key not in tree:
+            if s > M:
+                cfg = SpinConfig._from_frozen(spec, spins_all[code].copy())
+                drawn = [(1.0, naive_path(cfg).flips)]
+            else:
+                rows, cols = _defect_lines(dbits[code], L + 1)
+                split = _split(cols, c)
+                dset = {(a, b) for a, col in enumerate(cols) for b in col}
+                drawn = []
+                for i in range(1, split.n + 1):
+                    pool = sorted(_pool(rows, cols, split, i, beta))
+                    if not pool:
+                        raise PathSamplingError(f"no good rectangles in part {i}")
+                    q = 1.0 / (split.n * len(pool))
+                    drawn += [(q, _removal_order(Rectangle(*R), dset)) for R in pool]
+            tree[key] = []
+            for q, sites in drawn:
+                flips = [(i - 1) * L + j - 1 for i, j in sites]
+                tree[key].append((q, flips, *walk(code, flips)))
+        return tree[key]
 
     ell_memo = {}
 
-    def ell_rem(bb, cnt, s):
+    def ell_rem(code, cnt, s):
         """Expected remaining truncated-path length from a segment start."""
         if cnt <= trunc:
             return 0.0
-        key = (bb, s)
-        if key in ell_memo:
-            return ell_memo[key]
-        if s > M:
-            _, _, endc, taken = replay(bb, naive_flips(bb))
-            assert endc <= trunc
-            val = float(taken)
-        else:
+        key = (code, s)
+        if key not in ell_memo:
             val = 0.0
-            for q, flips, _ in branches(bb):
-                _, endb, endc, taken = replay(bb, flips)
+            for q, _, taken, endb, endc in branches(code, s):
                 val += q * (taken + ell_rem(endb, endc, s + 1))
-        ell_memo[key] = val
-        return val
+            ell_memo[key] = val
+        return ell_memo[key]
 
     # Forward pass: pooled mass W and mass-weighted cumulative length ML
     # per (state, segment index). Every edge of a branch receives the same
     # increment q*(ML + W*(segment steps + expected remaining length)).
+    # Edges are keyed state * n + site until the end.
     sources = np.nonzero(counts_all >= level)[0]
     if sources.size == 0:
         raise ValueError("empty level set")
     numer = {}
-    denom = {}
     layer = {}
     for idx in sources:
-        bb = spins_all[idx].tobytes()
         relw = math.exp(-beta * float(counts_all[idx]))
-        wml = layer.setdefault(bb, [0.0, 0.0])
+        wml = layer.setdefault(int(idx), [0.0, 0.0])
         wml[0] += relw
     s = 1
     while layer:
         nxt = {}
-        for bb, (W, ML) in layer.items():
-            cnt = _Walker(cfg_from_bytes(bb)).count
-            if cnt <= trunc:
+        for code, (W, ML) in layer.items():
+            if dbits[code].bit_count() <= trunc:
                 continue
-            if s > M:
-                branch_list = [(1.0, naive_flips(bb), None)]
-            else:
-                branch_list = branches(bb)
-            for q, flips, _ in branch_list:
-                edges, endb, endc, taken = replay(bb, flips)
+            for q, flips, taken, endb, endc in branches(code, s):
                 tail = 0.0 if endc <= trunc else ell_rem(endb, endc, s + 1)
                 inc = q * (ML + W * (taken + tail))
-                for eb, site, kk, ecount in edges:
-                    ekey = (eb, site)
-                    numer[ekey] = numer.get(ekey, 0.0) + inc
-                    if ekey not in denom:
-                        denom[ekey] = math.exp(-beta * ecount) * model.table[kk]
+                cur = code
+                for t in flips[:taken]:
+                    e = cur * n + t
+                    numer[e] = numer.get(e, 0.0) + inc
+                    cur ^= 1 << t
                 if endc > trunc:
                     wml = nxt.setdefault(endb, [0.0, 0.0])
                     wml[0] += q * W
@@ -656,18 +701,13 @@ def _flow_exhaustive(spec, beta, level, c, kind, budget):
         s += 1
         if s > M + 2:
             break
-    congestion = {k: float(2.0 * numer[k] / denom[k]) for k in numer}
-    best = max(congestion, key=congestion.get)
-    edge = EdgeRef(cfg_from_bytes(best[0]), best[1])
-    return FlowResult(
-        cost=congestion[best],
-        edge=edge,
-        congestion=congestion,
-        mode="exhaustive",
-        level=level,
-        beta=beta,
-        c=c,
-    )
+    congestion = {}
+    for e, v in numer.items():
+        code, t = divmod(e, n)
+        D = dbits[code]
+        denom = math.exp(-beta * D.bit_count()) * model.table[(D & masks[t]).bit_count()]
+        congestion[spins_all[code].tobytes(), (t // L + 1, t % L + 1)] = float(2.0 * v / denom)
+    return _flow_result(spec, congestion, mode="exhaustive", level=level, beta=beta, c=c)
 
 
 def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
@@ -682,14 +722,12 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
     for _ in range(samples):
         bits = rng.integers(0, 2, size=(L, L))
         cfg = SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
-        d0 = defect_map(cfg).count
-        if d0 < level:
-            continue
-        relw = math.exp(-beta * float(d0))
-        path = sample_full_path(cfg, beta, rng, truncate_at=trunc, c=c)
-        glen = len(path)
-        x = relw * glen
         w = _Walker(cfg)
+        if w.count < level:
+            continue
+        relw = math.exp(-beta * float(w.count))
+        path = sample_full_path(cfg, beta, rng, truncate_at=trunc, c=c)
+        x = relw * len(path)
         for site in path.flips:
             ekey = (w.key(), site)
             acc[ekey] = acc.get(ekey, 0.0) + x
@@ -707,20 +745,11 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
         se = math.sqrt(var / samples)
         congestion[k] = float(2.0 * n_states * mean / denom[k])
         half[k] = float(2.0 * n_states * 1.96 * se / denom[k])
-    best = max(congestion, key=congestion.get)
-    arr = np.frombuffer(best[0], dtype=np.int8).reshape(L, L).copy()
-    edge = EdgeRef(SpinConfig._from_frozen(spec, arr), best[1])
-    return FlowResult(
-        cost=congestion[best],
-        edge=edge,
-        congestion=congestion,
-        mode="monte_carlo",
-        level=level,
-        beta=beta,
-        c=c,
-        samples=samples,
-        ci_halfwidth=half[best],
+    res = _flow_result(
+        spec, congestion, mode="monte_carlo", level=level, beta=beta, c=c, samples=samples
     )
+    res.ci_halfwidth = half[res.edge.e_minus.key(), res.edge.site]
+    return res
 
 
 def flow_cost(
@@ -748,6 +777,8 @@ def flow_cost(
         raise ValueError("flow bounds are computed for the all-plus boundary")
     if level < 1:
         raise ValueError("level must be at least 1")
+    if mode == "monte_carlo" and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if mode == "exhaustive":
         return _flow_exhaustive(spec, beta, level, c, kind, budget)
     if mode == "monte_carlo":

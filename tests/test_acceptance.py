@@ -150,7 +150,7 @@ def test_05_path_battery():
         w = paths._Walker(cfg)
         n0 = w.count
         assert len(p) <= L * L * min(BETA * L + 1, n0 / 2.0), (len(p), n0)
-        row0 = np.count_nonzero(w.P == -1, axis=0)
+        row0 = np.count_nonzero(defect_map(cfg).plaq == -1, axis=0)
         cum = 0
         api_path = trial % 20 == 0
         for mark in p.marks:
@@ -188,7 +188,8 @@ def test_05_path_battery():
                         n_seg,
                     )
                     assert n_plus <= n_seg + 2
-                drift = int(np.abs(np.count_nonzero(w.P == -1, axis=0) - row0).max())
+                rows_now = np.count_nonzero(defect_map(w.config()).plaq == -1, axis=0)
+                drift = int(np.abs(rows_now - row0).max())
                 assert drift <= 8
             if mark.kind == "rectangle":
                 assert n_seg - w.count in (2, 4)
@@ -199,7 +200,7 @@ def test_05_path_battery():
                 assert mark is p.marks[-1] and w.count == 0
             if api_path and mark.kind == "rectangle":
                 occ = paths.occupancy_vector(seg_start_cfg, mark.part_index)
-                start_rows = np.count_nonzero(paths._Walker(seg_start_cfg).P == -1, axis=0)
+                start_rows = np.count_nonzero(defect_map(seg_start_cfg).plaq == -1, axis=0)
                 assert occ.v == tuple(int(v) for v in start_rows)
                 for edge_idx, e in enumerate(seg_edges):
                     x = e.site

@@ -101,6 +101,11 @@ def test_flow_monte_carlo_caveat(capsys):
     assert "# ci_halfwidth=" in out
 
 
+def test_flow_monte_carlo_rejects_no_samples():
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        cli.main(["flow", "--size", "2", "--mode", "monte_carlo", "--samples", "0"])
+
+
 def test_simulate_event_count_and_replay(tmp_path, capsys):
     out_file = tmp_path / "traj.txt"
     code, out, _ = run(

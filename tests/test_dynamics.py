@@ -69,6 +69,14 @@ def test_bad_rate_kind():
         RateModel(1.0, "glauber-ish")
 
 
+def test_rate_model_rejects_bad_beta():
+    # nan and inf used to build nan tables that failed later, in the eigensolver
+    for kind in RateModel.KINDS:
+        for beta in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
+                RateModel(beta, kind)
+
+
 def test_site_defect_count_matches_map():
     rng = np.random.default_rng(0)
     for spec in (LatticeSpec(4, PLUS), LatticeSpec(4, PERIODIC), mixed_frame_spec(4)):

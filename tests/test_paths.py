@@ -1,11 +1,13 @@
 """Rectangle removal paths, splits, occupancy classes, and flow bounds."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from plaquette.lattice import (
+    FIXED,
     PERIODIC,
     PLUS,
     LatticeSpec,
@@ -14,6 +16,8 @@ from plaquette.lattice import (
     defect_map,
     invert_defects,
     reading_order_key,
+    _site_index,
+    _site_k,
 )
 from plaquette.paths import (
     CanonicalPath,
@@ -39,6 +43,7 @@ from plaquette.paths import (
     rectangle_removal_path,
     sample_full_path,
     sample_partial_path,
+    _Walker,
 )
 from plaquette.exact import build_generator, spectral_gap, spectral_profile
 from plaquette.dynamics import RateModel
@@ -51,6 +56,15 @@ GAP_L3_BETA1 = 0.1542219403486512
 # regression pins for the flow constants themselves
 FLOW_L2_BETA1 = 70.61244879144519
 
+# exhaustive plus-box flows, (L, beta, level) -> cost, edge count, and the
+# congestion and report digests of flow_digests
+FLOW_PINS = {
+    (2, 1.0, 1): (70.61244879144519, 39, "c3042ee4af6cca48", "f3e80b05f0c32989"),
+    (3, 1.0, 1): (436.477575655193, 3144, "aa12a827c55c4047", "3793c6f5cd534713"),
+    (3, 1.0, 2): (436.477575655193, 3144, "aa12a827c55c4047", "3793c6f5cd534713"),
+    (3, 2.0, 1): (1794.8911910125098, 3156, "346ba252c7873daf", "c50d047bb5c440dc"),
+}
+
 
 def random_config(spec, rng):
     bits = rng.integers(0, 2, size=(spec.side, spec.side))
@@ -62,6 +76,39 @@ def config_with_defects(spec, defects):
     for x, y in defects:
         p[x, y] = -1
     return invert_defects(spec, p)
+
+
+def flow_digests(res):
+    """sha256 prefixes of the sorted congestion entries and of the CSV report."""
+    lines = "".join(
+        f"{sb.hex()} {s[0]} {s[1]} {v!r}\n" for (sb, s), v in sorted(res.congestion.items())
+    )
+    return (
+        hashlib.sha256(lines.encode()).hexdigest()[:16],
+        hashlib.sha256(flow_report_csv(res).encode()).hexdigest()[:16],
+    )
+
+
+def test_walker_codec_matches_the_lattice_kernels():
+    # the walker's byte buffer and defect bits against defect_map, _site_k
+    # and SpinConfig.key() after every flip, on plus and non-plus frames
+    rng = np.random.default_rng(12)
+    for L in range(2, 6):
+        theta = np.ones((L + 2, L + 2), dtype=np.int8)
+        theta[0, 1] = theta[L + 1, 2] = theta[3, 0] = -1
+        for spec in (LatticeSpec(L, PLUS), LatticeSpec(L, FIXED, theta=theta)):
+            sites = spec.sites()
+            cfg = random_config(spec, rng)
+            w = _Walker(cfg)
+            for _ in range(60):
+                x = sites[int(rng.integers(len(sites)))]
+                w.flip(x)
+                cfg = cfg.flip([x])
+                d = defect_map(cfg)
+                k = _site_k(spec, d.plaq == -1)
+                assert w.count == d.count
+                assert w.key() == cfg.key() and w.config() == cfg
+                assert [w.k_at(y) for y in sites] == [int(k[_site_index(spec, y)]) for y in sites]
 
 
 def test_naive_path_reading_order():
@@ -102,6 +149,9 @@ def test_path_text_roundtrip():
     p = naive_path(SpinConfig.all_minus(spec))
     q = path_from_text(spec, path_to_text(p))
     assert q.initial == p.initial and q.flips == p.flips
+    for site in ("0 1", "4 2", "2 -1"):
+        with pytest.raises(ValueError, match="outside the box"):
+            path_from_text(spec, "+++/+++/+++\n" + site + "\n")
 
 
 def test_removal_path_toggles_rectangle_corners():
@@ -523,6 +573,21 @@ def test_flow_cost_L3():
     assert spectral_profile(G, 4) >= 1.0 / res4.cost
 
 
+@pytest.mark.parametrize("L, beta, level", sorted(FLOW_PINS))
+def test_exhaustive_flow_pinned_bit_for_bit(L, beta, level):
+    res = flow_cost(LatticeSpec(L, PLUS), beta, level)
+    cost, n_edges, *digests = FLOW_PINS[L, beta, level]
+    assert res.cost == cost and len(res.congestion) == n_edges
+    assert flow_digests(res) == tuple(digests)
+
+
+def test_monte_carlo_flow_pinned_bit_for_bit():
+    res = flow_cost(LatticeSpec(4, PLUS), 1.0, 1, mode="monte_carlo", seed=123, samples=1000)
+    assert res.cost == 35834.439356964416 and res.ci_halfwidth == 70235.50113965027
+    assert len(res.congestion) == 11949
+    assert flow_digests(res) == ("f7081a94c3106e3c", "92ae705953e6a7fb")
+
+
 def test_flow_monte_carlo_consistent():
     spec = LatticeSpec(2, PLUS)
     exact_res = flow_cost(spec, 1.0, level=1)
@@ -544,6 +609,9 @@ def test_flow_requires_plus_and_valid_mode():
         flow_cost(LatticeSpec(2, PLUS), 1.0, level=0)
     with pytest.raises(ValueError):
         flow_cost(LatticeSpec(2, PLUS), 1.0, level=1, mode="guess")
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            flow_cost(LatticeSpec(2, PLUS), 1.0, level=1, mode="monte_carlo", samples=samples)
 
 
 def test_flow_report_csv_sorted():
