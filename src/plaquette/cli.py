@@ -23,6 +23,7 @@ from .lattice import (
     FIXED,
     PERIODIC,
     PLUS,
+    BudgetExceededError,
     LatticeSpec,
     SpinConfig,
     critical_length,
@@ -199,15 +200,18 @@ def cmd_flow(args):
     level = int(args.level)
     if args.mode not in ("exhaustive", "monte_carlo"):
         raise SystemExit(f"unknown --mode {args.mode!r}: use exhaustive or monte_carlo")
-    res = paths.flow_cost(
-        spec,
-        beta,
-        level,
-        mode=str(args.mode),
-        seed=int(args.seed),
-        samples=int(args.samples),
-        c=int(args.split_threshold),
-    )
+    try:
+        res = paths.flow_cost(
+            spec,
+            beta,
+            level,
+            mode=str(args.mode),
+            seed=int(args.seed),
+            samples=int(args.samples),
+            c=int(args.split_threshold),
+        )
+    except (BudgetExceededError, paths.PathSamplingError) as err:
+        raise SystemExit(f"flow: {err}") from None
     lam = float("nan")
     holds = ""
     if L <= 3:
@@ -388,23 +392,29 @@ def cmd_simulate(args):
     else:
         raise SystemExit(f"bad --init value {init_arg!r}")
     stop_arg = str(args.stop)
-    if stop_arg.startswith("events="):
-        stop = dynamics.stop_after_events(int(stop_arg[7:]))
-    elif stop_arg.startswith("time="):
-        stop = dynamics.stop_after_time(float(stop_arg[5:]))
-    elif stop_arg == "hit-ground":
-        stop = dynamics.stop_at_zero_defects()
-    else:
-        raise SystemExit(f"bad --stop value {stop_arg!r}")
-    traj = dynamics.simulate(
-        spec,
-        beta,
-        init,
-        stop,
-        seed=int(args.seed),
-        kind=str(args.kind),
-        max_events=int(args.budget_events),
-    )
+    try:
+        if stop_arg.startswith("events="):
+            stop = dynamics.stop_after_events(int(stop_arg[7:]))
+        elif stop_arg.startswith("time="):
+            stop = dynamics.stop_after_time(float(stop_arg[5:]))
+        elif stop_arg == "hit-ground":
+            stop = dynamics.stop_at_zero_defects()
+        else:
+            raise ValueError("use events=N, time=T or hit-ground")
+    except ValueError as err:
+        raise SystemExit(f"bad --stop value {stop_arg!r}: {err}") from None
+    try:
+        traj = dynamics.simulate(
+            spec,
+            beta,
+            init,
+            stop,
+            seed=int(args.seed),
+            kind=str(args.kind),
+            max_events=int(args.budget_events),
+        )
+    except BudgetExceededError as err:
+        raise SystemExit(f"simulate: {err}") from None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dynamics.trajectory_to_text(traj))

@@ -10,14 +10,24 @@ only through k. Two standard rate families are provided:
 
 Both satisfy detailed balance for the weights exp(-beta * defect count).
 
-Simulation is event-driven: waiting times are sampled from the current
-total rate and only actual flips cost work, so metastable stretches are
-free. All randomness flows through numpy Generators seeded via
-SeedSequence so runs are reproducible and replicas independent.
+Simulation is event-driven and rejection-free (the n-fold way of Bortz,
+Kalos and Lebowitz): waiting times are sampled from the current total
+rate and only actual flips cost work, so metastable stretches are free.
+Since a rate depends only on k, the simulator keeps the sites in five
+buckets by k. An event draws an exponential holding time, then one
+uniform that picks a class from the five weights len(bucket) * rate(k)
+and a site inside it. A flip XORs the site's plaquette mask into one int
+of defect bits and re-reads k, a popcount, at the at most nine sites that
+share a plaquette with it. No step scans the L^2 rates; what grows with
+the box is only the cost of the XOR and popcounts on the defect int. All
+randomness flows through numpy Generators seeded via SeedSequence so runs
+are reproducible and replicas independent. `simulate` is the module's
+one event loop; `hitting_time` and `trace_chain` run through it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,11 +38,13 @@ from .lattice import (
     BudgetExceededError,
     LatticeSpec,
     SpinConfig,
+    _defect_bits,
     _grid_from_text,
     _grid_to_text,
     _plaquettes,
     _site_index,
     _site_k,
+    _site_masks,
     defect_map,
 )
 
@@ -78,8 +90,50 @@ def site_rate(model, cfg, x):
     return model.rate_for_k(site_defect_count(cfg, x))
 
 
+@functools.lru_cache(maxsize=None)
+def _flip_tables(side, periodic):
+    """(masks, near, sites) per flat site index t = i*L + j of a box: its
+    plaquette mask (lattice._site_masks), the sites whose k a flip at t can
+    change (those sharing a plaquette with t, t itself included), and its
+    lattice coordinates."""
+    L = side
+    masks = _site_masks(side, periodic)
+    near = []
+    for i in range(L):
+        for j in range(L):
+            t = i * L + j
+            block = set()
+            for a in range(i - 1, i + 2):
+                for b in range(j - 1, j + 2):
+                    if not periodic and not (0 <= a < L and 0 <= b < L):
+                        continue
+                    u = a % L * L + b % L
+                    if masks[u] & masks[t]:
+                        block.add(u)
+            near.append(tuple(sorted(block)))
+    off = 0 if periodic else 1
+    sites = tuple((i + off, j + off) for i in range(L) for j in range(L))
+    return masks, tuple(near), sites
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_defects(spec):
+    """Defect bits of the box with every site plus: those the frame makes
+    (0 for plus frames and periodic boxes). A configuration's defect bits
+    are these XOR the masks of its minus sites."""
+    if spec.is_periodic:
+        return 0
+    return _defect_bits(_plaquettes(spec, spec.frame_template()) == -1)
+
+
 class Simulator:
-    """Mutable chain state with incremental rate bookkeeping.
+    """Mutable chain state with rejection-free event selection.
+
+    The spins are a byte buffer in site storage order (so `state_key()` is
+    `SpinConfig.key()`) and the defects one int over plaquette bits; a flip
+    is two XORs, and the defect count and each neighbour's k are popcounts.
+    Sites sit in five buckets by k, so a step draws a class from the five
+    weights len(bucket) * rate(k) and then a site uniformly inside it.
 
     Sites are addressed in lattice coordinates (1-based for fixed boxes,
     0-based for periodic ones). Stop predicates receive this object and
@@ -95,68 +149,62 @@ class Simulator:
         self.time = 0.0
         self.n_events = 0
         self._L = spec.side
-        if spec.is_periodic:
-            self._spins = init.spins.copy()
-        else:
-            self._spins = init.padded()
-        self._P = _plaquettes(spec, self._spins)
-        defective = self._P == -1
-        self._k = _site_k(spec, defective)
-        self.n_defects = int(np.count_nonzero(defective))
-        self._rates = self.model.table[self._k]
-        self._total = float(self._rates.sum())
+        self._masks, self._near, self._sites = _flip_tables(spec.side, spec.is_periodic)
+        self._buf = bytearray(init.key())
+        D = _frame_defects(spec)
+        for t, s in enumerate(self._buf):
+            if s == 0xFF:  # int8 -1
+                D ^= self._masks[t]
+        self._D = D
+        self.n_defects = D.bit_count()
+        # a flip that changes no plaquette (mask 0: the periodic 1x1 box)
+        # is energy-neutral, so its k is 2, not the popcount 0
+        self._k = [(D & m).bit_count() if m else 2 for m in self._masks]
+        self._rate = model.table.tolist()
+        self._buckets = [[], [], [], [], []]
+        self._pos = [0] * len(self._k)
+        for t, k in enumerate(self._k):
+            self._pos[t] = len(self._buckets[k])
+            self._buckets[k].append(t)
+        self._total = self._rate_sum()
 
-    def _plaq_block_index(self, i, j):
-        """Index arrays of the 2x2 plaquette block around interior site (i, j)."""
-        if self.spec.is_periodic:
-            L = self._L
-            return np.ix_([(i - 1) % L, i], [(j - 1) % L, j])
-        return (slice(i, i + 2), slice(j, j + 2))
-
-    def _count_k(self, i, j):
-        return int(np.count_nonzero(self._P[self._plaq_block_index(i, j)] == -1))
+    def _rate_sum(self):
+        b, r = self._buckets, self._rate
+        return (len(b[0]) * r[0] + len(b[1]) * r[1] + len(b[2]) * r[2]
+                + len(b[3]) * r[3] + len(b[4]) * r[4])
 
     def state(self):
-        if self.spec.is_periodic:
-            arr = self._spins.copy()
-        else:
-            arr = self._spins[1:-1, 1:-1].copy()
+        arr = np.frombuffer(bytes(self._buf), dtype=np.int8).reshape(self._L, self._L)
         return SpinConfig._from_frozen(self.spec, arr)
 
     def state_key(self):
-        if self.spec.is_periodic:
-            return self._spins.tobytes()
-        return self._spins[1:-1, 1:-1].tobytes()
+        return bytes(self._buf)
 
     def flip(self, site):
         """Apply one flip at a lattice-coordinate site, updating bookkeeping."""
-        off = 0 if self.spec.is_periodic else 1
-        i, j = site[0] - off, site[1] - off
-        L = self._L
-        if not (0 <= i < L and 0 <= j < L):
-            raise ValueError(f"site {site} outside the box")
-        if self.spec.is_periodic:
-            self._spins[i, j] = -self._spins[i, j]
-            if L == 1:
-                return  # the flip toggles the one plaquette four times
-        else:
-            self._spins[i + 1, j + 1] = -self._spins[i + 1, j + 1]
-        blk = self._plaq_block_index(i, j)
-        before = int(np.count_nonzero(self._P[blk] == -1))
-        self._P[blk] = -self._P[blk]
-        self.n_defects += (4 - before) - before
-        # Only sites sharing a plaquette with (i, j) change their k.
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                a, b = i + di, j + dj
-                if self.spec.is_periodic:
-                    a %= L
-                    b %= L
-                elif not (0 <= a < L and 0 <= b < L):
-                    continue
-                self._k[a, b] = self._count_k(a, b)
-                self._rates[a, b] = self.model.table[self._k[a, b]]
-        self._total = float(self._rates.sum())
+        i, j = _site_index(self.spec, site)
+        self._flip(i * self._L + j)
+
+    def _flip(self, t):
+        self._buf[t] ^= 0xFE  # int8 1 <-> -1
+        D = self._D ^ self._masks[t]
+        self._D = D
+        self.n_defects = D.bit_count()
+        k, pos, buckets, masks = self._k, self._pos, self._buckets, self._masks
+        for u in self._near[t]:
+            new = (D & masks[u]).bit_count()
+            old = k[u]
+            if new != old:
+                bucket = buckets[old]
+                last = bucket.pop()
+                if last != u:
+                    bucket[pos[u]] = last
+                    pos[last] = pos[u]
+                bucket = buckets[new]
+                pos[u] = len(bucket)
+                bucket.append(u)
+                k[u] = new
+        self._total = self._rate_sum()
 
     def step(self):
         """Advance by one event; returns the flipped site."""
@@ -164,17 +212,22 @@ class Simulator:
         if total <= 0:
             raise RuntimeError("total rate vanished; no move possible")
         self.time += self.rng.exponential(1.0 / total)
-        flat_rates = self._rates.ravel()
         r = self.rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(flat_rates), r))
-        idx = min(idx, flat_rates.size - 1)
-        L = self._L
-        i, j = divmod(idx, L)
-        off = 0 if self.spec.is_periodic else 1
-        site = (i + off, j + off)
-        self.flip(site)
+        rate = self._rate
+        for k, bucket in enumerate(self._buckets):
+            w = len(bucket) * rate[k]
+            if r < w:
+                t = bucket[min(int(r / rate[k]), len(bucket) - 1)]
+                break
+            r -= w
+        else:
+            # rounding carried r past the last class: take the last class of
+            # positive weight
+            k = max(k for k, bucket in enumerate(self._buckets) if bucket and rate[k] > 0)
+            t = self._buckets[k][-1]
+        self._flip(t)
         self.n_events += 1
-        return site
+        return self._sites[t]
 
 
 @dataclass
@@ -199,6 +252,9 @@ def stop_after_events(n):
 
 
 def stop_after_time(t):
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"stop time must be finite and nonnegative, got {t!r}")
+
     def pred(sim):
         return sim.time >= t
 
@@ -395,25 +451,26 @@ def trace_chain(
     the last record. Excursions outside S are skipped entirely; repeated
     re-entries at the unchanged state are not records. Stops after
     n_records records or when the event budget is spent (completed=False
-    then).
+    then). The chain runs through `simulate`, whose stop predicate takes
+    the records.
     """
-    model = RateModel(beta, kind)
-    sim = Simulator(spec, model, init, _as_rng(seed))
     times, states = [], []
     last_key = None
-    if in_set(sim):
-        times.append(sim.time)
-        states.append(sim.state())
-        last_key = sim.state_key()
-    while len(states) < n_records:
-        if sim.n_events >= max_events:
-            return TraceSample(times, states, sim.n_events, completed=False)
-        sim.step()
+
+    def watch(sim):
+        nonlocal last_key
         if in_set(sim) and sim.state_key() != last_key:
             times.append(sim.time)
             states.append(sim.state())
             last_key = sim.state_key()
-    return TraceSample(times, states, sim.n_events, completed=True)
+        return len(states) >= n_records
+
+    try:
+        traj = simulate(spec, beta, init, watch, seed=seed, kind=kind,
+                        max_events=max_events, record=False)
+    except BudgetExceededError as err:
+        return TraceSample(times, states, err.partial.n_events, completed=False)
+    return TraceSample(times, states, traj.n_events, completed=True)
 
 
 # Trajectory serialization: a small line-oriented text format so runs can

@@ -165,6 +165,32 @@ def rayleigh_lower_bound(G, f):
     return v / dirichlet_form(G, f)
 
 
+def mean_hitting_time(G, init, target_mask):
+    """Exact mean time for the chain started at configuration `init` to
+    first enter the states where the boolean `target_mask` is true.
+
+    The means tau on the complement A of the target solve -Q_AA tau = 1.
+    In the symmetrized form, -S_AA y = sqrt(pi_A) with tau = y / sqrt(pi_A),
+    the matrix is positive definite, and it is solved densely by Cholesky
+    up to DENSE_THRESHOLD states of A; above that it raises
+    BudgetExceededError.
+    """
+    target = np.asarray(target_mask, dtype=bool)
+    if target.shape != (G.n_states,) or not target.any():
+        raise ValueError("target_mask must mark at least one of the generator's states")
+    i = G.config_index(init)
+    if target[i]:
+        return 0.0
+    A = np.nonzero(~target)[0]
+    if A.size > DENSE_THRESHOLD:
+        raise BudgetExceededError(f"hitting-time solve limited to {DENSE_THRESHOLD} states")
+    S = _symmetrized(G)[A][:, A].toarray()
+    r = np.sqrt(G.pi[A])
+    y = scipy.linalg.solve(-S, r, assume_a="pos")
+    a = np.searchsorted(A, i)
+    return float(y[a] / r[a])
+
+
 def level_set(G, k):
     """Indices of states with at least k defects."""
     idx = np.nonzero(G.counts >= k)[0]

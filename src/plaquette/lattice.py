@@ -16,9 +16,10 @@ forms the four-spin product of every plaquette, and `_site_k` counts,
 for every site, the defective plaquettes among the four that contain it
 (the k that a flip's rate depends on). Every layer (defect maps,
 enumeration, the exact generator, the simulator, the path walker) calls
-these two. The only other code that knows the geometry is the local 2x2
-update that `dynamics.Simulator` applies on each flip and the per-site
-plaquette bit masks (`paths._site_masks`) that the path walker XORs in.
+these two. The event loops (`dynamics.Simulator`, `paths._Walker`, the
+exhaustive flow) hold the defects as one int over plaquette bits
+(`_defect_bits`) and flip by XORing in the site's plaquette mask
+(`_site_masks`), so a defect count or a site's k is a popcount.
 
 Coordinate conventions, used consistently across the package:
 
@@ -38,6 +39,7 @@ Coordinate conventions, used consistently across the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -296,6 +298,41 @@ def _site_k(spec, defective):
         r = np.roll(m, 1, -2)
         return m + r + np.roll(m, 1, -1) + np.roll(r, 1, -1)
     return m[..., :-1, :-1] + m[..., 1:, :-1] + m[..., :-1, 1:] + m[..., 1:, 1:]
+
+
+@functools.lru_cache(maxsize=None)
+def _site_masks(side, periodic):
+    """Per site, at its flat storage index t = i*L + j, the plaquettes that
+    contain it as bits of one int: plaquette (a, b) is the bit at its flat
+    index in the plaquette grid, a*(L+1) + b (fixed) or a*L + b (periodic).
+
+    A flip at t XORs masks[t] into a configuration's defect bits, and the
+    site's k is the popcount of the defect bits under masks[t]. The four
+    bits are XORed together, so the periodic 1x1 mask, whose one plaquette
+    holds the site four times, is 0: that flip changes no plaquette (and
+    its k is 2, which the popcount does not give; see _site_k).
+    """
+    L = side
+    if not periodic:
+        n1 = L + 1
+        quad = 3 | 3 << n1
+        return tuple(quad << (a * n1 + b) for a in range(L) for b in range(L))
+    masks = []
+    for i in range(L):
+        for j in range(L):
+            m = 0
+            for a in (i - 1, i):
+                for b in (j - 1, j):
+                    m ^= 1 << (a % L * L + b % L)
+            masks.append(m)
+    return tuple(masks)
+
+
+def _defect_bits(defective):
+    """A boolean plaquette mask as one int, each plaquette at the bit of its
+    flat index in the plaquette grid (the layout of _site_masks)."""
+    packed = np.packbits(defective, axis=None, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 class DefectConfig:

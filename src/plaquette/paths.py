@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import collections
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -40,7 +39,8 @@ from .lattice import (
     defect_map,
     reading_order_key,
     _all_defects,
-    _site_index,
+    _defect_bits,
+    _site_masks,
 )
 from .dynamics import RateModel, _as_rng
 
@@ -72,21 +72,6 @@ class EdgeRef:
         return self.e_minus.flip([self.site])
 
 
-@functools.lru_cache(maxsize=None)
-def _site_masks(L):
-    """Per site of a fixed L x L box, at its flat index t = (i-1)*L + (j-1),
-    the bits a*(L+1)+b of the four plaquettes (a, b) that contain it."""
-    n1 = L + 1
-    quad = 3 | 3 << n1
-    return tuple(quad << (a * n1 + b) for a in range(L) for b in range(L))
-
-
-def _defect_bits(defective):
-    """A boolean plaquette mask as one int, plaquette (a, b) at bit a*(L+1)+b."""
-    packed = np.packbits(defective, axis=None, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 class _Walker:
     """Mutable replay state of a fixed box.
 
@@ -101,7 +86,7 @@ class _Walker:
             raise ValueError("path machinery is for non-periodic boxes")
         self.spec = cfg.spec
         self.L = cfg.spec.side
-        self.masks = _site_masks(self.L)
+        self.masks = _site_masks(self.L, False)
         self.buf = bytearray(cfg.key())
         self.D = _defect_bits(defect_map(cfg).plaq == -1)
 
@@ -132,6 +117,13 @@ class CanonicalPath:
         self.initial = initial
         self.flips = list(flips)
         self.marks = list(marks)
+        # the walker indexes sites unchecked, so check them here
+        spec = initial.spec
+        lo = 0 if spec.is_periodic else 1
+        hi = lo + spec.side - 1
+        if self.flips and not (lo <= min(map(min, self.flips)) and max(map(max, self.flips)) <= hi):
+            bad = next(x for x in self.flips if not spec.contains_site(x))
+            raise ValueError(f"site {bad} outside the box")
 
     def __len__(self):
         return len(self.flips)
@@ -183,7 +175,6 @@ def path_from_text(spec, text):
     for ln in lines[1:]:
         a, b = ln.split()
         flips.append((int(a), int(b)))
-        _site_index(spec, flips[-1])  # the walker indexes sites unchecked
     return CanonicalPath(initial, flips, [SegmentMark("naive", None, None, len(flips))])
 
 
@@ -610,7 +601,7 @@ def _flow_exhaustive(spec, beta, level, c, kind, budget):
     spins_all, defective = _all_defects(spec, budget)
     counts_all = np.count_nonzero(defective, axis=(1, 2))
     dbits = [_defect_bits(m) for m in defective]
-    masks = _site_masks(L)
+    masks = _site_masks(L, False)
 
     def walk(code, flips):
         """(steps, end state, end count) of flips from code, stopping

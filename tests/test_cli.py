@@ -244,3 +244,26 @@ def test_cli_import_leaves_scipy_stats_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_simulate_rejects_bad_stop_times():
+    # time=nan used to run toward the 10^7-event budget
+    for t in ("nan", "inf", "-1"):
+        with pytest.raises(SystemExit, match="finite and nonnegative"):
+            cli.main(["simulate", "--stop", f"time={t}"])
+
+
+def test_spent_budget_and_empty_pool_exit_with_one_line():
+    # both used to escape as tracebacks
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["flow", "--size", "3", "--split-threshold", "1"])
+    assert str(exc.value) == "flow: no good rectangles in part 1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "plaquette.cli", "simulate", "--size", "4", "--init", "minus",
+         "--stop", "hit-ground", "--budget-events", "5"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "simulate: event budget 5 exhausted before the stop condition\n"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
 from plaquette.dynamics import (
     RateModel,
@@ -31,6 +32,7 @@ from plaquette.lattice import (
     BudgetExceededError,
     LatticeSpec,
     SpinConfig,
+    _site_k,
     defect_count,
     defect_map,
     relative_weight,
@@ -126,14 +128,47 @@ def test_detailed_balance_pointwise():
 
 
 def test_simulator_tracks_defects():
-    for spec in (LatticeSpec(3, PERIODIC), mixed_frame_spec(3)):
+    # defect count, key and total rate against the lattice kernels after every step
+    specs = (LatticeSpec(2, PERIODIC), LatticeSpec(3, PERIODIC), mixed_frame_spec(3), LatticeSpec(4, PLUS))
+    for spec in specs:
         rng = np.random.default_rng(2)
-        sim = Simulator(spec, RateModel(0.8), random_config(spec, rng), rng)
+        model = RateModel(0.8)
+        sim = Simulator(spec, model, random_config(spec, rng), rng)
         for _ in range(300):
             sim.step()
-            assert sim.n_defects == defect_count(sim.state())
+            cfg = sim.state()
+            assert sim.n_defects == defect_count(cfg)
+            assert sim.state_key() == cfg.key()
+            total = model.table[_site_k(spec, defect_map(cfg).plaq == -1)].sum()
+            assert sim._total == pytest.approx(total, rel=1e-12)
         assert sim.n_events == 300
         assert sim.time > 0
+
+
+def test_one_step_law_matches_the_generator_row():
+    # from state i the first flip lands on site b with probability
+    # Q[i, i ^ (1 << b)] / q_i, after a holding time of mean 1 / q_i
+    rng = np.random.default_rng(21)
+    n = 4000
+    for spec in (LatticeSpec(3, PLUS), LatticeSpec(3, PERIODIC), mixed_frame_spec(3)):
+        sites = spec.sites()  # storage order, which is the bit order of the state index
+        for kind in RateModel.KINDS:
+            model = RateModel(0.7, kind)
+            G = build_generator(spec, model)
+            cfg = random_config(spec, rng)
+            i = G.config_index(cfg)
+            row = np.array([G.Q[i, i ^ (1 << b)] for b in range(len(sites))])
+            q = -G.Q[i, i]
+            hits = np.zeros(len(sites))
+            hold = 0.0
+            for _ in range(n):
+                sim = Simulator(spec, model, cfg, rng)
+                hits[sites.index(sim.step())] += 1
+                hold += sim.time
+            expected = n * row / q
+            chi2 = float(((hits - expected) ** 2 / expected).sum())
+            assert chdtrc(len(sites) - 1, chi2) > 1e-3, (spec, kind, hits, expected)
+            assert abs(hold / n * q - 1.0) < 4.0 / math.sqrt(n)
 
 
 def test_simulate_deterministic_given_seed():
@@ -159,6 +194,14 @@ def test_stop_rules():
     assert defect_count(t.final) == 0
     t = simulate(spec, 2.0, init, stop_at_state(SpinConfig.all_plus(spec)), seed=0)
     assert t.final == SpinConfig.all_plus(spec)
+
+
+def test_stop_after_time_rejects_bad_times():
+    # a nan stop time used to run the chain to the event budget
+    for t in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            stop_after_time(t)
+    assert stop_after_time(0)
 
 
 def test_stop_on_initial_state_gives_empty_trajectory():
@@ -308,3 +351,20 @@ def test_trace_chain_records_in_set_and_distinct():
     for a, b in zip(tr.states, tr.states[1:]):
         assert a != b
     assert all(t2 >= t1 for t1, t2 in zip(tr.times, tr.times[1:]))
+
+
+def test_trace_chain_budget_leaves_it_incomplete():
+    spec = LatticeSpec(3, PERIODIC)
+    init = SpinConfig.all_plus(spec)
+
+    def in_ground(sim):
+        return sim.n_defects == 0
+
+    full = trace_chain(spec, 2.0, init, in_ground, n_records=30, seed=5)
+    short = trace_chain(spec, 2.0, init, in_ground, n_records=30, seed=5,
+                        max_events=full.n_events - 1)
+    assert not short.completed and short.n_events == full.n_events - 1
+    assert short.states == full.states[: len(short.states)] and len(short.states) < 30
+    assert short.times == full.times[: len(short.times)]
+    empty = trace_chain(spec, 2.0, init, lambda sim: False, n_records=0, seed=5)
+    assert empty.completed and empty.n_events == 0 and empty.states == []

@@ -12,7 +12,13 @@ from scipy.stats import poisson
 
 from plaquette import exact
 
-from plaquette.dynamics import RateModel
+from plaquette.cli import _rect_init
+from plaquette.dynamics import (
+    RateModel,
+    hitting_time,
+    stop_at_ground_other_than,
+    stop_at_zero_defects,
+)
 from plaquette.exact import (
     DENSE_THRESHOLD,
     ProfileBound,
@@ -21,6 +27,7 @@ from plaquette.exact import (
     dump_generator_text,
     ground_mass,
     level_set,
+    mean_hitting_time,
     profile_mixing_bound,
     rayleigh_lower_bound,
     relaxation_time,
@@ -44,6 +51,7 @@ from plaquette.lattice import (
     BudgetExceededError,
     LatticeSpec,
     SpinConfig,
+    critical_length,
     defect_count,
 )
 
@@ -290,3 +298,67 @@ def test_eigen_budget_guard():
             build_generator(LatticeSpec(4, PLUS), RateModel(0.5)),
             np.arange(DENSE_THRESHOLD + 1),
         )
+
+
+def sweep_point(bc, beta):
+    """Generator, start and target mask of `plaquette arrhenius` at one beta:
+    the half-area minus rectangle to zero defects (plus), or all-plus to
+    another ground state (periodic)."""
+    L = critical_length(beta)
+    if bc == PLUS:
+        spec = LatticeSpec(L, PLUS)
+        init = _rect_init(spec)
+    else:
+        spec = LatticeSpec(L, PERIODIC)
+        init = SpinConfig.all_plus(spec)
+    G = build_generator(spec, RateModel(beta))
+    target = G.counts == 0
+    if bc == PERIODIC:
+        target[G.config_index(init)] = False
+    return G, init, target
+
+
+def test_mean_hitting_time_solves_the_generator_system():
+    # from every start: tau = 0 on the target, sum_j Q_ij tau_j = -1 off it
+    for spec, beta in ((LatticeSpec(2, PLUS), 1.0), (LatticeSpec(2, PERIODIC), 2.0)):
+        G = build_generator(spec, RateModel(beta))
+        target = G.counts == 0
+        tau = np.array([mean_hitting_time(G, G.config(i), target) for i in range(G.n_states)])
+        assert np.all(tau[target] == 0.0) and np.all(tau[~target] > 0)
+        resid = G.Q.toarray()[~target] @ tau + 1.0
+        assert np.max(np.abs(resid)) < 1e-9 * np.max(tau)
+
+
+def test_mean_hitting_time_at_the_critical_length():
+    # exact means of the arrhenius sweep, beta = 2, 2.25, 2.5, 2.75 (L = 2, 3, 3, 3)
+    means = {
+        PLUS: (2.884, 43.37, 67.17, 106.5),
+        PERIODIC: (994.0, 1304, 3548, 9655),
+    }
+    for bc, want in means.items():
+        for beta, m in zip((2.0, 2.25, 2.5, 2.75), want):
+            assert mean_hitting_time(*sweep_point(bc, beta)) == pytest.approx(m, rel=1e-3)
+
+
+def test_mean_hitting_time_budget_and_bad_target(monkeypatch):
+    G, init, target = sweep_point(PLUS, 2.0)
+    with pytest.raises(ValueError):
+        mean_hitting_time(G, init, np.zeros(G.n_states, dtype=bool))
+    with pytest.raises(ValueError):
+        mean_hitting_time(G, init, target[:-1])
+    monkeypatch.setattr(exact, "DENSE_THRESHOLD", int((~target).sum()) - 1)
+    with pytest.raises(BudgetExceededError):
+        mean_hitting_time(G, init, target)
+
+
+def test_hitting_time_intervals_cover_the_exact_means():
+    # the sampler's 95% intervals against the exact means, seeded as
+    # `plaquette arrhenius --seed 0 --replicas 2000` seeds its grid points
+    for bc in (PLUS, PERIODIC):
+        for idx, beta in enumerate((2.0, 2.25, 2.5, 2.75)):
+            G, init, target = sweep_point(bc, beta)
+            want = mean_hitting_time(G, init, target)
+            stop = stop_at_zero_defects() if bc == PLUS else stop_at_ground_other_than(init)
+            res = hitting_time(G.spec, beta, init, stop, 2000, seed=(0, idx))
+            assert res.flagged == 0
+            assert res.ci_lo <= want <= res.ci_hi, (bc, beta, want, res.mean)

@@ -154,6 +154,17 @@ def test_path_text_roundtrip():
             path_from_text(spec, "+++/+++/+++\n" + site + "\n")
 
 
+def test_canonical_path_rejects_sites_outside_the_box():
+    # the walker indexes sites unchecked: (0, 1) used to flip (3, 1)
+    # through a negative index
+    cfg = SpinConfig.all_plus(LatticeSpec(3, PLUS))
+    for site in ((0, 1), (4, 2), (2, -1), (1, 4)):
+        with pytest.raises(ValueError, match="outside the box"):
+            CanonicalPath(cfg, [(1, 1), site], [])
+    p = CanonicalPath(cfg, [(1, 1), (3, 3)], [])
+    assert p.final == cfg.flip([(1, 1), (3, 3)])
+
+
 def test_removal_path_toggles_rectangle_corners():
     rng = np.random.default_rng(1)
     spec = LatticeSpec(5, PLUS)
