@@ -16,10 +16,11 @@ rate and only actual flips cost work, so metastable stretches are free.
 Since a rate depends only on k, the simulator keeps the sites in five
 buckets by k. An event draws an exponential holding time, then one
 uniform that picks a class from the five weights len(bucket) * rate(k)
-and a site inside it. A flip XORs the site's plaquette mask into one int
-of defect bits and re-reads k, a popcount, at the at most nine sites that
-share a plaquette with it. No step scans the L^2 rates; what grows with
-the box is only the cost of the XOR and popcounts on the defect int. All
+and a site inside it. A flip XORs one bit into the configuration's code
+and the site's plaquette mask into its defect int (`lattice._CodedState`),
+and re-reads k, a popcount, at the at most nine sites that share a
+plaquette with it. No step scans the L^2 rates; what grows with the box
+is only the cost of the XORs and popcounts on the two ints. All
 randomness flows through numpy Generators seeded via SeedSequence so runs
 are reproducible and replicas independent. `simulate` is the module's
 one event loop; `hitting_time` and `trace_chain` run through it.
@@ -38,14 +39,11 @@ from .lattice import (
     BudgetExceededError,
     LatticeSpec,
     SpinConfig,
-    _defect_bits,
+    _CodedState,
     _grid_from_text,
     _grid_to_text,
-    _plaquettes,
     _site_index,
-    _site_k,
     _site_masks,
-    defect_map,
 )
 
 MAX_EVENTS_DEFAULT = 10**7
@@ -81,8 +79,8 @@ class RateModel:
 
 def site_defect_count(cfg, x):
     """How many of the plaquettes containing site x are defective."""
-    spec = cfg.spec
-    return int(_site_k(spec, defect_map(cfg).plaq == -1)[_site_index(spec, x)])
+    i, j = _site_index(cfg.spec, x)
+    return _CodedState(cfg).k_index(i * cfg.spec.side + j)
 
 
 def site_rate(model, cfg, x):
@@ -92,10 +90,9 @@ def site_rate(model, cfg, x):
 
 @functools.lru_cache(maxsize=None)
 def _flip_tables(side, periodic):
-    """(masks, near, sites) per flat site index t = i*L + j of a box: its
-    plaquette mask (lattice._site_masks), the sites whose k a flip at t can
-    change (those sharing a plaquette with t, t itself included), and its
-    lattice coordinates."""
+    """(near, sites) per flat site index t = i*L + j of a box: the sites
+    whose k a flip at t can change (those sharing a plaquette with t, t
+    itself included), and its lattice coordinates."""
     L = side
     masks = _site_masks(side, periodic)
     near = []
@@ -113,53 +110,34 @@ def _flip_tables(side, periodic):
             near.append(tuple(sorted(block)))
     off = 0 if periodic else 1
     sites = tuple((i + off, j + off) for i in range(L) for j in range(L))
-    return masks, tuple(near), sites
+    return tuple(near), sites
 
 
-@functools.lru_cache(maxsize=None)
-def _frame_defects(spec):
-    """Defect bits of the box with every site plus: those the frame makes
-    (0 for plus frames and periodic boxes). A configuration's defect bits
-    are these XOR the masks of its minus sites."""
-    if spec.is_periodic:
-        return 0
-    return _defect_bits(_plaquettes(spec, spec.frame_template()) == -1)
-
-
-class Simulator:
+class Simulator(_CodedState):
     """Mutable chain state with rejection-free event selection.
 
-    The spins are a byte buffer in site storage order (so `state_key()` is
-    `SpinConfig.key()`) and the defects one int over plaquette bits; a flip
-    is two XORs, and the defect count and each neighbour's k are popcounts.
+    The state is a `lattice._CodedState`: the configuration's code (so
+    `state_key()` is `SpinConfig.code`) and its defect int; a flip is two
+    XORs, and the defect count and each neighbour's k are popcounts.
     Sites sit in five buckets by k, so a step draws a class from the five
     weights len(bucket) * rate(k) and then a site uniformly inside it.
 
     Sites are addressed in lattice coordinates (1-based for fixed boxes,
     0-based for periodic ones). Stop predicates receive this object and
-    may read `time`, `n_events`, `n_defects`, and `state()`.
+    may read `time`, `n_events`, `n_defects`, `code` and `state()`.
     """
 
     def __init__(self, spec, model, init, rng):
         if init.spec != spec:
             raise ValueError("initial configuration belongs to a different box")
-        self.spec = spec
+        super().__init__(init)
         self.model = model
         self.rng = rng
         self.time = 0.0
         self.n_events = 0
-        self._L = spec.side
-        self._masks, self._near, self._sites = _flip_tables(spec.side, spec.is_periodic)
-        self._buf = bytearray(init.key())
-        D = _frame_defects(spec)
-        for t, s in enumerate(self._buf):
-            if s == 0xFF:  # int8 -1
-                D ^= self._masks[t]
-        self._D = D
-        self.n_defects = D.bit_count()
-        # a flip that changes no plaquette (mask 0: the periodic 1x1 box)
-        # is energy-neutral, so its k is 2, not the popcount 0
-        self._k = [(D & m).bit_count() if m else 2 for m in self._masks]
+        self._near, self._sites = _flip_tables(spec.side, spec.is_periodic)
+        self.n_defects = self.count
+        self._k = [self.k_index(t) for t in range(len(self.masks))]
         self._rate = model.table.tolist()
         self._buckets = [[], [], [], [], []]
         self._pos = [0] * len(self._k)
@@ -173,24 +151,22 @@ class Simulator:
         return (len(b[0]) * r[0] + len(b[1]) * r[1] + len(b[2]) * r[2]
                 + len(b[3]) * r[3] + len(b[4]) * r[4])
 
-    def state(self):
-        arr = np.frombuffer(bytes(self._buf), dtype=np.int8).reshape(self._L, self._L)
-        return SpinConfig._from_frozen(self.spec, arr)
+    state = _CodedState.config
 
     def state_key(self):
-        return bytes(self._buf)
+        return self.code
 
     def flip(self, site):
         """Apply one flip at a lattice-coordinate site, updating bookkeeping."""
         i, j = _site_index(self.spec, site)
-        self._flip(i * self._L + j)
+        self._flip(i * self.L + j)
 
     def _flip(self, t):
-        self._buf[t] ^= 0xFE  # int8 1 <-> -1
-        D = self._D ^ self._masks[t]
-        self._D = D
+        self.code ^= 1 << t
+        D = self.D ^ self.masks[t]
+        self.D = D
         self.n_defects = D.bit_count()
-        k, pos, buckets, masks = self._k, self._pos, self._buckets, self._masks
+        k, pos, buckets, masks = self._k, self._pos, self._buckets, self.masks
         for u in self._near[t]:
             new = (D & masks[u]).bit_count()
             old = k[u]
@@ -269,19 +245,19 @@ def stop_at_zero_defects():
 
 
 def stop_at_state(cfg):
-    key = cfg.spins.tobytes()
+    code = cfg.code
 
     def pred(sim):
-        return sim.n_defects == 0 and sim.state_key() == key
+        return sim.n_defects == 0 and sim.code == code
 
     return pred
 
 
 def stop_at_ground_other_than(cfg0):
-    key0 = cfg0.spins.tobytes()
+    code0 = cfg0.code
 
     def pred(sim):
-        return sim.n_defects == 0 and sim.state_key() != key0
+        return sim.n_defects == 0 and sim.code != code0
 
     return pred
 
@@ -427,11 +403,7 @@ class TraceSample:
     completed: bool
 
 
-def ground_membership():
-    def pred(sim):
-        return sim.n_defects == 0
-
-    return pred
+ground_membership = stop_at_zero_defects
 
 
 def trace_chain(
@@ -455,14 +427,14 @@ def trace_chain(
     the records.
     """
     times, states = [], []
-    last_key = None
+    last_code = None
 
     def watch(sim):
-        nonlocal last_key
-        if in_set(sim) and sim.state_key() != last_key:
+        nonlocal last_code
+        if in_set(sim) and sim.code != last_code:
             times.append(sim.time)
             states.append(sim.state())
-            last_key = sim.state_key()
+            last_code = sim.code
         return len(states) >= n_records
 
     try:
@@ -554,10 +526,11 @@ def trajectory_from_text(text):
     elapsed = float(header_value("elapsed"))
     if events and elapsed < events[-1][0]:
         raise ValueError(f"header key 'elapsed' = {elapsed!r} is before the last event at {events[-1][0]!r}")
+    model = RateModel(float(header_value("beta")), header_value("rates"))
     traj = Trajectory(
         spec=spec,
-        beta=float(header_value("beta")),
-        kind=header_value("rates"),
+        beta=model.beta,
+        kind=model.kind,
         seed=None,
         initial=init,
         events=events,

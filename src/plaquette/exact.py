@@ -1,8 +1,8 @@
 """Exact spectral and mixing analysis on fully enumerated boxes.
 
-State index i encodes spins by its bits: bit b (array C-order over the
-(column, row) grid) is 1 where the spin is -1, so index 0 is the all-plus
-state. The generator acts as Q[i, i ^ (1 << b)] = rate of flipping site b.
+State index i is the configuration's code, `SpinConfig.code`: bit b is 1
+where the spin at flat site b is -1, so index 0 is the all-plus state.
+The generator acts as Q[i, i ^ (1 << b)] = rate of flipping site b.
 
 Everything here is dense or sparse linear algebra on at most a few
 thousand states (2^(L^2) grows fast; the hard budget is explicit), with
@@ -60,15 +60,7 @@ class SparseGenerator:
         return self.Q.shape[0]
 
     def config(self, i):
-        L = self.spec.side
-        n = L * L
-        bits = (i >> np.arange(n, dtype=np.uint64)) & 1
-        spins = (1 - 2 * bits.astype(np.int8)).reshape(L, L)
-        return SpinConfig._from_frozen(self.spec, spins)
-
-    def config_index(self, cfg):
-        bits = (cfg.spins.reshape(-1) == -1).astype(np.uint64)
-        return int((bits << np.arange(bits.size, dtype=np.uint64)).sum())
+        return SpinConfig.from_code(self.spec, i)
 
     @property
     def pi(self):
@@ -175,10 +167,12 @@ def mean_hitting_time(G, init, target_mask):
     up to DENSE_THRESHOLD states of A; above that it raises
     BudgetExceededError.
     """
+    if init.spec != G.spec:
+        raise ValueError("initial configuration belongs to a different box")
     target = np.asarray(target_mask, dtype=bool)
     if target.shape != (G.n_states,) or not target.any():
         raise ValueError("target_mask must mark at least one of the generator's states")
-    i = G.config_index(init)
+    i = init.code
     if target[i]:
         return 0.0
     A = np.nonzero(~target)[0]
@@ -394,19 +388,12 @@ def test_function_plus(cfg):
     0 below a quarter, 1 above a third, linear between, and symmetric."""
     if cfg.spec.bc != PLUS:
         raise ValueError("this test function is for the all-plus boundary")
-    return _g_profile(cfg.minus_count / cfg.spec.n_sites)
+    return _g_profile(cfg.code.bit_count() / cfg.spec.n_sites)
 
 
 def test_function_plus_values(G):
-    """test_function_plus over all enumerated states, vectorized."""
-    if G.spec.bc != PLUS:
-        raise ValueError("this test function is for the all-plus boundary")
-    n = G.spec.n_sites
-    idx = np.arange(G.n_states, dtype=np.uint64)
-    minus = np.zeros(G.n_states, dtype=np.int64)
-    for b in range(n):
-        minus += ((idx >> np.uint64(b)) & np.uint64(1)).astype(np.int64)
-    return np.array([_g_profile(m / n) for m in minus])
+    """test_function_plus over all enumerated states."""
+    return np.array([test_function_plus(G.config(i)) for i in range(G.n_states)])
 
 
 def dump_generator_text(G):

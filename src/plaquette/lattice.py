@@ -14,12 +14,14 @@ small boxes, and the rectangle type shared by the path machinery.
 The plaquette geometry lives in two batch-aware kernels: `_plaquettes`
 forms the four-spin product of every plaquette, and `_site_k` counts,
 for every site, the defective plaquettes among the four that contain it
-(the k that a flip's rate depends on). Every layer (defect maps,
-enumeration, the exact generator, the simulator, the path walker) calls
-these two. The event loops (`dynamics.Simulator`, `paths._Walker`, the
-exhaustive flow) hold the defects as one int over plaquette bits
-(`_defect_bits`) and flip by XORing in the site's plaquette mask
-(`_site_masks`), so a defect count or a site's k is a popcount.
+(the k that a flip's rate depends on). Every layer names a configuration
+by one int, its code (`SpinConfig.code`, decoded by `SpinConfig.from_code`):
+bit t is set where the spin at flat site t = i*L + j is minus, so the code
+is the enumeration index. Its defects are one int over plaquette bits
+(`_code_defects`). `_CodedState`, on which `dynamics.Simulator` and
+`paths._Walker` are built, flips both ints by XOR with the site's
+plaquette mask (`_site_masks`), so a defect count or a site's k is a
+popcount.
 
 Coordinate conventions, used consistently across the package:
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,10 +205,6 @@ class SpinConfig:
         i, j = _site_index(self.spec, x)
         return int(self.spins[i, j])
 
-    @property
-    def minus_count(self):
-        return int(np.count_nonzero(self.spins == -1))
-
     def flip(self, sites):
         """New configuration with the given sites flipped (each toggles once)."""
         arr = self.spins.copy()
@@ -231,6 +230,21 @@ class SpinConfig:
     def key(self):
         return self.spins.tobytes()
 
+    @property
+    def code(self):
+        """Bit t set where the spin at flat site t (array C-order) is minus."""
+        return int(self.spins.tobytes().translate(_SPIN_TO_BIT)[::-1], 2)
+
+    @classmethod
+    def from_code(cls, spec, code):
+        """The configuration whose `code` is `code`, in [0, 2**n_sites)."""
+        code = operator.index(code)
+        n = spec.n_sites
+        if not 0 <= code < 1 << n:
+            raise ValueError(f"code {code} outside [0, 2**{n})")
+        arr = np.frombuffer(_code_bytes(code, n), np.int8)
+        return cls._from_frozen(spec, arr.reshape(spec.side, spec.side))
+
     def __eq__(self, other):
         return (
             isinstance(other, SpinConfig)
@@ -243,6 +257,16 @@ class SpinConfig:
 
     def __repr__(self):
         return f"SpinConfig({self.spec!r},\n{self.to_text()})"
+
+
+# int8 spin bytes (+1 is 0x01, -1 is 0xff) <-> the binary digits of a code
+_SPIN_TO_BIT = bytes.maketrans(b"\x01\xff", b"01")
+_BIT_TO_SPIN = bytes.maketrans(b"01", b"\x01\xff")
+
+
+def _code_bytes(code, n):
+    """SpinConfig.key() of the configuration with this code on n sites."""
+    return bin(code)[:1:-1].ljust(n, "0").encode().translate(_BIT_TO_SPIN)
 
 
 def _grid_to_text(arr):
@@ -313,17 +337,14 @@ def _site_masks(side, periodic):
     its k is 2, which the popcount does not give; see _site_k).
     """
     L = side
-    if not periodic:
-        n1 = L + 1
-        quad = 3 | 3 << n1
-        return tuple(quad << (a * n1 + b) for a in range(L) for b in range(L))
+    n1, lo = (L, -1) if periodic else (L + 1, 0)
     masks = []
     for i in range(L):
         for j in range(L):
             m = 0
-            for a in (i - 1, i):
-                for b in (j - 1, j):
-                    m ^= 1 << (a % L * L + b % L)
+            for a in (i + lo, i + lo + 1):
+                for b in (j + lo, j + lo + 1):
+                    m ^= 1 << (a % n1 * n1 + b % n1)
             masks.append(m)
     return tuple(masks)
 
@@ -333,6 +354,52 @@ def _defect_bits(defective):
     flat index in the plaquette grid (the layout of _site_masks)."""
     packed = np.packbits(defective, axis=None, bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_defects(spec):
+    """Defect bits of the all-plus state: those the frame makes."""
+    return _defect_bits(defect_map(SpinConfig.all_plus(spec)).plaq == -1)
+
+
+def _code_defects(spec, code):
+    """Defect bits of the configuration with this code: the frame's defects
+    XOR the plaquette masks of its minus sites."""
+    D = _frame_defects(spec)
+    masks = _site_masks(spec.side, spec.is_periodic)
+    while code:
+        low = code & -code
+        D ^= masks[low.bit_length() - 1]
+        code ^= low
+    return D
+
+
+class _CodedState:
+    """One mutable configuration as its `code` and defect bits `D`, with the
+    box's plaquette `masks` by flat site index t. The periodic 1x1 mask is
+    0 (that flip changes no plaquette), and its k is 2, as in _site_k."""
+
+    def __init__(self, cfg):
+        self.spec = cfg.spec
+        self.L = cfg.spec.side
+        self.masks = _site_masks(self.L, cfg.spec.is_periodic)
+        self.code = cfg.code
+        self.D = _code_defects(cfg.spec, self.code)
+
+    @property
+    def count(self):
+        return self.D.bit_count()
+
+    def _flip(self, t):
+        self.code ^= 1 << t
+        self.D ^= self.masks[t]
+
+    def k_index(self, t):
+        m = self.masks[t]
+        return (self.D & m).bit_count() if m else 2
+
+    def config(self):
+        return SpinConfig.from_code(self.spec, self.code)
 
 
 class DefectConfig:
@@ -492,8 +559,8 @@ def invert_defects(spec, pattern, anchor=None):
 
 
 def _all_spin_arrays(spec, budget):
-    """(N, L, L) int8 array of every configuration; index bit b flips
-    the site at flat position b (array C-order), bit 0 meaning spin -1."""
+    """(N, L, L) int8 array of every configuration; entry i is the
+    configuration with code i (SpinConfig.from_code)."""
     L = spec.side
     n = spec.n_sites
     N = 1 << n

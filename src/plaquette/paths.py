@@ -39,6 +39,9 @@ from .lattice import (
     defect_map,
     reading_order_key,
     _all_defects,
+    _CodedState,
+    _code_bytes,
+    _code_defects,
     _defect_bits,
     _site_masks,
 )
@@ -72,42 +75,17 @@ class EdgeRef:
         return self.e_minus.flip([self.site])
 
 
-class _Walker:
-    """Mutable replay state of a fixed box.
-
-    The spins are a byte buffer, so `key()` is `SpinConfig.key()` and a
-    flip is `buf[t] ^= 0xFE` (int8 1 <-> -1); the defects are one int `D`
-    over plaquette bits a*(L+1)+b, and a flip XORs in the site's four-bit
-    mask. The defect count and k are popcounts.
-    """
+class _Walker(_CodedState):
+    """A `lattice._CodedState` of a fixed box, flipped at 1-based sites
+    unchecked (CanonicalPath checks them)."""
 
     def __init__(self, cfg):
         if cfg.spec.is_periodic:
             raise ValueError("path machinery is for non-periodic boxes")
-        self.spec = cfg.spec
-        self.L = cfg.spec.side
-        self.masks = _site_masks(self.L, False)
-        self.buf = bytearray(cfg.key())
-        self.D = _defect_bits(defect_map(cfg).plaq == -1)
-
-    @property
-    def count(self):
-        return self.D.bit_count()
+        super().__init__(cfg)
 
     def flip(self, site):
-        t = (site[0] - 1) * self.L + site[1] - 1
-        self.buf[t] ^= 0xFE
-        self.D ^= self.masks[t]
-
-    def k_at(self, site):
-        return (self.D & self.masks[(site[0] - 1) * self.L + site[1] - 1]).bit_count()
-
-    def key(self):
-        return bytes(self.buf)
-
-    def config(self):
-        arr = np.frombuffer(self.key(), dtype=np.int8).reshape(self.L, self.L)
-        return SpinConfig._from_frozen(self.spec, arr)
+        self._flip((site[0] - 1) * self.L + site[1] - 1)
 
 
 class CanonicalPath:
@@ -128,14 +106,17 @@ class CanonicalPath:
     def __len__(self):
         return len(self.flips)
 
-    def states(self):
-        """All visited configurations, initial first (length len+1)."""
-        out = [self.initial]
+    def _walk(self):
+        """The walker at each visited state, initial first."""
         w = _Walker(self.initial)
+        yield w
         for x in self.flips:
             w.flip(x)
-            out.append(w.config())
-        return out
+            yield w
+
+    def states(self):
+        """All visited configurations, initial first (length len+1)."""
+        return [w.config() for w in self._walk()]
 
     def edges(self):
         """[(EdgeRef, step index)] for every traversal along the path."""
@@ -144,21 +125,12 @@ class CanonicalPath:
 
     @property
     def final(self):
-        if not self.flips:
-            return self.initial
-        w = _Walker(self.initial)
-        for x in self.flips:
-            w.flip(x)
+        *_, w = self._walk()
         return w.config()
 
     def defect_counts(self):
         """Defect count at every visited state, initial first."""
-        w = _Walker(self.initial)
-        out = [w.count]
-        for x in self.flips:
-            w.flip(x)
-            out.append(w.count)
-        return out
+        return [w.count for w in self._walk()]
 
 
 def path_to_text(path):
@@ -170,6 +142,8 @@ def path_to_text(path):
 
 def path_from_text(spec, text):
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("path text has no initial configuration")
     initial = SpinConfig.from_text(spec, lines[0].replace("/", "\n"))
     flips = []
     for ln in lines[1:]:
@@ -265,7 +239,7 @@ def _lines(sigma):
     """_defect_lines of a configuration on a fixed box."""
     if sigma.spec.is_periodic:
         raise ValueError("splits are for non-periodic boxes")
-    return _defect_lines(_defect_bits(defect_map(sigma).plaq == -1), sigma.spec.side + 1)
+    return _defect_lines(_code_defects(sigma.spec, sigma.code), sigma.spec.side + 1)
 
 
 def _extended(rows, cols, pair_rows, a, b):
@@ -483,11 +457,7 @@ def edge_type(e, R, sigma):
     flips = _removal_order(R, dset)
     if e.site not in flips:
         return "none"
-    pos = flips.index(e.site)
-    w = _Walker(sigma)
-    for x in flips[:pos]:
-        w.flip(x)
-    if w.key() != e.e_minus.key():
+    if sigma.flip(flips[: flips.index(e.site)]) != e.e_minus:
         return "none"
     rows_in_order = []
     for x in flips:
@@ -581,12 +551,31 @@ def flow_report_csv(result):
     return "\n".join(rows) + "\n"
 
 
-def _flow_result(spec, congestion, **fields):
-    """FlowResult whose cost and edge are the first heaviest edge."""
-    best = max(congestion, key=congestion.get)
-    arr = np.frombuffer(best[0], dtype=np.int8).reshape(spec.side, spec.side)
-    edge = EdgeRef(SpinConfig._from_frozen(spec, arr), best[1])
-    return FlowResult(cost=congestion[best], edge=edge, congestion=congestion, **fields)
+def _flow_result(spec, model, numer, half=None, **fields):
+    """FlowResult from edge numerators keyed code * n + t: congestion is
+    numer / (exp(-beta * defects) * rate) under the key (SpinConfig.key(),
+    site), in numer's order; `half` gives the heaviest edge's ci_halfwidth."""
+    n, L, beta = spec.n_sites, spec.side, fields["beta"]
+    masks = _site_masks(L, False)
+    states = {}
+    congestion = {}
+    cost = -math.inf
+    for e, x in numer.items():
+        code, t = divmod(e, n)
+        if code not in states:
+            D = _code_defects(spec, code)
+            states[code] = _code_bytes(code, n), D, math.exp(-beta * D.bit_count())
+        key, D, weight = states[code]
+        denom = weight * model.table[(D & masks[t]).bit_count()]
+        v = congestion[key, (t // L + 1, t % L + 1)] = float(x / denom)
+        if v > cost:
+            cost, best, best_denom = v, e, denom
+    code, t = divmod(best, n)
+    edge = EdgeRef(SpinConfig.from_code(spec, code), (t // L + 1, t % L + 1))
+    res = FlowResult(cost=cost, edge=edge, congestion=congestion, **fields)
+    if half is not None:
+        res.ci_halfwidth = float(half[best] / best_denom)
+    return res
 
 
 def _flow_exhaustive(spec, beta, level, c, kind, budget):
@@ -595,10 +584,8 @@ def _flow_exhaustive(spec, beta, level, c, kind, budget):
     n = L * L
     trunc = level - 1
     M = math.floor(beta * L)
-    # A state is its enumeration index: bit t set when the spin at flat
-    # site t is minus. A flip at t XORs 1 << t into it and masks[t] into
-    # its defect int, as in _Walker.
-    spins_all, defective = _all_defects(spec, budget)
+    # States are codes; a flip at t XORs 1 << t and masks[t] into them.
+    _, defective = _all_defects(spec, budget)
     counts_all = np.count_nonzero(defective, axis=(1, 2))
     dbits = [_defect_bits(m) for m in defective]
     masks = _site_masks(L, False)
@@ -624,8 +611,7 @@ def _flow_exhaustive(spec, beta, level, c, kind, budget):
         key = (code, s > M)
         if key not in tree:
             if s > M:
-                cfg = SpinConfig._from_frozen(spec, spins_all[code].copy())
-                drawn = [(1.0, naive_path(cfg).flips)]
+                drawn = [(1.0, naive_path(SpinConfig.from_code(spec, code)).flips)]
             else:
                 rows, cols = _defect_lines(dbits[code], L + 1)
                 split = _split(cols, c)
@@ -665,11 +651,7 @@ def _flow_exhaustive(spec, beta, level, c, kind, budget):
     if sources.size == 0:
         raise ValueError("empty level set")
     numer = {}
-    layer = {}
-    for idx in sources:
-        relw = math.exp(-beta * float(counts_all[idx]))
-        wml = layer.setdefault(int(idx), [0.0, 0.0])
-        wml[0] += relw
+    layer = {int(i): [math.exp(-beta * float(counts_all[i])), 0.0] for i in sources}
     s = 1
     while layer:
         nxt = {}
@@ -692,13 +674,8 @@ def _flow_exhaustive(spec, beta, level, c, kind, budget):
         s += 1
         if s > M + 2:
             break
-    congestion = {}
-    for e, v in numer.items():
-        code, t = divmod(e, n)
-        D = dbits[code]
-        denom = math.exp(-beta * D.bit_count()) * model.table[(D & masks[t]).bit_count()]
-        congestion[spins_all[code].tobytes(), (t // L + 1, t % L + 1)] = float(2.0 * v / denom)
-    return _flow_result(spec, congestion, mode="exhaustive", level=level, beta=beta, c=c)
+    return _flow_result(spec, model, {e: 2.0 * v for e, v in numer.items()},
+                        mode="exhaustive", level=level, beta=beta, c=c)
 
 
 def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
@@ -709,7 +686,6 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
     n_states = 2.0 ** (L * L)
     acc = {}
     acc2 = {}
-    denom = {}
     for _ in range(samples):
         bits = rng.integers(0, 2, size=(L, L))
         cfg = SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
@@ -719,28 +695,24 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
         relw = math.exp(-beta * float(w.count))
         path = sample_full_path(cfg, beta, rng, truncate_at=trunc, c=c)
         x = relw * len(path)
-        for site in path.flips:
-            ekey = (w.key(), site)
-            acc[ekey] = acc.get(ekey, 0.0) + x
-            acc2[ekey] = acc2.get(ekey, 0.0) + x * x
-            if ekey not in denom:
-                denom[ekey] = math.exp(-beta * w.count) * model.table[w.k_at(site)]
-            w.flip(site)
+        for i, j in path.flips:
+            t = (i - 1) * L + j - 1
+            e = w.code * L * L + t
+            acc[e] = acc.get(e, 0.0) + x
+            acc2[e] = acc2.get(e, 0.0) + x * x
+            w._flip(t)
     if not acc:
         raise ValueError("no sampled path visited the level set")
-    congestion = {}
+    numer = {}
     half = {}
-    for k, a in acc.items():
+    for e, a in acc.items():
         mean = a / samples
-        var = max(acc2[k] - a * a / samples, 0.0) / max(samples - 1, 1)
+        var = max(acc2[e] - a * a / samples, 0.0) / max(samples - 1, 1)
         se = math.sqrt(var / samples)
-        congestion[k] = float(2.0 * n_states * mean / denom[k])
-        half[k] = float(2.0 * n_states * 1.96 * se / denom[k])
-    res = _flow_result(
-        spec, congestion, mode="monte_carlo", level=level, beta=beta, c=c, samples=samples
-    )
-    res.ci_halfwidth = half[res.edge.e_minus.key(), res.edge.site]
-    return res
+        numer[e] = 2.0 * n_states * mean
+        half[e] = 2.0 * n_states * 1.96 * se
+    return _flow_result(spec, model, numer, half, mode="monte_carlo",
+                        level=level, beta=beta, c=c, samples=samples)
 
 
 def flow_cost(

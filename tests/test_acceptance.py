@@ -141,7 +141,7 @@ def test_05_path_battery():
     L, BETA = 6, 3.0
     spec = LatticeSpec(L, PLUS)
     rng = np.random.default_rng(20260819)
-    all_plus_key = SpinConfig.all_plus(spec).spins.tobytes()
+    all_plus_code = SpinConfig.all_plus(spec).code
     api_edges = 0
     for trial in range(10_000):
         cfg = _random_plus_config(spec, rng)
@@ -214,7 +214,7 @@ def test_05_path_battery():
                     assert paths.edge_type(e, mark.rectangle, seg_start_cfg) == etype_bulk
                     api_edges += 1
             cum += mark.n_flips
-        assert w.count == 0 and w.key() == all_plus_key
+        assert w.count == 0 and w.code == all_plus_code
     assert api_edges > 10_000
     assert time.monotonic() - t0 < 300.0
 

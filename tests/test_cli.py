@@ -1,10 +1,13 @@
 """Command-line interface: flags, formats, determinism, and exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import plaquette
 from plaquette import cli, lattice
 from plaquette.dynamics import trajectory_from_text, replay_trajectory
 
@@ -15,6 +18,15 @@ def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_python(*args):
+    """A fresh interpreter on `args`, importing the package these tests
+    import (also from a checkout that is not installed)."""
+    src = str(Path(plaquette.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
 
 
 def rows_of(text):
@@ -224,24 +236,14 @@ def test_verify_names_broken_invariant(monkeypatch, capsys):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "plaquette.cli", "exact", "--beta", "0.0", "--size", "2"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python("-m", "plaquette.cli", "exact", "--beta", "0.0", "--size", "2")
     assert proc.returncode == 0
     assert "# schema=1" in proc.stdout
 
 
 def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats costs more to import than the rest of the package
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, plaquette.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python("-c", "import sys, plaquette.cli; print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -258,12 +260,7 @@ def test_spent_budget_and_empty_pool_exit_with_one_line():
     with pytest.raises(SystemExit) as exc:
         cli.main(["flow", "--size", "3", "--split-threshold", "1"])
     assert str(exc.value) == "flow: no good rectangles in part 1"
-    proc = subprocess.run(
-        [sys.executable, "-m", "plaquette.cli", "simulate", "--size", "4", "--init", "minus",
-         "--stop", "hit-ground", "--budget-events", "5"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python("-m", "plaquette.cli", "simulate", "--size", "4", "--init", "minus",
+                      "--stop", "hit-ground", "--budget-events", "5")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "simulate: event budget 5 exhausted before the stop condition\n"

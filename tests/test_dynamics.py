@@ -128,17 +128,19 @@ def test_detailed_balance_pointwise():
 
 
 def test_simulator_tracks_defects():
-    # defect count, key and total rate against the lattice kernels after every step
+    # state, code, defect count and total rate against a configuration
+    # flipped alongside and the lattice kernels, after every step
     specs = (LatticeSpec(2, PERIODIC), LatticeSpec(3, PERIODIC), mixed_frame_spec(3), LatticeSpec(4, PLUS))
     for spec in specs:
         rng = np.random.default_rng(2)
         model = RateModel(0.8)
-        sim = Simulator(spec, model, random_config(spec, rng), rng)
+        cfg = random_config(spec, rng)
+        sim = Simulator(spec, model, cfg, rng)
         for _ in range(300):
-            sim.step()
-            cfg = sim.state()
+            cfg = cfg.flip([sim.step()])
+            assert sim.state() == cfg
             assert sim.n_defects == defect_count(cfg)
-            assert sim.state_key() == cfg.key()
+            assert sim.code == cfg.code and sim.state_key() == cfg.code
             total = model.table[_site_k(spec, defect_map(cfg).plaq == -1)].sum()
             assert sim._total == pytest.approx(total, rel=1e-12)
         assert sim.n_events == 300
@@ -156,7 +158,7 @@ def test_one_step_law_matches_the_generator_row():
             model = RateModel(0.7, kind)
             G = build_generator(spec, model)
             cfg = random_config(spec, rng)
-            i = G.config_index(cfg)
+            i = cfg.code
             row = np.array([G.Q[i, i ^ (1 << b)] for b in range(len(sites))])
             q = -G.Q[i, i]
             hits = np.zeros(len(sites))
@@ -282,6 +284,14 @@ def test_trajectory_header_must_match_the_events():
         trajectory_from_text(early)
     late = text.replace(f"elapsed = {traj.elapsed!r}", "elapsed = 1000000000.0")
     assert trajectory_from_text(late).elapsed == 1e9
+    # beta and rates go through RateModel; these used to load
+    for old, new in (("rates = metropolis", "rates = foo"), ("beta = 1.0", "beta = nan"),
+                     ("beta = 1.0", "beta = -3.0")):
+        assert old in text
+        with pytest.raises(ValueError):
+            trajectory_from_text(text.replace(old, new))
+    back = trajectory_from_text(text.replace("rates = metropolis", "rates = heat_bath"))
+    assert back.kind == "heat_bath" and back.beta == 1.0
 
 
 def test_frame_from_text_rejects_bad_characters():

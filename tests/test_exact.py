@@ -78,7 +78,19 @@ def test_generator_shape_and_rowsums():
     # sixteen states indexed by spin bitmask, counts match a direct pass
     for i in range(16):
         assert G.counts[i] == defect_count(G.config(i))
-        assert G.config_index(G.config(i)) == i
+        assert G.config(i).code == i
+
+
+def test_config_rejects_codes_outside_the_box():
+    # 512 used to decode to all-plus, 10**6 to another state, and -1 to
+    # raise OverflowError
+    G = G_of(3, 1.0)
+    for i in (512, 10**6, -1):
+        with pytest.raises(ValueError, match="outside"):
+            G.config(i)
+    with pytest.raises(TypeError):
+        G.config(1.0)
+    assert G.config(np.int64(511)) == SpinConfig.all_minus(G.spec)
 
 
 def test_generator_rates_follow_the_defect_change():
@@ -314,7 +326,7 @@ def sweep_point(bc, beta):
     G = build_generator(spec, RateModel(beta))
     target = G.counts == 0
     if bc == PERIODIC:
-        target[G.config_index(init)] = False
+        target[init.code] = False
     return G, init, target
 
 
@@ -349,6 +361,14 @@ def test_mean_hitting_time_budget_and_bad_target(monkeypatch):
     monkeypatch.setattr(exact, "DENSE_THRESHOLD", int((~target).sum()) - 1)
     with pytest.raises(BudgetExceededError):
         mean_hitting_time(G, init, target)
+
+
+def test_mean_hitting_time_rejects_a_start_from_another_box():
+    # an L=2 start used to answer 10.57, a periodic L=3 start 17.2
+    G, init, target = sweep_point(PLUS, 2.5)
+    for other in (LatticeSpec(2, PLUS), LatticeSpec(3, PERIODIC)):
+        with pytest.raises(ValueError, match="different box"):
+            mean_hitting_time(G, SpinConfig.all_minus(other), target)
 
 
 def test_hitting_time_intervals_cover_the_exact_means():

@@ -29,6 +29,8 @@ from plaquette.lattice import (
     parity_check,
     reading_order_key,
     relative_weight,
+    _code_defects,
+    _defect_bits,
 )
 
 HIST_L2_PLUS = {0: 1, 4: 9, 6: 6}
@@ -250,6 +252,26 @@ def test_flip_rectangle_block_toggles_corners():
         before = set(defect_map(cfg).defects())
         after = set(defect_map(cfg.flip(R.flip_sites())).defects())
         assert after == before.symmetric_difference(R.corners)
+
+
+def codec_specs(L):
+    """Plus, periodic and a non-plus fixed frame of side L."""
+    theta = np.ones((L + 2, L + 2), dtype=np.int8)
+    theta[0, 1] = theta[L + 1, L] = -1
+    return (LatticeSpec(L, PLUS), LatticeSpec(L, PERIODIC), LatticeSpec(L, FIXED, theta=theta))
+
+
+def test_code_is_the_enumeration_index():
+    # decode, encode and the code's defect int against the enumeration
+    # and defect_map, for every configuration
+    for L in (1, 2, 3):
+        for spec in codec_specs(L):
+            cfgs = enumerate_configs(spec)
+            assert len(cfgs) == 1 << spec.n_sites
+            for i, cfg in enumerate(cfgs):
+                assert SpinConfig.from_code(spec, i) == cfg
+                assert cfg.code == i
+                assert _code_defects(spec, i) == _defect_bits(defect_map(cfg).plaq == -1)
 
 
 def test_enumeration_budget():

@@ -90,8 +90,8 @@ def flow_digests(res):
 
 
 def test_walker_codec_matches_the_lattice_kernels():
-    # the walker's byte buffer and defect bits against defect_map, _site_k
-    # and SpinConfig.key() after every flip, on plus and non-plus frames
+    # the walker's code and defect bits against SpinConfig.code, defect_map
+    # and _site_k after every flip, on plus and non-plus frames
     rng = np.random.default_rng(12)
     for L in range(2, 6):
         theta = np.ones((L + 2, L + 2), dtype=np.int8)
@@ -107,8 +107,8 @@ def test_walker_codec_matches_the_lattice_kernels():
                 d = defect_map(cfg)
                 k = _site_k(spec, d.plaq == -1)
                 assert w.count == d.count
-                assert w.key() == cfg.key() and w.config() == cfg
-                assert [w.k_at(y) for y in sites] == [int(k[_site_index(spec, y)]) for y in sites]
+                assert w.code == cfg.code and w.config() == cfg
+                assert [w.k_index(t) for t in range(len(sites))] == [int(k[_site_index(spec, y)]) for y in sites]
 
 
 def test_naive_path_reading_order():
@@ -152,6 +152,9 @@ def test_path_text_roundtrip():
     for site in ("0 1", "4 2", "2 -1"):
         with pytest.raises(ValueError, match="outside the box"):
             path_from_text(spec, "+++/+++/+++\n" + site + "\n")
+    for empty in ("", " \n\n"):
+        with pytest.raises(ValueError, match="no initial configuration"):
+            path_from_text(spec, empty)
 
 
 def test_canonical_path_rejects_sites_outside_the_box():
