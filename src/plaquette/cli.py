@@ -3,9 +3,12 @@ bounds, Arrhenius sweeps, and trajectory runs.
 
 Every command is deterministic given its configuration and seed. Outputs
 are CSV on stdout (schema comment line first) or the text formats of the
-library modules; --out mirrors the main artifact to a file. A config
-file in "key = value" form supplies defaults that explicit flags
-override; unknown keys are rejected.
+library modules; --out writes the command's main artifact to a file.
+Each option is declared once, with its type, default and choices, in
+its `add_argument` call. A config file in "key = value" form supplies
+option values that are parsed and checked like the matching flags, which
+override them; keys of another command are ignored and unknown keys are
+rejected.
 """
 
 from __future__ import annotations
@@ -33,104 +36,122 @@ from .dynamics import RateModel
 
 SCHEMA_LINE = "# schema=1"
 
-CONFIG_KEYS = {
-    "beta",
-    "size",
-    "bc",
-    "seed",
-    "replicas",
-    "out",
-    "budget_events",
-    "split_threshold",
-    "mode",
-    "level",
-    "samples",
-    "workers",
-    "eps",
-    "kind",
-    "stop",
-    "init",
-    "records",
-    "dump_matrix",
-}
+
+# -------------------------------------------------------- option values
 
 
-def _parse_config(path):
-    conf = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in CONFIG_KEYS:
-                raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
-            conf[key] = val
-    return conf
+def _checked(convert, ok, expected):
+    """Option type: convert(text), accepted when ok(value) holds."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
 
 
-def _merge(args, parser_defaults):
-    """Fill argparse None values from --config, then from hard defaults."""
-    conf = _parse_config(args.config) if getattr(args, "config", None) else {}
-    for key, val in conf.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, val)
-    for key, val in parser_defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
-    return args
+_count = _checked(int, lambda n: n >= 1, "a positive integer")
+_seed = _checked(int, lambda n: n >= 0, "a nonnegative integer")
+_tv_threshold = _checked(float, lambda eps: 0 < eps < 1, "a number in (0, 1)")
+_betas = _checked(lambda text: [float(x) for x in text.split(",") if x.strip()],
+                  lambda vals: vals and all(math.isfinite(b) and b >= 0 for b in vals),
+                  "finite nonnegative numbers separated by commas")
 
 
-def _betas(arg):
+def _size(text):
+    """A side length, or "critical" for floor(exp(beta/2)) at each beta."""
+    return text if text == "critical" else _count(text)
+
+
+def _config_values(path, parsers, command):
+    """The values a "key = value" file sets for `command`'s options, as
+    strings for argparse to convert. Keys of the other commands are
+    ignored; a key that no command has is an error."""
+    actions = {a.dest: a for a in parsers[command]._actions}
+    known = {a.dest for p in parsers.values() for a in p._actions} - {"help", "config"}
+    values = {}
+    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
+        key, val = (s.strip() for s in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in known:
+            raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
+        action = actions.get(key)
+        if action is None:
+            continue
+        # argparse converts a string default with the option's type but
+        # does not check it against the option's choices
+        if action.choices is not None and val not in action.choices:
+            raise SystemExit(f"{path}:{lineno}: {key} must be one of"
+                             f" {', '.join(action.choices)}, not {val!r}")
+        values[key] = val
+    return values
+
+
+def _read(path):
     try:
-        vals = [float(x) for x in str(arg).split(",") if x.strip() != ""]
-    except ValueError:
-        raise SystemExit(f"bad --beta value {arg!r}")
-    if not vals:
-        raise SystemExit("empty --beta list")
-    return vals
-
-
-def _resolve_size(size_arg, beta):
-    if str(size_arg) == "critical":
-        L = critical_length(beta)
-        if L < 1:
-            raise SystemExit(f"critical length at beta={beta} is below 1")
-        return L
-    try:
-        return int(size_arg)
-    except ValueError:
-        raise SystemExit(f"bad --size value {size_arg!r}")
-
-
-def _resolve_spec(bc_arg, L):
-    bc_arg = str(bc_arg)
-    if bc_arg == "plus":
-        return LatticeSpec(L, PLUS)
-    if bc_arg == "per":
-        return LatticeSpec(L, PERIODIC)
-    if bc_arg.startswith("fixed:"):
-        path = bc_arg[len("fixed:") :]
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        rows = [ln for ln in text.strip().splitlines() if ln.strip()]
-        side = len(rows) - 2
-        if side != L:
-            raise SystemExit(f"frame file is for side {side}, not {L}")
-        theta = dynamics.frame_from_text(side, text)
+            return fh.read()
+    except OSError as err:
+        raise SystemExit(f"cannot read {path}: {err.strerror}") from None
+
+
+def _load(path, parse):
+    """parse(text of the file at path); one line naming the file on error."""
+    try:
+        return parse(_read(path))
+    except ValueError as err:
+        raise SystemExit(f"{path}: {err}") from None
+
+
+def _one_beta(args):
+    if len(args.beta) != 1:
+        raise SystemExit(f"{args.command} takes a single --beta")
+    return args.beta[0]
+
+
+def _resolve_size(size, beta):
+    if size != "critical":
+        return size
+    L = critical_length(beta)
+    if L < 1:
+        raise SystemExit(f"critical length at beta={beta} is below 1")
+    return L
+
+
+def _resolve_spec(bc, L):
+    if bc == "plus":
+        return LatticeSpec(L, PLUS)
+    if bc == "per":
+        return LatticeSpec(L, PERIODIC)
+    if bc.startswith("fixed:"):
+        theta = _load(bc[len("fixed:"):], lambda text: dynamics.frame_from_text(L, text))
         return LatticeSpec(L, FIXED, theta=theta)
-    raise SystemExit(f"bad --bc value {bc_arg!r} (plus, per, or fixed:<file>)")
+    raise SystemExit(f"bad --bc value {bc!r} (plus, per, or fixed:<file>)")
 
 
-def _emit(lines, out_path):
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise SystemExit(f"cannot write {path}: {err.strerror}") from None
+
+
+def _emit(lines, out_path=None):
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, text)
 
 
 def _fmt(x):
@@ -142,34 +163,31 @@ def _fmt(x):
 # ---------------------------------------------------------------- exact
 
 
+def _nan_over_budget(compute):
+    try:
+        return compute()
+    except BudgetExceededError:
+        return float("nan")
+
+
 def cmd_exact(args):
-    _merge(args, {"beta": "1.0", "size": "2", "bc": "plus", "eps": "0.25"})
-    betas = _betas(args.beta)
-    eps = float(args.eps)
     lines = [SCHEMA_LINE, "beta,L,bc,gap,trel,tmix,profile_bound,pi_ground"]
-    dump_done = False
-    for beta in betas:
+    for i, beta in enumerate(args.beta):
         L = _resolve_size(args.size, beta)
         spec = _resolve_spec(args.bc, L)
-        G = exact.build_generator(spec, RateModel(beta))
+        try:
+            G = exact.build_generator(spec, RateModel(beta, args.kind))
+        except BudgetExceededError as err:
+            raise SystemExit(f"exact: {err}") from None
         gap = exact.spectral_gap(G)
-        trel = 1.0 / gap
-        if G.n_states <= exact.DENSE_THRESHOLD:
-            tmix = exact.tv_mixing_time(G, eps=eps)
-        else:
-            tmix = float("nan")
-        profile = exact.profile_mixing_bound(G).value
-        pig = exact.ground_mass(G)
-        lines.append(
-            ",".join(
-                [_fmt(beta), str(L), str(args.bc)]
-                + [_fmt(v) for v in (gap, trel, tmix, profile, pig)]
-            )
-        )
-        if args.dump_matrix and not dump_done:
-            with open(args.dump_matrix, "w", encoding="utf-8") as fh:
-                fh.write(exact.dump_generator_text(G))
-            dump_done = True
+        # tmix and the profile bound read nan where the box is past their
+        # dense budget (exact.DENSE_THRESHOLD states)
+        tmix = _nan_over_budget(lambda: exact.tv_mixing_time(G, eps=args.eps))
+        profile = _nan_over_budget(lambda: exact.profile_mixing_bound(G).value)
+        values = (gap, 1.0 / gap, tmix, profile, exact.ground_mass(G))
+        lines.append(",".join([_fmt(beta), str(L), args.bc] + [_fmt(v) for v in values]))
+        if args.dump_matrix and i == 0:
+            _write(args.dump_matrix, exact.dump_generator_text(G))
     _emit(lines, args.out)
     return 0
 
@@ -178,72 +196,32 @@ def cmd_exact(args):
 
 
 def cmd_flow(args):
-    _merge(
-        args,
-        {
-            "beta": "1.0",
-            "size": "2",
-            "bc": "plus",
-            "level": "1",
-            "mode": "exhaustive",
-            "seed": "0",
-            "samples": "10000",
-            "split_threshold": "100",
-        },
-    )
-    betas = _betas(args.beta)
-    if len(betas) != 1:
-        raise SystemExit("flow takes a single --beta")
-    beta = betas[0]
+    beta = _one_beta(args)
     L = _resolve_size(args.size, beta)
     spec = _resolve_spec(args.bc, L)
-    level = int(args.level)
-    if args.mode not in ("exhaustive", "monte_carlo"):
-        raise SystemExit(f"unknown --mode {args.mode!r}: use exhaustive or monte_carlo")
     try:
-        res = paths.flow_cost(
-            spec,
-            beta,
-            level,
-            mode=str(args.mode),
-            seed=int(args.seed),
-            samples=int(args.samples),
-            c=int(args.split_threshold),
-        )
+        res = paths.flow_cost(spec, beta, args.level, mode=args.mode, seed=args.seed,
+                              samples=args.samples, c=args.split_threshold, kind=args.kind)
     except (BudgetExceededError, paths.PathSamplingError) as err:
         raise SystemExit(f"flow: {err}") from None
     lam = float("nan")
     holds = ""
     if L <= 3:
-        G = exact.build_generator(spec, RateModel(beta))
-        lam = exact.spectral_profile(G, level)
+        G = exact.build_generator(spec, RateModel(beta, args.kind))
+        lam = exact.spectral_profile(G, args.level)
         holds = str(lam * res.cost >= 1.0 - 1e-9).lower()
-    lines = [
-        SCHEMA_LINE,
-        "beta,L,level,mode,cost,inv_cost,lambda_S,holds",
-        ",".join(
-            [
-                _fmt(beta),
-                str(L),
-                str(level),
-                res.mode,
-                _fmt(res.cost),
-                _fmt(1.0 / res.cost),
-                _fmt(lam),
-                holds,
-            ]
-        ),
-    ]
+    row = [_fmt(beta), str(L), str(args.level), res.mode, _fmt(res.cost),
+           _fmt(1.0 / res.cost), _fmt(lam), holds]
+    lines = [SCHEMA_LINE, "beta,L,level,mode,cost,inv_cost,lambda_S,holds", ",".join(row)]
     if res.mode == "monte_carlo":
         lines.append(f"# ci_halfwidth={res.ci_halfwidth!r}")
         lines.append(
             "# monte carlo congestion is maximized over observed edges only:"
             " a lower estimate of the true maximum"
         )
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit(lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(SCHEMA_LINE + "\n" + paths.flow_report_csv(res))
+        _write(args.out, SCHEMA_LINE + "\n" + paths.flow_report_csv(res))
     return 0
 
 
@@ -297,33 +275,15 @@ def _weighted_slope(betas, means, ci_his):
 
 
 def cmd_arrhenius(args):
-    _merge(
-        args,
-        {
-            "beta": "2.0,2.25,2.5,2.75,3.0,3.25,3.5",
-            "size": "critical",
-            "bc": "plus",
-            "seed": "0",
-            "replicas": "200",
-            "kind": "metropolis",
-            "budget_events": str(10**7),
-            "workers": str(os.cpu_count() or 1),
-        },
-    )
-    if str(args.bc).startswith("fixed:"):
+    if args.bc.startswith("fixed:"):
         raise SystemExit("arrhenius sweeps take --bc plus or per")
-    betas = sorted(_betas(args.beta))
-    replicas = int(args.replicas)
-    seed = int(args.seed)
-    budget = int(args.budget_events)
-    workers = int(args.workers)
     payloads = [
-        (beta, _resolve_size(args.size, beta), str(args.bc), seed, i, replicas,
-         str(args.kind), budget)
-        for i, beta in enumerate(betas)
+        (beta, _resolve_size(args.size, beta), args.bc, args.seed, i, args.replicas,
+         args.kind, args.budget_events)
+        for i, beta in enumerate(sorted(args.beta))
     ]
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if args.workers > 1 and len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_arrhenius_point, payloads))
     else:
         results = [_arrhenius_point(p) for p in payloads]
@@ -334,7 +294,7 @@ def cmd_arrhenius(args):
                 [
                     _fmt(beta),
                     str(L),
-                    str(args.bc),
+                    args.bc,
                     _fmt(res.mean),
                     _fmt(res.ci_lo),
                     _fmt(res.ci_hi),
@@ -360,79 +320,77 @@ def cmd_arrhenius(args):
 
 
 def cmd_simulate(args):
-    _merge(
-        args,
-        {
-            "beta": "1.0",
-            "size": "3",
-            "bc": "plus",
-            "seed": "0",
-            "stop": "events=1000",
-            "init": "plus",
-            "kind": "metropolis",
-            "budget_events": str(10**7),
-        },
-    )
-    betas = _betas(args.beta)
-    if len(betas) != 1:
-        raise SystemExit("simulate takes a single --beta")
-    beta = betas[0]
+    beta = _one_beta(args)
     L = _resolve_size(args.size, beta)
     spec = _resolve_spec(args.bc, L)
-    init_arg = str(args.init)
-    if init_arg == "plus":
+    if args.init == "plus":
         init = SpinConfig.all_plus(spec)
-    elif init_arg == "minus":
+    elif args.init == "minus":
         init = SpinConfig.all_minus(spec)
-    elif init_arg == "rect":
+    elif args.init == "rect":
         init = _rect_init(spec)
-    elif init_arg.startswith("file:"):
-        with open(init_arg[5:], "r", encoding="utf-8") as fh:
-            init = SpinConfig.from_text(spec, fh.read())
+    elif args.init.startswith("file:"):
+        init = _load(args.init[len("file:"):], lambda text: SpinConfig.from_text(spec, text))
     else:
-        raise SystemExit(f"bad --init value {init_arg!r}")
-    stop_arg = str(args.stop)
+        raise SystemExit(f"bad --init value {args.init!r}")
     try:
-        if stop_arg.startswith("events="):
-            stop = dynamics.stop_after_events(int(stop_arg[7:]))
-        elif stop_arg.startswith("time="):
-            stop = dynamics.stop_after_time(float(stop_arg[5:]))
-        elif stop_arg == "hit-ground":
+        if args.stop.startswith("events="):
+            stop = dynamics.stop_after_events(int(args.stop[7:]))
+        elif args.stop.startswith("time="):
+            stop = dynamics.stop_after_time(float(args.stop[5:]))
+        elif args.stop == "hit-ground":
             stop = dynamics.stop_at_zero_defects()
         else:
             raise ValueError("use events=N, time=T or hit-ground")
     except ValueError as err:
-        raise SystemExit(f"bad --stop value {stop_arg!r}: {err}") from None
+        raise SystemExit(f"bad --stop value {args.stop!r}: {err}") from None
     try:
-        traj = dynamics.simulate(
-            spec,
-            beta,
-            init,
-            stop,
-            seed=int(args.seed),
-            kind=str(args.kind),
-            max_events=int(args.budget_events),
-        )
+        traj = dynamics.simulate(spec, beta, init, stop, seed=args.seed, kind=args.kind,
+                                 max_events=args.budget_events)
     except BudgetExceededError as err:
         raise SystemExit(f"simulate: {err}") from None
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dynamics.trajectory_to_text(traj))
-    summary = [
+        _write(args.out, dynamics.trajectory_to_text(traj))
+    _emit([
         SCHEMA_LINE,
         "beta,L,bc,seed,tau",
-        ",".join([_fmt(beta), str(L), str(args.bc), str(args.seed), _fmt(traj.elapsed)]),
-    ]
-    sys.stdout.write("\n".join(summary) + "\n")
+        ",".join([_fmt(beta), str(L), args.bc, str(args.seed), _fmt(traj.elapsed)]),
+    ])
     return 0
 
 
 # --------------------------------------------------------------- verify
+# Each check is a function named after itself that raises AssertionError
+# on failure.
+
+
+def _counting_bound(L):
+    hist = lattice.count_by_defect_number(LatticeSpec(L, PLUS))
+    assert hist.get(2, 0) == 0
+    for n, cnt in hist.items():
+        if n == 0:
+            continue
+        k = n / 2.0
+        bound = min((math.e * k) ** (2 * k) * L ** (2 * k), L ** (3 * k))
+        assert cnt <= bound, (n, cnt, bound)
+
+
+def _ground_code_roundtrip(side):
+    spec = LatticeSpec(side, PERIODIC)
+    gs = lattice.ground_states(spec)
+    assert len(gs) == 2 ** (2 * side - 1)
+    for g in gs:
+        code = ground.encode_ground(g)
+        assert ground.decode_ground(spec, code).spins.tobytes() == g.spins.tobytes()
+
+
+def _random_config(rng, spec):
+    """Independent uniform spins, drawn as one (L, L) block of bits."""
+    bits = rng.integers(0, 2, size=(spec.side, spec.side))
+    return SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
 
 
 def _checks_quick():
-    """Named invariant checks, each raising AssertionError on failure."""
-
     def parity_bijection_L3():
         spec = LatticeSpec(3, PLUS)
         seen = set()
@@ -453,14 +411,7 @@ def _checks_quick():
         assert hist == {0: 1, 4: 9, 6: 6}, hist
 
     def counting_bound_L3():
-        L = 3
-        hist = lattice.count_by_defect_number(LatticeSpec(L, PLUS))
-        for n, cnt in hist.items():
-            if n == 0:
-                continue
-            k = n / 2.0
-            bound = min((math.e * k) ** (2 * k) * L ** (2 * k), L ** (3 * k))
-            assert cnt <= bound, (n, cnt, bound)
+        _counting_bound(3)
 
     def torus_ground_count_side3():
         assert len(lattice.ground_states(LatticeSpec(3, PERIODIC))) == 32
@@ -477,8 +428,7 @@ def _checks_quick():
         rng = np.random.default_rng(0)
         spec = LatticeSpec(5, PLUS)
         for _ in range(20):
-            bits = rng.integers(0, 2, size=(5, 5))
-            cfg = SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
+            cfg = _random_config(rng, spec)
             R = lattice.Rectangle.from_corners(1, 4, 0, 3)
             d0 = set(defect_map(cfg).defects())
             d1 = set(defect_map(cfg.flip(R.flip_sites())).defects())
@@ -542,8 +492,7 @@ def _checks_quick():
         rng = np.random.default_rng(2)
         spec = LatticeSpec(5, PLUS)
         for _ in range(30):
-            bits = rng.integers(0, 2, size=(5, 5))
-            cfg = SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
+            cfg = _random_config(rng, spec)
             d = defect_map(cfg)
             if d.count == 0:
                 continue
@@ -556,9 +505,7 @@ def _checks_quick():
         rng = np.random.default_rng(3)
         spec = LatticeSpec(5, PLUS)
         for _ in range(30):
-            bits = rng.integers(0, 2, size=(5, 5))
-            cfg = SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
-            d = defect_map(cfg)
+            d = defect_map(_random_config(rng, spec))
             if d.count == 0:
                 continue
             assert len(paths.extended_rectangles(d)) >= d.count / 4
@@ -567,8 +514,7 @@ def _checks_quick():
         rng = np.random.default_rng(4)
         spec = LatticeSpec(6, PLUS)
         for _ in range(30):
-            bits = rng.integers(0, 2, size=(6, 6))
-            cfg = SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
+            cfg = _random_config(rng, spec)
             sp = paths.compute_split(cfg, 1)
             colcount = np.count_nonzero(defect_map(cfg).plaq == -1, axis=1)
             for i in range(1, sp.m):
@@ -590,10 +536,7 @@ def _checks_quick():
         assert exact.spectral_gap(G) >= 1.0 / res.cost
 
     def ground_code_roundtrip_side3():
-        spec = LatticeSpec(3, PERIODIC)
-        for g in lattice.ground_states(spec):
-            code = ground.encode_ground(g)
-            assert ground.decode_ground(spec, code).spins.tobytes() == g.spins.tobytes()
+        _ground_code_roundtrip(3)
 
     def minimal_path_recovery_side3():
         spec = LatticeSpec(3, PERIODIC)
@@ -653,63 +596,33 @@ def _checks_quick():
         assert 0.2 <= pn * 3 <= 5.0, pn
 
     return [
-        ("parity_bijection_L3", parity_bijection_L3),
-        ("no_two_defect_states_L3", no_two_defect_states_L3),
-        ("defect_histogram_L2", defect_histogram_L2),
-        ("counting_bound_L3", counting_bound_L3),
-        ("torus_ground_count_side3", torus_ground_count_side3),
-        ("torus_count_prefix_side3", torus_count_prefix_side3),
-        ("flip_toggles_corners", flip_toggles_corners),
-        ("rate_ratio_heatbath_metropolis", rate_ratio_heatbath_metropolis),
-        ("detailed_balance_L2", detailed_balance_L2),
-        ("generator_rowsums_zero_L3", generator_rowsums_zero_L3),
-        ("gap_L1_formula", gap_L1_formula),
-        ("gap_beta0_L2", gap_beta0_L2),
-        ("eigenfunction_rayleigh_L3", eigenfunction_rayleigh_L3),
-        ("tmix_ge_trel_ln2_L2", tmix_ge_trel_ln2_L2),
-        ("profile_bound_ge_tmix_L2", profile_bound_ge_tmix_L2),
-        ("singleton_lambda_formula_L2", singleton_lambda_formula_L2),
-        ("rectangle_energy_discipline", rectangle_energy_discipline),
-        ("extended_rectangle_count_bounds", extended_rectangle_count_bounds),
-        ("split_part_bounds", split_part_bounds),
-        ("classify_total_random_vectors", classify_total_random_vectors),
-        ("flow_bound_L2_beta1", flow_bound_L2_beta1),
-        ("ground_code_roundtrip_side3", ground_code_roundtrip_side3),
-        ("minimal_path_recovery_side3", minimal_path_recovery_side3),
-        ("trajectory_roundtrip", trajectory_roundtrip),
-        ("hitting_seed_determinism", hitting_seed_determinism),
-        ("ground_mass_decay_rate_L3", ground_mass_decay_rate_L3),
-        ("excursion_nonreturn_side3", excursion_nonreturn_side3),
+        parity_bijection_L3, no_two_defect_states_L3, defect_histogram_L2,
+        counting_bound_L3, torus_ground_count_side3, torus_count_prefix_side3,
+        flip_toggles_corners, rate_ratio_heatbath_metropolis, detailed_balance_L2,
+        generator_rowsums_zero_L3, gap_L1_formula, gap_beta0_L2,
+        eigenfunction_rayleigh_L3, tmix_ge_trel_ln2_L2, profile_bound_ge_tmix_L2,
+        singleton_lambda_formula_L2, rectangle_energy_discipline,
+        extended_rectangle_count_bounds, split_part_bounds,
+        classify_total_random_vectors, flow_bound_L2_beta1,
+        ground_code_roundtrip_side3, minimal_path_recovery_side3,
+        trajectory_roundtrip, hitting_seed_determinism, ground_mass_decay_rate_L3,
+        excursion_nonreturn_side3,
     ]
 
 
 def _checks_full():
     def counting_bound_L4():
-        L = 4
-        hist = lattice.count_by_defect_number(LatticeSpec(L, PLUS))
-        assert hist.get(2, 0) == 0
-        for n, cnt in hist.items():
-            if n == 0:
-                continue
-            k = n / 2.0
-            bound = min((math.e * k) ** (2 * k) * L ** (2 * k), L ** (3 * k))
-            assert cnt <= bound, (n, cnt, bound)
+        _counting_bound(4)
 
     def ground_code_roundtrip_side4():
-        spec = LatticeSpec(4, PERIODIC)
-        gs = lattice.ground_states(spec)
-        assert len(gs) == 2 ** 7
-        for g in gs:
-            code = ground.encode_ground(g)
-            assert ground.decode_ground(spec, code).spins.tobytes() == g.spins.tobytes()
+        _ground_code_roundtrip(4)
 
     def path_suite_10k_L6():
         rng = np.random.default_rng(99)
         spec = LatticeSpec(6, PLUS)
         L = 6
         for trial in range(10000):
-            bits = rng.integers(0, 2, size=(L, L))
-            cfg = SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
+            cfg = _random_config(rng, spec)
             d0 = defect_map(cfg).count
             if d0 == 0:
                 continue
@@ -717,31 +630,23 @@ def _checks_full():
             assert p.final.spins.min() == 1
             assert len(p) <= L * L * min(3.0 * L + 1, d0 / 2.0) + L * L
 
-    return [
-        ("counting_bound_L4", counting_bound_L4),
-        ("ground_code_roundtrip_side4", ground_code_roundtrip_side4),
-        ("path_suite_10k_L6", path_suite_10k_L6),
-    ]
+    return [counting_bound_L4, ground_code_roundtrip_side4, path_suite_10k_L6]
 
 
 def cmd_verify(args):
-    _merge(args, {"level": "quick"})
-    level = str(args.level)
-    if level not in ("quick", "full"):
-        raise SystemExit("--level must be quick or full")
     checks = _checks_quick()
-    if level == "full":
+    if args.level == "full":
         checks += _checks_full()
     failures = []
     print(SCHEMA_LINE)
     print("check,status")
-    for name, fn in checks:
+    for fn in checks:
         try:
             fn()
-            print(f"{name},pass")
+            print(f"{fn.__name__},pass")
         except Exception as e:  # noqa: BLE001 - report and continue
-            failures.append((name, e))
-            print(f"{name},FAIL")
+            failures.append((fn.__name__, e))
+            print(f"{fn.__name__},FAIL")
     if failures:
         name, e = failures[0]
         print(f"FAILED: {name}: {e}", file=sys.stderr)
@@ -752,58 +657,70 @@ def cmd_verify(args):
 # ----------------------------------------------------------------- main
 
 
-def _add_common(p):
-    p.add_argument("--beta", default=None, help="inverse temperature, comma list allowed")
-    p.add_argument("--size", default=None, help='side length, or "critical"')
-    p.add_argument("--bc", default=None, help="plus, per, or fixed:<frame file>")
-    p.add_argument("--seed", default=None)
-    p.add_argument("--out", default=None, help="mirror main output to this file")
-    p.add_argument("--config", default=None, help='"key = value" config file')
-    p.add_argument("--kind", default=None, help="metropolis or heat_bath")
-
-
-def main(argv=None):
+def _parser():
+    """The argument parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="plaquette",
         description="square plaquette model: exact analysis, path bounds, simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run the named invariant suite")
-    p.add_argument("--level", default=None, help="quick or full")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_verify)
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--config", help='"key = value" file of option values; flags win over it')
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("exact", help="gap, relaxation, mixing, profile bound")
-    _add_common(p)
-    p.add_argument("--eps", default=None, help="mixing threshold (default 0.25)")
-    p.add_argument("--dump-matrix", dest="dump_matrix", default=None,
-                   help="write generator entries 'i j rate' to this file")
-    p.set_defaults(func=cmd_exact)
+    verify = command("verify", cmd_verify, "run the named invariant suite")
+    verify.add_argument("--level", default="quick", choices=("quick", "full"),
+                        help="which invariant suite to run")
+    ex = command("exact", cmd_exact, "gap, relaxation, mixing, profile bound")
+    flow = command("flow", cmd_flow, "congestion bound on the spectral gap")
+    arr = command("arrhenius", cmd_arrhenius, "hitting-time sweep at the critical length")
+    sim = command("simulate", cmd_simulate, "run one trajectory to a stop rule")
+    mirror = "mirror stdout to this file"
+    for p, beta, size, out in (
+        (ex, "1.0", "2", mirror),
+        (flow, "1.0", "2", "write the per-edge congestion report to this file"),
+        (arr, "2.0,2.25,2.5,2.75,3.0,3.25,3.5", "critical", mirror),
+        (sim, "1.0", "3", "write the trajectory to this file"),
+    ):
+        p.add_argument("--beta", type=_betas, default=beta,
+                       help="inverse temperature, comma list allowed")
+        p.add_argument("--size", type=_size, default=size,
+                       help='side length, or "critical" for floor(exp(beta/2))')
+        p.add_argument("--bc", default="plus", help="plus, per, or fixed:<frame file>")
+        p.add_argument("--kind", default="metropolis", choices=RateModel.KINDS, help="jump rates")
+        p.add_argument("--out", help=out)
+    for p in (flow, arr, sim):
+        p.add_argument("--seed", type=_seed, default=0, help="random seed")
+    for p in (arr, sim):
+        p.add_argument("--budget-events", type=_count, default=dynamics.MAX_EVENTS_DEFAULT,
+                       help="event cap per trajectory")
+    ex.add_argument("--eps", type=_tv_threshold, default=0.25, help="mixing threshold")
+    ex.add_argument("--dump-matrix",
+                    help="write the first beta's generator entries 'i j rate' to this file")
+    flow.add_argument("--level", type=_count, default=1, help="defect level k of the source set")
+    flow.add_argument("--mode", default="exhaustive", choices=("exhaustive", "monte_carlo"),
+                      help="every source state, or sampled ones")
+    flow.add_argument("--samples", type=int, default=10000, help="monte carlo source samples")
+    flow.add_argument("--split-threshold", type=_count, default=100,
+                      help="defects per split part, in units of L")
+    arr.add_argument("--replicas", type=_count, default=200, help="replicas per beta")
+    arr.add_argument("--workers", type=_count, default=os.cpu_count() or 1,
+                     help="worker processes")
+    sim.add_argument("--stop", default="events=1000", help='"events=N", "time=T", or "hit-ground"')
+    sim.add_argument("--init", default="plus", help="plus, minus, rect, or file:<path>")
+    return parser, sub.choices
 
-    p = sub.add_parser("flow", help="congestion bound on the spectral gap")
-    _add_common(p)
-    p.add_argument("--level", default=None, help="defect level k of the source set")
-    p.add_argument("--mode", default=None, help="exhaustive or monte_carlo")
-    p.add_argument("--samples", default=None)
-    p.add_argument("--split-threshold", dest="split_threshold", default=None)
-    p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("arrhenius", help="hitting-time sweep at the critical length")
-    _add_common(p)
-    p.add_argument("--replicas", default=None)
-    p.add_argument("--budget-events", dest="budget_events", default=None)
-    p.add_argument("--workers", default=None)
-    p.set_defaults(func=cmd_arrhenius)
-
-    p = sub.add_parser("simulate", help="run one trajectory to a stop rule")
-    _add_common(p)
-    p.add_argument("--stop", default=None, help='"events=N", "time=T", or "hit-ground"')
-    p.add_argument("--init", default=None, help="plus, minus, rect, or file:<path>")
-    p.add_argument("--budget-events", dest="budget_events", default=None)
-    p.set_defaults(func=cmd_simulate)
-
+def main(argv=None):
+    parser, commands = _parser()
     args = parser.parse_args(argv)
+    if args.config:
+        commands[args.command].set_defaults(**_config_values(args.config, commands, args.command))
+        args = parser.parse_args(argv)
     return args.func(args)
 
 

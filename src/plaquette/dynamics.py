@@ -244,11 +244,19 @@ def stop_at_zero_defects():
     return pred
 
 
+def _check_box(sim, cfg):
+    if sim.spec != cfg.spec:
+        raise ValueError("stop target belongs to a different box")
+
+
 def stop_at_state(cfg):
     code = cfg.code
 
     def pred(sim):
-        return sim.n_defects == 0 and sim.code == code
+        if sim.n_defects:
+            return False
+        _check_box(sim, cfg)  # only at zero defects: no cost per event
+        return sim.code == code
 
     return pred
 
@@ -257,7 +265,10 @@ def stop_at_ground_other_than(cfg0):
     code0 = cfg0.code
 
     def pred(sim):
-        return sim.n_defects == 0 and sim.code != code0
+        if sim.n_defects:
+            return False
+        _check_box(sim, cfg0)
+        return sim.code != code0
 
     return pred
 
@@ -524,8 +535,9 @@ def trajectory_from_text(text):
     if n_events != len(events):
         raise ValueError(f"header key 'n_events' = {n_events} but [events] has {len(events)} lines")
     elapsed = float(header_value("elapsed"))
-    if events and elapsed < events[-1][0]:
-        raise ValueError(f"header key 'elapsed' = {elapsed!r} is before the last event at {events[-1][0]!r}")
+    last = events[-1][0] if events else 0.0
+    if not (math.isfinite(elapsed) and elapsed >= last):
+        raise ValueError(f"header key 'elapsed' = {elapsed!r} is not finite or before {last!r}")
     model = RateModel(float(header_value("beta")), header_value("rates"))
     traj = Trajectory(
         spec=spec,

@@ -1,6 +1,7 @@
 """Command-line interface: flags, formats, determinism, and exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import plaquette
-from plaquette import cli, lattice
-from plaquette.dynamics import trajectory_from_text, replay_trajectory
+from plaquette import cli, exact, lattice, paths
+from plaquette.dynamics import RateModel, trajectory_from_text, replay_trajectory
 
 GAP_L2_BETA1 = 0.2847662422089848
 
@@ -45,6 +46,31 @@ def test_exact_csv_row(capsys):
     assert float(vals[4]) == pytest.approx(1.0 / GAP_L2_BETA1, abs=1e-9)
     assert float(vals[6]) >= float(vals[5]) > 0
     assert 0 < float(vals[7]) < 1
+
+
+@pytest.mark.parametrize("kind", ["metropolis", "heat_bath"])
+def test_exact_and_flow_honour_kind(kind, capsys):
+    # both commands ran Metropolis rates whatever --kind said
+    spec = lattice.LatticeSpec(2)
+    G = exact.build_generator(spec, RateModel(1.0, kind))
+    _, out, _ = run(["exact", "--beta", "1.0", "--size", "2", "--kind", kind], capsys)
+    assert float(rows_of(out)[1].split(",")[3]) == pytest.approx(exact.spectral_gap(G), abs=1e-12)
+    _, out, _ = run(["flow", "--beta", "1.0", "--size", "2", "--kind", kind], capsys)
+    cost = paths.flow_cost(spec, 1.0, 1, kind=kind).cost
+    vals = rows_of(out)[1].split(",")
+    assert float(vals[4]) == pytest.approx(cost, rel=1e-12)
+    assert float(vals[6]) == pytest.approx(exact.spectral_profile(G, 1), rel=1e-12)
+
+
+def test_exact_above_the_dense_threshold(capsys):
+    # the profile bound used to escape as a BudgetExceededError traceback
+    code, out, _ = run(["exact", "--beta", "1.0", "--size", "4"], capsys)
+    assert code == 0
+    vals = rows_of(out)[1].split(",")
+    assert vals[1] == "4" and float(vals[3]) > 0
+    assert vals[5] == vals[6] == "nan"
+    with pytest.raises(SystemExit, match="^exact: enumeration needs"):
+        cli.main(["exact", "--size", "5"])
 
 
 def test_exact_beta_grid_and_determinism(capsys):
@@ -195,19 +221,45 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     conf.write_text("mystery = 7\n")
     with pytest.raises(SystemExit):
         cli.main(["exact", "--config", str(conf)])
+    # a key of another command is accepted and ignored
+    conf.write_text("replicas = 5\nsize = 2\n")
+    code, out, _ = run(["exact", "--config", str(conf)], capsys)
+    assert code == 0 and rows_of(out)[1].startswith("1.0,2,plus,")
+
+
+def test_bad_flag_values(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("eps = abc\n")
+    kind_conf = tmp_path / "kind.conf"
+    kind_conf.write_text("kind = bogus\n")
+    for argv in (["exact", "--beta", "fast"], ["exact", "--bc", "moebius"],
+                 ["simulate", "--stop", "whenever"], ["flow", "--mode", "psychic"],
+                 # these escaped as ValueError or OverflowError tracebacks
+                 ["exact", "--eps", "abc"], ["simulate", "--seed", "x"],
+                 ["flow", "--level", "x"], ["arrhenius", "--replicas", "-3"],
+                 ["exact", "--size", "0"], ["exact", "--config", str(conf)],
+                 # --kind was ignored by exact, so these exited 0
+                 ["exact", "--kind", "bogus"], ["exact", "--config", str(kind_conf)],
+                 # exact never read --seed
+                 ["exact", "--seed", "1"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    missing = str(tmp_path / "missing.txt")
+    for argv in (["exact", "--size", "2", "--bc", f"fixed:{missing}"],
+                 ["simulate", "--size", "2", "--init", f"file:{missing}"]):
+        with pytest.raises(SystemExit, match=f"^cannot read {re.escape(missing)}: "):
+            cli.main(argv)
+    unwritable = str(tmp_path / "no" / "such" / "dir.csv")
+    with pytest.raises(SystemExit, match=f"^cannot write {re.escape(unwritable)}: "):
+        cli.main(["exact", "--size", "1", "--out", unwritable])
     capsys.readouterr()
 
 
-def test_bad_flag_values(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["exact", "--beta", "fast"])
-    with pytest.raises(SystemExit):
-        cli.main(["exact", "--bc", "moebius"])
-    with pytest.raises(SystemExit):
-        cli.main(["simulate", "--stop", "whenever"])
-    with pytest.raises(SystemExit):
-        cli.main(["flow", "--mode", "psychic"])
-    capsys.readouterr()
+def test_help_shows_defaults():
+    for command in ("verify", "exact", "flow", "arrhenius", "simulate"):
+        proc = run_python("-m", "plaquette.cli", command, "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "(default: " in proc.stdout
 
 
 def test_verify_quick_passes(capsys):

@@ -221,6 +221,15 @@ def test_stop_at_other_ground():
     assert t.final != init
 
 
+def test_stop_target_from_another_box_is_rejected():
+    # these matched by spins alone and returned five times
+    per = LatticeSpec(3, PERIODIC)
+    for target in (stop_at_state(SpinConfig.all_plus(LatticeSpec(3, PLUS))),
+                   stop_at_ground_other_than(SpinConfig.all_minus(LatticeSpec(3, PLUS)))):
+        with pytest.raises(ValueError, match="different box"):
+            hitting_time(per, 1.0, SpinConfig.all_minus(per), target, 5, seed=1)
+
+
 def test_event_budget_enforced():
     spec = LatticeSpec(3, PLUS)
     init = SpinConfig.all_minus(spec)
@@ -282,8 +291,15 @@ def test_trajectory_header_must_match_the_events():
     early = text.replace(f"elapsed = {traj.elapsed!r}", f"elapsed = {0.5 * traj.events[-1][0]!r}")
     with pytest.raises(ValueError, match="'elapsed'"):
         trajectory_from_text(early)
+    for bad in ("nan", "inf"):
+        with pytest.raises(ValueError, match="'elapsed'"):
+            trajectory_from_text(text.replace(f"elapsed = {traj.elapsed!r}", f"elapsed = {bad}"))
     late = text.replace(f"elapsed = {traj.elapsed!r}", "elapsed = 1000000000.0")
     assert trajectory_from_text(late).elapsed == 1e9
+    empty = trajectory_to_text(simulate(spec, 1.0, traj.initial, stop_after_events(0)))
+    assert "elapsed = 0.0" in empty
+    with pytest.raises(ValueError, match="'elapsed'"):
+        trajectory_from_text(empty.replace("elapsed = 0.0", "elapsed = -1.0"))
     # beta and rates go through RateModel; these used to load
     for old, new in (("rates = metropolis", "rates = foo"), ("beta = 1.0", "beta = nan"),
                      ("beta = 1.0", "beta = -3.0")):
