@@ -179,7 +179,10 @@ def cmd_exact(args):
             G = exact.build_generator(spec, RateModel(beta, args.kind))
         except BudgetExceededError as err:
             raise SystemExit(f"exact: {err}") from None
-        gap = exact.spectral_gap(G)
+        try:
+            gap = exact.spectral_gap(G)
+        except exact.ConvergenceError as err:
+            raise SystemExit(f"exact: {err}") from None
         # tmix and the profile bound read nan where the box is past their
         # dense budget (exact.DENSE_THRESHOLD states)
         tmix = _nan_over_budget(lambda: exact.tv_mixing_time(G, eps=args.eps))
@@ -199,6 +202,8 @@ def cmd_flow(args):
     beta = _one_beta(args)
     L = _resolve_size(args.size, beta)
     spec = _resolve_spec(args.bc, L)
+    if spec.bc != PLUS:
+        raise SystemExit("flow: flow bounds are computed for the all-plus boundary (--bc plus)")
     try:
         res = paths.flow_cost(spec, beta, args.level, mode=args.mode, seed=args.seed,
                               samples=args.samples, c=args.split_threshold, kind=args.kind)

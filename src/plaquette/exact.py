@@ -4,26 +4,30 @@ State index i is the configuration's code, `SpinConfig.code`: bit b is 1
 where the spin at flat site b is -1, so index 0 is the all-plus state.
 The generator acts as Q[i, i ^ (1 << b)] = rate of flipping site b.
 
-Everything here is dense or sparse linear algebra on at most a few
-thousand states (2^(L^2) grows fast; the hard budget is explicit), with
-three exceptions worth naming: the spectral gap falls back to a Lanczos
-solver above the dense threshold, total-variation mixing is searched on
-the spectral representation and certified by uniformization, and the
-profile bound integrates a staircase built from level-set eigenvalues.
+Everything here is dense or sparse linear algebra on enumerated boxes
+(2^(L^2) grows fast; the hard budget is explicit). The chain is
+reversible, so S = D^1/2 Q D^-1/2 with D = diag(pi) is symmetric, and
+sqrt(pi) spans its kernel.
 
-The chain is reversible, so S = D^1/2 Q D^-1/2 with D = diag(pi) is
-symmetric. Below the dense threshold one `eigh` of S, S = V diag(w) V^T,
-is cached on the generator; the gap, the slow eigenfunction and every
-step of the mixing-time search read it, the last through
-P_t = D^-1/2 V e^{tw} V^T D^1/2, one matrix product per time. The time
-returned is then checked by uniformization, exp(tQ) as a Poisson mixture
-of powers of I + Q/q whose truncated mass is bounded and added, so it is
-certified by a route that does not rest on the eigensolver.
+- Below the dense threshold one `eigh` of S, S = V diag(w) V^T, is cached
+  on the generator. The gap, the slow eigenfunction and every step of the
+  mixing-time search read it, the last through
+  P_t = D^-1/2 V e^{tw} V^T D^1/2, one matrix product per time.
+- Above it the gap is the smallest eigenvalue of -S on the complement of
+  sqrt(pi), found by LOBPCG with a diagonal preconditioner from a
+  fixed-seed start, and accepted only once its residual is checked.
+- The time the mixing search returns is certified by a route that does
+  not rest on the eigensolver: exp(tQ) by scaling and squaring, each
+  factor a truncated uniformization series, so the kernel is bounded
+  entrywise from below with a known row deficit.
+- The profile bound integrates a staircase built from level-set
+  eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +46,12 @@ from .lattice import (
 )
 
 DENSE_THRESHOLD = 4096
+_GAP_TOL = 1e-11
+_GAP_MAXITER = 1000
+
+
+class ConvergenceError(RuntimeError):
+    """The sparse eigensolver stopped without reaching its tolerance."""
 
 
 class SparseGenerator:
@@ -120,12 +130,35 @@ def spectral_gap(G, dense_threshold=DENSE_THRESHOLD):
     """Smallest positive eigenvalue of -Q (via the symmetric conjugate).
 
     Up to min(dense_threshold, DENSE_THRESHOLD) states it is read off the
-    cached dense eigendecomposition; above that, Lanczos finds it.
+    cached dense eigendecomposition. Above that it is the smallest
+    eigenvalue of -S under the constraint x . sqrt(pi) = 0, which deflates
+    the stationary mode, found by LOBPCG (block size 1, Jacobi
+    preconditioner 1/diag(-S)) to residual _GAP_TOL.
+
+    The start is a fixed-seed Gaussian vector, so the result is the same
+    on every call. It is not a symmetric vector such as all ones: -S and
+    the preconditioner commute with the box's symmetries, so a start they
+    fix keeps every iterate in the symmetric sector, which need not hold
+    the gap. A solver warning, or a residual above _GAP_TOL, raises
+    ConvergenceError.
     """
     if G.n_states <= min(dense_threshold, DENSE_THRESHOLD):
         return float(-G.eigen[0][-2])
-    w = splinalg.eigsh(_symmetrized(G), k=2, which="LA", return_eigenvectors=False)
-    return float(-np.min(w))
+    A = -_symmetrized(G)
+    x0 = np.random.default_rng(0).standard_normal((G.n_states, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        try:
+            w, X = splinalg.lobpcg(A, x0, M=sparse.diags(1.0 / A.diagonal()),
+                                   Y=np.sqrt(G.pi)[:, None], largest=False,
+                                   tol=_GAP_TOL, maxiter=_GAP_MAXITER)
+        except UserWarning as err:
+            raise ConvergenceError(f"LOBPCG gap did not converge: {err}") from None
+    x = X[:, 0]
+    residual = float(np.linalg.norm(A @ x - w[0] * x) / np.linalg.norm(x))
+    if not residual <= _GAP_TOL:
+        raise ConvergenceError(f"LOBPCG gap residual {residual:.3g} above {_GAP_TOL:g}")
+    return float(w[0])
 
 
 def relaxation_time(G):
@@ -233,39 +266,55 @@ def _poisson_weights(lam, tail):
     return np.exp(k * math.log(lam) - lam - special.gammaln(k + 1))
 
 
-def _tv_all_starts(G, t, tail=1e-8):
-    """Worst-start total variation distance from stationarity at time t.
+def _kernel_below(G, t, tail=1e-8):
+    """Entrywise lower bound A on exp(tQ) whose rows sum to at least 1 - tail.
 
-    Uniformization: exp(tQ) = sum_k Poisson(qt)[k] P^k with P = I + Q/q.
-    The Poisson sum is cut once the remaining mass is below `tail`, and
-    that mass is added to the result, so the return value is an upper
-    bound within `tail` of the true distance.
+    Scaling and squaring: with s = max(0, ceil(log2(q t / 8))) and
+    h = t / 2^s, exp(hQ) = sum_k Poisson(qh)[k] P^k with P = I + Q/q is
+    cut once the remaining mass is below tail / 2^s (about 30 terms), and
+    the N x N result is squared s times. Every factor is nonnegative and
+    below the exact kernel, and a product's row deficit is at most the sum
+    of its factors' deficits, so the deficit of A is at most `tail`.
     """
-    pi = G.pi
     Q = G.Q
     N = Q.shape[0]
     q = float(np.max(-Q.diagonal()))
     if q <= 0 or t <= 0:
-        return 0.5 * float(np.max(np.abs(np.eye(N) - pi[None, :]).sum(axis=1)))
-    PT = (sparse.eye(N, format="csr") + Q / q).T.tocsr()
-    w = _poisson_weights(q * t, tail)
-    WT = np.eye(N)
-    acc = w[0] * WT
+        return np.eye(N)
+    s = max(0, math.ceil(math.log2(q * t / 8.0)))
+    w = _poisson_weights(q * t / 2**s, tail / 2**s)
+    P = sparse.eye(N, format="csr") + Q / q
+    W = np.eye(N)
+    A = w[0] * W
     for k in range(1, w.size):
-        WT = PT @ WT
-        if w[k] > 0:
-            acc += w[k] * WT
-    A = acc.T
-    d = 0.5 * float(np.max(np.abs(A - pi[None, :]).sum(axis=1)))
-    return d + tail
+        W = P @ W
+        A += w[k] * W
+    for _ in range(s):
+        A = A @ A
+    return A
+
+
+def _tv_all_starts(G, t, tail=1e-8):
+    """Worst-start total variation distance from stationarity at time t,
+    an upper bound within `tail` of the true distance.
+
+    A = `_kernel_below(G, t, tail)` is below P_t entrywise, so for each
+    start sum|P_t - pi| <= sum|A - pi| + (1 - sum A). The largest row of
+    half that is returned; the slack over the true distance is at most
+    the row deficit, which is at most `tail`.
+    """
+    A = _kernel_below(G, t, tail)
+    rows = np.abs(A - G.pi[None, :]).sum(axis=1) + (1.0 - A.sum(axis=1))
+    return 0.5 * float(np.max(rows))
 
 
 def _tv_spectral(G, t, tail=1e-8):
     """Worst-start total variation at time t from the cached eigenpairs.
 
     P_t - Pi = D^-1/2 V' e^{tw'} V'^T D^1/2, where ' drops the stationary
-    mode (the top eigenvalue, 0). `tail` is added so that the value is
-    compared with eps as `_tv_all_starts` is.
+    mode (the top eigenvalue, 0). `tail` is added so that the value is at
+    or above the certificate `_tv_all_starts`, which exceeds the true
+    distance by at most `tail`.
     """
     w, V = G.eigen
     r = np.sqrt(G.pi)[:, None]
@@ -299,8 +348,8 @@ def tv_mixing_time(G, eps=0.25, rtol=0.01, tail=1e-8, budget=DENSE_THRESHOLD):
 
     Doubles an upper bracket from 1/q, then bisects, reading the distance
     off the spectral representation. The endpoint is then certified by
-    uniformization (truncation slack included). Should the certificate
-    fail, the search goes on above that endpoint with uniformization
+    `_tv_all_starts` (truncation slack included). Should the certificate
+    fail, the search goes on above that endpoint with the certificate
     alone, so the time returned is always certified below eps. Above
     min(budget, DENSE_THRESHOLD) states it raises BudgetExceededError.
     """
@@ -364,10 +413,14 @@ def profile_mixing_bound(G):
             lam_cache[key] = spectral_gap(G) if key == 0 else spectral_profile(G, key)
         return lam_cache[key]
 
+    steps = [(lo, hi, k_of(math.sqrt(lo * hi))) for lo, hi in zip(grid, grid[1:])]
+    # proper level sets from the largest down, then the whole box (the
+    # gap): a set past the dense budget raises before any solve is spent
+    for k in sorted({k for _, _, k in steps}, key=lambda k: (k == 0, k)):
+        lam_for(k)
     total = 0.0
     segments = []
-    for lo, hi in zip(grid, grid[1:]):
-        k = k_of(math.sqrt(lo * hi))
+    for lo, hi, k in steps:
         lam = lam_for(k)
         total += (2.0 / lam) * math.log(hi / lo)
         segments.append((lo, hi, k, lam))

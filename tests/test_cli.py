@@ -73,6 +73,21 @@ def test_exact_above_the_dense_threshold(capsys):
         cli.main(["exact", "--size", "5"])
 
 
+def test_exact_is_deterministic_above_the_dense_threshold():
+    # the L=4 gap comes from the sparse solver; two fresh runs must agree
+    runs = [run_python("-m", "plaquette.cli", "exact", "--beta", "1.0", "--size", "4")
+            for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in runs)
+    assert runs[0].stdout == runs[1].stdout
+    assert rows_of(runs[0].stdout)[1].startswith("1.0,4,plus,")
+
+
+def test_exact_exits_with_one_line_when_the_gap_does_not_converge(monkeypatch):
+    monkeypatch.setattr(exact, "_GAP_MAXITER", 2)
+    with pytest.raises(SystemExit, match="^exact: LOBPCG gap did not converge"):
+        cli.main(["exact", "--beta", "1.0", "--size", "4"])
+
+
 def test_exact_beta_grid_and_determinism(capsys):
     args = ["exact", "--beta", "0.0,1.0", "--size", "2", "--bc", "plus"]
     _, out1, _ = run(args, capsys)
@@ -142,6 +157,16 @@ def test_flow_monte_carlo_caveat(capsys):
 def test_flow_monte_carlo_rejects_no_samples():
     with pytest.raises(ValueError, match="samples must be at least 1"):
         cli.main(["flow", "--size", "2", "--mode", "monte_carlo", "--samples", "0"])
+
+
+def test_flow_rejects_non_plus_boundaries(tmp_path):
+    # both used to escape as ValueError tracebacks from paths.flow_cost
+    frame = tmp_path / "frame.txt"
+    frame.write_text("++++\n+--+\n+--+\n++++\n")
+    for bc in ("per", f"fixed:{frame}"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["flow", "--size", "2", "--bc", bc])
+        assert str(exc.value) == "flow: flow bounds are computed for the all-plus boundary (--bc plus)"
 
 
 def test_simulate_event_count_and_replay(tmp_path, capsys):

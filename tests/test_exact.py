@@ -4,10 +4,13 @@ Spectral and mass constants are pinned from the independent dense
 recomputation in tests/oracles/gen_small_oracles.py.
 """
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import poisson
 
 from plaquette import exact
@@ -21,6 +24,7 @@ from plaquette.dynamics import (
 )
 from plaquette.exact import (
     DENSE_THRESHOLD,
+    ConvergenceError,
     ProfileBound,
     build_generator,
     dirichlet_form,
@@ -39,6 +43,7 @@ from plaquette.exact import (
     test_function_plus_values as witness_plus_values,
     tv_mixing_time,
     variance,
+    _kernel_below,
     _lambda_of_subset,
     _poisson_weights,
     _tv_all_starts,
@@ -60,6 +65,8 @@ GAP_L2_BETA0 = 2.0
 GAP_L2_BETA1 = 0.2847662422089848
 GAP_L2_BETA2 = 0.050965672292375516
 GAP_L3_BETA1 = 0.1542219403486512
+GAP_L4_BETA1 = 0.13288074424781995
+GAP_L4_BETA3 = 0.0015039808491194731  # ARPACK eigsh: 0.0015039808491205775
 TMIX_L2_BETA1 = 6.6988703495881055  # expm bisection, independent route
 PI_GROUND_L3_PLUS_BETA2 = 0.9874647454351252
 PI_GROUND_TORUS3_BETA2 = 0.9969532819332968
@@ -131,10 +138,35 @@ def test_gap_pinned_values():
 
 
 def test_gap_sparse_route_agrees_with_dense():
-    G = G_of(2, 1.0)
-    dense = spectral_gap(G)
-    sparse = spectral_gap(G, dense_threshold=1)
-    assert sparse == pytest.approx(dense, abs=1e-9)
+    # includes L=3 periodic at beta=3, where the gap is 3.2e-5
+    for L, bc, kind, beta in itertools.product((2, 3), (PLUS, PERIODIC), RateModel.KINDS,
+                                               (0.0, 1.0, 3.0)):
+        G = build_generator(LatticeSpec(L, bc), RateModel(beta, kind))
+        dense = spectral_gap(G)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sparse = spectral_gap(G, dense_threshold=1)
+        assert sparse == pytest.approx(dense, abs=1e-11), (L, bc, kind, beta)
+
+
+def test_gap_sparse_route_pinned_and_deterministic_at_l4():
+    G = G_of(4, 1.0)
+    assert G.n_states > DENSE_THRESHOLD
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap = spectral_gap(G)
+    assert gap == pytest.approx(GAP_L4_BETA1, abs=1e-11)
+    assert spectral_gap(G) == gap
+    # L=4 is the critical length at beta=3
+    assert spectral_gap(G_of(4, 3.0)) == pytest.approx(GAP_L4_BETA3, abs=1e-11)
+
+
+def test_gap_sparse_route_raises_when_unconverged(monkeypatch):
+    monkeypatch.setattr(exact, "_GAP_MAXITER", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            spectral_gap(G_of(3, 1.0), dense_threshold=1)
 
 
 def test_heat_bath_gap_within_factor_two():
@@ -215,6 +247,21 @@ def test_spectral_tv_matches_uniformization():
             assert abs(spec_tv - unif_tv) <= tail + 1e-9
 
 
+@pytest.mark.parametrize("bc", [PLUS, PERIODIC])
+def test_certificate_brackets_the_expm_distance(bc):
+    tail = 1e-8
+    G = build_generator(LatticeSpec(2, bc), RateModel(1.0, "heat_bath"))
+    for t in (0.3, 2.0, 7.0, 20.0, 200.0):
+        E = scipy.linalg.expm(t * G.Q.toarray())
+        exact_tv = 0.5 * float(np.max(np.abs(E - G.pi[None, :]).sum(axis=1)))
+        A = _kernel_below(G, t, tail)
+        assert np.all(A >= 0)
+        assert np.all(A <= E + 1e-12)
+        assert np.all(A.sum(axis=1) >= 1.0 - tail)
+        cert = _tv_all_starts(G, t, tail)
+        assert exact_tv <= cert <= exact_tv + tail + 1e-12
+
+
 def test_tv_mixing_time_l3_rows_unchanged():
     # the times the uniformization-only bisection returned on these rows
     for bc, beta, tmix in (
@@ -257,6 +304,21 @@ def test_profile_bound_dominates_tmix():
         pb = profile_mixing_bound(G)
         assert isinstance(pb, ProfileBound)
         assert pb.value >= tv_mixing_time(G)
+
+
+def test_profile_bound_tries_the_largest_level_set_first(monkeypatch):
+    # at L=4 a level set is past the dense budget; it must raise before
+    # any dense solve on a smaller set is spent
+    sizes = []
+
+    def spy(G, idx):
+        sizes.append(idx.size)
+        return _lambda_of_subset(G, idx)
+
+    monkeypatch.setattr(exact, "_lambda_of_subset", spy)
+    with pytest.raises(BudgetExceededError):
+        profile_mixing_bound(G_of(4, 3.0))
+    assert len(sizes) == 1 and sizes[0] > DENSE_THRESHOLD
 
 
 def test_ground_mass_pinned():
