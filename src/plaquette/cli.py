@@ -56,6 +56,7 @@ def _checked(convert, ok, expected):
 
 _count = _checked(int, lambda n: n >= 1, "a positive integer")
 _seed = _checked(int, lambda n: n >= 0, "a nonnegative integer")
+_split_threshold = _checked(int, lambda n: n >= 2, "an integer of at least 2")
 _tv_threshold = _checked(float, lambda eps: 0 < eps < 1, "a number in (0, 1)")
 _betas = _checked(lambda text: [float(x) for x in text.split(",") if x.strip()],
                   lambda vals: vals and all(math.isfinite(b) and b >= 0 for b in vals),
@@ -390,12 +391,6 @@ def _ground_code_roundtrip(side):
         assert ground.decode_ground(spec, code).spins.tobytes() == g.spins.tobytes()
 
 
-def _random_config(rng, spec):
-    """Independent uniform spins, drawn as one (L, L) block of bits."""
-    bits = rng.integers(0, 2, size=(spec.side, spec.side))
-    return SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
-
-
 def _checks_quick():
     def parity_bijection_L3():
         spec = LatticeSpec(3, PLUS)
@@ -434,7 +429,7 @@ def _checks_quick():
         rng = np.random.default_rng(0)
         spec = LatticeSpec(5, PLUS)
         for _ in range(20):
-            cfg = _random_config(rng, spec)
+            cfg = SpinConfig.random(spec, rng)
             R = lattice.Rectangle.from_corners(1, 4, 0, 3)
             d0 = set(defect_map(cfg).defects())
             d1 = set(defect_map(cfg.flip(R.flip_sites())).defects())
@@ -498,7 +493,7 @@ def _checks_quick():
         rng = np.random.default_rng(2)
         spec = LatticeSpec(5, PLUS)
         for _ in range(30):
-            cfg = _random_config(rng, spec)
+            cfg = SpinConfig.random(spec, rng)
             d = defect_map(cfg)
             if d.count == 0:
                 continue
@@ -511,7 +506,7 @@ def _checks_quick():
         rng = np.random.default_rng(3)
         spec = LatticeSpec(5, PLUS)
         for _ in range(30):
-            d = defect_map(_random_config(rng, spec))
+            d = defect_map(SpinConfig.random(spec, rng))
             if d.count == 0:
                 continue
             assert len(paths.extended_rectangles(d)) >= d.count / 4
@@ -520,7 +515,7 @@ def _checks_quick():
         rng = np.random.default_rng(4)
         spec = LatticeSpec(6, PLUS)
         for _ in range(30):
-            cfg = _random_config(rng, spec)
+            cfg = SpinConfig.random(spec, rng)
             sp = paths.compute_split(cfg, 1)
             colcount = np.count_nonzero(defect_map(cfg).plaq == -1, axis=1)
             for i in range(1, sp.m):
@@ -628,7 +623,7 @@ def _checks_full():
         spec = LatticeSpec(6, PLUS)
         L = 6
         for trial in range(10000):
-            cfg = _random_config(rng, spec)
+            cfg = SpinConfig.random(spec, rng)
             d0 = defect_map(cfg).count
             if d0 == 0:
                 continue
@@ -711,7 +706,7 @@ def _parser():
     flow.add_argument("--mode", default="exhaustive", choices=("exhaustive", "monte_carlo"),
                       help="every source state, or sampled ones")
     flow.add_argument("--samples", type=int, default=10000, help="monte carlo source samples")
-    flow.add_argument("--split-threshold", type=_count, default=100,
+    flow.add_argument("--split-threshold", type=_split_threshold, default=100,
                       help="defects per split part, in units of L")
     arr.add_argument("--replicas", type=_count, default=200, help="replicas per beta")
     arr.add_argument("--workers", type=_count, default=os.cpu_count() or 1,

@@ -40,8 +40,8 @@ from .lattice import (
     PLUS,
     BudgetExceededError,
     SpinConfig,
-    _all_defects,
-    _site_k,
+    _box_defects,
+    _site_masks,
 )
 
 DENSE_THRESHOLD = 4096
@@ -91,17 +91,21 @@ class SparseGenerator:
 
 
 def build_generator(spec, model, budget=ENUM_BUDGET_DEFAULT):
-    """Assemble the full jump-rate matrix over every configuration."""
+    """Assemble the full jump-rate matrix over every configuration; site
+    b's k is the popcount of the defect bits under masks[b], 2 where the
+    mask is 0 (the periodic 1x1 flip, which changes no plaquette)."""
     import scipy.sparse as sparse
 
-    _, defective = _all_defects(spec, budget)
-    N = defective.shape[0]
+    D = _box_defects(spec, budget)
+    N = D.size
     n = spec.n_sites
-    counts = np.count_nonzero(defective, axis=(1, 2))
-    rates = model.table[_site_k(spec, defective)].reshape(N, n)
+    counts = np.bitwise_count(D)
+    masks = np.array(_site_masks(spec.side, spec.is_periodic), np.uint64)
+    k = np.bitwise_count(D[:, None] & masks)
+    k[:, masks == 0] = 2
     rows = np.repeat(np.arange(N, dtype=np.int64), n)
     cols = (np.arange(N, dtype=np.int64)[:, None] ^ (1 << np.arange(n, dtype=np.int64))[None, :]).ravel()
-    Q = sparse.coo_matrix((rates.ravel(), (rows, cols)), shape=(N, N)).tocsr()
+    Q = sparse.coo_matrix((model.table[k].ravel(), (rows, cols)), shape=(N, N)).tocsr()
     Q = Q - sparse.diags(np.asarray(Q.sum(axis=1)).ravel())
     return SparseGenerator(spec, model, Q.tocsr(), counts)
 
@@ -357,7 +361,7 @@ def _first_time_below(tv, lo, t, eps, rtol):
     return hi
 
 
-def tv_mixing_time(G, eps=0.25, rtol=0.01, tail=1e-8, budget=DENSE_THRESHOLD):
+def tv_mixing_time(G, eps=0.25, rtol=0.01, tail=1e-8):
     """Smallest time with worst-start TV below eps, to 1% relative precision.
 
     Doubles an upper bracket from 1/q, then bisects, reading the distance
@@ -365,10 +369,8 @@ def tv_mixing_time(G, eps=0.25, rtol=0.01, tail=1e-8, budget=DENSE_THRESHOLD):
     `_tv_all_starts` (truncation slack included). Should the certificate
     fail, the search goes on above that endpoint with the certificate
     alone, so the time returned is always certified below eps. Above
-    min(budget, DENSE_THRESHOLD) states it raises BudgetExceededError.
+    DENSE_THRESHOLD states `G.eigen` raises BudgetExceededError.
     """
-    if G.n_states > budget:
-        raise BudgetExceededError(f"mixing computation limited to {budget} states")
     q = float(np.max(-G.Q.diagonal()))
     if q <= 0:
         raise ValueError("zero generator")
@@ -459,8 +461,11 @@ def test_function_plus(cfg):
 
 
 def test_function_plus_values(G):
-    """test_function_plus over all enumerated states."""
-    return np.array([test_function_plus(G.config(i)) for i in range(G.n_states)])
+    """test_function_plus over all states; state i has popcount(i) minus spins."""
+    if G.spec.bc != PLUS:
+        raise ValueError("this test function is for the all-plus boundary")
+    n = G.spec.n_sites
+    return np.array([_g_profile(i.bit_count() / n) for i in range(G.n_states)])
 
 
 def dump_generator_text(G):

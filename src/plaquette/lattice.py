@@ -11,17 +11,15 @@ parity identities characterizing which defect pictures are reachable,
 inversion from defect pictures back to spins, enumeration helpers for
 small boxes, and the rectangle type shared by the path machinery.
 
-The plaquette geometry lives in two batch-aware kernels: `_plaquettes`
-forms the four-spin product of every plaquette, and `_site_k` counts,
-for every site, the defective plaquettes among the four that contain it
-(the k that a flip's rate depends on). Every layer names a configuration
-by one int, its code (`SpinConfig.code`, decoded by `SpinConfig.from_code`):
-bit t is set where the spin at flat site t = i*L + j is minus, so the code
-is the enumeration index. Its defects are one int over plaquette bits
-(`_code_defects`). `_CodedState`, on which `dynamics.Simulator` and
-`paths._Walker` are built, flips both ints by XOR with the site's
-plaquette mask (`_site_masks`), so a defect count or a site's k is a
-popcount.
+Every layer names a configuration by one int, its code (`SpinConfig.code`,
+decoded by `SpinConfig.from_code`): bit t is set where the spin at flat
+site t = i*L + j is minus, so the code is the enumeration index. Its
+defects are one int over plaquette bits (`_code_defects`), the frame's
+defects XOR the plaquette mask (`_site_masks`) of each minus site, so a
+defect count or a site's k is a popcount. `_CodedState` (under
+`dynamics.Simulator` and `paths._Walker`) flips both ints by XOR, and
+`_box_defects` gives a whole box's defect ints as one array by code.
+`_site_k`, k counted from spin geometry, is the masks' test reference.
 
 Coordinate conventions, used consistently across the package:
 
@@ -227,6 +225,12 @@ class SpinConfig:
     def from_text(cls, spec, text):
         return cls._from_frozen(spec, _grid_from_text(text, spec.side))
 
+    @classmethod
+    def random(cls, spec, rng):
+        """Independent uniform spins, drawn as one (L, L) block of bits."""
+        bits = rng.integers(0, 2, size=(spec.side, spec.side))
+        return cls._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
+
     def key(self):
         return self.spins.tobytes()
 
@@ -333,8 +337,8 @@ def _site_masks(side, periodic):
     A flip at t XORs masks[t] into a configuration's defect bits, and the
     site's k is the popcount of the defect bits under masks[t]. The four
     bits are XORed together, so the periodic 1x1 mask, whose one plaquette
-    holds the site four times, is 0: that flip changes no plaquette (and
-    its k is 2, which the popcount does not give; see _site_k).
+    holds the site four times, is 0: that flip changes no plaquette, and
+    its k is 2, which readers of the masks set where a mask is 0.
     """
     L = side
     n1, lo = (L, -1) if periodic else (L + 1, 0)
@@ -374,10 +378,29 @@ def _code_defects(spec, code):
     return D
 
 
+def _enum_size(spec, budget):
+    """The box's number of configurations, 2^n, if it is within `budget`."""
+    N = 1 << spec.n_sites
+    if N > budget:
+        raise BudgetExceededError(f"enumeration needs {N} states, budget is {budget}")
+    return N
+
+
+def _box_defects(spec, budget):
+    """uint64 array whose entry i is `_code_defects(spec, i)`, filled by
+    doubling: codes in [2^b, 2^(b+1)) are those below 2^b with site b
+    minus, so D[2^b : 2^(b+1)] = D[:2^b] ^ masks[b]."""
+    D = np.empty(_enum_size(spec, budget), np.uint64)
+    D[0] = _frame_defects(spec)
+    for b, m in enumerate(_site_masks(spec.side, spec.is_periodic)):
+        D[1 << b : 2 << b] = D[: 1 << b] ^ np.uint64(m)
+    return D
+
+
 class _CodedState:
     """One mutable configuration as its `code` and defect bits `D`, with the
     box's plaquette `masks` by flat site index t. The periodic 1x1 mask is
-    0 (that flip changes no plaquette), and its k is 2, as in _site_k."""
+    0 (that flip changes no plaquette), and its k is 2."""
 
     def __init__(self, cfg):
         self.spec = cfg.spec
@@ -558,51 +581,21 @@ def invert_defects(spec, pattern, anchor=None):
     return cfg
 
 
-def _all_spin_arrays(spec, budget):
-    """(N, L, L) int8 array of every configuration; entry i is the
-    configuration with code i (SpinConfig.from_code)."""
-    L = spec.side
-    n = spec.n_sites
-    N = 1 << n
-    if N > budget:
-        raise BudgetExceededError(
-            f"enumeration needs {N} states, budget is {budget}"
-        )
-    idx = np.arange(N, dtype=np.uint64)
-    bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
-    return (1 - 2 * bits.astype(np.int8)).reshape(N, L, L)
-
-
-def _all_defects(spec, budget):
-    """Every configuration, as from _all_spin_arrays, with its defect
-    mask: an (N, *plaq_shape) boolean array."""
-    spins = _all_spin_arrays(spec, budget)
-    s = spins
-    if not spec.is_periodic:
-        L = spec.side
-        s = np.broadcast_to(spec.frame_template(), (spins.shape[0], L + 2, L + 2)).copy()
-        s[:, 1:-1, 1:-1] = spins
-    return spins, _plaquettes(spec, s) == -1
-
-
 def enumerate_configs(spec, budget=ENUM_BUDGET_DEFAULT):
-    """Every configuration of the box, in the fixed bit-index order."""
-    spins = _all_spin_arrays(spec, budget)
-    return [SpinConfig._from_frozen(spec, spins[i].copy()) for i in range(spins.shape[0])]
+    """Every configuration of the box, in code order."""
+    return [SpinConfig.from_code(spec, i) for i in range(_enum_size(spec, budget))]
 
 
 def count_by_defect_number(spec, budget=ENUM_BUDGET_DEFAULT):
     """Exhaustive histogram {defect count: number of configurations}."""
-    _, defective = _all_defects(spec, budget)
-    binc = np.bincount(np.count_nonzero(defective, axis=(1, 2)))
+    binc = np.bincount(np.bitwise_count(_box_defects(spec, budget)))
     return {int(k): int(v) for k, v in enumerate(binc) if v > 0}
 
 
 def enumerate_by_defect_count(spec, count, budget=ENUM_BUDGET_DEFAULT):
-    """All configurations with exactly `count` defects."""
-    spins, defective = _all_defects(spec, budget)
-    sel = np.nonzero(np.count_nonzero(defective, axis=(1, 2)) == count)[0]
-    return [SpinConfig._from_frozen(spec, spins[i].copy()) for i in sel]
+    """All configurations with exactly `count` defects, in code order."""
+    sel = np.flatnonzero(np.bitwise_count(_box_defects(spec, budget)) == count)
+    return [SpinConfig.from_code(spec, i) for i in sel.tolist()]
 
 
 def ground_states(spec, budget=ENUM_BUDGET_DEFAULT):

@@ -38,7 +38,7 @@ from .lattice import (
     SpinConfig,
     defect_map,
     reading_order_key,
-    _all_defects,
+    _box_defects,
     _CodedState,
     _code_bytes,
     _code_defects,
@@ -578,16 +578,16 @@ def _flow_result(spec, model, numer, half=None, **fields):
     return res
 
 
-def _flow_exhaustive(spec, beta, level, c, kind, budget):
+def _flow_exhaustive(spec, beta, level, c, kind):
     model = RateModel(beta, kind)
     L = spec.side
     n = L * L
     trunc = level - 1
     M = math.floor(beta * L)
     # States are codes; a flip at t XORs 1 << t and masks[t] into them.
-    _, defective = _all_defects(spec, budget)
-    counts_all = np.count_nonzero(defective, axis=(1, 2))
-    dbits = [_defect_bits(m) for m in defective]
+    D = _box_defects(spec, ENUM_BUDGET_DEFAULT)
+    counts_all = np.bitwise_count(D)
+    dbits = D.tolist()
     masks = _site_masks(L, False)
 
     def walk(code, flips):
@@ -687,8 +687,7 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
     acc = {}
     acc2 = {}
     for _ in range(samples):
-        bits = rng.integers(0, 2, size=(L, L))
-        cfg = SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
+        cfg = SpinConfig.random(spec, rng)
         w = _Walker(cfg)
         if w.count < level:
             continue
@@ -724,26 +723,33 @@ def flow_cost(
     samples=10000,
     c=100,
     kind="metropolis",
-    budget=ENUM_BUDGET_DEFAULT,
 ):
     """Congestion of the truncated-path flow out of the level set
     {at least `level` defects}; its inverse lower-bounds the restricted
     spectral value, so in particular 1/cost <= spectral gap for level 1.
 
     Exhaustive mode enumerates the whole branching tree of the path
-    measure from every source (enumeration budget applies). Monte Carlo
-    mode samples sources uniformly and reports an unbiased per-edge
-    estimator maximized over observed edges: a lower estimate of the
-    true maximum.
+    measure from every source (the default enumeration budget applies).
+    Monte Carlo mode samples sources uniformly and reports an unbiased
+    per-edge estimator maximized over observed edges: a lower estimate of
+    the true maximum.
+
+    The split threshold c must be at least 2: with c = 1 a part can hold
+    one defect per row, and at L = 3 most states have an empty pool. With
+    c >= 2 a part holds 2L > L + 1 defects, so a row holds a pair, whose
+    third corner exists as the plus frame makes each column's defect count
+    even. At L <= 2 a pool can still be empty: PathSamplingError.
     """
     if spec.bc != PLUS:
         raise ValueError("flow bounds are computed for the all-plus boundary")
     if level < 1:
         raise ValueError("level must be at least 1")
+    if c < 2:
+        raise ValueError(f"split threshold c must be at least 2, got {c}")
     if mode == "monte_carlo" and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if mode == "exhaustive":
-        return _flow_exhaustive(spec, beta, level, c, kind, budget)
+        return _flow_exhaustive(spec, beta, level, c, kind)
     if mode == "monte_carlo":
         return _flow_monte_carlo(spec, beta, level, c, kind, seed, samples)
     raise ValueError(f"unknown mode {mode!r}")

@@ -347,11 +347,22 @@ def test_simulate_rejects_bad_stop_times():
             cli.main(["simulate", "--stop", f"time={t}"])
 
 
-def test_spent_budget_and_empty_pool_exit_with_one_line():
-    # both used to escape as tracebacks
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["flow", "--size", "3", "--split-threshold", "1"])
-    assert str(exc.value) == "flow: no good rectangles in part 1"
+def test_spent_budget_and_empty_pool_exit_with_one_line(tmp_path):
+    # both used to escape as tracebacks; a split threshold of 1 empties
+    # the rectangle pools, so it is refused as an option value
+    conf = tmp_path / "c1.conf"
+    conf.write_text("split_threshold = 1\n")
+    for args in (["--split-threshold", "1"], ["--config", str(conf)]):
+        proc = run_python("-m", "plaquette.cli", "flow", "--size", "3", *args)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == ("plaquette flow: error: argument"
+                                                " --split-threshold: expected an integer"
+                                                " of at least 2, got '1'")
+    # a legal threshold can still leave a pool empty on the smallest boxes
+    proc = run_python("-m", "plaquette.cli", "flow", "--size", "2", "--beta", "1",
+                      "--split-threshold", "2")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.strip() == "flow: no good rectangles in part 1"
     proc = run_python("-m", "plaquette.cli", "simulate", "--size", "4", "--init", "minus",
                       "--stop", "hit-ground", "--budget-events", "5")
     assert proc.returncode == 1 and proc.stdout == ""

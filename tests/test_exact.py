@@ -107,6 +107,8 @@ def test_generator_rates_follow_the_defect_change():
     specs = [LatticeSpec(2, PLUS), LatticeSpec(2, PERIODIC), LatticeSpec(2, FIXED, theta=theta)]
     cases = [(spec, kind) for spec in specs for kind in ("metropolis", "heat_bath")]
     cases.append((LatticeSpec(3, PERIODIC), "metropolis"))
+    # the one periodic 1x1 flip changes no plaquette: k = 2, not a popcount
+    cases.append((LatticeSpec(1, PERIODIC), "metropolis"))
     for spec, kind in cases:
         model = RateModel(1.3, kind)
         G = build_generator(spec, model)

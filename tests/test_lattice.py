@@ -29,6 +29,7 @@ from plaquette.lattice import (
     parity_check,
     reading_order_key,
     relative_weight,
+    _box_defects,
     _code_defects,
     _defect_bits,
 )
@@ -262,16 +263,23 @@ def codec_specs(L):
 
 
 def test_code_is_the_enumeration_index():
-    # decode, encode and the code's defect int against the enumeration
-    # and defect_map, for every configuration
+    # decode, encode and the code's defect ints, one by one and for the
+    # whole box, against the enumeration and defect_map, for every
+    # configuration; spin t of code i is minus exactly where bit t is set
     for L in (1, 2, 3):
         for spec in codec_specs(L):
             cfgs = enumerate_configs(spec)
             assert len(cfgs) == 1 << spec.n_sites
+            box = _box_defects(spec, 1 << spec.n_sites)
+            assert box.dtype == np.uint64 and box.size == len(cfgs)
             for i, cfg in enumerate(cfgs):
                 assert SpinConfig.from_code(spec, i) == cfg
                 assert cfg.code == i
-                assert _code_defects(spec, i) == _defect_bits(defect_map(cfg).plaq == -1)
+                bits = [(i >> t) & 1 for t in range(spec.n_sites)]
+                assert cfg.spins.ravel().tolist() == [1 - 2 * b for b in bits]
+                D = _defect_bits(defect_map(cfg).plaq == -1)
+                assert _code_defects(spec, i) == D
+                assert int(box[i]) == D
 
 
 def test_enumeration_budget():

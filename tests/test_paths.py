@@ -10,6 +10,7 @@ from plaquette.lattice import (
     FIXED,
     PERIODIC,
     PLUS,
+    BudgetExceededError,
     LatticeSpec,
     Rectangle,
     SpinConfig,
@@ -626,6 +627,25 @@ def test_flow_requires_plus_and_valid_mode():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples must be at least 1"):
             flow_cost(LatticeSpec(2, PLUS), 1.0, level=1, mode="monte_carlo", samples=samples)
+    # c=1 leaves most L=3 states with empty pools: refused before any work
+    for mode in ("exhaustive", "monte_carlo"):
+        with pytest.raises(ValueError, match="split threshold c must be at least 2"):
+            flow_cost(LatticeSpec(3, PLUS), 1.0, level=1, mode=mode, c=1)
+
+
+@pytest.mark.parametrize("beta, cost", [(1.0, 453.558830905748), (2.0, 1797.1415336637365)])
+def test_exhaustive_flow_at_split_threshold_two(beta, cost):
+    spec = LatticeSpec(3, PLUS)
+    res = flow_cost(spec, beta, 1, c=2)
+    assert res.cost == pytest.approx(cost, rel=1e-12)
+    lam = spectral_profile(build_generator(spec, RateModel(beta)), 1)
+    assert lam * res.cost >= 1.0
+
+
+def test_exhaustive_flow_past_the_budget_raises_at_once():
+    # 2^25 states at L=5: the enumeration refuses before allocating
+    with pytest.raises(BudgetExceededError, match="enumeration needs 33554432 states"):
+        flow_cost(LatticeSpec(5, PLUS), 3.0, 1)
 
 
 def test_flow_report_csv_sorted():
