@@ -371,15 +371,13 @@ def cmd_simulate(args):
 # on failure.
 
 
-def _counting_bound(L):
-    hist = lattice.count_by_defect_number(LatticeSpec(L, PLUS))
+def _counting_bound(spec):
+    hist = lattice.count_by_defect_number(spec)
     assert hist.get(2, 0) == 0
     for n, cnt in hist.items():
-        if n == 0:
-            continue
-        k = n / 2.0
-        bound = min((math.e * k) ** (2 * k) * L ** (2 * k), L ** (3 * k))
-        assert cnt <= bound, (n, cnt, bound)
+        if n:
+            bound = lattice.defect_pattern_count_bound(spec, n)
+            assert cnt <= bound, (n, cnt, bound)
 
 
 def _ground_code_roundtrip(side):
@@ -412,18 +410,13 @@ def _checks_quick():
         assert hist == {0: 1, 4: 9, 6: 6}, hist
 
     def counting_bound_L3():
-        _counting_bound(3)
+        _counting_bound(LatticeSpec(3, PLUS))
 
     def torus_ground_count_side3():
         assert len(lattice.ground_states(LatticeSpec(3, PERIODIC))) == 32
 
     def torus_count_prefix_side3():
-        spec = LatticeSpec(3, PERIODIC)
-        hist = lattice.count_by_defect_number(spec)
-        for n, cnt in hist.items():
-            if n == 0:
-                continue
-            assert cnt <= lattice.defect_pattern_count_bound(spec, n), n
+        _counting_bound(LatticeSpec(3, PERIODIC))
 
     def flip_toggles_corners():
         rng = np.random.default_rng(0)
@@ -613,7 +606,7 @@ def _checks_quick():
 
 def _checks_full():
     def counting_bound_L4():
-        _counting_bound(4)
+        _counting_bound(LatticeSpec(4, PLUS))
 
     def ground_code_roundtrip_side4():
         _ground_code_roundtrip(4)
@@ -705,7 +698,7 @@ def _parser():
     flow.add_argument("--level", type=_count, default=1, help="defect level k of the source set")
     flow.add_argument("--mode", default="exhaustive", choices=("exhaustive", "monte_carlo"),
                       help="every source state, or sampled ones")
-    flow.add_argument("--samples", type=int, default=10000, help="monte carlo source samples")
+    flow.add_argument("--samples", type=_count, default=10000, help="monte carlo source samples")
     flow.add_argument("--split-threshold", type=_split_threshold, default=100,
                       help="defects per split part, in units of L")
     arr.add_argument("--replicas", type=_count, default=200, help="replicas per beta")

@@ -42,7 +42,8 @@ from .lattice import (
     _CodedState,
     _grid_from_text,
     _grid_to_text,
-    _site_index,
+    _site_codec,
+    _site_flat,
     _site_masks,
 )
 
@@ -79,8 +80,7 @@ class RateModel:
 
 def site_defect_count(cfg, x):
     """How many of the plaquettes containing site x are defective."""
-    i, j = _site_index(cfg.spec, x)
-    return _CodedState(cfg).k_index(i * cfg.spec.side + j)
+    return _CodedState(cfg).k_index(_site_flat(cfg.spec, x))
 
 
 def site_rate(model, cfg, x):
@@ -89,10 +89,10 @@ def site_rate(model, cfg, x):
 
 
 @functools.lru_cache(maxsize=None)
-def _flip_tables(side, periodic):
-    """(near, sites) per flat site index t = i*L + j of a box: the sites
-    whose k a flip at t can change (those sharing a plaquette with t, t
-    itself included), and its lattice coordinates."""
+def _near_sites(side, periodic):
+    """Per flat site index t = i*L + j of a box, the flat indices of the
+    sites whose k a flip at t can change: those sharing a plaquette with
+    t, t itself included."""
     L = side
     masks = _site_masks(side, periodic)
     near = []
@@ -108,9 +108,7 @@ def _flip_tables(side, periodic):
                     if masks[u] & masks[t]:
                         block.add(u)
             near.append(tuple(sorted(block)))
-    off = 0 if periodic else 1
-    sites = tuple((i + off, j + off) for i in range(L) for j in range(L))
-    return tuple(near), sites
+    return tuple(near)
 
 
 class Simulator(_CodedState):
@@ -135,7 +133,7 @@ class Simulator(_CodedState):
         self.rng = rng
         self.time = 0.0
         self.n_events = 0
-        self._near, self._sites = _flip_tables(spec.side, spec.is_periodic)
+        self._near = _near_sites(spec.side, spec.is_periodic)
         self.n_defects = self.count
         self._k = [self.k_index(t) for t in range(len(self.masks))]
         self._rate = model.table.tolist()
@@ -155,11 +153,6 @@ class Simulator(_CodedState):
 
     def state_key(self):
         return self.code
-
-    def flip(self, site):
-        """Apply one flip at a lattice-coordinate site, updating bookkeeping."""
-        i, j = _site_index(self.spec, site)
-        self._flip(i * self.L + j)
 
     def _flip(self, t):
         self.code ^= 1 << t
@@ -203,7 +196,7 @@ class Simulator(_CodedState):
             t = self._buckets[k][-1]
         self._flip(t)
         self.n_events += 1
-        return self._sites[t]
+        return self.sites[t]
 
 
 @dataclass
@@ -335,14 +328,12 @@ def replay_trajectory(traj):
         raise ValueError("trajectory was not recorded")
     spec = traj.spec
     L = spec.side
-    off = 0 if spec.is_periodic else 1
-    n = len(traj.events)
-    idx = np.fromiter((c for _, site in traj.events for c in site), np.int64, 2 * n).reshape(n, 2)
-    idx -= off
-    outside = np.nonzero(((idx < 0) | (idx >= L)).any(axis=1))[0]
-    if outside.size:
-        raise ValueError(f"event site {traj.events[outside[0]][1]} outside the box")
-    odd = np.bincount(idx[:, 0] * L + idx[:, 1], minlength=L * L).reshape(L, L) % 2 == 1
+    flat = _site_codec(L, spec.is_periodic)[1]
+    try:
+        ts = [flat[site] for _, site in traj.events]
+    except KeyError as err:
+        raise ValueError(f"event site {err.args[0]} outside the box") from None
+    odd = np.bincount(np.array(ts, np.int64), minlength=L * L).reshape(L, L) % 2 == 1
     spins = traj.initial.spins
     return SpinConfig._from_frozen(spec, np.where(odd, -spins, spins))
 
@@ -412,9 +403,6 @@ class TraceSample:
     states: list
     n_events: int
     completed: bool
-
-
-ground_membership = stop_at_zero_defects
 
 
 def trace_chain(

@@ -47,6 +47,8 @@ from .lattice import (
 DENSE_THRESHOLD = 4096
 _GAP_TOL = 1e-11
 _GAP_MAXITER = 1000
+_TV_RTOL = 0.01  # relative width of tv_mixing_time's bisection
+_TV_TAIL = 1e-8  # row deficit allowed in the TV certificate's kernel
 
 
 class ConvergenceError(RuntimeError):
@@ -282,15 +284,15 @@ def _poisson_weights(lam, tail):
     return np.exp(k * math.log(lam) - lam - special.gammaln(k + 1))
 
 
-def _kernel_below(G, t, tail=1e-8):
-    """Entrywise lower bound A on exp(tQ) whose rows sum to at least 1 - tail.
+def _kernel_below(G, t):
+    """Entrywise lower bound A on exp(tQ), row sums at least 1 - _TV_TAIL.
 
     Scaling and squaring: with s = max(0, ceil(log2(q t / 8))) and
     h = t / 2^s, exp(hQ) = sum_k Poisson(qh)[k] P^k with P = I + Q/q is
-    cut once the remaining mass is below tail / 2^s (about 30 terms), and
-    the N x N result is squared s times. Every factor is nonnegative and
-    below the exact kernel, and a product's row deficit is at most the sum
-    of its factors' deficits, so the deficit of A is at most `tail`.
+    cut once the remaining mass is below _TV_TAIL / 2^s (about 30 terms),
+    and the N x N result is squared s times. Every factor is nonnegative
+    and below the exact kernel, and a product's row deficit is at most the
+    sum of its factors' deficits, so the deficit of A is at most _TV_TAIL.
     """
     import scipy.sparse as sparse
 
@@ -300,7 +302,7 @@ def _kernel_below(G, t, tail=1e-8):
     if q <= 0 or t <= 0:
         return np.eye(N)
     s = max(0, math.ceil(math.log2(q * t / 8.0)))
-    w = _poisson_weights(q * t / 2**s, tail / 2**s)
+    w = _poisson_weights(q * t / 2**s, _TV_TAIL / 2**s)
     P = sparse.eye(N, format="csr") + Q / q
     W = np.eye(N)
     A = w[0] * W
@@ -312,38 +314,38 @@ def _kernel_below(G, t, tail=1e-8):
     return A
 
 
-def _tv_all_starts(G, t, tail=1e-8):
+def _tv_all_starts(G, t):
     """Worst-start total variation distance from stationarity at time t,
-    an upper bound within `tail` of the true distance.
+    an upper bound within _TV_TAIL of the true distance.
 
-    A = `_kernel_below(G, t, tail)` is below P_t entrywise, so for each
-    start sum|P_t - pi| <= sum|A - pi| + (1 - sum A). The largest row of
-    half that is returned; the slack over the true distance is at most
-    the row deficit, which is at most `tail`.
+    A = `_kernel_below(G, t)` is below P_t entrywise, so for each start
+    sum|P_t - pi| <= sum|A - pi| + (1 - sum A). The largest row of half
+    that is returned; the slack over the true distance is at most the row
+    deficit, which is at most _TV_TAIL.
     """
-    A = _kernel_below(G, t, tail)
+    A = _kernel_below(G, t)
     rows = np.abs(A - G.pi[None, :]).sum(axis=1) + (1.0 - A.sum(axis=1))
     return 0.5 * float(np.max(rows))
 
 
-def _tv_spectral(G, t, tail=1e-8):
+def _tv_spectral(G, t):
     """Worst-start total variation at time t from the cached eigenpairs.
 
     P_t - Pi = D^-1/2 V' e^{tw'} V'^T D^1/2, where ' drops the stationary
-    mode (the top eigenvalue, 0). `tail` is added so that the value is at
-    or above the certificate `_tv_all_starts`, which exceeds the true
-    distance by at most `tail`.
+    mode (the top eigenvalue, 0). _TV_TAIL is added so that the value is
+    at or above the certificate `_tv_all_starts`, which exceeds the true
+    distance by at most _TV_TAIL.
     """
     w, V = G.eigen
     r = np.sqrt(G.pi)[:, None]
     U = V[:, :-1]
     A = (U * (np.exp(t * w[:-1]) / r)) @ (U * r).T
-    return 0.5 * float(np.max(np.abs(A).sum(axis=1))) + tail
+    return 0.5 * float(np.max(np.abs(A).sum(axis=1))) + _TV_TAIL
 
 
-def _first_time_below(tv, lo, t, eps, rtol):
+def _first_time_below(tv, lo, t, eps):
     """Double t until tv(t) < eps, then bisect [lo, t] to relative width
-    rtol; returns the upper endpoint, where tv is below eps."""
+    _TV_RTOL; returns the upper endpoint, where tv is below eps."""
     for _ in range(200):
         if tv(t) < eps:
             break
@@ -352,7 +354,7 @@ def _first_time_below(tv, lo, t, eps, rtol):
     else:
         raise RuntimeError("mixing bracket not found; chain mixes too slowly")
     hi = t
-    while hi - lo > rtol * hi:
+    while hi - lo > _TV_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if tv(mid) < eps:
             hi = mid
@@ -361,7 +363,7 @@ def _first_time_below(tv, lo, t, eps, rtol):
     return hi
 
 
-def tv_mixing_time(G, eps=0.25, rtol=0.01, tail=1e-8):
+def tv_mixing_time(G, eps=0.25):
     """Smallest time with worst-start TV below eps, to 1% relative precision.
 
     Doubles an upper bracket from 1/q, then bisects, reading the distance
@@ -374,9 +376,9 @@ def tv_mixing_time(G, eps=0.25, rtol=0.01, tail=1e-8):
     q = float(np.max(-G.Q.diagonal()))
     if q <= 0:
         raise ValueError("zero generator")
-    hi = _first_time_below(lambda t: _tv_spectral(G, t, tail), 0.0, 1.0 / q, eps, rtol)
-    if _tv_all_starts(G, hi, tail) >= eps:
-        hi = _first_time_below(lambda t: _tv_all_starts(G, t, tail), hi, 2.0 * hi, eps, rtol)
+    hi = _first_time_below(lambda t: _tv_spectral(G, t), 0.0, 1.0 / q, eps)
+    if _tv_all_starts(G, hi) >= eps:
+        hi = _first_time_below(lambda t: _tv_all_starts(G, t), hi, 2.0 * hi, eps)
     return hi
 
 
@@ -426,7 +428,7 @@ def profile_mixing_bound(G):
         else:
             key = int(uniq[np.searchsorted(uniq, k)])  # S_k == S_key
         if key not in lam_cache:
-            lam_cache[key] = spectral_gap(G) if key == 0 else spectral_profile(G, key)
+            lam_cache[key] = spectral_profile(G, key)
         return lam_cache[key]
 
     steps = [(lo, hi, k_of(math.sqrt(lo * hi))) for lo, hi in zip(grid, grid[1:])]

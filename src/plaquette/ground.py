@@ -25,10 +25,12 @@ import numpy as np
 from .lattice import BudgetExceededError, SpinConfig, defect_count, defect_map
 from .dynamics import (
     MAX_EVENTS_DEFAULT,
-    ground_membership,
     simulate,
+    stop_at_zero_defects,
     trace_chain,
 )
+
+_MIN_VISITS = 5  # estimate_trace_kernel flags ground codes recorded fewer times
 
 
 def _require_periodic(spec):
@@ -211,7 +213,7 @@ class TraceKernelReport:
     counts: dict  # {"hamming1": _, "antipode": _, "other": _}
     fraction_local: float
     visits: dict  # code -> record count
-    flagged: list  # codes with fewer than min_visits records
+    flagged: list  # codes with fewer than _MIN_VISITS records
     sample: object
 
 
@@ -221,7 +223,6 @@ def estimate_trace_kernel(
     n_records,
     seed=0,
     kind="metropolis",
-    min_visits=5,
     max_events=MAX_EVENTS_DEFAULT,
 ):
     """Watch the chain through the ground set and classify consecutive
@@ -232,7 +233,7 @@ def estimate_trace_kernel(
         spec,
         beta,
         SpinConfig.all_plus(spec),
-        ground_membership(),
+        stop_at_zero_defects(),
         n_records,
         seed=seed,
         kind=kind,
@@ -253,7 +254,7 @@ def estimate_trace_kernel(
             counts["other"] += 1
     n_pairs = max(len(codes) - 1, 0)
     local = counts["hamming1"] + counts["antipode"]
-    flagged = sorted(u for u, v in visits.items() if v < min_visits)
+    flagged = sorted(u for u, v in visits.items() if v < _MIN_VISITS)
     return TraceKernelReport(
         n_pairs=n_pairs,
         counts=counts,

@@ -17,9 +17,10 @@ site t = i*L + j is minus, so the code is the enumeration index. Its
 defects are one int over plaquette bits (`_code_defects`), the frame's
 defects XOR the plaquette mask (`_site_masks`) of each minus site, so a
 defect count or a site's k is a popcount. `_CodedState` (under
-`dynamics.Simulator` and `paths._Walker`) flips both ints by XOR, and
-`_box_defects` gives a whole box's defect ints as one array by code.
-`_site_k`, k counted from spin geometry, is the masks' test reference.
+`dynamics.Simulator` and the path walks of `paths`) flips both ints by
+XOR, and `_box_defects` gives a whole box's defect ints as one array by
+code. `_site_k`, k counted from spin geometry, is the masks' test
+reference.
 
 Coordinate conventions, used consistently across the package:
 
@@ -32,6 +33,10 @@ Coordinate conventions, used consistently across the package:
 * Arrays are indexed arr[i, j] where i is the column index and j the
   row index, both shifted to 0-based storage. For fixed boxes
   arr[i, j] is site (i+1, j+1).
+* `_site_codec` is the one place that offset lives: it maps each flat
+  index t = i*L + j (bit t of a code) to its site and back, and every
+  layer that addresses a site by t goes through it. `_site_flat` and
+  `_CodedState.flip` refuse a site outside the box with ValueError.
 * "Reading order" on sites or plaquettes means top row first, left to
   right within a row: x precedes y iff x2 > y2, or x2 == y2 and
   x1 < y1.
@@ -125,14 +130,10 @@ class LatticeSpec:
 
     def sites(self):
         """All sites in array storage order (column-major in coordinates)."""
-        L = self.side
-        lo = 0 if self.is_periodic else 1
-        return [(i, j) for i in range(lo, lo + L) for j in range(lo, lo + L)]
+        return list(_site_codec(self.side, self.is_periodic)[0])
 
     def contains_site(self, x):
-        L = self.side
-        lo = 0 if self.is_periodic else 1
-        return lo <= x[0] < lo + L and lo <= x[1] < lo + L
+        return tuple(x) in _site_codec(self.side, self.is_periodic)[1]
 
     def plaquettes(self):
         a, b = self.plaq_shape
@@ -158,12 +159,27 @@ class LatticeSpec:
         return f"LatticeSpec(side={self.side}, bc={self.bc!r})"
 
 
+@functools.lru_cache(maxsize=None)
+def _site_codec(side, periodic):
+    """(sites, flat): the site at each flat index t = i*L + j, and the flat
+    index of each site. Fixed boxes put site (i+1, j+1) at t, periodic
+    ones site (i, j)."""
+    lo = 0 if periodic else 1
+    sites = tuple((i + lo, j + lo) for i in range(side) for j in range(side))
+    return sites, {x: t for t, x in enumerate(sites)}
+
+
+def _site_flat(spec, x):
+    """Flat index of site x, validating membership."""
+    t = _site_codec(spec.side, spec.is_periodic)[1].get(tuple(x))
+    if t is None:
+        raise ValueError(f"site {x} outside the box")
+    return t
+
+
 def _site_index(spec, x):
     """Array indices of site x, validating membership."""
-    if not spec.contains_site(x):
-        raise ValueError(f"site {x} outside the box")
-    off = 0 if spec.is_periodic else 1
-    return (x[0] - off, x[1] - off)
+    return divmod(_site_flat(spec, x), spec.side)
 
 
 class SpinConfig:
@@ -399,19 +415,29 @@ def _box_defects(spec, budget):
 
 class _CodedState:
     """One mutable configuration as its `code` and defect bits `D`, with the
-    box's plaquette `masks` by flat site index t. The periodic 1x1 mask is
-    0 (that flip changes no plaquette), and its k is 2."""
+    box's plaquette `masks` and `sites` (`_site_codec`) by flat site index
+    t. The periodic 1x1 mask is 0 (that flip changes no plaquette), and
+    its k is 2."""
 
     def __init__(self, cfg):
-        self.spec = cfg.spec
-        self.L = cfg.spec.side
-        self.masks = _site_masks(self.L, cfg.spec.is_periodic)
+        spec = cfg.spec
+        self.spec = spec
+        self.masks = _site_masks(spec.side, spec.is_periodic)
+        self.sites, self._flat = _site_codec(spec.side, spec.is_periodic)
         self.code = cfg.code
-        self.D = _code_defects(cfg.spec, self.code)
+        self.D = _code_defects(spec, self.code)
 
     @property
     def count(self):
         return self.D.bit_count()
+
+    def flip(self, site):
+        """Flip the spin at a site in lattice coordinates; ValueError
+        outside the box."""
+        t = self._flat.get(tuple(site))
+        if t is None:
+            raise ValueError(f"site {site} outside the box")
+        self._flip(t)
 
     def _flip(self, t):
         self.code ^= 1 << t
@@ -458,17 +484,13 @@ class DefectConfig:
         return [(int(a), int(b)) for a, b in sorted(zip(ii, jj))]
 
     def value(self, x):
+        a, b = self.spec.plaq_shape
+        if not (0 <= x[0] < a and 0 <= x[1] < b):
+            raise ValueError(f"plaquette {x} outside the {a}x{b} plaquette grid")
         return int(self.plaq[x[0], x[1]])
 
     def to_text(self):
         return "\n".join(f"({a},{b})" for a, b in self.defects())
-
-    @classmethod
-    def from_defect_list(cls, spec, defects):
-        arr = np.ones(spec.plaq_shape, dtype=np.int8)
-        for a, b in defects:
-            arr[a, b] = -1
-        return cls._from_frozen(spec, arr)
 
     def __eq__(self, other):
         return (

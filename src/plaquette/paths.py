@@ -36,13 +36,13 @@ from .lattice import (
     PLUS,
     Rectangle,
     SpinConfig,
-    defect_map,
     reading_order_key,
     _box_defects,
     _CodedState,
     _code_bytes,
     _code_defects,
     _defect_bits,
+    _site_codec,
     _site_masks,
 )
 from .dynamics import RateModel, _as_rng
@@ -75,32 +75,18 @@ class EdgeRef:
         return self.e_minus.flip([self.site])
 
 
-class _Walker(_CodedState):
-    """A `lattice._CodedState` of a fixed box, flipped at 1-based sites
-    unchecked (CanonicalPath checks them)."""
-
-    def __init__(self, cfg):
-        if cfg.spec.is_periodic:
-            raise ValueError("path machinery is for non-periodic boxes")
-        super().__init__(cfg)
-
-    def flip(self, site):
-        self._flip((site[0] - 1) * self.L + site[1] - 1)
-
-
 class CanonicalPath:
     """A site-flip sequence from `initial`, with per-segment bookkeeping."""
 
     def __init__(self, initial, flips, marks):
+        if initial.spec.is_periodic:
+            raise ValueError("path machinery is for non-periodic boxes")
         self.initial = initial
         self.flips = list(flips)
         self.marks = list(marks)
-        # the walker indexes sites unchecked, so check them here
-        spec = initial.spec
-        lo = 0 if spec.is_periodic else 1
-        hi = lo + spec.side - 1
-        if self.flips and not (lo <= min(map(min, self.flips)) and max(map(max, self.flips)) <= hi):
-            bad = next(x for x in self.flips if not spec.contains_site(x))
+        flat = _site_codec(initial.spec.side, False)[1]
+        bad = next((x for x in self.flips if tuple(x) not in flat), None)
+        if bad is not None:
             raise ValueError(f"site {bad} outside the box")
 
     def __len__(self):
@@ -108,7 +94,7 @@ class CanonicalPath:
 
     def _walk(self):
         """The walker at each visited state, initial first."""
-        w = _Walker(self.initial)
+        w = _CodedState(self.initial)
         yield w
         for x in self.flips:
             w.flip(x)
@@ -180,29 +166,24 @@ def defect_neighbours(d, x):
     )
 
 
-def _removal_order(R, dset):
+def _removal_order(R, cols):
     """Flip order for the site block of R, decided by which corners are
-    defective. The row holding two defective corners goes first and the
-    sweep starts on the side of the third defect, which keeps the
-    intermediate defect excess at 2."""
-    bl, br, tl, tr = R.corners
-    has = {c: (c in dset) for c in (bl, br, tl, tr)}
-    n_def = sum(has.values())
-    if n_def < 3 or (has[bl] and has[tl] and has[tr]):
-        rows, cols = "desc", "asc"
-    elif has[tl] and has[tr] and has[br]:
-        rows, cols = "desc", "desc"
-    elif has[bl] and has[br] and has[tl]:
-        rows, cols = "asc", "asc"
-    else:  # {bl, br, tr} defective, tl not
-        rows, cols = "asc", "desc"
-    row_iter = (
-        range(R.y2, R.y1, -1) if rows == "desc" else range(R.y1 + 1, R.y2 + 1)
-    )
-    col_list = list(range(R.x1 + 1, R.x2 + 1))
-    if cols == "desc":
-        col_list = col_list[::-1]
-    return [(ccc, r) for r in row_iter for ccc in col_list]
+    defective in the defect columns `cols` (`_defect_lines`). The row
+    holding two defective corners goes first and the sweep starts on the
+    side of the third defect, which keeps the intermediate defect excess
+    at 2. So rows run downward unless exactly three corners are defective
+    and one of them is missing at the top, and columns run leftward when
+    exactly three are defective and the missing one is on the left."""
+    bl, br, tl, tr = (y in cols[x] for x, y in R.corners)
+    n_def = bl + br + tl + tr
+    if n_def < 3 or (tl and tr):
+        rows = range(R.y2, R.y1, -1)
+    else:
+        rows = range(R.y1 + 1, R.y2 + 1)
+    xs = range(R.x1 + 1, R.x2 + 1)
+    if n_def == 3 and not (bl and tl):
+        xs = xs[::-1]
+    return [(x, y) for y in rows for x in xs]
 
 
 def rectangle_removal_path(sigma, R):
@@ -215,8 +196,7 @@ def rectangle_removal_path(sigma, R):
         raise ValueError(f"{R} outside the plaquette grid")
     if R.is_degenerate():
         return CanonicalPath(sigma, [], [SegmentMark("rectangle", R, None, 0)])
-    dset = set(defect_map(sigma).defects())
-    flips = _removal_order(R, dset)
+    flips = _removal_order(R, _lines(sigma)[1])
     return CanonicalPath(sigma, flips, [SegmentMark("rectangle", R, None, len(flips))])
 
 
@@ -425,16 +405,16 @@ def _rectangle_segment(rows, cols, beta, rng, c):
     if not pool:
         raise PathSamplingError(f"no good rectangles in part {i}")
     R = Rectangle(*pool[int(rng.integers(len(pool)))])
-    return _removal_order(R, {(a, b) for a, col in enumerate(cols) for b in col}), R, i
+    return _removal_order(R, cols), R, i
 
 
 def sample_partial_path(sigma, beta, seed, c=100):
     """One segment: uniform part index, uniform good rectangle, removal path."""
-    d = defect_map(sigma)
-    if d.count == 0:
+    rows, cols = _lines(sigma)
+    if not any(cols):
         raise ValueError("empty defect set")
     rng = _as_rng(seed)
-    flips, R, i = _rectangle_segment(*_lines(sigma), beta, rng, c)
+    flips, R, i = _rectangle_segment(rows, cols, beta, rng, c)
     return CanonicalPath(sigma, flips, [SegmentMark("rectangle", R, i, len(flips))])
 
 
@@ -450,11 +430,10 @@ def edge_type(e, R, sigma):
     'none' when the move is not on that path, 'init' on the first row
     flipped (when more than one row), 'fin' on the last row, 'mid'
     between."""
-    dset = set(defect_map(sigma).defects())
-    n_def = sum(1 for ccc in R.corners if ccc in dset)
-    if n_def < 3:
+    flips = rectangle_removal_path(sigma, R).flips
+    cols = _lines(sigma)[1]
+    if sum(y in cols[x] for x, y in R.corners) < 3:
         raise ValueError("untyped rectangle")
-    flips = _removal_order(R, dset)
     if e.site not in flips:
         return "none"
     if sigma.flip(flips[: flips.index(e.site)]) != e.e_minus:
@@ -471,16 +450,16 @@ def edge_type(e, R, sigma):
     return "mid"
 
 
+def _minus_sites(spec, code):
+    """The sites of the code's set bits (its minus spins), in reading order."""
+    sites = _site_codec(spec.side, spec.is_periodic)[0]
+    minus = [sites[t] for t in range(spec.n_sites) if code >> t & 1]
+    return sorted(minus, key=reading_order_key)
+
+
 def naive_path(sigma):
     """Flip every minus spin once, top row first, left to right."""
-    L = sigma.spec.side
-    minus = [
-        (i + 1, j + 1)
-        for i in range(L)
-        for j in range(L)
-        if sigma.spins[i, j] == -1
-    ]
-    minus.sort(key=reading_order_key)
+    minus = _minus_sites(sigma.spec, sigma.code)
     return CanonicalPath(sigma, minus, [SegmentMark("naive", None, None, len(minus))])
 
 
@@ -496,7 +475,7 @@ def sample_full_path(sigma, beta, seed, truncate_at=None, c=100):
     M = math.floor(beta * L)
     flips = []
     marks = []
-    w = _Walker(sigma)
+    w = _CodedState(sigma)
     s = 1
     while True:
         if truncate_at is not None and w.count <= truncate_at:
@@ -507,7 +486,7 @@ def sample_full_path(sigma, beta, seed, truncate_at=None, c=100):
             seg, R, i = _rectangle_segment(*_defect_lines(w.D, L + 1), beta, rng, c)
             kind = "rectangle"
         else:
-            seg, R, i = naive_path(w.config()).flips, None, None
+            seg, R, i = _minus_sites(spec, w.code), None, None
             kind = "naive"
         taken = 0
         cut = False
@@ -555,8 +534,9 @@ def _flow_result(spec, model, numer, half=None, **fields):
     """FlowResult from edge numerators keyed code * n + t: congestion is
     numer / (exp(-beta * defects) * rate) under the key (SpinConfig.key(),
     site), in numer's order; `half` gives the heaviest edge's ci_halfwidth."""
-    n, L, beta = spec.n_sites, spec.side, fields["beta"]
-    masks = _site_masks(L, False)
+    n, beta = spec.n_sites, fields["beta"]
+    masks = _site_masks(spec.side, False)
+    sites = _site_codec(spec.side, False)[0]
     states = {}
     congestion = {}
     cost = -math.inf
@@ -567,11 +547,11 @@ def _flow_result(spec, model, numer, half=None, **fields):
             states[code] = _code_bytes(code, n), D, math.exp(-beta * D.bit_count())
         key, D, weight = states[code]
         denom = weight * model.table[(D & masks[t]).bit_count()]
-        v = congestion[key, (t // L + 1, t % L + 1)] = float(x / denom)
+        v = congestion[key, sites[t]] = float(x / denom)
         if v > cost:
             cost, best, best_denom = v, e, denom
     code, t = divmod(best, n)
-    edge = EdgeRef(SpinConfig.from_code(spec, code), (t // L + 1, t % L + 1))
+    edge = EdgeRef(SpinConfig.from_code(spec, code), sites[t])
     res = FlowResult(cost=cost, edge=edge, congestion=congestion, **fields)
     if half is not None:
         res.ci_halfwidth = float(half[best] / best_denom)
@@ -589,6 +569,7 @@ def _flow_exhaustive(spec, beta, level, c, kind):
     counts_all = np.bitwise_count(D)
     dbits = D.tolist()
     masks = _site_masks(L, False)
+    flat = _site_codec(L, False)[1]
 
     def walk(code, flips):
         """(steps, end state, end count) of flips from code, stopping
@@ -611,21 +592,20 @@ def _flow_exhaustive(spec, beta, level, c, kind):
         key = (code, s > M)
         if key not in tree:
             if s > M:
-                drawn = [(1.0, naive_path(SpinConfig.from_code(spec, code)).flips)]
+                drawn = [(1.0, _minus_sites(spec, code))]
             else:
                 rows, cols = _defect_lines(dbits[code], L + 1)
                 split = _split(cols, c)
-                dset = {(a, b) for a, col in enumerate(cols) for b in col}
                 drawn = []
                 for i in range(1, split.n + 1):
                     pool = sorted(_pool(rows, cols, split, i, beta))
                     if not pool:
                         raise PathSamplingError(f"no good rectangles in part {i}")
                     q = 1.0 / (split.n * len(pool))
-                    drawn += [(q, _removal_order(Rectangle(*R), dset)) for R in pool]
+                    drawn += [(q, _removal_order(Rectangle(*R), cols)) for R in pool]
             tree[key] = []
             for q, sites in drawn:
-                flips = [(i - 1) * L + j - 1 for i, j in sites]
+                flips = [flat[x] for x in sites]
                 tree[key].append((q, flips, *walk(code, flips)))
         return tree[key]
 
@@ -683,19 +663,20 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
     L = spec.side
     trunc = level - 1
     rng = _as_rng(seed)
+    flat = _site_codec(L, False)[1]
     n_states = 2.0 ** (L * L)
     acc = {}
     acc2 = {}
     for _ in range(samples):
         cfg = SpinConfig.random(spec, rng)
-        w = _Walker(cfg)
+        w = _CodedState(cfg)
         if w.count < level:
             continue
         relw = math.exp(-beta * float(w.count))
         path = sample_full_path(cfg, beta, rng, truncate_at=trunc, c=c)
         x = relw * len(path)
-        for i, j in path.flips:
-            t = (i - 1) * L + j - 1
+        for site in path.flips:
+            t = flat[site]
             e = w.code * L * L + t
             acc[e] = acc.get(e, 0.0) + x
             acc2[e] = acc2.get(e, 0.0) + x * x

@@ -21,6 +21,7 @@ from plaquette.lattice import (
     invert_defects,
     count_by_defect_number,
     ground_states,
+    _CodedState,
 )
 from plaquette.dynamics import RateModel
 from plaquette import cli, exact, ground, paths
@@ -147,7 +148,7 @@ def test_05_path_battery():
         cfg = _random_plus_config(spec, rng)
         p = paths.sample_full_path(cfg, BETA, seed=trial)
         assert p.initial == cfg
-        w = paths._Walker(cfg)
+        w = _CodedState(cfg)
         n0 = w.count
         assert len(p) <= L * L * min(BETA * L + 1, n0 / 2.0), (len(p), n0)
         row0 = np.count_nonzero(defect_map(cfg).plaq == -1, axis=0)

@@ -154,9 +154,17 @@ def test_flow_monte_carlo_caveat(capsys):
     assert "# ci_halfwidth=" in out
 
 
-def test_flow_monte_carlo_rejects_no_samples():
-    with pytest.raises(ValueError, match="samples must be at least 1"):
-        cli.main(["flow", "--size", "2", "--mode", "monte_carlo", "--samples", "0"])
+def test_flow_monte_carlo_rejects_no_samples(tmp_path):
+    # --samples 0 or -4 used to escape from paths.flow_cost as a ValueError
+    # traceback
+    conf = tmp_path / "s.conf"
+    conf.write_text("samples = -4\n")
+    for args, bad in ((["--samples", "0"], "0"), (["--config", str(conf)], "-4")):
+        proc = run_python("-m", "plaquette.cli", "flow", "--size", "2",
+                          "--mode", "monte_carlo", *args)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == ("plaquette flow: error: argument --samples:"
+                                                f" expected a positive integer, got '{bad}'")
 
 
 def test_flow_rejects_non_plus_boundaries(tmp_path):

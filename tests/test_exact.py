@@ -235,7 +235,7 @@ def test_tv_mixing_time_pinned():
 
 
 def test_spectral_tv_matches_uniformization():
-    tail = 1e-8
+    tail = exact._TV_TAIL
     generators = [
         G_of(2, 1.0),
         G_of(2, 1.0, PERIODIC),
@@ -244,23 +244,23 @@ def test_spectral_tv_matches_uniformization():
     ]
     for G in generators:
         for t in (0.3, 2.0, 7.0, 20.0):
-            spec_tv = _tv_spectral(G, t, tail)
-            unif_tv = _tv_all_starts(G, t, tail)
+            spec_tv = _tv_spectral(G, t)
+            unif_tv = _tv_all_starts(G, t)
             assert abs(spec_tv - unif_tv) <= tail + 1e-9
 
 
 @pytest.mark.parametrize("bc", [PLUS, PERIODIC])
 def test_certificate_brackets_the_expm_distance(bc):
-    tail = 1e-8
+    tail = exact._TV_TAIL
     G = build_generator(LatticeSpec(2, bc), RateModel(1.0, "heat_bath"))
     for t in (0.3, 2.0, 7.0, 20.0, 200.0):
         E = scipy.linalg.expm(t * G.Q.toarray())
         exact_tv = 0.5 * float(np.max(np.abs(E - G.pi[None, :]).sum(axis=1)))
-        A = _kernel_below(G, t, tail)
+        A = _kernel_below(G, t)
         assert np.all(A >= 0)
         assert np.all(A <= E + 1e-12)
         assert np.all(A.sum(axis=1) >= 1.0 - tail)
-        cert = _tv_all_starts(G, t, tail)
+        cert = _tv_all_starts(G, t)
         assert exact_tv <= cert <= exact_tv + tail + 1e-12
 
 
@@ -277,7 +277,7 @@ def test_tv_mixing_time_l3_rows_unchanged():
 def test_tv_mixing_time_certified_when_the_spectral_route_under_reports(monkeypatch):
     G = G_of(2, 1.0)
     honest = tv_mixing_time(G)
-    monkeypatch.setattr(exact, "_tv_spectral", lambda G, t, tail=1e-8: _tv_spectral(G, t, tail) - 0.05)
+    monkeypatch.setattr(exact, "_tv_spectral", lambda G, t: _tv_spectral(G, t) - 0.05)
     tmix = tv_mixing_time(G)
     assert _tv_all_starts(G, tmix) < 0.25
     assert abs(tmix - honest) <= 0.02 * honest

@@ -17,6 +17,8 @@ from plaquette.lattice import (
     defect_map,
     invert_defects,
     reading_order_key,
+    _CodedState,
+    _site_flat,
     _site_index,
     _site_k,
 )
@@ -44,7 +46,7 @@ from plaquette.paths import (
     rectangle_removal_path,
     sample_full_path,
     sample_partial_path,
-    _Walker,
+    _removal_order,
 )
 from plaquette.exact import build_generator, spectral_gap, spectral_profile
 from plaquette.dynamics import RateModel
@@ -92,15 +94,19 @@ def flow_digests(res):
 
 def test_walker_codec_matches_the_lattice_kernels():
     # the walker's code and defect bits against SpinConfig.code, defect_map
-    # and _site_k after every flip, on plus and non-plus frames
+    # and _site_k after every flip, on plus, non-plus and periodic boxes;
+    # flat index t is site spec.sites()[t] and bit t of the code
     rng = np.random.default_rng(12)
     for L in range(2, 6):
         theta = np.ones((L + 2, L + 2), dtype=np.int8)
         theta[0, 1] = theta[L + 1, 2] = theta[3, 0] = -1
-        for spec in (LatticeSpec(L, PLUS), LatticeSpec(L, FIXED, theta=theta)):
+        for spec in (LatticeSpec(L, PLUS), LatticeSpec(L, FIXED, theta=theta),
+                     LatticeSpec(L, PERIODIC)):
             sites = spec.sites()
+            assert [_site_flat(spec, x) for x in sites] == list(range(L * L))
             cfg = random_config(spec, rng)
-            w = _Walker(cfg)
+            w = _CodedState(cfg)
+            assert w.sites == tuple(sites)
             for _ in range(60):
                 x = sites[int(rng.integers(len(sites)))]
                 w.flip(x)
@@ -110,6 +116,14 @@ def test_walker_codec_matches_the_lattice_kernels():
                 assert w.count == d.count
                 assert w.code == cfg.code and w.config() == cfg
                 assert [w.k_index(t) for t in range(len(sites))] == [int(k[_site_index(spec, y)]) for y in sites]
+                assert [(w.code >> t) & 1 for t in range(L * L)] == [int(v == -1) for v in cfg.spins.flat]
+            lo = sites[0][0]
+            for x in ((lo - 1, lo), (lo, lo + L), (lo + L, lo)):
+                with pytest.raises(ValueError, match="outside the box"):
+                    w.flip(x)
+                with pytest.raises(ValueError, match="outside the box"):
+                    _site_flat(spec, x)
+            assert w.code == cfg.code
 
 
 def test_naive_path_reading_order():
@@ -159,14 +173,19 @@ def test_path_text_roundtrip():
 
 
 def test_canonical_path_rejects_sites_outside_the_box():
-    # the walker indexes sites unchecked: (0, 1) used to flip (3, 1)
-    # through a negative index
+    # (0, 1) once flipped (3, 1) through a negative index
     cfg = SpinConfig.all_plus(LatticeSpec(3, PLUS))
     for site in ((0, 1), (4, 2), (2, -1), (1, 4)):
         with pytest.raises(ValueError, match="outside the box"):
             CanonicalPath(cfg, [(1, 1), site], [])
     p = CanonicalPath(cfg, [(1, 1), (3, 3)], [])
     assert p.final == cfg.flip([(1, 1), (3, 3)])
+    # a periodic start is refused when the path is built, not on its
+    # first walk
+    per = SpinConfig.all_plus(LatticeSpec(3, PERIODIC))
+    for flips in ([], [(0, 0)], [(2, 2), (3, 0)]):
+        with pytest.raises(ValueError, match="non-periodic"):
+            CanonicalPath(per, flips, [])
 
 
 def test_removal_path_toggles_rectangle_corners():
@@ -203,7 +222,34 @@ def test_removal_path_energy_envelope():
     assert checked > 100
 
 
+def _five_case_order(R, dset):
+    # the removal order's earlier case table, kept as the reference
+    bl, br, tl, tr = R.corners
+    has = {c: (c in dset) for c in (bl, br, tl, tr)}
+    n_def = sum(has.values())
+    if n_def < 3 or (has[bl] and has[tl] and has[tr]):
+        rows, cols = "desc", "asc"
+    elif has[tl] and has[tr] and has[br]:
+        rows, cols = "desc", "desc"
+    elif has[bl] and has[br] and has[tl]:
+        rows, cols = "asc", "asc"
+    else:  # {bl, br, tr} defective, tl not
+        rows, cols = "asc", "desc"
+    row_iter = range(R.y2, R.y1, -1) if rows == "desc" else range(R.y1 + 1, R.y2 + 1)
+    col_list = list(range(R.x1 + 1, R.x2 + 1))
+    if cols == "desc":
+        col_list = col_list[::-1]
+    return [(x, y) for y in row_iter for x in col_list]
+
+
 def test_removal_order_starts_at_the_defect_pair_row():
+    # the two rules agree with the five-case table on all 16 corner
+    # subsets, a defect off the corners changing nothing
+    R = Rectangle.from_corners(1, 3, 0, 2)
+    for bits in range(16):
+        dset = {c for b, c in enumerate(R.corners) if bits >> b & 1} | {(0, 4)}
+        cols = [sorted(y for x, y in dset if x == a) for a in range(5)]
+        assert _removal_order(R, cols) == _five_case_order(R, dset), bits
     # pattern with corners at bottom-left, bottom-right, top-left only:
     # the pair row is the bottom, the sweep runs upward and left to right
     spec = LatticeSpec(4, PLUS)
@@ -331,6 +377,12 @@ def test_defect_neighbours():
     assert right is None and up is None
     with pytest.raises(ValueError):
         defect_neighbours(d, (0, 0))
+    # (-1, -1) once read plaquette (3, 3) through a negative index, and
+    # (4, 0) escaped as an IndexError
+    d3 = defect_map(config_with_defects(LatticeSpec(3, PLUS), [(0, 0), (3, 0), (0, 3), (3, 3)]))
+    for x in ((-1, -1), (4, 0)):
+        with pytest.raises(ValueError, match=rf"plaquette \({x[0]}, {x[1]}\) outside"):
+            defect_neighbours(d3, x)
 
 
 def test_extended_rectangles_four_corner_exact():
