@@ -7,15 +7,19 @@ The generator acts as Q[i, i ^ (1 << b)] = rate of flipping site b.
 Everything here is dense or sparse linear algebra on enumerated boxes
 (2^(L^2) grows fast; the hard budget is explicit). The chain is
 reversible, so S = D^1/2 Q D^-1/2 with D = diag(pi) is symmetric, and
-sqrt(pi) spans its kernel.
+sqrt(pi) spans its kernel. S is built once per generator, on first use,
+from the same per-site k table as Q.
 
 - Below the dense threshold one `eigh` of S, S = V diag(w) V^T, is cached
   on the generator. The gap, the slow eigenfunction and every step of the
   mixing-time search read it, the last through
-  P_t = D^-1/2 V e^{tw} V^T D^1/2, one matrix product per time.
+  P_t = D^-1/2 V e^{tw} V^T D^1/2. A step forms only the rows of P_t
+  whose chi^2 bound could decide it, a few GEMM blocks near the mixing
+  time, not the N x N product.
 - Above it the gap is the smallest eigenvalue of -S on the complement of
-  sqrt(pi), found by LOBPCG with a diagonal preconditioner from a
-  fixed-seed start, and accepted only once its residual is checked.
+  sqrt(pi), found by a block-size-1 LOBPCG in numpy (one sparse product
+  per step) with a diagonal preconditioner from a fixed-seed start, and
+  accepted only once its residual is checked.
 - The time the mixing search returns is certified by a route that does
   not rest on the eigensolver: exp(tQ) by scaling and squaring, each
   factor a truncated uniformization series, so the kernel is bounded
@@ -30,7 +34,6 @@ module, and with it the CLI and the Monte Carlo layers, loads numpy only.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +50,11 @@ from .lattice import (
 DENSE_THRESHOLD = 4096
 _GAP_TOL = 1e-11
 _GAP_MAXITER = 1000
+_GRAM_FLOOR = 1e-12  # smallest/largest scaled Gram eigenvalue that keeps LOBPCG's p
 _TV_RTOL = 0.01  # relative width of tv_mixing_time's bisection
 _TV_TAIL = 1e-8  # row deficit allowed in the TV certificate's kernel
+_TV_BLOCK = 8  # exact worst-start rows formed per product
+_TV_MARGIN = 1e-9  # over the chi^2 bound, for rounding in the exact rows
 
 
 class ConvergenceError(RuntimeError):
@@ -58,13 +64,16 @@ class ConvergenceError(RuntimeError):
 class SparseGenerator:
     """Generator matrix plus the state indexing it lives on."""
 
-    def __init__(self, spec, model, Q, counts):
+    def __init__(self, spec, model, Q, counts, k):
         self.spec = spec
         self.model = model
         self.Q = Q
         self.counts = counts
+        self._k = k
         self._pi = None
+        self._S = None
         self._eigen = None
+        self._tv = None
 
     @property
     def n_states(self):
@@ -80,6 +89,23 @@ class SparseGenerator:
         return self._pi
 
     @property
+    def S(self):
+        """The symmetrized generator D^1/2 Q D^-1/2 (CSR), built once.
+
+        The entry for flipping site b at state i is sqrt(r(k) r(4 - k)),
+        k = k_b(i): the reverse flip finds the other 4 - k plaquettes
+        defective (and the periodic 1x1 flip has k = 2 both ways). The
+        diagonal is Q's.
+        """
+        if self._S is None:
+            import scipy.sparse as sparse
+
+            r = self.model.table
+            off = _flip_matrix(self._k, np.sqrt(r * r[::-1]))
+            self._S = (off + sparse.diags(self.Q.diagonal())).tocsr()
+        return self._S
+
+    @property
     def eigen(self):
         """(w, V) with S = V diag(w) V^T, w ascending, for the symmetrized
         generator S; computed once, and only up to DENSE_THRESHOLD states."""
@@ -88,7 +114,7 @@ class SparseGenerator:
                 raise BudgetExceededError(
                     f"dense eigendecomposition limited to {DENSE_THRESHOLD} states"
                 )
-            self._eigen = np.linalg.eigh(_symmetrized(self).toarray())
+            self._eigen = np.linalg.eigh(self.S.toarray())
         return self._eigen
 
 
@@ -99,17 +125,26 @@ def build_generator(spec, model, budget=ENUM_BUDGET_DEFAULT):
     import scipy.sparse as sparse
 
     D = _box_defects(spec, budget)
-    N = D.size
-    n = spec.n_sites
     counts = np.bitwise_count(D)
     masks = np.array(_site_masks(spec.side, spec.is_periodic), np.uint64)
     k = np.bitwise_count(D[:, None] & masks)
     k[:, masks == 0] = 2
-    rows = np.repeat(np.arange(N, dtype=np.int64), n)
-    cols = (np.arange(N, dtype=np.int64)[:, None] ^ (1 << np.arange(n, dtype=np.int64))[None, :]).ravel()
-    Q = sparse.coo_matrix((model.table[k].ravel(), (rows, cols)), shape=(N, N)).tocsr()
+    Q = _flip_matrix(k, model.table)
     Q = Q - sparse.diags(np.asarray(Q.sum(axis=1)).ravel())
-    return SparseGenerator(spec, model, Q.tocsr(), counts)
+    return SparseGenerator(spec, model, Q.tocsr(), counts, k)
+
+
+def _flip_matrix(k, values):
+    """CSR matrix with values[k[i, b]] at (i, i ^ 2^b) for every state i and
+    site b, and nothing on the diagonal; row i holds its n entries."""
+    import scipy.sparse as sparse
+
+    N, n = k.shape
+    cols = np.arange(N, dtype=np.int64)[:, None] ^ (1 << np.arange(n, dtype=np.int64))
+    M = sparse.csr_matrix((values[k].ravel(), cols.ravel(), np.arange(0, N * n + 1, n)),
+                          shape=(N, N))
+    M.sort_indices()
+    return M
 
 
 def stationary_distribution(G):
@@ -124,53 +159,84 @@ def ground_mass(G):
     return float(G.pi[G.counts == 0].sum())
 
 
-def _symmetrized(G):
-    import scipy.sparse as sparse
-
-    Q = G.Q
-    d = Q.diagonal()
-    off = Q - sparse.diags(d)
-    M = off.multiply(off.T)
-    M.data = np.sqrt(M.data)
-    return (M + sparse.diags(d)).tocsr()
-
-
 def spectral_gap(G, dense_threshold=DENSE_THRESHOLD):
     """Smallest positive eigenvalue of -Q (via the symmetric conjugate).
 
     Up to min(dense_threshold, DENSE_THRESHOLD) states it is read off the
     cached dense eigendecomposition. Above that it is the smallest
     eigenvalue of -S under the constraint x . sqrt(pi) = 0, which deflates
-    the stationary mode, found by LOBPCG (block size 1, Jacobi
+    the stationary mode, found by `_lobpcg` (block size 1, Jacobi
     preconditioner 1/diag(-S)) to residual _GAP_TOL.
 
     The start is a fixed-seed Gaussian vector, so the result is the same
     on every call. It is not a symmetric vector such as all ones: -S and
     the preconditioner commute with the box's symmetries, so a start they
     fix keeps every iterate in the symmetric sector, which need not hold
-    the gap. A solver warning, or a residual above _GAP_TOL, raises
-    ConvergenceError.
+    the gap. The residual is checked again on the returned vector; above
+    _GAP_TOL it raises ConvergenceError.
     """
     if G.n_states <= min(dense_threshold, DENSE_THRESHOLD):
         return float(-G.eigen[0][-2])
-    import scipy.sparse as sparse
-    import scipy.sparse.linalg as splinalg
-
-    A = -_symmetrized(G)
-    x0 = np.random.default_rng(0).standard_normal((G.n_states, 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)
-        try:
-            w, X = splinalg.lobpcg(A, x0, M=sparse.diags(1.0 / A.diagonal()),
-                                   Y=np.sqrt(G.pi)[:, None], largest=False,
-                                   tol=_GAP_TOL, maxiter=_GAP_MAXITER)
-        except UserWarning as err:
-            raise ConvergenceError(f"LOBPCG gap did not converge: {err}") from None
-    x = X[:, 0]
-    residual = float(np.linalg.norm(A @ x - w[0] * x) / np.linalg.norm(x))
+    A = -G.S
+    y = np.sqrt(G.pi)
+    x0 = np.random.default_rng(0).standard_normal(G.n_states)
+    lam, x, steps = _lobpcg(A, y / np.linalg.norm(y), x0)
+    residual = float(np.linalg.norm(A @ x - lam * x) / np.linalg.norm(x))
     if not residual <= _GAP_TOL:
-        raise ConvergenceError(f"LOBPCG gap residual {residual:.3g} above {_GAP_TOL:g}")
-    return float(w[0])
+        raise ConvergenceError(f"LOBPCG gap did not converge: residual {residual:.3g}"
+                               f" after {steps} iterations, above {_GAP_TOL:g}")
+    return lam
+
+
+def _lobpcg(A, y, x):
+    """(lam, x, steps): the smallest eigenpair of the symmetric A on the
+    complement of the unit vector y, an eigenvector of A, by locally
+    optimal preconditioned conjugate gradients (LOBPCG, Knyazev 2001) at
+    block size 1 from x.
+
+    Each step is a Rayleigh-Ritz on span{x, w, p}: w is the residual under
+    the Jacobi preconditioner 1/diag(A), projected onto the complement of
+    y, and p is the previous step's direction, dropped when the Gram
+    matrix of the three, scaled to unit diagonal, is near singular. The
+    small matrices are formed from dot products, the Ritz vector comes out
+    of them with unit norm, and A x and A p are carried along, so a step
+    costs one product with A and no normalizing pass. It stops at residual
+    _GAP_TOL or after _GAP_MAXITER steps.
+    """
+    d = 1.0 / A.diagonal()
+    x = x - (y @ x) * y
+    x /= np.linalg.norm(x)
+    Ax = A @ x
+    lam = float(x @ Ax)
+    basis, images = [x], [Ax]
+    for step in range(_GAP_MAXITER):
+        r = Ax - lam * x
+        if np.linalg.norm(r) <= _GAP_TOL:
+            break
+        w = d * r
+        w -= (y @ w) * y
+        basis[1:1] = [w]
+        images[1:1] = [A @ w]
+        while True:
+            gram = np.array([[u @ v for v in basis] for u in basis])
+            s = 1.0 / np.sqrt(np.diag(gram))
+            g, T = np.linalg.eigh(s[:, None] * gram * s)
+            if g[0] > _GRAM_FLOOR * g[-1] or len(basis) == 2:
+                break
+            del basis[2], images[2]
+        T *= s[:, None] / np.sqrt(g)  # coefficients of an orthonormal basis of the span
+        H = np.array([[u @ v for v in images] for u in basis])
+        theta, C = np.linalg.eigh(T.T @ (0.5 * (H + H.T)) @ T)
+        c = T @ C[:, 0]
+        p, Ap = c[1] * basis[1], c[1] * images[1]
+        if len(basis) == 3:
+            p += c[2] * basis[2]
+            Ap += c[2] * images[2]
+        x, Ax, lam = c[0] * x + p, c[0] * Ax + Ap, float(theta[0])
+        basis, images = [x, p], [Ax, Ap]
+    else:
+        step = _GAP_MAXITER
+    return lam, x, step
 
 
 def relaxation_time(G):
@@ -225,7 +291,7 @@ def mean_hitting_time(G, init, target_mask):
         raise BudgetExceededError(f"hitting-time solve limited to {DENSE_THRESHOLD} states")
     import scipy.linalg
 
-    S = _symmetrized(G)[A][:, A].toarray()
+    S = G.S[A][:, A].toarray()
     r = np.sqrt(G.pi[A])
     y = scipy.linalg.solve(-S, r, assume_a="pos")
     a = np.searchsorted(A, i)
@@ -328,19 +394,58 @@ def _tv_all_starts(G, t):
     return 0.5 * float(np.max(rows))
 
 
-def _tv_spectral(G, t):
+def _tv_spectral(G, t, eps=None):
     """Worst-start total variation at time t from the cached eigenpairs.
 
     P_t - Pi = D^-1/2 V' e^{tw'} V'^T D^1/2, where ' drops the stationary
     mode (the top eigenvalue, 0). _TV_TAIL is added so that the value is
     at or above the certificate `_tv_all_starts`, which exceeds the true
     distance by at most _TV_TAIL.
+
+    Not every row of P_t is formed. Starts are walked in decreasing
+    `_tv_chi2_bound`, their exact rows formed _TV_BLOCK at a time, until
+    the next bound plus _TV_MARGIN (room for rounding in the rows) is
+    below the largest row found: the value is then the exact worst start.
+    Given eps, the walk also stops at the first start at or above eps, or
+    once the next bound is below eps, so the value is at or above eps
+    exactly when the worst start is.
     """
-    w, V = G.eigen
-    r = np.sqrt(G.pi)[:, None]
-    U = V[:, :-1]
-    A = (U * (np.exp(t * w[:-1]) / r)) @ (U * r).T
-    return 0.5 * float(np.max(np.abs(A).sum(axis=1))) + _TV_TAIL
+    _, left, right, w = _tv_factors(G)
+    e = np.exp(t * w)
+    bound = _tv_chi2_bound(G, t) + _TV_TAIL + _TV_MARGIN
+    order = np.argsort(-bound)
+    best = 0.0
+    for j in range(0, order.size, _TV_BLOCK):
+        top = bound[order[j]]
+        if top < best or (eps is not None and top < eps):
+            break
+        rows = np.abs((left[order[j:j + _TV_BLOCK]] * e) @ right).sum(axis=1)
+        best = max(best, 0.5 * float(np.max(rows)) + _TV_TAIL)
+        if eps is not None and best >= eps:
+            break
+    return best
+
+
+def _tv_chi2_bound(G, t):
+    """Per start x, half its chi^2 distance from stationarity at time t,
+    ||h_t^x - 1||_{2,pi} / 2 = sqrt(sum_k e^{2t w_k} V_xk^2) / (2 sqrt(pi_x))
+    with h_t^x = P_t(x, .) / pi. By Cauchy-Schwarz it is at or above x's
+    total variation distance (the l2 bound, as in Levin, Peres and
+    Wilmer), and it costs one matrix-vector product for all starts."""
+    U2, _, _, w = _tv_factors(G)
+    return 0.5 * np.sqrt(U2 @ np.exp(2.0 * t * w)) / np.sqrt(G.pi)
+
+
+def _tv_factors(G):
+    """(U^2, U / sqrt(pi), (U sqrt(pi))^T, w') for the worst-start search,
+    formed once per eigendecomposition. U = V' is V without its stationary
+    column; start x's row of P_t - Pi is (U / sqrt(pi))[x] e^{tw'} (U sqrt(pi))^T."""
+    if G._tv is None:
+        w, V = G.eigen
+        r = np.sqrt(G.pi)[:, None]
+        U = V[:, :-1]
+        G._tv = (U * U, U / r, (U * r).T, w[:-1])
+    return G._tv
 
 
 def _first_time_below(tv, lo, t, eps):
@@ -367,16 +472,18 @@ def tv_mixing_time(G, eps=0.25):
     """Smallest time with worst-start TV below eps, to 1% relative precision.
 
     Doubles an upper bracket from 1/q, then bisects, reading the distance
-    off the spectral representation. The endpoint is then certified by
-    `_tv_all_starts` (truncation slack included). Should the certificate
-    fail, the search goes on above that endpoint with the certificate
-    alone, so the time returned is always certified below eps. Above
-    DENSE_THRESHOLD states `G.eigen` raises BudgetExceededError.
+    off the spectral representation. A step needs only whether some start
+    is at or above eps, so `_tv_spectral` walks the starts in decreasing
+    chi^2 bound and stops once that is decided. The endpoint is then
+    certified by `_tv_all_starts` (truncation slack included). Should the
+    certificate fail, the search goes on above that endpoint with the
+    certificate alone, so the time returned is always certified below eps.
+    Above DENSE_THRESHOLD states `G.eigen` raises BudgetExceededError.
     """
     q = float(np.max(-G.Q.diagonal()))
     if q <= 0:
         raise ValueError("zero generator")
-    hi = _first_time_below(lambda t: _tv_spectral(G, t), 0.0, 1.0 / q, eps)
+    hi = _first_time_below(lambda t: _tv_spectral(G, t, eps), 0.0, 1.0 / q, eps)
     if _tv_all_starts(G, hi) >= eps:
         hi = _first_time_below(lambda t: _tv_all_starts(G, t), hi, 2.0 * hi, eps)
     return hi

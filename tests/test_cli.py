@@ -84,8 +84,17 @@ def test_exact_is_deterministic_above_the_dense_threshold():
 
 def test_exact_exits_with_one_line_when_the_gap_does_not_converge(monkeypatch):
     monkeypatch.setattr(exact, "_GAP_MAXITER", 2)
-    with pytest.raises(SystemExit, match="^exact: LOBPCG gap did not converge"):
+    with pytest.raises(SystemExit, match="^exact: LOBPCG gap did not converge") as err:
         cli.main(["exact", "--beta", "1.0", "--size", "4"])
+    assert "\n" not in str(err.value)
+    assert "after 2 iterations" in str(err.value)
+
+
+def test_exact_l4_plus_beta_half_exits_zero(capsys):
+    # scipy's LOBPCG stalled here, and the command exited 1
+    code, out, _ = run(["exact", "--beta", "0.5", "--size", "4"], capsys)
+    assert code == 0
+    assert float(rows_of(out)[1].split(",")[3]) == pytest.approx(0.6765894507219039, abs=1e-11)
 
 
 def test_exact_beta_grid_and_determinism(capsys):
@@ -346,6 +355,13 @@ def test_cli_import_leaves_scipy_stats_out():
     proc = run_python("-c", "import sys, plaquette.cli; print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    # the sparse gap is numpy on scipy.sparse matrices: no scipy.sparse.linalg
+    proc = run_python("-c", "import sys; from plaquette import exact, lattice, dynamics;"
+                      " G = exact.build_generator(lattice.LatticeSpec(4), dynamics.RateModel(1.0));"
+                      " assert G.n_states > exact.DENSE_THRESHOLD; exact.spectral_gap(G);"
+                      " print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.linalg')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_simulate_rejects_bad_stop_times():

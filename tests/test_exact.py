@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.stats import poisson
 
 from plaquette import exact
@@ -47,6 +48,7 @@ from plaquette.exact import (
     _lambda_of_subset,
     _poisson_weights,
     _tv_all_starts,
+    _tv_chi2_bound,
     _tv_spectral,
 )
 from plaquette.lattice import (
@@ -67,6 +69,8 @@ GAP_L2_BETA2 = 0.050965672292375516
 GAP_L3_BETA1 = 0.1542219403486512
 GAP_L4_BETA1 = 0.13288074424781995
 GAP_L4_BETA3 = 0.0015039808491194731  # ARPACK eigsh: 0.0015039808491205775
+# ARPACK eigsh (smallest, tol=0) on -S + 10 sqrt(pi) sqrt(pi)^T
+GAP_L4_BETA05 = 0.6765894507219039
 TMIX_L2_BETA1 = 6.6988703495881055  # expm bisection, independent route
 PI_GROUND_L3_PLUS_BETA2 = 0.9874647454351252
 PI_GROUND_TORUS3_BETA2 = 0.9969532819332968
@@ -161,6 +165,36 @@ def test_gap_sparse_route_pinned_and_deterministic_at_l4():
     assert spectral_gap(G) == gap
     # L=4 is the critical length at beta=3
     assert spectral_gap(G_of(4, 3.0)) == pytest.approx(GAP_L4_BETA3, abs=1e-11)
+
+
+def test_gap_sparse_route_converges_where_scipy_lobpcg_stalled():
+    # scipy's LOBPCG stalled here near residual 1e-8 for its 1000 iterations
+    gap = spectral_gap(G_of(4, 0.5))
+    assert gap == pytest.approx(GAP_L4_BETA05, abs=1e-11)
+
+
+def test_gap_sparse_route_converges_without_the_previous_direction(monkeypatch):
+    # a floor of 1 drops p at every step, the branch a near-singular Gram
+    # matrix takes: preconditioned steepest descent, which still converges
+    monkeypatch.setattr(exact, "_GRAM_FLOOR", 1.0)
+    for L, bc, beta in ((2, PLUS, 1.0), (3, PLUS, 1.0), (3, PERIODIC, 3.0)):
+        G = G_of(L, beta, bc)
+        assert spectral_gap(G, dense_threshold=1) == pytest.approx(spectral_gap(G), abs=1e-11)
+
+
+def test_symmetrized_generator_matches_the_product_formula():
+    # S from the k table against sqrt(Q_ij Q_ji) off the diagonal, Q's own
+    # diagonal: the same entries, bit for bit
+    for L, bc, kind in itertools.product((1, 2, 3), (PLUS, PERIODIC), RateModel.KINDS):
+        G = build_generator(LatticeSpec(L, bc), RateModel(1.3, kind))
+        d = G.Q.diagonal()
+        off = G.Q - scipy.sparse.diags(d)
+        M = off.multiply(off.T)
+        M.data = np.sqrt(M.data)
+        ref = (M + scipy.sparse.diags(d)).tocsr()
+        assert G.S is G.S
+        assert G.S.nnz == ref.nnz and (G.S != ref).nnz == 0, (L, bc, kind)
+        assert np.array_equal(G.S.toarray(), ref.toarray()), (L, bc, kind)
 
 
 def test_gap_sparse_route_raises_when_unconverged(monkeypatch):
@@ -264,6 +298,52 @@ def test_certificate_brackets_the_expm_distance(bc):
         assert exact_tv <= cert <= exact_tv + tail + 1e-12
 
 
+def tv_rows_reference(G, t):
+    """Every start's l1 distance from stationarity at time t, from the
+    full kernel P_t - Pi that the mixing search used to form each step."""
+    w, V = G.eigen
+    r = np.sqrt(G.pi)[:, None]
+    U = V[:, :-1]
+    A = (U * (np.exp(t * w[:-1]) / r)) @ (U * r).T
+    return np.abs(A).sum(axis=1)
+
+
+def tv_boxes():
+    """(G, times): every L=2 and L=3 box, both boundaries and both kinds,
+    at a few times and its mixing time; and L=1 at beta 0, a uniform
+    two-state chain, where the chi^2 bound holds with equality."""
+    for L, bc, kind in itertools.product((2, 3), (PLUS, PERIODIC), RateModel.KINDS):
+        G = build_generator(LatticeSpec(L, bc), RateModel(1.0, kind))
+        yield G, (0.05, 0.3, 2.0, 7.0, 20.0, tv_mixing_time(G))
+    for bc in (PLUS, PERIODIC):
+        yield G_of(1, 0.0, bc), tuple(np.linspace(0.05, 5.0, 40))
+
+
+def test_chi2_bound_is_above_every_start():
+    for G, times in tv_boxes():
+        for t in times:
+            if G.n_states > 2:
+                assert np.all(_tv_chi2_bound(G, t) >= 0.5 * tv_rows_reference(G, t)), t
+            else:
+                assert np.allclose(_tv_chi2_bound(G, t), 0.5 * tv_rows_reference(G, t),
+                                   rtol=1e-14, atol=0)
+
+
+def test_pruned_tv_search_matches_the_full_kernel():
+    # the value is the worst start; with eps, the value is at or above
+    # eps exactly when the worst start is, also at eps itself
+    tail = exact._TV_TAIL
+    for G, times in tv_boxes():
+        for t in times:
+            ref = 0.5 * float(np.max(tv_rows_reference(G, t))) + tail
+            tv = _tv_spectral(G, t)
+            assert tv == pytest.approx(ref, abs=1e-15), t
+            for eps in (tv, np.nextafter(tv, 1.0), 0.5 * tv, 0.25, 0.01):
+                assert (_tv_spectral(G, t, eps) >= eps) == (tv >= eps), (t, eps)
+            if not math.isclose(ref, 0.25, abs_tol=1e-12):
+                assert (_tv_spectral(G, t, 0.25) >= 0.25) == (ref >= 0.25), t
+
+
 def test_tv_mixing_time_l3_rows_unchanged():
     # the times the uniformization-only bisection returned on these rows
     for bc, beta, tmix in (
@@ -277,7 +357,8 @@ def test_tv_mixing_time_l3_rows_unchanged():
 def test_tv_mixing_time_certified_when_the_spectral_route_under_reports(monkeypatch):
     G = G_of(2, 1.0)
     honest = tv_mixing_time(G)
-    monkeypatch.setattr(exact, "_tv_spectral", lambda G, t: _tv_spectral(G, t) - 0.05)
+    monkeypatch.setattr(exact, "_tv_spectral",
+                        lambda G, t, eps=None: _tv_spectral(G, t, eps) - 0.05)
     tmix = tv_mixing_time(G)
     assert _tv_all_starts(G, tmix) < 0.25
     assert abs(tmix - honest) <= 0.02 * honest
