@@ -57,7 +57,8 @@ def _checked(convert, ok, expected):
 _count = _checked(int, lambda n: n >= 1, "a positive integer")
 _seed = _checked(int, lambda n: n >= 0, "a nonnegative integer")
 _split_threshold = _checked(int, lambda n: n >= 2, "an integer of at least 2")
-_tv_threshold = _checked(float, lambda eps: 0 < eps < 1, "a number in (0, 1)")
+_tv_threshold = _checked(float, lambda eps: exact._TV_TAIL < eps < 1,
+                         f"a number in ({exact._TV_TAIL:g}, 1)")
 _betas = _checked(lambda text: [float(x) for x in text.split(",") if x.strip()],
                   lambda vals: vals and all(math.isfinite(b) and b >= 0 for b in vals),
                   "finite nonnegative numbers separated by commas")

@@ -14,21 +14,27 @@ Simulation is event-driven and rejection-free (the n-fold way of Bortz,
 Kalos and Lebowitz): waiting times are sampled from the current total
 rate and only actual flips cost work, so metastable stretches are free.
 Since a rate depends only on k, the simulator keeps the sites in five
-buckets by k. An event draws an exponential holding time, then one
-uniform that picks a class from the five weights len(bucket) * rate(k)
-and a site inside it. A flip XORs one bit into the configuration's code
-and the site's plaquette mask into its defect int (`lattice._CodedState`),
-and re-reads k, a popcount, at the at most nine sites that share a
-plaquette with it. No step scans the L^2 rates; what grows with the box
-is only the cost of the XORs and popcounts on the two ints. All
-randomness flows through numpy Generators seeded via SeedSequence so runs
-are reproducible and replicas independent. `simulate` is the module's
-one event loop; `hitting_time` and `trace_chain` run through it.
+buckets by k. An event pops an exponential holding time and a uniform
+that picks a class from the five weights len(bucket) * rate(k) and a site
+inside it; both are drawn from the Generator in blocks that start at 16
+and double up to 4096, so short runs draw little and long ones make no
+numpy call per event. Each site carries the 4-bit pattern of its
+defective plaquettes, so k = POP4[pattern]. A flip at t toggles all of
+t's plaquettes, which changes each neighbour u's pattern by a fixed XOR
+mask: `lattice._toggles` lists those (u, x) pairs, at most nine per
+site, and the defect count moves by 4 - 2k. The code, one int, is the
+state; the defect int is rebuilt from it only when read. No step scans
+the L^2 rates or touches the defect int; what grows with the box is one
+bit XORed into the code. An event takes about 4-5.5 us at L=64 and
+3-4 us at L=4 (one core of a shared 2-vCPU host). All randomness flows
+through numpy Generators seeded via SeedSequence so runs are
+reproducible and replicas independent. `simulate` is the module's one
+event loop, whose body `Simulator.step` runs too; `hitting_time` and
+`trace_chain` run through it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -40,11 +46,14 @@ from .lattice import (
     LatticeSpec,
     SpinConfig,
     _CodedState,
+    _code_defects,
+    _frame_defects,
+    _frame_patterns,
     _grid_from_text,
     _grid_to_text,
     _site_codec,
     _site_flat,
-    _site_masks,
+    _toggles,
 )
 
 MAX_EVENTS_DEFAULT = 10**7
@@ -88,37 +97,28 @@ def site_rate(model, cfg, x):
     return model.rate_for_k(site_defect_count(cfg, x))
 
 
-@functools.lru_cache(maxsize=None)
-def _near_sites(side, periodic):
-    """Per flat site index t = i*L + j of a box, the flat indices of the
-    sites whose k a flip at t can change: those sharing a plaquette with
-    t, t itself included."""
-    L = side
-    masks = _site_masks(side, periodic)
-    near = []
-    for i in range(L):
-        for j in range(L):
-            t = i * L + j
-            block = set()
-            for a in range(i - 1, i + 2):
-                for b in range(j - 1, j + 2):
-                    if not periodic and not (0 <= a < L and 0 <= b < L):
-                        continue
-                    u = a % L * L + b % L
-                    if masks[u] & masks[t]:
-                        block.add(u)
-            near.append(tuple(sorted(block)))
-    return tuple(near)
+# k of each 4-bit pattern of defective plaquettes
+POP4 = tuple(bin(p).count("1") for p in range(16))
+_BLOCK_FIRST, _BLOCK_MAX = 16, 4096  # sizes of the blocks of random draws
 
 
-class Simulator(_CodedState):
+def _never(sim):
+    return False
+
+
+class Simulator:
     """Mutable chain state with rejection-free event selection.
 
-    The state is a `lattice._CodedState`: the configuration's code (so
-    `state_key()` is `SpinConfig.code`) and its defect int; a flip is two
-    XORs, and the defect count and each neighbour's k are popcounts.
-    Sites sit in five buckets by k, so a step draws a class from the five
-    weights len(bucket) * rate(k) and then a site uniformly inside it.
+    The state is the configuration's code (`SpinConfig.code`, so
+    `state_key()` is the code) with, per site, the 4-bit pattern of its
+    defective plaquettes; a site's k is POP4[pattern]. A flip at t XORs
+    the patterns of its `lattice._toggles` entry and moves the defect
+    count by 4 - 2k; no step touches the defect int, which `D` rebuilds
+    from the code when read. Sites sit in five buckets by k, so a step
+    draws a class from the five weights len(bucket) * rate(k) and then a
+    site uniformly inside it. Exponential holding times and uniforms are
+    drawn in blocks that start at _BLOCK_FIRST and double up to
+    _BLOCK_MAX.
 
     Sites are addressed in lattice coordinates (1-based for fixed boxes,
     0-based for periodic ones). Stop predicates receive this object and
@@ -128,75 +128,108 @@ class Simulator(_CodedState):
     def __init__(self, spec, model, init, rng):
         if init.spec != spec:
             raise ValueError("initial configuration belongs to a different box")
-        super().__init__(init)
+        self.spec = spec
         self.model = model
         self.rng = rng
+        self.sites = _site_codec(spec.side, spec.is_periodic)[0]
         self.time = 0.0
         self.n_events = 0
-        self._near = _near_sites(spec.side, spec.is_periodic)
-        self.n_defects = self.count
-        self._k = [self.k_index(t) for t in range(len(self.masks))]
+        self.code = init.code
+        self._toggles = tog = _toggles(spec.side, spec.is_periodic)
+        # reach the initial state from all-plus, one minus site at a time
+        pat = list(_frame_patterns(spec))
+        n_defects = _frame_defects(spec).bit_count()
+        for t in np.flatnonzero(init.spins.ravel() < 0).tolist():
+            n_defects += 4 - 2 * POP4[pat[t]]
+            for u, x in tog[t]:
+                pat[u] ^= x
+        self.n_defects = n_defects
+        self._pat = pat
         self._rate = model.table.tolist()
         self._buckets = [[], [], [], [], []]
-        self._pos = [0] * len(self._k)
-        for t, k in enumerate(self._k):
-            self._pos[t] = len(self._buckets[k])
-            self._buckets[k].append(t)
-        self._total = self._rate_sum()
+        self._pos = [0] * len(pat)
+        for t, p in enumerate(pat):
+            bucket = self._buckets[POP4[p]]
+            self._pos[t] = len(bucket)
+            bucket.append(t)
+        self._exps, self._unis, self._block = [], [], _BLOCK_FIRST
 
-    def _rate_sum(self):
-        b, r = self._buckets, self._rate
-        return (len(b[0]) * r[0] + len(b[1]) * r[1] + len(b[2]) * r[2]
-                + len(b[3]) * r[3] + len(b[4]) * r[4])
+    @property
+    def _total(self):
+        return sum(len(b) * r for b, r in zip(self._buckets, self._rate))
 
-    state = _CodedState.config
+    @property
+    def D(self):
+        return _code_defects(self.spec, self.code)
+
+    def state(self):
+        return SpinConfig.from_code(self.spec, self.code)
 
     def state_key(self):
         return self.code
 
-    def _flip(self, t):
-        self.code ^= 1 << t
-        D = self.D ^ self.masks[t]
-        self.D = D
-        self.n_defects = D.bit_count()
-        k, pos, buckets, masks = self._k, self._pos, self._buckets, self.masks
-        for u in self._near[t]:
-            new = (D & masks[u]).bit_count()
-            old = k[u]
-            if new != old:
-                bucket = buckets[old]
-                last = bucket.pop()
-                if last != u:
-                    bucket[pos[u]] = last
-                    pos[last] = pos[u]
-                bucket = buckets[new]
-                pos[u] = len(bucket)
-                bucket.append(u)
-                k[u] = new
-        self._total = self._rate_sum()
-
     def step(self):
         """Advance by one event; returns the flipped site."""
-        total = self._total
-        if total <= 0:
-            raise RuntimeError("total rate vanished; no move possible")
-        self.time += self.rng.exponential(1.0 / total)
-        r = self.rng.random() * total
-        rate = self._rate
-        for k, bucket in enumerate(self._buckets):
-            w = len(bucket) * rate[k]
-            if r < w:
-                t = bucket[min(int(r / rate[k]), len(bucket) - 1)]
-                break
-            r -= w
-        else:
-            # rounding carried r past the last class: take the last class of
-            # positive weight
-            k = max(k for k, bucket in enumerate(self._buckets) if bucket and rate[k] > 0)
-            t = self._buckets[k][-1]
-        self._flip(t)
-        self.n_events += 1
-        return self.sites[t]
+        events = []
+        self._run(_never, self.n_events + 1, events)
+        return events[0][1]
+
+    def _run(self, stop, max_events, events=None):
+        """The event loop: flip until stop(self) holds, checked first and
+        after every event, and return True; return False once n_events
+        reaches max_events first. Appends (time, site) to `events` when
+        given. Runs on locals and writes back after each event only what
+        stop predicates read."""
+        tog, pat, pos, sites, rng = self._toggles, self._pat, self._pos, self.sites, self.rng
+        buckets = self._buckets
+        b0, b1, b2, b3, b4 = buckets
+        r0, r1, r2, r3, r4 = rate = self._rate
+        exps, unis = self._exps, self._unis
+        time, n, n_defects, code = self.time, self.n_events, self.n_defects, self.code
+        while not stop(self):
+            if n >= max_events:
+                return False
+            total = len(b0) * r0 + len(b1) * r1 + len(b2) * r2 + len(b3) * r3 + len(b4) * r4
+            if total <= 0:
+                raise RuntimeError("total rate vanished; no move possible")
+            if not exps:
+                size = self._block
+                self._block = min(2 * size, _BLOCK_MAX)
+                self._exps = exps = rng.standard_exponential(size).tolist()
+                self._unis = unis = rng.random(size).tolist()
+            time += exps.pop() / total
+            r = unis.pop() * total
+            for k, bucket in enumerate(buckets):
+                w = len(bucket) * rate[k]
+                if r < w:
+                    t = bucket[min(int(r / rate[k]), len(bucket) - 1)]
+                    break
+                r -= w
+            else:
+                # rounding carried r past the last class: take the last class
+                # of positive weight
+                k = max(k for k, bucket in enumerate(buckets) if bucket and rate[k] > 0)
+                t = buckets[k][-1]
+            code ^= 1 << t
+            n_defects += 4 - 2 * k
+            for u, x in tog[t]:
+                old = pat[u]
+                new = pat[u] = old ^ x
+                ko, kn = POP4[old], POP4[new]
+                if ko != kn:
+                    bucket = buckets[ko]
+                    last = bucket.pop()
+                    if last != u:
+                        bucket[pos[u]] = last
+                        pos[last] = pos[u]
+                    bucket = buckets[kn]
+                    pos[u] = len(bucket)
+                    bucket.append(u)
+            n += 1
+            self.time, self.n_events, self.n_defects, self.code = time, n, n_defects, code
+            if events is not None:
+                events.append((time, sites[t]))
+        return True
 
 
 @dataclass
@@ -307,18 +340,12 @@ def simulate(
             stopped=stopped,
         )
 
-    stopped = stop(sim)
-    while not stopped:
-        if sim.n_events >= max_events:
-            err = BudgetExceededError(
-                f"event budget {max_events} exhausted before the stop condition"
-            )
-            err.partial = snapshot(stopped=False)
-            raise err
-        site = sim.step()
-        if record:
-            events.append((sim.time, site))
-        stopped = stop(sim)
+    if not sim._run(stop, max_events, events):
+        err = BudgetExceededError(
+            f"event budget {max_events} exhausted before the stop condition"
+        )
+        err.partial = snapshot(stopped=False)
+        raise err
     return snapshot(stopped=True)
 
 

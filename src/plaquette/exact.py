@@ -479,7 +479,11 @@ def tv_mixing_time(G, eps=0.25):
     certificate fail, the search goes on above that endpoint with the
     certificate alone, so the time returned is always certified below eps.
     Above DENSE_THRESHOLD states `G.eigen` raises BudgetExceededError.
+    The distance read carries _TV_TAIL, so eps must exceed it
+    (ValueError otherwise).
     """
+    if not eps > _TV_TAIL:
+        raise ValueError(f"eps must exceed the certificate's tail {_TV_TAIL:g}, got {eps!r}")
     q = float(np.max(-G.Q.diagonal()))
     if q <= 0:
         raise ValueError("zero generator")

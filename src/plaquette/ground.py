@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BudgetExceededError, SpinConfig, defect_count, defect_map
+from .lattice import BudgetExceededError, SpinConfig, _code_defects, defect_map
 from .dynamics import (
     MAX_EVENTS_DEFAULT,
     simulate,
@@ -39,14 +39,17 @@ def _require_periodic(spec):
 
 
 def encode_ground(cfg):
-    """Code vector (length 2L-1, entries +-1) of a zero-defect state."""
-    _require_periodic(cfg.spec)
-    if defect_map(cfg).count != 0:
+    """Code vector (length 2L-1, entries +-1) of a zero-defect state, read
+    off the bits of `SpinConfig.code` (bit i*L + j is minus at site (i, j))."""
+    spec = cfg.spec
+    _require_periodic(spec)
+    code = cfg.code
+    if _code_defects(spec, code):
         raise ValueError("not a ground state")
-    L = cfg.spec.side
-    s = cfg.spins
-    cols = [int(s[i, L - 1]) for i in range(L)]
-    rows = [int(s[0, j] * s[0, L - 1]) for j in range(L - 1)]
+    L = spec.side
+    top = [code >> (i * L + L - 1) & 1 for i in range(L)]
+    cols = [1 - 2 * b for b in top]
+    rows = [1 - 2 * ((code >> j & 1) ^ top[0]) for j in range(L - 1)]
     return tuple(cols + rows)
 
 
@@ -289,6 +292,7 @@ def excursion_statistics(
     defect count exceeds 4."""
     _require_periodic(spec)
     init = SpinConfig.all_plus(spec)
+    init_code = init.code
     seeds = np.random.SeedSequence(seed).spawn(n_excursions)
     n_escape = n_other = n_same = n_unfinished = 0
     durations = []
@@ -303,9 +307,10 @@ def excursion_statistics(
             n_unfinished += 1
             continue
         durations.append(traj.elapsed - traj.events[0][0])
-        if defect_count(traj.final) > 0:
+        code = traj.final.code
+        if _code_defects(spec, code):
             n_escape += 1
-        elif traj.final == init:
+        elif code == init_code:
             n_same += 1
         else:
             n_other += 1

@@ -16,11 +16,14 @@ decoded by `SpinConfig.from_code`): bit t is set where the spin at flat
 site t = i*L + j is minus, so the code is the enumeration index. Its
 defects are one int over plaquette bits (`_code_defects`), the frame's
 defects XOR the plaquette mask (`_site_masks`) of each minus site, so a
-defect count or a site's k is a popcount. `_CodedState` (under
-`dynamics.Simulator` and the path walks of `paths`) flips both ints by
-XOR, and `_box_defects` gives a whole box's defect ints as one array by
-code. `_site_k`, k counted from spin geometry, is the masks' test
-reference.
+defect count or a site's k is a popcount. `_CodedState` (under the path
+walks of `paths`) flips both ints by XOR, and `_box_defects` gives a
+whole box's defect ints as one array by code. `dynamics.Simulator`
+instead keeps, per site, the 4-bit pattern of its defective plaquettes
+in the slot order of `_site_plaquettes`, which the masks are built from
+too; `_toggles` holds the XOR masks a flip applies to the patterns around
+it. `_site_k`, k counted from spin geometry, is the test reference for
+both.
 
 Coordinate conventions, used consistently across the package:
 
@@ -344,11 +347,25 @@ def _site_k(spec, defective):
     return m[..., :-1, :-1] + m[..., 1:, :-1] + m[..., :-1, 1:] + m[..., 1:, 1:]
 
 
+def _site_plaquettes(side, periodic):
+    """Yields per site, in flat storage order t = i*L + j, the flat indices of
+    the four plaquettes that contain it, in slot order s = 2*da + db:
+    plaquette (a, b) = (i + lo + da, j + lo + db), with lo = 0 (fixed) or
+    -1 (periodic, wrapped), at flat index a*(L+1) + b (fixed) or a*L + b
+    (periodic). On the periodic 1x1 box the four slots hold one plaquette.
+    """
+    L = side
+    n1, lo = (L, -1) if periodic else (L + 1, 0)
+    for i in range(L):
+        for j in range(L):
+            yield tuple((i + lo + da) % n1 * n1 + (j + lo + db) % n1
+                        for da in (0, 1) for db in (0, 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _site_masks(side, periodic):
-    """Per site, at its flat storage index t = i*L + j, the plaquettes that
-    contain it as bits of one int: plaquette (a, b) is the bit at its flat
-    index in the plaquette grid, a*(L+1) + b (fixed) or a*L + b (periodic).
+    """Per site, at its flat storage index t, the plaquettes that contain it
+    (`_site_plaquettes`) as bits of one int.
 
     A flip at t XORs masks[t] into a configuration's defect bits, and the
     site's k is the popcount of the defect bits under masks[t]. The four
@@ -356,17 +373,41 @@ def _site_masks(side, periodic):
     holds the site four times, is 0: that flip changes no plaquette, and
     its k is 2, which readers of the masks set where a mask is 0.
     """
+    return tuple(functools.reduce(operator.xor, (1 << p for p in slots))
+                 for slots in _site_plaquettes(side, periodic))
+
+
+@functools.lru_cache(maxsize=None)
+def _toggles(side, periodic):
+    """Per flat site index t, the pairs (u, x) for the sites u that share a
+    plaquette with t, t itself included. A site's pattern has bit s set
+    where its slot-s plaquette (`_site_plaquettes`) is defective; a flip at
+    t toggles all of t's plaquettes, so it XORs x into u's pattern.
+    x depends only on the offset of u from t; the masks are read
+    off the centre of a fixed 3x3 box. Offsets that wrap onto the same
+    site (periodic L <= 2) XOR their masks, so on the periodic 1x1 box,
+    whose flip toggles its one plaquette four times, there are no pairs.
+    """
+    slots = list(_site_plaquettes(3, False))
+    centre = slots[4]
+    x_at = {(da, db): sum((p in centre) << s for s, p in enumerate(slots[4 + 3 * da + db]))
+            for da in (-1, 0, 1) for db in (-1, 0, 1)}
     L = side
-    n1, lo = (L, -1) if periodic else (L + 1, 0)
-    masks = []
+    ts = list(range(L * L))  # one int object per site, shared by the pairs
+    table = []
     for i in range(L):
         for j in range(L):
-            m = 0
-            for a in (i + lo, i + lo + 1):
-                for b in (j + lo, j + lo + 1):
-                    m ^= 1 << (a % n1 * n1 + b % n1)
-            masks.append(m)
-    return tuple(masks)
+            xs = {}
+            for (da, db), x in x_at.items():
+                a, b = i + da, j + db
+                if periodic:
+                    a, b = a % L, b % L
+                elif not (0 <= a < L and 0 <= b < L):
+                    continue
+                u = ts[a * L + b]
+                xs[u] = xs.get(u, 0) ^ x
+            table.append(tuple((u, x) for u, x in sorted(xs.items()) if x))
+    return tuple(table)
 
 
 def _defect_bits(defective):
@@ -380,6 +421,18 @@ def _defect_bits(defective):
 def _frame_defects(spec):
     """Defect bits of the all-plus state: those the frame makes."""
     return _defect_bits(defect_map(SpinConfig.all_plus(spec)).plaq == -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_patterns(spec):
+    """Per site, the pattern of its defective plaquettes in the all-plus
+    state, which only a frame makes nonzero. The periodic 1x1 site keeps
+    k = 2 (see `_site_k`)."""
+    if spec.is_periodic and spec.side == 1:
+        return (0b0011,)
+    D = _frame_defects(spec)
+    return tuple(sum((D >> p & 1) << s for s, p in enumerate(row))
+                 for row in _site_plaquettes(spec.side, spec.is_periodic))
 
 
 def _code_defects(spec, code):

@@ -364,6 +364,15 @@ def test_cli_import_leaves_scipy_stats_out():
     assert proc.stdout.strip() == "[]"
 
 
+def test_exact_refuses_eps_at_or_below_the_tail():
+    # eps = 1e-8 ended in a RuntimeError traceback after 200 doublings
+    for eps in ("1e-8", "5e-9"):
+        proc = run_python("-m", "plaquette.cli", "exact", "--size", "2", "--eps", eps)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == ("plaquette exact: error: argument --eps:"
+                                                f" expected a number in (1e-08, 1), got '{eps}'")
+
+
 def test_simulate_rejects_bad_stop_times():
     # time=nan used to run toward the 10^7-event budget
     for t in ("nan", "inf", "-1"):

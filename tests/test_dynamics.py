@@ -7,6 +7,7 @@ import pytest
 from scipy.special import chdtrc
 
 from plaquette.dynamics import (
+    POP4,
     RateModel,
     Simulator,
     frame_from_text,
@@ -145,6 +146,42 @@ def test_simulator_tracks_defects():
             assert sim._total == pytest.approx(total, rel=1e-12)
         assert sim.n_events == 300
         assert sim.time > 0
+
+
+def test_simulate_keeps_the_invariants_after_every_event():
+    # a stop predicate checks, after every event of simulate, each site's
+    # k against the spin geometry, the defect count, the code against a
+    # configuration flipped alongside, and the k buckets
+    specs = (LatticeSpec(1, PERIODIC), LatticeSpec(2, PERIODIC), LatticeSpec(3, PERIODIC),
+             mixed_frame_spec(3), LatticeSpec(6, PLUS))
+    for spec in specs:
+        sites = spec.sites()
+        for kind in RateModel.KINDS:
+            rng = np.random.default_rng(4)
+            init = random_config(spec, rng)
+            model = RateModel(0.8, kind)
+            seen = {"cfg": init, "code": init.code}
+
+            def check(sim):
+                flipped = sim.code ^ seen["code"]
+                assert sim.n_events == 0 or flipped.bit_count() == 1
+                if flipped:
+                    seen["cfg"] = seen["cfg"].flip([sites[flipped.bit_length() - 1]])
+                seen["code"] = sim.code
+                cfg = seen["cfg"]
+                assert sim.code == cfg.code == sim.state().code
+                assert sim.n_defects == defect_count(cfg)
+                k = _site_k(spec, defect_map(cfg).plaq == -1).ravel().tolist()
+                assert [POP4[p] for p in sim._pat] == k
+                for kb, bucket in enumerate(sim._buckets):
+                    assert all(k[t] == kb and sim._pos[t] == i for i, t in enumerate(bucket))
+                assert sorted(t for b in sim._buckets for t in b) == list(range(len(sites)))
+                assert sim._total == pytest.approx(model.table[k].sum(), rel=1e-12)
+                return sim.n_events >= 300
+
+            traj = simulate(spec, 0.8, init, check, seed=5, kind=kind)
+            assert traj.n_events == 300 and traj.final == seen["cfg"]
+            assert replay_trajectory(traj) == traj.final
 
 
 def test_one_step_law_matches_the_generator_row():

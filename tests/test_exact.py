@@ -381,6 +381,17 @@ def test_tv_mixing_monotone_in_eps():
     assert tv_mixing_time(G, eps=0.1) > tv_mixing_time(G, eps=0.25)
 
 
+def test_tv_mixing_time_refuses_eps_at_or_below_the_tail():
+    # the distance read carries the certificate's tail, so the bracket
+    # search ran 200 doublings and raised RuntimeError
+    G = G_of(2, 1.0)
+    tail = exact._TV_TAIL
+    for eps in (tail, 0.5 * tail, 0.0, -0.25, float("nan")):
+        with pytest.raises(ValueError, match="eps must exceed"):
+            tv_mixing_time(G, eps=eps)
+    assert tv_mixing_time(G, eps=2 * tail) > tv_mixing_time(G, eps=0.25)
+
+
 def test_profile_bound_dominates_tmix():
     for beta in (0.5, 1.0):
         G = G_of(2, beta)
