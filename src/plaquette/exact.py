@@ -25,7 +25,8 @@ from the same per-site k table as Q.
   factor a truncated uniformization series, so the kernel is bounded
   entrywise from below with a known row deficit.
 - The profile bound integrates a staircase built from level-set
-  eigenvalues.
+  eigenvalues, each one standard symmetric `eigh` of -S restricted to the
+  set with a rank-two correction (`_lambda_of_subset`).
 
 scipy is imported inside the functions that use it, so importing this
 module, and with it the CLI and the Monte Carlo layers, loads numpy only.
@@ -307,7 +308,19 @@ def level_set(G, k):
 
 
 def _lambda_of_subset(G, idx):
-    """Smallest Dirichlet/variance ratio over functions supported on idx."""
+    """Smallest Dirichlet/variance ratio over functions supported on idx.
+
+    The ratio is the pencil (-diag(p) Q_AA, diag(p) - p p^T) with p = pi_A.
+    Reversibility turns diag(p)^-1/2 into a congruence to (-S_AA, I - v v^T)
+    with v = sqrt(p) and |v|^2 = pi(A) < 1. (I - v v^T)^-1/2 = I + c v v^T
+    with r = sqrt(1 - pi(A)) and c = 1/(r (1 + r)), so the value is the
+    smallest eigenvalue of the standard problem
+    M = (I + c v v^T)(-S_AA)(I + c v v^T) = -S_AA + u v^T + v u^T,
+    u = c (-S_AA v) + (c^2 / 2)(v . -S_AA v) v: one symmetric `eigh`.
+    Conditioning: I + c v v^T has norm 1/r, so M carries the rounding of
+    -S_AA amplified by up to 1/(1 - pi(A)), the same factor as the pencil's
+    B^-1.
+    """
     N = G.n_states
     if idx.size == N:
         return spectral_gap(G)
@@ -317,13 +330,15 @@ def _lambda_of_subset(G, idx):
         )
     import scipy.linalg
 
-    pi = G.pi
-    Qsub = G.Q[idx][:, idx].toarray()
-    A = -(pi[idx][:, None] * Qsub)
-    A = 0.5 * (A + A.T)
-    p = pi[idx]
-    B = np.diag(p) - np.outer(p, p)
-    w = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])
+    v = np.sqrt(G.pi[idx])
+    r = math.sqrt(1.0 - float(v @ v))
+    c = 1.0 / (r * (1.0 + r))
+    M = -G.S[idx][:, idx].toarray()
+    Mv = M @ v
+    u = c * Mv + (0.5 * c * c * float(v @ Mv)) * v
+    M += np.outer(u, v)
+    M += np.outer(v, u)
+    w = scipy.linalg.eigh(M, eigvals_only=True, subset_by_index=[0, 0])
     return float(w[0])
 
 

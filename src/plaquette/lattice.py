@@ -135,9 +135,6 @@ class LatticeSpec:
         """All sites in array storage order (column-major in coordinates)."""
         return list(_site_codec(self.side, self.is_periodic)[0])
 
-    def contains_site(self, x):
-        return tuple(x) in _site_codec(self.side, self.is_periodic)[1]
-
     def plaquettes(self):
         a, b = self.plaq_shape
         return [(i, j) for i in range(a) for j in range(b)]

@@ -16,6 +16,13 @@ resulting set F of "good" rectangles drives a randomized path measure,
 and the congestion of the induced multicommodity flow upper-bounds the
 inverse spectral gap of the dynamics restricted above a defect level.
 
+All three stages read bit masks of a state's defect int D (`_lines`):
+occupancies are popcounts, nearest defects along a column are
+`bit_length`s, and the corner tests of a removal order are single bits.
+Both flows and the public samplers draw on one per-call `_Segments`
+cache of splits, pools and removal orders, and work on codes and flat
+site indices until a public path is built.
+
 Everything in this module is for the all-plus boundary (fixed frames
 lack a defect-free reference state, periodic boxes have their own ground
 machinery elsewhere).
@@ -23,9 +30,9 @@ machinery elsewhere).
 
 from __future__ import annotations
 
-import bisect
-import collections
+import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -149,41 +156,106 @@ def mirror_rectangle(spec, R):
     return Rectangle.from_corners(R.x1, R.x2, L - R.y2, L - R.y1)
 
 
+@functools.lru_cache(maxsize=None)
+def _row_bits(n1):
+    """Per plaquette row b, the bits a*n1 + b of its plaquettes (a, b)."""
+    return tuple(sum(1 << a * n1 + b for a in range(n1)) for b in range(n1))
+
+
+def _band(a, b, n1):
+    """The bits of plaquette columns a..b in a defect int."""
+    return (1 << (b + 1) * n1) - (1 << a * n1)
+
+
+def _lines(D, n1):
+    """Row and column masks of the defect int D on the n1 x n1 plaquette
+    grid, where plaquette (a, b) is bit a*n1 + b: rows[b] holds D's bits
+    of row b in place, and cols[a] is column a shifted down, its bit b set
+    where (a, b) is a defect."""
+    full = (1 << n1) - 1
+    return (tuple(D & m for m in _row_bits(n1)),
+            tuple(D >> a * n1 & full for a in range(n1)))
+
+
+def _below(mask, j):
+    """Highest set bit of mask under bit j, or -1."""
+    return (mask & (1 << j) - 1).bit_length() - 1
+
+
+def _above(mask, j):
+    """Lowest set bit of mask over bit j, or -1."""
+    up = mask >> j + 1
+    return (up & -up).bit_length() + j if up else -1
+
+
+def _state_defects(sigma):
+    """The defect int of a configuration on a fixed box."""
+    if sigma.spec.is_periodic:
+        raise ValueError("splits are for non-periodic boxes")
+    return _code_defects(sigma.spec, sigma.code)
+
+
+def _state_lines(sigma):
+    """_lines of a configuration on a fixed box."""
+    return _lines(_state_defects(sigma), sigma.spec.side + 1)
+
+
 def defect_neighbours(d, x):
     """(left, right, down, up): nearest defects from x along its row and
     column, each None when absent. x must itself be a defect."""
     if d.value(x) != -1:
         raise ValueError(f"{x} is not a defect")
     i, j = x
-    rows, cols = _defect_lines(_defect_bits(d.plaq == -1), d.plaq.shape[0])
-    row, col = rows[j], cols[i]
-    p, q = row.index(i), col.index(j)
+    n1 = d.plaq.shape[0]
+    rows, cols = _lines(_defect_bits(d.plaq == -1), n1)
+    left, right = _below(rows[j], i * n1 + j), _above(rows[j], i * n1 + j)
+    down, up = _below(cols[i], j), _above(cols[i], j)
     return (
-        (row[p - 1], j) if p else None,
-        (row[p + 1], j) if p + 1 < len(row) else None,
-        (i, col[q - 1]) if q else None,
-        (i, col[q + 1]) if q + 1 < len(col) else None,
+        (left // n1, j) if left >= 0 else None,
+        (right // n1, j) if right >= 0 else None,
+        (i, down) if down >= 0 else None,
+        (i, up) if up >= 0 else None,
     )
 
 
-def _removal_order(R, cols):
-    """Flip order for the site block of R, decided by which corners are
-    defective in the defect columns `cols` (`_defect_lines`). The row
-    holding two defective corners goes first and the sweep starts on the
-    side of the third defect, which keeps the intermediate defect excess
-    at 2. So rows run downward unless exactly three corners are defective
-    and one of them is missing at the top, and columns run leftward when
-    exactly three are defective and the missing one is on the left."""
-    bl, br, tl, tr = (y in cols[x] for x, y in R.corners)
-    n_def = bl + br + tl + tr
-    if n_def < 3 or (tl and tr):
-        rows = range(R.y2, R.y1, -1)
-    else:
-        rows = range(R.y1 + 1, R.y2 + 1)
-    xs = range(R.x1 + 1, R.x2 + 1)
-    if n_def == 3 and not (bl and tl):
+def _sweep(R, cols):
+    """How the site block of R = (y2, x1, y1, x2) is removed, decided by
+    which corners are defective in the column masks `cols` (`_lines`):
+    2 if rows run downward, plus 1 if columns run leftward. The row holding
+    two defective corners goes first and the sweep starts on the side of
+    the third defect, which keeps the intermediate defect excess at 2. So
+    rows run downward unless exactly three corners are defective and one
+    of them is missing at the top, and columns run leftward when exactly
+    three are defective and the missing one is on the left."""
+    y2, x1, y1, x2 = R
+    left, right = cols[x1], cols[x2]
+    bl, br, tl, tr = left >> y1 & 1, right >> y1 & 1, left >> y2 & 1, right >> y2 & 1
+    three = bl + br + tl + tr == 3
+    down = not three or (tl and tr)
+    leftward = three and not (bl and tl)
+    return 2 * down + leftward
+
+
+def _block(R, sweep, L):
+    """Flat site indices (`_site_codec`: site (x, y) at (x-1)*L + y-1) of
+    the site block of R in the order of `_sweep`."""
+    y2, x1, y1, x2 = R
+    ys = range(y2 - 1, y1 - 1, -1) if sweep & 2 else range(y1, y2)
+    xs = range(x1 * L, x2 * L, L)
+    if sweep & 1:
         xs = xs[::-1]
-    return [(x, y) for y in rows for x in xs]
+    return [x + y for y in ys for x in xs]
+
+
+def _removal_order(R, cols, L):
+    """The flat flips that remove R = (y2, x1, y1, x2) (see `_sweep`)."""
+    return _block(R, _sweep(R, cols), L)
+
+
+def _sites_of(L, flips):
+    """Lattice sites of flat indices on the fixed box of side L."""
+    sites = _site_codec(L, False)[0]
+    return [sites[t] for t in flips]
 
 
 def rectangle_removal_path(sigma, R):
@@ -196,54 +268,51 @@ def rectangle_removal_path(sigma, R):
         raise ValueError(f"{R} outside the plaquette grid")
     if R.is_degenerate():
         return CanonicalPath(sigma, [], [SegmentMark("rectangle", R, None, 0)])
-    flips = _removal_order(R, _lines(sigma)[1])
-    return CanonicalPath(sigma, flips, [SegmentMark("rectangle", R, None, len(flips))])
+    order = _removal_order((R.y2, R.x1, R.y1, R.x2), _state_lines(sigma)[1], L)
+    return CanonicalPath(sigma, _sites_of(L, order),
+                         [SegmentMark("rectangle", R, None, len(order))])
 
 
-def _defect_lines(D, n1):
-    """Rows and columns of the defect int D: rows[b] holds the plaquette
-    columns of the defects in row b, cols[a] the rows of those in column
-    a, both ascending."""
-    rows = [[] for _ in range(n1)]
-    cols = [[] for _ in range(n1)]
-    while D:
-        low = D & -D
-        a, b = divmod(low.bit_length() - 1, n1)
-        rows[b].append(a)
-        cols[a].append(b)
-        D ^= low
-    return rows, cols
-
-
-def _lines(sigma):
-    """_defect_lines of a configuration on a fixed box."""
-    if sigma.spec.is_periodic:
-        raise ValueError("splits are for non-periodic boxes")
-    return _defect_lines(_code_defects(sigma.spec, sigma.code), sigma.spec.side + 1)
+def _rect(R, w):
+    """(y2, x1, y1, x2) of the rectangle key R: the four fields in w-bit
+    digits, y2 highest, so keys sort as Rectangle does (`_extended` sets
+    w = (L+1).bit_length())."""
+    m = (1 << w) - 1
+    return R >> 3 * w, R >> 2 * w & m, R >> w & m, R & m
 
 
 def _extended(rows, cols, pair_rows, a, b):
     """Extended rectangles with pair row in `pair_rows` and columns in
-    a..b, as (y2, x1, y1, x2) tuples, which sort as Rectangle does."""
-    none_below, none_above = len(rows), -1
+    a..b, as `_rect` keys. A pair spans to the farther of its defects'
+    nearest defects below (the pair on top) and above (the pair at the
+    bottom)."""
+    n1 = len(rows)
+    none_below, none_above = n1, -1
+    w = n1.bit_length()
+    band = _band(a, b, n1)
     out = set()
     for j in pair_rows:
-        cs = [i for i in rows[j] if a <= i <= b]
-        near = []
-        for i in cs:
+        row = rows[j] & band
+        if not row & row - 1:
+            continue  # fewer than two defects
+        under = (1 << j) - 1
+        near = []  # per defect (column, nearest below, nearest above)
+        while row:
+            low = row & -row
+            row ^= low
+            i = (low.bit_length() - 1) // n1
             col = cols[i]
-            p = bisect.bisect_left(col, j)
-            near.append((
-                col[p - 1] if p else none_below,
-                col[p + 1] if p + 1 < len(col) else none_above,
-            ))
-        for u, (dn_u, up_u) in enumerate(near):
-            for v in range(u + 1, len(cs)):
-                dn, up = min(dn_u, near[v][0]), max(up_u, near[v][1])
-                if dn != none_below:
-                    out.add((j, cs[u], dn, cs[v]))
-                if up != none_above:
-                    out.add((up, cs[u], j, cs[v]))
+            dn = (col & under).bit_length() - 1  # _below and _above, inline
+            up = col >> j + 1
+            near.append((i, dn if dn >= 0 else none_below,
+                         (up & -up).bit_length() + j if up else none_above))
+        for (x1, dn_u, up_u), (x2, dn_v, up_v) in itertools.combinations(near, 2):
+            dn = dn_u if dn_u < dn_v else dn_v
+            up = up_u if up_u > up_v else up_v
+            if dn != none_below:
+                out.add(((j << w | x1) << w | dn) << w | x2)
+            if up != none_above:
+                out.add(((up << w | x1) << w | j) << w | x2)
     return out
 
 
@@ -253,10 +322,11 @@ def extended_rectangles(d, row=None, col_range=None):
     bottom). `row` restricts the pair's row; `col_range` = (a, b)
     restricts all involved defects to plaquette columns a..b."""
     n1 = d.plaq.shape[0]
-    rows, cols = _defect_lines(_defect_bits(d.plaq == -1), n1)
+    rows, cols = _lines(_defect_bits(d.plaq == -1), n1)
     a, b = (0, n1 - 1) if col_range is None else col_range
     pair_rows = range(n1) if row is None else [row]
-    return {Rectangle(*t) for t in _extended(rows, cols, pair_rows, a, b)}
+    w = n1.bit_length()
+    return {Rectangle(*_rect(R, w)) for R in _extended(rows, cols, pair_rows, a, b)}
 
 
 @dataclass(frozen=True)
@@ -289,23 +359,24 @@ class SplitStructure:
 
 
 def _split(cols, c):
+    """Boundaries of the greedy bands of the column masks `cols`."""
     L = len(cols) - 1
     bounds = [0]
     while bounds[-1] < L + 1:
         running = 0
         nxt = L + 1
         for col in range(bounds[-1], L + 1):
-            running += len(cols[col])
+            running += cols[col].bit_count()
             if running >= c * L:
                 nxt = col + 1
                 break
         bounds.append(nxt)
-    return SplitStructure(boundaries=tuple(bounds), c=c)
+    return tuple(bounds)
 
 
 def compute_split(sigma, c=100):
     """Greedy left-to-right bands, each closed once it holds >= c*L defects."""
-    return _split(_lines(sigma)[1], c)
+    return SplitStructure(boundaries=_split(_state_lines(sigma)[1], c), c=c)
 
 
 @dataclass(frozen=True)
@@ -326,16 +397,18 @@ class OccupancyVector:
         return sum(self.v)
 
 
-def _occupancy(rows, a, b):
-    return OccupancyVector(v=tuple(sum(1 for i in r if a <= i <= b) for r in rows))
+def _row_counts(rows, a, b):
+    """Defects per row in plaquette columns a..b."""
+    band = _band(a, b, len(rows))
+    return tuple((r & band).bit_count() for r in rows)
 
 
 def occupancy_vector(sigma, i, c=100):
-    rows, cols = _lines(sigma)
-    split = _split(cols, c)
+    rows, cols = _state_lines(sigma)
+    split = SplitStructure(boundaries=_split(cols, c), c=c)
     if not 1 <= i <= split.m:
         raise ValueError(f"part index {i} out of range 1..{split.m}")
-    return _occupancy(rows, *split.part_columns(i))
+    return OccupancyVector(v=_row_counts(rows, *split.part_columns(i)))
 
 
 @dataclass(frozen=True)
@@ -344,38 +417,51 @@ class ThetaClass:
     theta: int | None
 
 
+def _theta(v, beta):
+    """classify_occupancy of the row counts v: its offset theta, or None
+    when sparse."""
+    v_max = max(v)
+    if v_max <= beta * beta:
+        return None
+    num = {}
+    for x in v:
+        num[x] = num.get(x, 0) + 1
+    for theta in range(0, int(math.floor(beta)) + 1):
+        target = v_max - theta
+        if target < 0:
+            break
+        # A level within distance 32 that no row has passes for any
+        # beta >= 0; the offset fits when no level there beats the bound.
+        bound = beta * num.get(target, 0)
+        for lv, k in num.items():
+            if k > bound and abs(lv - target) <= 32:
+                break
+        else:
+            return theta
+    raise PartitionViolation("partition violation")
+
+
 def classify_occupancy(v, beta):
     """Sparse when the largest row count is at most beta^2; otherwise the
     smallest offset theta in [0:floor(beta)] whose row-count level
     v_max - theta dominates all levels within distance 32 up to a factor
     beta. Exactly one class per vector, or a partition violation."""
-    if not isinstance(v, OccupancyVector):
-        v = OccupancyVector(v=tuple(int(x) for x in v))
-    if v.v_max <= beta * beta:
-        return ThetaClass(sparse=True, theta=None)
-    # A level within distance 32 that no row has passes for any beta >= 0.
-    num = collections.Counter(v.v)
-    for theta in range(0, int(math.floor(beta)) + 1):
-        target = v.v_max - theta
-        if target < 0:
-            break
-        nm = num.get(target, 0)
-        if all(beta * nm >= k for lv, k in num.items() if abs(lv - target) <= 32):
-            return ThetaClass(sparse=False, theta=theta)
-    raise PartitionViolation("partition violation")
+    theta = _theta(v.v if isinstance(v, OccupancyVector) else tuple(v), beta)
+    return ThetaClass(sparse=theta is None, theta=theta)
 
 
-def _pool(rows, cols, split, i, beta):
-    """good_rectangles of part i as (y2, x1, y1, x2) tuples."""
-    a, b = split.part_columns(i)
-    occ = _occupancy(rows, a, b)
+def _pool(rows, cols, a, b, beta):
+    """good_rectangles of the part over plaquette columns a..b, as `_rect`
+    keys."""
+    v = _row_counts(rows, a, b)
     try:
-        cls = classify_occupancy(occ, beta)
+        theta = _theta(v, beta)
     except PartitionViolation:
-        cls = ThetaClass(sparse=True, theta=None)
+        theta = None
     pair_rows = range(len(rows))
-    if not cls.sparse:
-        pair_rows = [j for j, vj in enumerate(occ.v) if vj == occ.v_max - cls.theta]
+    if theta is not None:
+        level = max(v) - theta
+        pair_rows = [j for j, vj in enumerate(v) if vj == level]
     return _extended(rows, cols, pair_rows, a, b)
 
 
@@ -388,34 +474,107 @@ def good_rectangles(sigma, i, beta, c=100):
     any exit-path measure yields a valid congestion bound, and the dense
     classification can fail at small beta.
     """
-    rows, cols = _lines(sigma)
-    split = _split(cols, c)
+    rows, cols = _state_lines(sigma)
+    split = SplitStructure(boundaries=_split(cols, c), c=c)
     if not 1 <= i <= split.n:
         raise ValueError(f"part index {i} out of range 1..{split.n}")
-    return {Rectangle(*t) for t in _pool(rows, cols, split, i, beta)}
+    w = len(rows).bit_length()
+    return {Rectangle(*_rect(R, w)) for R in _pool(rows, cols, *split.part_columns(i), beta)}
 
 
-def _rectangle_segment(rows, cols, beta, rng, c):
-    """One partial segment from the defect lines of a state: a uniform
-    part index i, a uniform rectangle R of its sorted pool, and R's
-    removal order. Returns (flips, R, i)."""
-    split = _split(cols, c)
-    i = int(rng.integers(1, split.n + 1))
-    pool = sorted(_pool(rows, cols, split, i, beta))
-    if not pool:
-        raise PathSamplingError(f"no good rectangles in part {i}")
-    R = Rectangle(*pool[int(rng.integers(len(pool)))])
-    return _removal_order(R, cols), R, i
+_SEGMENT_CACHE = 1 << 14
+
+
+class _Segments:
+    """The rectangle segments of defect ints on the plus box of side L at
+    (beta, c): a uniform part index of the split (`SplitStructure.n`
+    parts), then a uniform rectangle of that part's sorted pool, removed
+    in `_removal_order`.
+
+    Each defect int's lines and split, each part's sorted pool, and each
+    rectangle's removal order per sweep are built once for the life of
+    this object, which lives for one call (a flow, or one sampled path).
+    At most _SEGMENT_CACHE defect ints are held; past that the caches
+    start over, which bounds memory on large boxes, where states rarely
+    repeat.
+    """
+
+    def __init__(self, L, beta, c):
+        self.L, self.beta, self.c = L, beta, c
+        self.w = (L + 1).bit_length()
+        self._states = {}
+        self._orders = {}
+
+    def parts(self, D):
+        """(rows, cols, split boundaries, pools) of the defect int D, with
+        one pool slot per part drawn from (`pool` fills them)."""
+        got = self._states.get(D)
+        if got is None:
+            if len(self._states) >= _SEGMENT_CACHE:
+                self._states.clear()
+                self._orders.clear()
+            L = self.L
+            rows, cols = _lines(D, L + 1)
+            # fewer than c*L defects make one part
+            bounds = _split(cols, self.c) if D.bit_count() >= self.c * L else (0, L + 1)
+            got = self._states[D] = rows, cols, bounds, [None] * max(1, len(bounds) - 2)
+        return got
+
+    def pool(self, state, i):
+        """The sorted pool of part i of a state's `parts`; PathSamplingError
+        when empty."""
+        rows, cols, bounds, pools = state
+        pool = pools[i - 1]
+        if pool is None:
+            pool = sorted(_pool(rows, cols, bounds[i - 1], bounds[i] - 1, self.beta))
+            if not pool:
+                raise PathSamplingError(f"no good rectangles in part {i}")
+            pools[i - 1] = pool
+        return pool
+
+    def every(self, D):
+        """Every segment of D as (probability, flat flips)."""
+        state = self.parts(D)
+        cols, n = state[1], len(state[3])
+        out = []
+        for i in range(1, n + 1):
+            pool = self.pool(state, i)
+            q = 1.0 / (n * len(pool))
+            out += [(q, self.order(R, cols)) for R in pool]
+        return out
+
+    def draw(self, D, rng):
+        """One segment of D as (flat flips, R, i), R a `_rect` key. One
+        part draws no part index, which leaves rng's stream as a draw from
+        [1, 2) would."""
+        state = self.parts(D)
+        n = len(state[3])
+        i = int(rng.integers(1, n + 1)) if n > 1 else 1
+        pool = self.pool(state, i)
+        R = pool[int(rng.integers(len(pool)))]
+        return self.order(R, state[1]), R, i
+
+    def order(self, R, cols):
+        """_removal_order of the rectangle key R in a state with column
+        masks cols, built once per rectangle and sweep; read only."""
+        r = _rect(R, self.w)
+        key = R << 2 | _sweep(r, cols)
+        got = self._orders.get(key)
+        if got is None:
+            got = self._orders[key] = _block(r, key & 3, self.L)
+        return got
 
 
 def sample_partial_path(sigma, beta, seed, c=100):
     """One segment: uniform part index, uniform good rectangle, removal path."""
-    rows, cols = _lines(sigma)
-    if not any(cols):
+    D = _state_defects(sigma)
+    if not D:
         raise ValueError("empty defect set")
-    rng = _as_rng(seed)
-    flips, R, i = _rectangle_segment(rows, cols, beta, rng, c)
-    return CanonicalPath(sigma, flips, [SegmentMark("rectangle", R, i, len(flips))])
+    L = sigma.spec.side
+    segments = _Segments(L, beta, c)
+    flips, R, i = segments.draw(D, _as_rng(seed))
+    R = Rectangle(*_rect(R, segments.w))
+    return CanonicalPath(sigma, _sites_of(L, flips), [SegmentMark("rectangle", R, i, len(flips))])
 
 
 def identify_split(e, c=100):
@@ -431,8 +590,8 @@ def edge_type(e, R, sigma):
     flipped (when more than one row), 'fin' on the last row, 'mid'
     between."""
     flips = rectangle_removal_path(sigma, R).flips
-    cols = _lines(sigma)[1]
-    if sum(y in cols[x] for x, y in R.corners) < 3:
+    cols = _state_lines(sigma)[1]
+    if sum(cols[x] >> y & 1 for x, y in R.corners) < 3:
         raise ValueError("untyped rectangle")
     if e.site not in flips:
         return "none"
@@ -450,17 +609,61 @@ def edge_type(e, R, sigma):
     return "mid"
 
 
-def _minus_sites(spec, code):
-    """The sites of the code's set bits (its minus spins), in reading order."""
-    sites = _site_codec(spec.side, spec.is_periodic)[0]
-    minus = [sites[t] for t in range(spec.n_sites) if code >> t & 1]
-    return sorted(minus, key=reading_order_key)
+@functools.lru_cache(maxsize=None)
+def _reading_order(L):
+    """Flat site indices of the side-L box in reading order."""
+    sites = _site_codec(L, False)[0]
+    return tuple(sorted(range(L * L), key=lambda t: reading_order_key(sites[t])))
+
+
+def _naive(code, L):
+    """The code's set bits (its minus spins), in reading order."""
+    return [t for t in _reading_order(L) if code >> t & 1]
 
 
 def naive_path(sigma):
     """Flip every minus spin once, top row first, left to right."""
-    minus = _minus_sites(sigma.spec, sigma.code)
+    L = sigma.spec.side
+    minus = _sites_of(L, _naive(sigma.code, L))
     return CanonicalPath(sigma, minus, [SegmentMark("naive", None, None, len(minus))])
+
+
+def _walk(code, D, flips, masks, trunc):
+    """(steps, code, D) after the flat flips from the state (code, D),
+    stopping at the first state with at most trunc defects."""
+    taken = 0
+    for t in flips:
+        code ^= 1 << t
+        D ^= masks[t]
+        taken += 1
+        if D.bit_count() <= trunc:
+            break
+    return taken, code, D
+
+
+def _sample_path(segments, code, D, rng, trunc):
+    """One full path from the state (code, D): segments drawn from
+    `segments` while the segment index is at most beta*L, then the naive
+    segment, until no defects remain, cut at the first state with at most
+    `trunc` defects (no cut when trunc < 0). Returns the flips (flat
+    indices) and per segment (R, i, steps), R a `_rect` key, or None on
+    the naive segment."""
+    L = segments.L
+    M = math.floor(segments.beta * L)
+    masks = _site_masks(L, False)
+    flips = []
+    marks = []
+    s = 1
+    while D and D.bit_count() > trunc:
+        if s <= M:
+            seg, R, i = segments.draw(D, rng)
+        else:
+            seg, R, i = _naive(code, L), None, None
+        taken, code, D = _walk(code, D, seg, masks, trunc)
+        flips += seg[:taken]
+        marks.append((R, i, taken))
+        s += 1
+    return flips, marks
 
 
 def sample_full_path(sigma, beta, seed, truncate_at=None, c=100):
@@ -470,38 +673,15 @@ def sample_full_path(sigma, beta, seed, truncate_at=None, c=100):
     spec = sigma.spec
     if spec.bc != PLUS:
         raise ValueError("full paths are defined for the all-plus boundary")
-    rng = _as_rng(seed)
     L = spec.side
-    M = math.floor(beta * L)
-    flips = []
-    marks = []
-    w = _CodedState(sigma)
-    s = 1
-    while True:
-        if truncate_at is not None and w.count <= truncate_at:
-            break
-        if w.count == 0:
-            break
-        if s <= M:
-            seg, R, i = _rectangle_segment(*_defect_lines(w.D, L + 1), beta, rng, c)
-            kind = "rectangle"
-        else:
-            seg, R, i = _minus_sites(spec, w.code), None, None
-            kind = "naive"
-        taken = 0
-        cut = False
-        for x in seg:
-            w.flip(x)
-            flips.append(x)
-            taken += 1
-            if truncate_at is not None and w.count <= truncate_at:
-                cut = True
-                break
-        marks.append(SegmentMark(kind, R, i, taken))
-        if cut:
-            break
-        s += 1
-    return CanonicalPath(sigma, flips, marks)
+    code = sigma.code
+    trunc = -1 if truncate_at is None else truncate_at
+    segments = _Segments(L, beta, c)
+    flips, marks = _sample_path(segments, code, _code_defects(spec, code), _as_rng(seed), trunc)
+    marks = [SegmentMark("naive", None, None, taken) if R is None
+             else SegmentMark("rectangle", Rectangle(*_rect(R, segments.w)), i, taken)
+             for R, i, taken in marks]
+    return CanonicalPath(sigma, _sites_of(L, flips), marks)
 
 
 @dataclass
@@ -530,24 +710,27 @@ def flow_report_csv(result):
     return "\n".join(rows) + "\n"
 
 
-def _flow_result(spec, model, numer, half=None, **fields):
+def _flow_result(spec, model, numer, defects, half=None, **fields):
     """FlowResult from edge numerators keyed code * n + t: congestion is
     numer / (exp(-beta * defects) * rate) under the key (SpinConfig.key(),
-    site), in numer's order; `half` gives the heaviest edge's ci_halfwidth."""
+    site), in numer's order; `defects[code]` is the defect int of each edge
+    state, and `half` gives the heaviest edge's ci_halfwidth."""
     n, beta = spec.n_sites, fields["beta"]
     masks = _site_masks(spec.side, False)
     sites = _site_codec(spec.side, False)[0]
-    states = {}
+    rate = model.table.tolist()
+    weights = [math.exp(-beta * k) for k in range(spec.n_plaquettes + 1)]
+    keys = {}
     congestion = {}
     cost = -math.inf
     for e, x in numer.items():
         code, t = divmod(e, n)
-        if code not in states:
-            D = _code_defects(spec, code)
-            states[code] = _code_bytes(code, n), D, math.exp(-beta * D.bit_count())
-        key, D, weight = states[code]
-        denom = weight * model.table[(D & masks[t]).bit_count()]
-        v = congestion[key, sites[t]] = float(x / denom)
+        key = keys.get(code)
+        if key is None:
+            key = keys[code] = _code_bytes(code, n)
+        D = defects[code]
+        denom = weights[D.bit_count()] * rate[(D & masks[t]).bit_count()]
+        v = congestion[key, sites[t]] = x / denom
         if v > cost:
             cost, best, best_denom = v, e, denom
     code, t = divmod(best, n)
@@ -569,44 +752,27 @@ def _flow_exhaustive(spec, beta, level, c, kind):
     counts_all = np.bitwise_count(D)
     dbits = D.tolist()
     masks = _site_masks(L, False)
-    flat = _site_codec(L, False)[1]
-
-    def walk(code, flips):
-        """(steps, end state, end count) of flips from code, stopping
-        after the truncation crossing."""
-        D = dbits[code]
-        taken = 0
-        for t in flips:
-            code ^= 1 << t
-            D ^= masks[t]
-            taken += 1
-            if D.bit_count() <= trunc:
-                break
-        return taken, code, D.bit_count()
-
+    segments = _Segments(L, beta, c)
     tree = {}
 
     def branches(code, s):
-        """[(q, flips, steps, end state, end count)] of segment s from
-        code: the rectangle draws while s <= M, then the naive path."""
+        """[(q, edges, end state, end count)] of segment s from code: every
+        rectangle segment while s <= M, then the naive path, with the
+        edges (state * n + site) it takes up to the truncation crossing."""
         key = (code, s > M)
         if key not in tree:
             if s > M:
-                drawn = [(1.0, _minus_sites(spec, code))]
+                drawn = [(1.0, _naive(code, L))]
             else:
-                rows, cols = _defect_lines(dbits[code], L + 1)
-                split = _split(cols, c)
-                drawn = []
-                for i in range(1, split.n + 1):
-                    pool = sorted(_pool(rows, cols, split, i, beta))
-                    if not pool:
-                        raise PathSamplingError(f"no good rectangles in part {i}")
-                    q = 1.0 / (split.n * len(pool))
-                    drawn += [(q, _removal_order(Rectangle(*R), cols)) for R in pool]
+                drawn = segments.every(dbits[code])
             tree[key] = []
-            for q, sites in drawn:
-                flips = [flat[x] for x in sites]
-                tree[key].append((q, flips, *walk(code, flips)))
+            for q, flips in drawn:
+                taken, end, D = _walk(code, dbits[code], flips, masks, trunc)
+                edges, cur = [], code
+                for t in flips[:taken]:
+                    edges.append(cur * n + t)
+                    cur ^= 1 << t
+                tree[key].append((q, edges, end, D.bit_count()))
         return tree[key]
 
     ell_memo = {}
@@ -618,8 +784,8 @@ def _flow_exhaustive(spec, beta, level, c, kind):
         key = (code, s)
         if key not in ell_memo:
             val = 0.0
-            for q, _, taken, endb, endc in branches(code, s):
-                val += q * (taken + ell_rem(endb, endc, s + 1))
+            for q, edges, endb, endc in branches(code, s):
+                val += q * (len(edges) + ell_rem(endb, endc, s + 1))
             ell_memo[key] = val
         return ell_memo[key]
 
@@ -638,14 +804,12 @@ def _flow_exhaustive(spec, beta, level, c, kind):
         for code, (W, ML) in layer.items():
             if dbits[code].bit_count() <= trunc:
                 continue
-            for q, flips, taken, endb, endc in branches(code, s):
+            for q, edges, endb, endc in branches(code, s):
+                taken = len(edges)
                 tail = 0.0 if endc <= trunc else ell_rem(endb, endc, s + 1)
                 inc = q * (ML + W * (taken + tail))
-                cur = code
-                for t in flips[:taken]:
-                    e = cur * n + t
+                for e in edges:
                     numer[e] = numer.get(e, 0.0) + inc
-                    cur ^= 1 << t
                 if endc > trunc:
                     wml = nxt.setdefault(endb, [0.0, 0.0])
                     wml[0] += q * W
@@ -654,44 +818,57 @@ def _flow_exhaustive(spec, beta, level, c, kind):
         s += 1
         if s > M + 2:
             break
-    return _flow_result(spec, model, {e: 2.0 * v for e, v in numer.items()},
+    return _flow_result(spec, model, {e: 2.0 * v for e, v in numer.items()}, dbits,
                         mode="exhaustive", level=level, beta=beta, c=c)
 
 
 def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
     model = RateModel(beta, kind)
     L = spec.side
+    n = L * L
     trunc = level - 1
     rng = _as_rng(seed)
-    flat = _site_codec(L, False)[1]
-    n_states = 2.0 ** (L * L)
-    acc = {}
-    acc2 = {}
+    masks = _site_masks(L, False)
+    segments = _Segments(L, beta, c)
+    n_states = 2.0 ** n
+    acc = {}  # edge -> sum of its per-sample terms
+    acc2 = {}  # edge -> sum of their squares
+    defects = {}  # edge state code -> its defect int
     for _ in range(samples):
-        cfg = SpinConfig.random(spec, rng)
-        w = _CodedState(cfg)
-        if w.count < level:
+        # a uniform state: bit t of the code is the drawn bit of site t
+        bits = rng.integers(2, size=n)
+        code = int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(),
+                              "little")
+        D = _code_defects(spec, code)
+        count = D.bit_count()
+        if count < level:
             continue
-        relw = math.exp(-beta * float(w.count))
-        path = sample_full_path(cfg, beta, rng, truncate_at=trunc, c=c)
-        x = relw * len(path)
-        for site in path.flips:
-            t = flat[site]
-            e = w.code * L * L + t
-            acc[e] = acc.get(e, 0.0) + x
-            acc2[e] = acc2.get(e, 0.0) + x * x
-            w._flip(t)
+        flips = _sample_path(segments, code, D, rng, trunc)[0]
+        x = math.exp(-beta * float(count)) * len(flips)
+        xx = x * x
+        for t in flips:
+            e = code * n + t
+            a = acc.get(e)
+            if a is None:
+                acc[e] = x
+                acc2[e] = xx
+                defects[code] = D
+            else:
+                acc[e] = a + x
+                acc2[e] += xx
+            code ^= 1 << t
+            D ^= masks[t]
     if not acc:
         raise ValueError("no sampled path visited the level set")
-    numer = {}
-    half = {}
-    for e, a in acc.items():
-        mean = a / samples
-        var = max(acc2[e] - a * a / samples, 0.0) / max(samples - 1, 1)
-        se = math.sqrt(var / samples)
-        numer[e] = 2.0 * n_states * mean
-        half[e] = 2.0 * n_states * 1.96 * se
-    return _flow_result(spec, model, numer, half, mode="monte_carlo",
+    # elementwise, the same IEEE operations as per-edge float arithmetic
+    a = np.fromiter(acc.values(), float, len(acc))
+    a2 = np.fromiter(acc2.values(), float, len(acc))
+    mean = a / samples
+    var = np.maximum(a2 - a * a / samples, 0.0) / max(samples - 1, 1)
+    se = np.sqrt(var / samples)
+    numer = dict(zip(acc, (2.0 * n_states * mean).tolist()))
+    half = dict(zip(acc, (2.0 * n_states * 1.96 * se).tolist()))
+    return _flow_result(spec, model, numer, defects, half, mode="monte_carlo",
                         level=level, beta=beta, c=c, samples=samples)
 
 

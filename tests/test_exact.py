@@ -260,6 +260,29 @@ def test_singleton_subset_closed_form():
         assert lam == pytest.approx(hold / (1.0 - pi[idx]), rel=1e-12)
 
 
+def test_level_set_value_matches_the_generalized_pencil():
+    # the rank-one reduction to one standard eigh against scipy's
+    # generalized eigh of the pencil (-diag(p) Q_AA, diag(p) - p p^T) it
+    # replaced, on every proper level set
+    checked = 0
+    for L in (1, 2, 3):
+        for bc in (PLUS, PERIODIC):
+            for beta in (0.0, 0.5, 1.0, 3.0):
+                G = G_of(L, beta, bc)
+                for k in np.unique(G.counts):
+                    idx = level_set(G, k)
+                    if idx.size == G.n_states:
+                        continue
+                    p = G.pi[idx]
+                    A = -(p[:, None] * G.Q[idx][:, idx].toarray())
+                    A = 0.5 * (A + A.T)
+                    B = np.diag(p) - np.outer(p, p)
+                    want = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
+                    assert _lambda_of_subset(G, idx) == pytest.approx(want, rel=1e-12)
+                    checked += 1
+    assert checked == 48
+
+
 def test_tv_mixing_time_pinned():
     tmix = tv_mixing_time(G_of(2, 1.0))
     # independent expm route gives 6.6989; allow the 1% bisection slack

@@ -1,5 +1,7 @@
 """Rectangle removal paths, splits, occupancy classes, and flow bounds."""
 
+import bisect
+import collections
 import hashlib
 import math
 
@@ -18,6 +20,8 @@ from plaquette.lattice import (
     invert_defects,
     reading_order_key,
     _CodedState,
+    _code_defects,
+    _site_codec,
     _site_flat,
     _site_index,
     _site_k,
@@ -46,7 +50,12 @@ from plaquette.paths import (
     rectangle_removal_path,
     sample_full_path,
     sample_partial_path,
+    _Segments,
+    _lines,
+    _pool,
+    _rect,
     _removal_order,
+    _split,
 )
 from plaquette.exact import build_generator, spectral_gap, spectral_profile
 from plaquette.dynamics import RateModel
@@ -66,6 +75,13 @@ FLOW_PINS = {
     (3, 1.0, 1): (436.477575655193, 3144, "aa12a827c55c4047", "3793c6f5cd534713"),
     (3, 1.0, 2): (436.477575655193, 3144, "aa12a827c55c4047", "3793c6f5cd534713"),
     (3, 2.0, 1): (1794.8911910125098, 3156, "346ba252c7873daf", "c50d047bb5c440dc"),
+}
+
+# the same for L = 3, level 1 at split threshold c = 2, where a part can
+# cover a column band, by beta; pinned from the list kernel
+FLOW_PINS_C2 = {
+    1.0: (453.558830905748, 1689, "6392d633590a7ab1", "fc254d6d5ffecf71"),
+    2.0: (1797.1415336637365, 1717, "f074e99dcb1512c9", "2940fec9db6740ec"),
 }
 
 
@@ -244,12 +260,16 @@ def _five_case_order(R, dset):
 
 def test_removal_order_starts_at_the_defect_pair_row():
     # the two rules agree with the five-case table on all 16 corner
-    # subsets, a defect off the corners changing nothing
+    # subsets, a defect off the corners changing nothing; the order is of
+    # flat indices, read as sites through the codec, and the corner tests
+    # read column masks
     R = Rectangle.from_corners(1, 3, 0, 2)
+    sites = _site_codec(4, False)[0]
     for bits in range(16):
         dset = {c for b, c in enumerate(R.corners) if bits >> b & 1} | {(0, 4)}
-        cols = [sorted(y for x, y in dset if x == a) for a in range(5)]
-        assert _removal_order(R, cols) == _five_case_order(R, dset), bits
+        cols = [sum(1 << y for x, y in dset if x == a) for a in range(5)]
+        order = _removal_order((R.y2, R.x1, R.y1, R.x2), cols, 4)
+        assert [sites[t] for t in order] == _five_case_order(R, dset), bits
     # pattern with corners at bottom-left, bottom-right, top-left only:
     # the pair row is the bottom, the sweep runs upward and left to right
     spec = LatticeSpec(4, PLUS)
@@ -648,6 +668,15 @@ def test_exhaustive_flow_pinned_bit_for_bit(L, beta, level):
     assert flow_digests(res) == tuple(digests)
 
 
+def test_monte_carlo_flow_at_split_threshold_two_pinned_bit_for_bit():
+    # at L = 6 and c = 2 some states split into several parts, so the
+    # part draw runs, and one-part states skip it without moving the stream
+    res = flow_cost(LatticeSpec(6, PLUS), 1.0, 1, mode="monte_carlo", seed=2, samples=100, c=2)
+    assert res.cost == 761658103037.1957 and res.ci_halfwidth == 1492849881952.9036
+    assert len(res.congestion) == 4533
+    assert flow_digests(res) == ("48b1e563d9d56898", "fc3d804c9eccbd07")
+
+
 def test_monte_carlo_flow_pinned_bit_for_bit():
     res = flow_cost(LatticeSpec(4, PLUS), 1.0, 1, mode="monte_carlo", seed=123, samples=1000)
     assert res.cost == 35834.439356964416 and res.ci_halfwidth == 70235.50113965027
@@ -690,6 +719,7 @@ def test_exhaustive_flow_at_split_threshold_two(beta, cost):
     spec = LatticeSpec(3, PLUS)
     res = flow_cost(spec, beta, 1, c=2)
     assert res.cost == pytest.approx(cost, rel=1e-12)
+    assert (res.cost, len(res.congestion), *flow_digests(res)) == FLOW_PINS_C2[beta]
     lam = spectral_profile(build_generator(spec, RateModel(beta)), 1)
     assert lam * res.cost >= 1.0
 
@@ -707,3 +737,133 @@ def test_flow_report_csv_sorted():
     vals = [float(ln.rsplit(",", 1)[1]) for ln in lines[1:]]
     assert vals == sorted(vals, reverse=True)
     assert vals[0] == pytest.approx(res.cost, rel=1e-12)
+
+
+# The list kernel that built rectangle pools before the bit-mask one, kept
+# as its independent reference: per-row and per-column sorted lists of the
+# defect coordinates, bisection for the nearest defects, and the occupancy
+# classification written with a Counter.
+
+
+def _ref_lines(D, n1):
+    rows = [[] for _ in range(n1)]
+    cols = [[] for _ in range(n1)]
+    while D:
+        low = D & -D
+        a, b = divmod(low.bit_length() - 1, n1)
+        rows[b].append(a)
+        cols[a].append(b)
+        D ^= low
+    return rows, cols
+
+
+def _ref_split(cols, c):
+    L = len(cols) - 1
+    bounds = [0]
+    while bounds[-1] < L + 1:
+        running = 0
+        nxt = L + 1
+        for col in range(bounds[-1], L + 1):
+            running += len(cols[col])
+            if running >= c * L:
+                nxt = col + 1
+                break
+        bounds.append(nxt)
+    return tuple(bounds)
+
+
+def _ref_extended(rows, cols, pair_rows, a, b):
+    none_below, none_above = len(rows), -1
+    out = set()
+    for j in pair_rows:
+        cs = [i for i in rows[j] if a <= i <= b]
+        near = []
+        for i in cs:
+            col = cols[i]
+            p = bisect.bisect_left(col, j)
+            near.append((
+                col[p - 1] if p else none_below,
+                col[p + 1] if p + 1 < len(col) else none_above,
+            ))
+        for u, (dn_u, up_u) in enumerate(near):
+            for v in range(u + 1, len(cs)):
+                dn, up = min(dn_u, near[v][0]), max(up_u, near[v][1])
+                if dn != none_below:
+                    out.add((j, cs[u], dn, cs[v]))
+                if up != none_above:
+                    out.add((up, cs[u], j, cs[v]))
+    return out
+
+
+def _ref_theta(v, beta):
+    # None for sparse and for a partition violation (the sparse fallback)
+    v_max = max(v)
+    if v_max <= beta * beta:
+        return None
+    num = collections.Counter(v)
+    for theta in range(0, int(math.floor(beta)) + 1):
+        target = v_max - theta
+        if target < 0:
+            break
+        nm = num.get(target, 0)
+        if all(beta * nm >= k for lv, k in num.items() if abs(lv - target) <= 32):
+            return theta
+    return None
+
+
+def _ref_pool(rows, cols, a, b, beta):
+    v = tuple(sum(1 for i in r if a <= i <= b) for r in rows)
+    theta = _ref_theta(v, beta)
+    pair_rows = range(len(rows))
+    if theta is not None:
+        pair_rows = [j for j, vj in enumerate(v) if vj == max(v) - theta]
+    return sorted(_ref_extended(rows, cols, pair_rows, a, b))
+
+
+def test_mask_kernel_matches_the_list_reference():
+    # lines, split bounds, every part's pool and each pooled rectangle's
+    # removal order, on spin-configuration states and on raw defect ints
+    # (not all realizable, so pools may be empty)
+    rng = np.random.default_rng(16)
+    checked = 0
+    for L in range(2, 7):
+        spec = LatticeSpec(L, PLUS)
+        n1 = L + 1
+        sites = _site_codec(L, False)[0]
+        states = [(True, _code_defects(spec, random_config(spec, rng).code)) for _ in range(12)]
+        states += [(False, int.from_bytes(rng.bytes(8), "little") & (1 << n1 * n1) - 1)
+                   for _ in range(12)]
+        for realizable, D in states:
+            rows, cols = _lines(D, n1)
+            ref_rows, ref_cols = _ref_lines(D, n1)
+            assert [[a for a in range(n1) if r >> a * n1 + b & 1] for b, r in enumerate(rows)] == ref_rows
+            assert [[b for b in range(n1) if col >> b & 1] for col in cols] == ref_cols
+            dset = {(a, b) for b, r in enumerate(ref_rows) for a in r}
+            for beta in (0.5, 1.0, 2.0, 3.0):
+                for c in (2, 100):
+                    bounds = _ref_split(ref_cols, c)
+                    assert _split(cols, c) == bounds
+                    segments = _Segments(L, beta, c)
+                    state = segments.parts(D)
+                    assert state[2] == bounds and len(state[3]) == max(1, len(bounds) - 2)
+                    for i in range(1, len(bounds)):
+                        a, b = bounds[i - 1], bounds[i] - 1
+                        want = _ref_pool(ref_rows, ref_cols, a, b, beta)
+                        got = sorted(_rect(R, n1.bit_length()) for R in _pool(rows, cols, a, b, beta))
+                        assert got == want, (L, D, beta, c, i)
+                        if i > len(state[3]):
+                            continue
+                        if not want:
+                            with pytest.raises(PathSamplingError):
+                                segments.pool(state, i)
+                            continue
+                        pool = segments.pool(state, i)
+                        assert [_rect(R, segments.w) for R in pool] == want
+                        if realizable:
+                            for R in pool:
+                                y2, x1, y1, x2 = _rect(R, segments.w)
+                                rect = Rectangle(y2, x1, y1, x2)
+                                order = [sites[t] for t in segments.order(R, cols)]
+                                assert order == _five_case_order(rect, dset)
+                        checked += 1
+    assert checked > 500
