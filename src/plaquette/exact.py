@@ -10,12 +10,20 @@ reversible, so S = D^1/2 Q D^-1/2 with D = diag(pi) is symmetric, and
 sqrt(pi) spans its kernel. S is built once per generator, on first use,
 from the same per-site k table as Q.
 
-- Below the dense threshold one `eigh` of S, S = V diag(w) V^T, is cached
-  on the generator. The gap, the slow eigenfunction and every step of the
-  mixing-time search read it, the last through
+- Below the dense threshold each generator builds one `Symmetry` table:
+  the group H of box symmetries that commute with Q (the two axis
+  reflections of a framed box, the 2L - 1 independent whole-line flips
+  of a periodic one), each generator kept only if it passes an exact
+  integer check on the k table and the defect counts, so an asymmetric
+  frame falls back to fewer or none. It holds each code's orbit
+  representative, the element carrying the representative to the code,
+  and the +-1 character basis of each sector.
+- S = V diag(w) V^T is cached on the generator, found by one `eigh` per
+  sector (`SparseGenerator.eigen`). The gap, the slow eigenfunction and
+  every step of the mixing-time search read it, the last through
   P_t = D^-1/2 V e^{tw} V^T D^1/2. A step forms only the rows of P_t
-  whose chi^2 bound could decide it, a few GEMM blocks near the mixing
-  time, not the N x N product.
+  whose chi^2 bound could decide it, and only at orbit representatives:
+  a few GEMM blocks near the mixing time, not the N x N product.
 - Above it the gap is the smallest eigenvalue of -S on the complement of
   sqrt(pi), found by a block-size-1 LOBPCG in numpy (one sparse product
   per step) with a diagonal preconditioner from a fixed-seed start, and
@@ -23,7 +31,8 @@ from the same per-site k table as Q.
 - The time the mixing search returns is certified by a route that does
   not rest on the eigensolver: exp(tQ) by scaling and squaring, each
   factor a truncated uniformization series, so the kernel is bounded
-  entrywise from below with a known row deficit.
+  entrywise from below with a known row deficit. Only its representative
+  rows are formed; a squaring gathers the full factor from them.
 - The profile bound integrates a staircase built from level-set
   eigenvalues, each one standard symmetric `eigh` of -S restricted to the
   set with a rank-two correction (`_lambda_of_subset`).
@@ -73,6 +82,7 @@ class SparseGenerator:
         self._k = k
         self._pi = None
         self._S = None
+        self._symmetry = None
         self._eigen = None
         self._tv = None
 
@@ -107,16 +117,109 @@ class SparseGenerator:
         return self._S
 
     @property
-    def eigen(self):
-        """(w, V) with S = V diag(w) V^T, w ascending, for the symmetrized
-        generator S; computed once, and only up to DENSE_THRESHOLD states."""
-        if self._eigen is None:
+    def symmetry(self):
+        """The box's `Symmetry` table, built once, and only up to
+        DENSE_THRESHOLD states."""
+        if self._symmetry is None:
             if self.n_states > DENSE_THRESHOLD:
                 raise BudgetExceededError(
-                    f"dense eigendecomposition limited to {DENSE_THRESHOLD} states"
+                    f"symmetry table limited to {DENSE_THRESHOLD} states"
                 )
-            self._eigen = np.linalg.eigh(self.S.toarray())
+            self._symmetry = Symmetry.of(self)
+        return self._symmetry
+
+    @property
+    def eigen(self):
+        """(w, V) with S = V diag(w) V^T, w ascending, for the symmetrized
+        generator S; computed once, and only up to DENSE_THRESHOLD states.
+
+        One `eigh` per symmetry sector: B^T S B = V_B diag(w_B) V_B^T for
+        each sector basis B, and the columns B V_B of all sectors, sorted
+        by w, are an orthonormal eigenbasis of S.
+        """
+        if self._eigen is None:
+            S = self.S
+            ws, Vs = [], []
+            for B in self.symmetry.sectors:
+                w, V = np.linalg.eigh(B.T @ (S @ B))
+                ws.append(w)
+                Vs.append(B @ V)
+            w = np.concatenate(ws)
+            order = np.argsort(w, kind="stable")
+            self._eigen = (w[order], np.hstack(Vs)[:, order])
         return self._eigen
+
+
+def _involutions(spec):
+    """Candidate symmetries of the box as (sigma, mask): the code z goes to
+    the code with bit sigma[b] set where bit b of z is, XOR mask. Fixed
+    boxes: the two axis reflections. Periodic boxes: the flips of every
+    row and of all columns but the last; each changes two spins of every
+    plaquette it meets, and all rows together flip what all columns do."""
+    L = spec.side
+    t = np.arange(L * L).reshape(L, L)
+    if spec.is_periodic:
+        lines = list(t) + list(t.T[:-1])
+        return [(t.ravel(), sum(1 << int(b) for b in line)) for line in lines]
+    return [(t[::-1].ravel(), 0), (t[:, ::-1].ravel(), 0)]
+
+
+@dataclass
+class Symmetry:
+    """A group H of commuting involutions of the codes that commute with Q.
+
+    act[h, z] is element h applied to code z; h is the product of the kept
+    generators whose bit is set in h, so act[0] is the identity and every
+    element is its own inverse. Each code z lies in the orbit
+    reps[orbit[z]], whose least code is its representative, and
+    act[carrier[z], reps[orbit[z]]] == z. sectors holds, per character
+    chi(h) = (-1)^popcount(c & h) whose sector is nonzero, the basis B_chi
+    (dense, N x orbits): one column per orbit on whose stabilizer chi is
+    1, with chi(carrier[z]) / sqrt(orbit size) at each z of the orbit. The
+    bases are orthonormal, their columns number N, and S maps each
+    sector's span into itself.
+    """
+
+    act: np.ndarray
+    reps: np.ndarray
+    orbit: np.ndarray
+    carrier: np.ndarray
+    sectors: tuple
+
+    @classmethod
+    def of(cls, G):
+        """The table of G's box. A candidate of `_involutions` is kept when
+        it permutes the rates exactly, k[g(i), sigma[b]] == k[i, b] and
+        counts[g(i)] == counts[i] for every state i and site b, and is not
+        already in the group; so a frame that breaks a reflection drops
+        it, and a box with none left gets the trivial group."""
+        N = G.n_states
+        z = np.arange(N, dtype=np.int64)
+        act = z[None, :]
+        for sigma, mask in _involutions(G.spec):
+            g = np.full(N, mask, np.int64)
+            for b, s in enumerate(sigma):
+                g ^= (z >> b & 1) << int(s)
+            if (np.array_equal(G.counts[g], G.counts) and np.array_equal(G._k[g][:, sigma], G._k)
+                    and not (act == g).all(axis=1).any()):
+                act = np.concatenate([act, act[:, g]])
+        rep_code, carrier = act.min(axis=0), act.argmin(axis=0)
+        reps = np.unique(rep_code)
+        orbit = np.searchsorted(reps, rep_code)
+        size = np.bincount(orbit)
+        h = np.arange(act.shape[0])
+        chi = np.where(np.bitwise_count(h[:, None] & h) % 2, -1, 1)
+        fixes = act[:, reps] == reps  # fixes[h, o]: h fixes orbit o's representative
+        sectors = []
+        for c in h:
+            kept = ~np.any(fixes & (chi[c] < 0)[:, None], axis=0)
+            if kept.any():
+                rows = np.nonzero(kept[orbit])[0]
+                B = np.zeros((N, int(kept.sum())))
+                B[rows, (np.cumsum(kept) - 1)[orbit[rows]]] = (
+                    chi[c, carrier[rows]] / np.sqrt(size[orbit[rows]]))
+                sectors.append(B)
+        return cls(act, reps, orbit, carrier, tuple(sectors))
 
 
 def build_generator(spec, model, budget=ENUM_BUDGET_DEFAULT):
@@ -366,32 +469,44 @@ def _poisson_weights(lam, tail):
 
 
 def _kernel_below(G, t):
-    """Entrywise lower bound A on exp(tQ), row sums at least 1 - _TV_TAIL.
+    """Entrywise lower bound A on the representative rows of exp(tQ),
+    A[r] on the row of start G.symmetry.reps[r], row sums at least
+    1 - _TV_TAIL.
 
     Scaling and squaring: with s = max(0, ceil(log2(q t / 8))) and
     h = t / 2^s, exp(hQ) = sum_k Poisson(qh)[k] P^k with P = I + Q/q is
     cut once the remaining mass is below _TV_TAIL / 2^s (about 30 terms),
-    and the N x N result is squared s times. Every factor is nonnegative
-    and below the exact kernel, and a product's row deficit is at most the
-    sum of its factors' deficits, so the deficit of A is at most _TV_TAIL.
+    and the result is squared s times. Every factor is nonnegative and
+    below the exact kernel, and a product's row deficit is at most the sum
+    of its factors' deficits, so the deficit of A is at most _TV_TAIL.
+
+    Only the representative rows are formed. The symmetries commute with
+    Q, so the kernel K of every factor has K[h(x), z] = K[x, h(z)] for
+    each h in the group, and a squaring A <- A K reads the full K as the
+    representative rows gathered: K[x, z] = A[orbit[x], act[carrier[x], z]].
     """
     import scipy.sparse as sparse
 
+    sym = G.symmetry
     Q = G.Q
-    N = Q.shape[0]
+    N, R = Q.shape[0], sym.reps.size
+    W = np.zeros((N, R))  # the transposed rows, so each term is one CSR product
+    W[sym.reps, np.arange(R)] = 1.0
     q = float(np.max(-Q.diagonal()))
     if q <= 0 or t <= 0:
-        return np.eye(N)
+        return W.T.copy()
     s = max(0, math.ceil(math.log2(q * t / 8.0)))
     w = _poisson_weights(q * t / 2**s, _TV_TAIL / 2**s)
-    P = sparse.eye(N, format="csr") + Q / q
-    W = np.eye(N)
+    PT = (sparse.eye(N, format="csr") + Q / q).T.tocsr()
     A = w[0] * W
     for k in range(1, w.size):
-        W = P @ W
+        W = PT @ W
         A += w[k] * W
-    for _ in range(s):
-        A = A @ A
+    A = np.ascontiguousarray(A.T)
+    if s:
+        gather = sym.orbit[:, None] * N + sym.act[sym.carrier]
+        for _ in range(s):
+            A = A @ A.ravel()[gather]
     return A
 
 
@@ -399,10 +514,11 @@ def _tv_all_starts(G, t):
     """Worst-start total variation distance from stationarity at time t,
     an upper bound within _TV_TAIL of the true distance.
 
-    A = `_kernel_below(G, t)` is below P_t entrywise, so for each start
-    sum|P_t - pi| <= sum|A - pi| + (1 - sum A). The largest row of half
-    that is returned; the slack over the true distance is at most the row
-    deficit, which is at most _TV_TAIL.
+    A = `_kernel_below(G, t)` is below P_t entrywise on the representative
+    rows, so for each representative start sum|P_t - pi| <= sum|A - pi| +
+    (1 - sum A). The largest row of half that is returned: the distance is
+    the same from every start of an orbit. The slack over the true
+    distance is at most the row deficit, which is at most _TV_TAIL.
     """
     A = _kernel_below(G, t)
     rows = np.abs(A - G.pi[None, :]).sum(axis=1) + (1.0 - A.sum(axis=1))
@@ -417,10 +533,12 @@ def _tv_spectral(G, t, eps=None):
     at or above the certificate `_tv_all_starts`, which exceeds the true
     distance by at most _TV_TAIL.
 
-    Not every row of P_t is formed. Starts are walked in decreasing
-    `_tv_chi2_bound`, their exact rows formed _TV_BLOCK at a time, until
-    the next bound plus _TV_MARGIN (room for rounding in the rows) is
-    below the largest row found: the value is then the exact worst start.
+    Not every row of P_t is formed. A start's row distance and bound are
+    those of its orbit's representative (G.symmetry), so representatives
+    alone are walked, in decreasing `_tv_chi2_bound`, their exact rows
+    formed _TV_BLOCK at a time, until the next bound plus _TV_MARGIN (room
+    for rounding in the rows) is below the largest row found: the value is
+    then the exact worst start.
     Given eps, the walk also stops at the first start at or above eps, or
     once the next bound is below eps, so the value is at or above eps
     exactly when the worst start is.
@@ -442,24 +560,27 @@ def _tv_spectral(G, t, eps=None):
 
 
 def _tv_chi2_bound(G, t):
-    """Per start x, half its chi^2 distance from stationarity at time t,
+    """Per representative start x (G.symmetry.reps), half its chi^2
+    distance from stationarity at time t,
     ||h_t^x - 1||_{2,pi} / 2 = sqrt(sum_k e^{2t w_k} V_xk^2) / (2 sqrt(pi_x))
     with h_t^x = P_t(x, .) / pi. By Cauchy-Schwarz it is at or above x's
     total variation distance (the l2 bound, as in Levin, Peres and
     Wilmer), and it costs one matrix-vector product for all starts."""
     U2, _, _, w = _tv_factors(G)
-    return 0.5 * np.sqrt(U2 @ np.exp(2.0 * t * w)) / np.sqrt(G.pi)
+    return 0.5 * np.sqrt(U2 @ np.exp(2.0 * t * w)) / np.sqrt(G.pi[G.symmetry.reps])
 
 
 def _tv_factors(G):
     """(U^2, U / sqrt(pi), (U sqrt(pi))^T, w') for the worst-start search,
-    formed once per eigendecomposition. U = V' is V without its stationary
-    column; start x's row of P_t - Pi is (U / sqrt(pi))[x] e^{tw'} (U sqrt(pi))^T."""
+    formed once per eigendecomposition, the first two on the
+    representative rows only. U = V' is V without its stationary column;
+    start x's row of P_t - Pi is (U / sqrt(pi))[x] e^{tw'} (U sqrt(pi))^T."""
     if G._tv is None:
         w, V = G.eigen
         r = np.sqrt(G.pi)[:, None]
         U = V[:, :-1]
-        G._tv = (U * U, U / r, (U * r).T, w[:-1])
+        reps = G.symmetry.reps
+        G._tv = (U[reps] ** 2, U[reps] / r[reps], (U * r).T, w[:-1])
     return G._tv
 
 
@@ -572,12 +693,9 @@ def profile_mixing_bound(G):
 
 
 def _g_profile(x):
-    xm = x if x <= 0.5 else 1.0 - x
-    if xm <= 0.25:
-        return 0.0
-    if xm < 1.0 / 3.0:
-        return 12.0 * xm - 3.0
-    return 1.0
+    """The ramp, elementwise over the array x of minus fractions."""
+    xm = np.where(x <= 0.5, x, 1.0 - x)
+    return np.where(xm <= 0.25, 0.0, np.where(xm < 1.0 / 3.0, 12.0 * xm - 3.0, 1.0))
 
 
 def test_function_plus(cfg):
@@ -585,15 +703,14 @@ def test_function_plus(cfg):
     0 below a quarter, 1 above a third, linear between, and symmetric."""
     if cfg.spec.bc != PLUS:
         raise ValueError("this test function is for the all-plus boundary")
-    return _g_profile(cfg.code.bit_count() / cfg.spec.n_sites)
+    return float(_g_profile(cfg.code.bit_count() / cfg.spec.n_sites))
 
 
 def test_function_plus_values(G):
     """test_function_plus over all states; state i has popcount(i) minus spins."""
     if G.spec.bc != PLUS:
         raise ValueError("this test function is for the all-plus boundary")
-    n = G.spec.n_sites
-    return np.array([_g_profile(i.bit_count() / n) for i in range(G.n_states)])
+    return _g_profile(np.bitwise_count(np.arange(G.n_states)) / G.spec.n_sites)
 
 
 def dump_generator_text(G):

@@ -44,6 +44,7 @@ from plaquette.exact import (
     test_function_plus_values as witness_plus_values,
     tv_mixing_time,
     variance,
+    _involutions,
     _kernel_below,
     _lambda_of_subset,
     _poisson_weights,
@@ -308,17 +309,157 @@ def test_spectral_tv_matches_uniformization():
 
 @pytest.mark.parametrize("bc", [PLUS, PERIODIC])
 def test_certificate_brackets_the_expm_distance(bc):
+    # the certificate forms the representative rows of the kernel only
     tail = exact._TV_TAIL
     G = build_generator(LatticeSpec(2, bc), RateModel(1.0, "heat_bath"))
+    reps = G.symmetry.reps
     for t in (0.3, 2.0, 7.0, 20.0, 200.0):
         E = scipy.linalg.expm(t * G.Q.toarray())
         exact_tv = 0.5 * float(np.max(np.abs(E - G.pi[None, :]).sum(axis=1)))
         A = _kernel_below(G, t)
+        assert A.shape == (reps.size, G.n_states)
         assert np.all(A >= 0)
-        assert np.all(A <= E + 1e-12)
+        assert np.all(A <= E[reps] + 1e-12)
         assert np.all(A.sum(axis=1) >= 1.0 - tail)
         cert = _tv_all_starts(G, t)
         assert exact_tv <= cert <= exact_tv + tail + 1e-12
+
+
+def full_kernel_below(G, t):
+    """Every row of the certificate's kernel: the truncated series on the
+    identity and s full N x N squarings, as the certificate formed it
+    before it read the symmetry table."""
+    Q = G.Q
+    N = Q.shape[0]
+    q = float(np.max(-Q.diagonal()))
+    if q <= 0 or t <= 0:
+        return np.eye(N)
+    s = max(0, math.ceil(math.log2(q * t / 8.0)))
+    w = _poisson_weights(q * t / 2**s, exact._TV_TAIL / 2**s)
+    P = scipy.sparse.eye(N, format="csr") + Q / q
+    W = np.eye(N)
+    A = w[0] * W
+    for k in range(1, w.size):
+        W = P @ W
+        A += w[k] * W
+    for _ in range(s):
+        A = A @ A
+    return A
+
+
+def broken_frame(L):
+    """A fixed box whose frame is minus along the whole top edge: the
+    reflection across the columns keeps it, the one across the rows
+    does not."""
+    theta = np.ones((L + 2, L + 2), dtype=np.int8)
+    theta[0, 1:L + 1] = -1
+    return LatticeSpec(L, FIXED, theta)
+
+
+def symmetric_boxes():
+    """Every box of side 1 to 3: plus, periodic and the broken frame."""
+    for L in (1, 2, 3):
+        yield from (LatticeSpec(L, PLUS), LatticeSpec(L, PERIODIC), broken_frame(L))
+
+
+def test_orbit_row_certificate_matches_the_full_kernel():
+    for spec, kind in itertools.product(symmetric_boxes(), RateModel.KINDS):
+        G = build_generator(spec, RateModel(1.0, kind))
+        reps = G.symmetry.reps
+        for t in (0.3, 2.0, 7.0, 20.0, tv_mixing_time(G)):
+            ref = full_kernel_below(G, t)
+            assert np.max(np.abs(_kernel_below(G, t) - ref[reps])) <= 1e-13, (spec, kind, t)
+            rows = np.abs(ref - G.pi).sum(axis=1) + (1.0 - ref.sum(axis=1))
+            assert _tv_all_starts(G, t) == pytest.approx(0.5 * np.max(rows), abs=1e-13)
+
+
+def passes_exact_check(G, sigma, g):
+    """k[g(i), sigma[b]] == k[i, b] and counts[g(i)] == counts[i] for all i, b."""
+    return (np.array_equal(G.counts[g], G.counts)
+            and np.array_equal(G._k[g][:, sigma], G._k))
+
+
+def code_image(G, sigma, mask):
+    z = np.arange(G.n_states)
+    return mask ^ sum(((z >> b) & 1) << int(s) for b, s in enumerate(sigma))
+
+
+def test_symmetry_keeps_exactly_the_involutions_that_pass_the_check():
+    for spec in symmetric_boxes():
+        G = build_generator(spec, RateModel(1.0))
+        act = G.symmetry.act
+        passed = 0
+        for sigma, mask in _involutions(spec):
+            g = code_image(G, sigma, mask)
+            kept = bool((act == g).all(axis=1).any())
+            assert kept == passes_exact_check(G, sigma, g), (spec, sigma, mask)
+            passed += kept and not np.array_equal(g, np.arange(G.n_states))
+        assert act.shape[0] == 2 ** passed, spec
+        assert np.array_equal(act[0], np.arange(G.n_states))
+        off = G.Q - scipy.sparse.diags(G.Q.diagonal())
+        for g in act:
+            assert np.array_equal(g[g], act[0])  # an involution
+            assert (off[g][:, g] != off).nnz == 0, spec
+        L = spec.side
+        if spec.bc == FIXED and L > 1:
+            # the frame breaks the reflection across the rows: it is dropped
+            sigma = np.arange(L * L).reshape(L, L)[::-1].ravel()
+            g = code_image(G, sigma, 0)
+            assert not passes_exact_check(G, sigma, g)
+            assert not (act == g).all(axis=1).any()
+            assert act.shape[0] == 2
+    # the group orders: two reflections, and 2L - 1 independent line flips
+    assert build_generator(LatticeSpec(3, PLUS), RateModel(1.0)).symmetry.act.shape[0] == 4
+    assert build_generator(LatticeSpec(3, PERIODIC), RateModel(1.0)).symmetry.act.shape[0] == 32
+
+
+def test_symmetry_orbits_partition_the_codes():
+    for spec in symmetric_boxes():
+        sym = build_generator(spec, RateModel(1.0)).symmetry
+        N = sym.act.shape[1]
+        z = np.arange(N)
+        assert np.all(sym.orbit[sym.act] == sym.orbit[None, :])  # orbits are closed
+        assert np.array_equal(sym.reps, np.unique(sym.act.min(axis=0)))
+        assert np.array_equal(sym.reps[sym.orbit], sym.act.min(axis=0))
+        assert np.array_equal(sym.act[sym.carrier, sym.reps[sym.orbit]], z)
+        assert np.bincount(sym.orbit).sum() == N
+        images = {frozenset(sym.act[:, x].tolist()) for x in z}
+        assert len(images) == sym.reps.size
+        assert sum(len(o) for o in images) == N  # disjoint orbits covering every code
+    assert build_generator(LatticeSpec(3, PLUS), RateModel(1.0)).symmetry.reps.size == 168
+    assert build_generator(LatticeSpec(3, PERIODIC), RateModel(1.0)).symmetry.reps.size == 16
+
+
+def test_symmetry_sector_bases_are_orthonormal_and_invariant():
+    for spec in symmetric_boxes():
+        G = build_generator(spec, RateModel(1.0))
+        sym = G.symmetry
+        B = np.hstack(sym.sectors)
+        assert B.shape == (G.n_states, G.n_states), spec
+        assert np.max(np.abs(B.T @ B - np.eye(G.n_states))) <= 1e-14, spec
+        S = G.S.toarray()
+        for Bc in sym.sectors:
+            # each element acts on a sector as one sign, and S keeps it
+            for g in sym.act:
+                sign = round(float(Bc[g, 0] @ Bc[:, 0]))
+                assert sign in (-1, 1) and np.allclose(Bc[g], sign * Bc, rtol=0, atol=1e-15)
+            SB = S @ Bc
+            assert np.max(np.abs(SB - Bc @ (Bc.T @ SB))) <= 1e-13, spec
+    sizes = sorted(B.shape[1] for B in build_generator(
+        LatticeSpec(3, PLUS), RateModel(1.0)).symmetry.sectors)
+    assert sizes == [104, 120, 120, 168]
+
+
+def test_sector_eigen_matches_the_full_eigh():
+    for spec, kind, beta in itertools.product(symmetric_boxes(), RateModel.KINDS,
+                                              (0.0, 1.0, 3.0)):
+        G = build_generator(spec, RateModel(beta, kind))
+        S = G.S.toarray()
+        w, V = G.eigen
+        assert np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(w - np.linalg.eigh(S)[0])) <= 1e-12, (spec, kind, beta)
+        assert np.max(np.abs(V.T @ V - np.eye(G.n_states))) <= 1e-12
+        assert np.max(np.abs(S @ V - V * w)) <= 1e-12
 
 
 def tv_rows_reference(G, t):
@@ -345,11 +486,12 @@ def tv_boxes():
 def test_chi2_bound_is_above_every_start():
     for G, times in tv_boxes():
         for t in times:
+            # the bound is per orbit representative; every start reads its orbit's
+            bound = _tv_chi2_bound(G, t)[G.symmetry.orbit]
             if G.n_states > 2:
-                assert np.all(_tv_chi2_bound(G, t) >= 0.5 * tv_rows_reference(G, t)), t
+                assert np.all(bound >= 0.5 * tv_rows_reference(G, t)), t
             else:
-                assert np.allclose(_tv_chi2_bound(G, t), 0.5 * tv_rows_reference(G, t),
-                                   rtol=1e-14, atol=0)
+                assert np.allclose(bound, 0.5 * tv_rows_reference(G, t), rtol=1e-14, atol=0)
 
 
 def test_pruned_tv_search_matches_the_full_kernel():
@@ -452,6 +594,24 @@ def test_ground_mass_deficit_shrinks_at_the_four_defect_rate():
         d2 = 1.0 - ground_mass(G_of(3, 2.0, bc))
         d3 = 1.0 - ground_mass(G_of(3, 3.0, bc))
         assert 0.9 * math.exp(-4) < d3 / d2 < 1.1 * math.exp(-4)
+
+
+def test_plus_test_function_values_are_the_scalar_ramp_bit_for_bit():
+    def ramp(x):  # the scalar ramp the values were read off, one state at a time
+        xm = x if x <= 0.5 else 1.0 - x
+        if xm <= 0.25:
+            return 0.0
+        if xm < 1.0 / 3.0:
+            return 12.0 * xm - 3.0
+        return 1.0
+
+    G = G_of(3, 1.0)
+    f = witness_plus_values(G)
+    assert np.array_equal(f, [ramp(i.bit_count() / 9) for i in range(G.n_states)])
+    assert np.array_equal(f, [witness_plus(G.config(i)) for i in range(G.n_states)])
+    # L=3 never lands on the ramp's slope; minus fractions of larger boxes do
+    x = np.array(sorted({k / n for n in range(1, 65) for k in range(n + 1)}))
+    assert np.array_equal(exact._g_profile(x), [ramp(v) for v in x])
 
 
 def test_plus_test_function_bound():
