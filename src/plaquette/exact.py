@@ -7,10 +7,14 @@ The generator acts as Q[i, i ^ (1 << b)] = rate of flipping site b.
 Everything here is dense or sparse linear algebra on enumerated boxes
 (2^(L^2) grows fast; the hard budget is explicit). The chain is
 reversible, so S = D^1/2 Q D^-1/2 with D = diag(pi) is symmetric, and
-sqrt(pi) spans its kernel. S is built once per generator, on first use,
-from the same per-site k table as Q.
+sqrt(pi) spans its kernel.
 
-- Below the dense threshold each generator builds one `Symmetry` table:
+- What the rates do not change is built once per box and kept for the
+  last _BOX_CACHE boxes (`_box`): the defect counts, each site's k, the
+  sorted CSR pattern of Q and each entry's k in that order. Q at one beta
+  is then one gather of the rate table, its diagonal minus the row sums,
+  and S, built on first use, one more gather on the same index arrays.
+- Below the dense threshold each box builds one `Symmetry` table:
   the group H of box symmetries that commute with Q (the two axis
   reflections of a framed box, the 2L - 1 independent whole-line flips
   of a periodic one), each generator kept only if it passes an exact
@@ -25,17 +29,20 @@ from the same per-site k table as Q.
   whose chi^2 bound could decide it, and only at orbit representatives:
   a few GEMM blocks near the mixing time, not the N x N product.
 - Above it the gap is the smallest eigenvalue of -S on the complement of
-  sqrt(pi), found by a block-size-1 LOBPCG in numpy (one sparse product
-  per step) with a diagonal preconditioner from a fixed-seed start, and
-  accepted only once its residual is checked.
+  sqrt(pi), found by a block-size-1 LOBPCG in numpy (one product with S
+  per step, negated in place, so -S is never formed) with a diagonal
+  preconditioner from a fixed-seed start, and accepted only once its
+  residual is checked.
 - The time the mixing search returns is certified by a route that does
   not rest on the eigensolver: exp(tQ) by scaling and squaring, each
   factor a truncated uniformization series, so the kernel is bounded
   entrywise from below with a known row deficit. Only its representative
   rows are formed; a squaring gathers the full factor from them.
 - The profile bound integrates a staircase built from level-set
-  eigenvalues, each one standard symmetric `eigh` of -S restricted to the
-  set with a rank-two correction (`_lambda_of_subset`).
+  eigenvalues: the bottom of -S restricted to the set with a rank-two
+  correction (`_lambda_of_subset`). A level set is a union of orbits, so
+  it is one `eigh` per sector, on the sector block's rows of the set's
+  orbits, and only the trivial sector's carries the correction.
 
 scipy is imported inside the functions that use it, so importing this
 module, and with it the CLI and the Monte Carlo layers, loads numpy only.
@@ -43,6 +50,7 @@ module, and with it the CLI and the Monte Carlo layers, loads numpy only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +62,7 @@ from .lattice import (
     BudgetExceededError,
     SpinConfig,
     _box_defects,
+    _enum_size,
     _site_masks,
 )
 
@@ -65,6 +74,8 @@ _TV_RTOL = 0.01  # relative width of tv_mixing_time's bisection
 _TV_TAIL = 1e-8  # row deficit allowed in the TV certificate's kernel
 _TV_BLOCK = 8  # exact worst-start rows formed per product
 _TV_MARGIN = 1e-9  # over the chi^2 bound, for rounding in the exact rows
+_BOX_CACHE = 8  # boxes whose beta-free tables `_box` keeps
+_DIAG = 5  # the k table's entry at a diagonal slot, one past the largest k
 
 
 class ConvergenceError(RuntimeError):
@@ -72,17 +83,18 @@ class ConvergenceError(RuntimeError):
 
 
 class SparseGenerator:
-    """Generator matrix plus the state indexing it lives on."""
+    """Generator matrix plus the state indexing it lives on; the box's
+    beta-free tables (`_Box`) are shared by every generator of the box."""
 
-    def __init__(self, spec, model, Q, counts, k):
-        self.spec = spec
+    def __init__(self, box, model, Q):
+        self.spec = box.spec
         self.model = model
         self.Q = Q
-        self.counts = counts
-        self._k = k
+        self.counts = box.counts
+        self._box = box
         self._pi = None
         self._S = None
-        self._symmetry = None
+        self._blocks = None
         self._eigen = None
         self._tv = None
 
@@ -101,7 +113,8 @@ class SparseGenerator:
 
     @property
     def S(self):
-        """The symmetrized generator D^1/2 Q D^-1/2 (CSR), built once.
+        """The symmetrized generator D^1/2 Q D^-1/2 (CSR), built once, on
+        Q's index arrays.
 
         The entry for flipping site b at state i is sqrt(r(k) r(4 - k)),
         k = k_b(i): the reverse flip finds the other 4 - k plaquettes
@@ -109,24 +122,21 @@ class SparseGenerator:
         diagonal is Q's.
         """
         if self._S is None:
-            import scipy.sparse as sparse
-
             r = self.model.table
-            off = _flip_matrix(self._k, np.sqrt(r * r[::-1]))
-            self._S = (off + sparse.diags(self.Q.diagonal())).tocsr()
+            self._S = _on_pattern(self._box, np.sqrt(r * r[::-1]), self.Q.diagonal())
         return self._S
 
     @property
     def symmetry(self):
-        """The box's `Symmetry` table, built once, and only up to
-        DENSE_THRESHOLD states."""
-        if self._symmetry is None:
-            if self.n_states > DENSE_THRESHOLD:
-                raise BudgetExceededError(
-                    f"symmetry table limited to {DENSE_THRESHOLD} states"
-                )
-            self._symmetry = Symmetry.of(self)
-        return self._symmetry
+        """The box's `Symmetry` table (`_Box.symmetry`)."""
+        return self._box.symmetry
+
+    def _sector_blocks(self):
+        """B^T S B for each sector basis B of `symmetry`, formed once."""
+        if self._blocks is None:
+            S = self.S
+            self._blocks = [B.T @ (S @ B) for B in self.symmetry.sectors]
+        return self._blocks
 
     @property
     def eigen(self):
@@ -138,16 +148,84 @@ class SparseGenerator:
         by w, are an orthonormal eigenbasis of S.
         """
         if self._eigen is None:
-            S = self.S
             ws, Vs = [], []
-            for B in self.symmetry.sectors:
-                w, V = np.linalg.eigh(B.T @ (S @ B))
+            for B, M in zip(self.symmetry.sectors, self._sector_blocks()):
+                w, V = np.linalg.eigh(M)
                 ws.append(w)
                 Vs.append(B @ V)
             w = np.concatenate(ws)
             order = np.argsort(w, kind="stable")
             self._eigen = (w[order], np.hstack(Vs)[:, order])
         return self._eigen
+
+
+def _frozen(*arrays):
+    """Make the arrays read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+class _Box:
+    """What every generator of one box shares whatever the rates, built
+    once per box by `_box`; its arrays are read-only.
+
+    counts[i] is state i's defect count, and k[i, b] the k of site b
+    there: the popcount of the defect bits under masks[b], 2 where the
+    mask is 0 (the periodic 1x1 flip, which changes no plaquette).
+    indptr and indices are the sorted CSR pattern of Q: row i holds
+    i ^ 2^b for every site b, and i itself at slot diag[i] =
+    indptr[i] + popcount(i), since the columns below i are those that
+    clear a set bit of i. kc holds each entry's k in that order, _DIAG at
+    the diagonal slot, and k_off the same without the diagonal slots.
+    """
+
+    def __init__(self, spec):
+        n = spec.n_sites
+        N = 1 << n
+        D = _box_defects(spec, N)
+        masks = np.array(_site_masks(spec.side, spec.is_periodic), np.uint64)
+        k = np.bitwise_count(D[:, None] & masks)
+        k[:, masks == 0] = 2
+        z = np.arange(N, dtype=np.int64)
+        self.indptr = np.arange(0, N * (n + 1) + 1, n + 1, dtype=np.int32)
+        self.diag = self.indptr[:-1] + np.bitwise_count(z)
+        self.indices = np.empty(N * (n + 1), np.int32)
+        self.indices[self.diag] = z
+        self.kc = np.full(N * (n + 1), _DIAG, np.uint8)
+        low = np.zeros(N, np.int64)  # set bits of i below b
+        for b in range(n):
+            bit = z >> b & 1
+            # below the diagonal the set bits of i, highest first; above it
+            # the clear ones, lowest first
+            slot = np.where(bit, self.diag - low - 1, self.diag + 1 + b - low)
+            self.indices[slot] = z ^ (1 << b)
+            self.kc[slot] = k[:, b]
+            low += bit
+        self.k_off = self.kc[self.kc != _DIAG]
+        self.spec = spec
+        self.counts = np.bitwise_count(D)
+        self.k = k
+        self._symmetry = None
+        _frozen(self.counts, self.k, self.indptr, self.indices, self.diag, self.kc, self.k_off)
+
+    @property
+    def symmetry(self):
+        """The box's `Symmetry` table, built once, and only up to
+        DENSE_THRESHOLD states."""
+        if self._symmetry is None:
+            if self.counts.size > DENSE_THRESHOLD:
+                raise BudgetExceededError(
+                    f"symmetry table limited to {DENSE_THRESHOLD} states"
+                )
+            self._symmetry = Symmetry.of(self)
+        return self._symmetry
+
+
+@functools.lru_cache(maxsize=_BOX_CACHE)
+def _box(spec):
+    """The `_Box` of spec, kept for the _BOX_CACHE boxes used last; the
+    spec's key holds the frame, so two frames of one side are two boxes."""
+    return _Box(spec)
 
 
 def _involutions(spec):
@@ -175,9 +253,10 @@ class Symmetry:
     act[carrier[z], reps[orbit[z]]] == z. sectors holds, per character
     chi(h) = (-1)^popcount(c & h) whose sector is nonzero, the basis B_chi
     (dense, N x orbits): one column per orbit on whose stabilizer chi is
-    1, with chi(carrier[z]) / sqrt(orbit size) at each z of the orbit. The
-    bases are orthonormal, their columns number N, and S maps each
-    sector's span into itself.
+    1, with chi(carrier[z]) / sqrt(orbit size) at each z of the orbit, and
+    columns the orbit of each column. The bases are orthonormal, their
+    columns number N, and S maps each sector's span into itself.
+    sectors[0] is the trivial character's, with one column per orbit.
     """
 
     act: np.ndarray
@@ -185,22 +264,24 @@ class Symmetry:
     orbit: np.ndarray
     carrier: np.ndarray
     sectors: tuple
+    columns: tuple
 
     @classmethod
-    def of(cls, G):
-        """The table of G's box. A candidate of `_involutions` is kept when
+    def of(cls, box):
+        """The table of a `_Box`. A candidate of `_involutions` is kept when
         it permutes the rates exactly, k[g(i), sigma[b]] == k[i, b] and
         counts[g(i)] == counts[i] for every state i and site b, and is not
         already in the group; so a frame that breaks a reflection drops
         it, and a box with none left gets the trivial group."""
-        N = G.n_states
+        counts, k = box.counts, box.k
+        N = counts.size
         z = np.arange(N, dtype=np.int64)
         act = z[None, :]
-        for sigma, mask in _involutions(G.spec):
+        for sigma, mask in _involutions(box.spec):
             g = np.full(N, mask, np.int64)
             for b, s in enumerate(sigma):
                 g ^= (z >> b & 1) << int(s)
-            if (np.array_equal(G.counts[g], G.counts) and np.array_equal(G._k[g][:, sigma], G._k)
+            if (np.array_equal(counts[g], counts) and np.array_equal(k[g][:, sigma], k)
                     and not (act == g).all(axis=1).any()):
                 act = np.concatenate([act, act[:, g]])
         rep_code, carrier = act.min(axis=0), act.argmin(axis=0)
@@ -210,7 +291,7 @@ class Symmetry:
         h = np.arange(act.shape[0])
         chi = np.where(np.bitwise_count(h[:, None] & h) % 2, -1, 1)
         fixes = act[:, reps] == reps  # fixes[h, o]: h fixes orbit o's representative
-        sectors = []
+        sectors, columns = [], []
         for c in h:
             kept = ~np.any(fixes & (chi[c] < 0)[:, None], axis=0)
             if kept.any():
@@ -219,35 +300,33 @@ class Symmetry:
                 B[rows, (np.cumsum(kept) - 1)[orbit[rows]]] = (
                     chi[c, carrier[rows]] / np.sqrt(size[orbit[rows]]))
                 sectors.append(B)
-        return cls(act, reps, orbit, carrier, tuple(sectors))
+                columns.append(np.nonzero(kept)[0])
+        _frozen(act, reps, orbit, carrier, *sectors, *columns)
+        return cls(act, reps, orbit, carrier, tuple(sectors), tuple(columns))
 
 
 def build_generator(spec, model, budget=ENUM_BUDGET_DEFAULT):
-    """Assemble the full jump-rate matrix over every configuration; site
-    b's k is the popcount of the defect bits under masks[b], 2 where the
-    mask is 0 (the periodic 1x1 flip, which changes no plaquette)."""
+    """Assemble the full jump-rate matrix over every configuration on the
+    box's table (`_box`): each entry the rate of its k, and the diagonal
+    minus the row sums, summed in column order as a CSR row sum does."""
+    _enum_size(spec, budget)  # on every call: a box cached under a larger budget still raises
+    box = _box(spec)
+    rowsum = np.add.reduceat(model.table[box.k_off], np.arange(0, box.k_off.size, spec.n_sites))
+    return SparseGenerator(box, model, _on_pattern(box, model.table, -rowsum))
+
+
+def _on_pattern(box, values, diag):
+    """CSR matrix on the box's pattern with values[k] off the diagonal and
+    diag on it. An entry that is exactly 0 (a rate that underflows, at
+    large beta) is dropped, as a sparse sum drops it."""
     import scipy.sparse as sparse
 
-    D = _box_defects(spec, budget)
-    counts = np.bitwise_count(D)
-    masks = np.array(_site_masks(spec.side, spec.is_periodic), np.uint64)
-    k = np.bitwise_count(D[:, None] & masks)
-    k[:, masks == 0] = 2
-    Q = _flip_matrix(k, model.table)
-    Q = Q - sparse.diags(np.asarray(Q.sum(axis=1)).ravel())
-    return SparseGenerator(spec, model, Q.tocsr(), counts, k)
-
-
-def _flip_matrix(k, values):
-    """CSR matrix with values[k[i, b]] at (i, i ^ 2^b) for every state i and
-    site b, and nothing on the diagonal; row i holds its n entries."""
-    import scipy.sparse as sparse
-
-    N, n = k.shape
-    cols = np.arange(N, dtype=np.int64)[:, None] ^ (1 << np.arange(n, dtype=np.int64))
-    M = sparse.csr_matrix((values[k].ravel(), cols.ravel(), np.arange(0, N * n + 1, n)),
-                          shape=(N, N))
-    M.sort_indices()
+    data = np.append(values, 0.0)[box.kc]
+    data[box.diag] = diag
+    M = sparse.csr_matrix((data, box.indices, box.indptr), shape=(box.counts.size,) * 2)
+    if not data.all():
+        M = M.copy()  # with index arrays of its own, which the drop rewrites
+        M.eliminate_zeros()
     return M
 
 
@@ -281,63 +360,83 @@ def spectral_gap(G, dense_threshold=DENSE_THRESHOLD):
     """
     if G.n_states <= min(dense_threshold, DENSE_THRESHOLD):
         return float(-G.eigen[0][-2])
-    A = -G.S
+    S = G.S
     y = np.sqrt(G.pi)
     x0 = np.random.default_rng(0).standard_normal(G.n_states)
-    lam, x, steps = _lobpcg(A, y / np.linalg.norm(y), x0)
-    residual = float(np.linalg.norm(A @ x - lam * x) / np.linalg.norm(x))
+    lam, x, steps = _lobpcg(S, y / np.linalg.norm(y), x0)
+    r = S @ x
+    r += lam * x  # minus the residual of -S
+    residual = float(np.linalg.norm(r) / np.linalg.norm(x))
     if not residual <= _GAP_TOL:
         raise ConvergenceError(f"LOBPCG gap did not converge: residual {residual:.3g}"
                                f" after {steps} iterations, above {_GAP_TOL:g}")
     return lam
 
 
-def _lobpcg(A, y, x):
-    """(lam, x, steps): the smallest eigenpair of the symmetric A on the
-    complement of the unit vector y, an eigenvector of A, by locally
+def _lobpcg(S, y, x):
+    """(lam, x, steps): the smallest eigenpair of A = -S, S symmetric, on
+    the complement of the unit vector y, an eigenvector of S, by locally
     optimal preconditioned conjugate gradients (LOBPCG, Knyazev 2001) at
-    block size 1 from x.
+    block size 1 from x. A is never formed: each product with S is negated
+    in place.
 
     Each step is a Rayleigh-Ritz on span{x, w, p}: w is the residual under
     the Jacobi preconditioner 1/diag(A), projected onto the complement of
     y, and p is the previous step's direction, dropped when the Gram
     matrix of the three, scaled to unit diagonal, is near singular. The
-    small matrices are formed from dot products, the Ritz vector comes out
-    of them with unit norm, and A x and A p are carried along, so a step
-    costs one product with A and no normalizing pass. It stops at residual
-    _GAP_TOL or after _GAP_MAXITER steps.
+    small matrices are formed from dot products, each once; the Ritz
+    vector comes out of them with unit norm, and x, A x, p and A p are
+    updated in place, so a step costs one product with S and no
+    normalizing pass. It stops at residual _GAP_TOL or after _GAP_MAXITER
+    steps.
     """
-    d = 1.0 / A.diagonal()
+    def times_a(v):
+        Av = S @ v
+        return np.negative(Av, out=Av)
+
+    d = -1.0 / S.diagonal()
     x = x - (y @ x) * y
     x /= np.linalg.norm(x)
-    Ax = A @ x
+    Ax = times_a(x)
     lam = float(x @ Ax)
-    basis, images = [x], [Ax]
+    p = Ap = None
+    gram = np.empty((3, 3))
     for step in range(_GAP_MAXITER):
-        r = Ax - lam * x
-        if np.linalg.norm(r) <= _GAP_TOL:
+        w = Ax - lam * x  # the residual
+        if np.linalg.norm(w) <= _GAP_TOL:
             break
-        w = d * r
+        w *= d
         w -= (y @ w) * y
-        basis[1:1] = [w]
-        images[1:1] = [A @ w]
+        Aw = times_a(w)
+        basis, images = (x, w, p), (Ax, Aw, Ap)
+        m = 2 if p is None else 3
+        for i in range(m):
+            for j in range(i, m):
+                gram[i, j] = gram[j, i] = basis[i] @ basis[j]
         while True:
-            gram = np.array([[u @ v for v in basis] for u in basis])
-            s = 1.0 / np.sqrt(np.diag(gram))
-            g, T = np.linalg.eigh(s[:, None] * gram * s)
-            if g[0] > _GRAM_FLOOR * g[-1] or len(basis) == 2:
+            s = 1.0 / np.sqrt(np.diag(gram)[:m])
+            g, T = np.linalg.eigh(s[:, None] * gram[:m, :m] * s)
+            if g[0] > _GRAM_FLOOR * g[-1] or m == 2:
                 break
-            del basis[2], images[2]
+            m = 2
         T *= s[:, None] / np.sqrt(g)  # coefficients of an orthonormal basis of the span
-        H = np.array([[u @ v for v in images] for u in basis])
+        H = np.array([[u @ v for v in images[:m]] for u in basis[:m]])
         theta, C = np.linalg.eigh(T.T @ (0.5 * (H + H.T)) @ T)
         c = T @ C[:, 0]
-        p, Ap = c[1] * basis[1], c[1] * images[1]
-        if len(basis) == 3:
-            p += c[2] * basis[2]
-            Ap += c[2] * images[2]
-        x, Ax, lam = c[0] * x + p, c[0] * Ax + Ap, float(theta[0])
-        basis, images = [x, p], [Ax, Ap]
+        w *= c[1]
+        Aw *= c[1]
+        if m == 3:
+            p *= c[2]
+            p += w
+            Ap *= c[2]
+            Ap += Aw
+        else:
+            p, Ap = w, Aw
+        x *= c[0]
+        x += p
+        Ax *= c[0]
+        Ax += Ap
+        lam = float(theta[0])
     else:
         step = _GAP_MAXITER
     return lam, x, step
@@ -419,10 +518,17 @@ def _lambda_of_subset(G, idx):
     with r = sqrt(1 - pi(A)) and c = 1/(r (1 + r)), so the value is the
     smallest eigenvalue of the standard problem
     M = (I + c v v^T)(-S_AA)(I + c v v^T) = -S_AA + u v^T + v u^T,
-    u = c (-S_AA v) + (c^2 / 2)(v . -S_AA v) v: one symmetric `eigh`.
+    u = c (-S_AA v) + (c^2 / 2)(v . -S_AA v) v (`_corrected_bottom`).
     Conditioning: I + c v v^T has norm 1/r, so M carries the rounding of
     -S_AA amplified by up to 1/(1 - pi(A)), the same factor as the pencil's
     B^-1.
+
+    When idx is a union of orbits of `G.symmetry` (every level set is: the
+    counts are invariant), -S_AA keeps each sector, so M is solved one
+    sector at a time, on the rows and columns of the sector's block
+    B^T (-S) B whose orbits lie in A. v is constant on orbits, so v and u
+    lie in the trivial sector, whose block alone carries the correction.
+    Any other set is one `eigh` of the whole of M.
     """
     N = G.n_states
     if idx.size == N:
@@ -431,18 +537,40 @@ def _lambda_of_subset(G, idx):
         raise BudgetExceededError(
             f"subset eigenproblem limited to {DENSE_THRESHOLD} states"
         )
-    import scipy.linalg
+    inside = np.zeros(N, dtype=bool)
+    inside[idx] = True
+    if N > DENSE_THRESHOLD or not inside[G.symmetry.act[:, idx]].all():
+        return _corrected_bottom(-G.S[idx][:, idx].toarray(), np.sqrt(G.pi[idx]))
+    sym = G.symmetry
+    blocks = G._sector_blocks()
+    keep = inside[sym.reps[sym.columns[0]]]
+    v = (sym.sectors[0].T @ np.sqrt(G.pi))[keep]
+    lam = _corrected_bottom(-blocks[0][np.ix_(keep, keep)], v)
+    for cols, block in zip(sym.columns[1:], blocks[1:]):
+        keep = inside[sym.reps[cols]]
+        if keep.any():
+            lam = min(lam, _bottom(-block[np.ix_(keep, keep)]))
+    return lam
 
-    v = np.sqrt(G.pi[idx])
+
+def _corrected_bottom(M, v):
+    """Smallest eigenvalue of M + u v^T + v u^T for M = -S_AA and
+    v = sqrt(pi_A) in one orthonormal basis (`_lambda_of_subset`); M is
+    overwritten."""
     r = math.sqrt(1.0 - float(v @ v))
     c = 1.0 / (r * (1.0 + r))
-    M = -G.S[idx][:, idx].toarray()
     Mv = M @ v
     u = c * Mv + (0.5 * c * c * float(v @ Mv)) * v
     M += np.outer(u, v)
     M += np.outer(v, u)
-    w = scipy.linalg.eigh(M, eigvals_only=True, subset_by_index=[0, 0])
-    return float(w[0])
+    return _bottom(M)
+
+
+def _bottom(M):
+    """Smallest eigenvalue of the symmetric M."""
+    import scipy.linalg
+
+    return float(scipy.linalg.eigh(M, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
 def spectral_profile(G, k):

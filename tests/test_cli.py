@@ -21,13 +21,15 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
-def run_python(*args):
-    """A fresh interpreter on `args`, importing the package these tests
-    import (also from a checkout that is not installed)."""
+def run_python(*args, env=None):
+    """A fresh interpreter on `args` in `env` (default this one's),
+    importing the package these tests import (also from a checkout that is
+    not installed)."""
+    env = dict(os.environ if env is None else env)
     src = str(Path(plaquette.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+                          timeout=120, env=env)
 
 
 def rows_of(text):
@@ -333,6 +335,28 @@ def test_console_entry_point():
     proc = run_python("-m", "plaquette.cli", "exact", "--beta", "0.0", "--size", "2")
     assert proc.returncode == 0
     assert "# schema=1" in proc.stdout
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_command_entry_pins_blas_threads_unless_set():
+    # the command (`plaquette`, `python -m plaquette`) sets one thread each
+    # before numpy loads; a value already set is kept, and importing the
+    # library sets nothing
+    bare = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    report = "; import os; print(*(os.environ.get(v, '-') for v in %r))" % (BLAS_VARS,)
+    for env, code, want in (
+        (bare, "import plaquette.__main__", "1 1 1"),
+        (dict(bare, OMP_NUM_THREADS="3"), "import plaquette.__main__", "1 3 1"),
+        (bare, "import plaquette.cli, plaquette.exact", "- - -"),
+    ):
+        proc = run_python("-c", code + report, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == want.split(), (code, proc.stdout)
+    proc = run_python("-m", "plaquette", "exact", "--beta", "1.0", "--size", "2", env=bare)
+    assert proc.returncode == 0, proc.stderr
+    assert rows_of(proc.stdout)[1].startswith("1.0,2,plus,")
 
 
 def test_cli_import_leaves_scipy_stats_out():

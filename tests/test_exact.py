@@ -6,6 +6,7 @@ recomputation in tests/oracles/gen_small_oracles.py.
 
 import itertools
 import math
+import types
 import warnings
 
 import numpy as np
@@ -198,6 +199,95 @@ def test_symmetrized_generator_matches_the_product_formula():
         assert np.array_equal(G.S.toarray(), ref.toarray()), (L, bc, kind)
 
 
+def flip_matrix(k, values):
+    """CSR matrix with values[k[i, b]] at (i, i ^ 2^b) for every state i and
+    site b, and nothing on the diagonal: each row's entries in site order,
+    then sorted, as the generator was assembled before the box tables."""
+    N, n = k.shape
+    cols = np.arange(N, dtype=np.int64)[:, None] ^ (1 << np.arange(n, dtype=np.int64))
+    M = scipy.sparse.csr_matrix((values[k].ravel(), cols.ravel(), np.arange(0, N * n + 1, n)),
+                                shape=(N, N))
+    M.sort_indices()
+    return M
+
+
+def reference_q_and_s(G):
+    """Q and S from G's k table by sparse sums: Q's diagonal minus its CSR
+    row sums, S's the same as Q's."""
+    r = G.model.table
+    Q = flip_matrix(G._box.k, r)
+    Q = (Q - scipy.sparse.diags(np.asarray(Q.sum(axis=1)).ravel())).tocsr()
+    S = (flip_matrix(G._box.k, np.sqrt(r * r[::-1])) + scipy.sparse.diags(Q.diagonal())).tocsr()
+    return Q, S
+
+
+def same_csr(A, B):
+    return all(np.array_equal(getattr(A, a), getattr(B, a)) for a in ("indptr", "indices", "data"))
+
+
+def test_gathered_q_and_s_are_the_sparse_sums_bit_for_bit():
+    boxes = [spec for L in (1, 2, 3, 4)
+             for spec in (LatticeSpec(L, PLUS), LatticeSpec(L, PERIODIC), broken_frame(L))]
+    for spec, kind, beta in itertools.product(boxes, RateModel.KINDS, (0.0, 0.5, 1.0, 3.0)):
+        G = build_generator(spec, RateModel(beta, kind))
+        Q, S = reference_q_and_s(G)
+        assert same_csr(G.Q, Q) and same_csr(G.S, S), (spec, kind, beta)
+        assert np.shares_memory(G.S.indices, G.Q.indices)
+        if spec.side <= 3:
+            assert np.array_equal(G.Q.toarray(), Q.toarray())
+            assert np.array_equal(G.S.toarray(), S.toarray())
+        if spec.side in (2, 3):
+            assert dump_generator_text(G) == dump_generator_text(types.SimpleNamespace(Q=Q))
+
+
+def test_gathered_generator_drops_rates_that_underflow():
+    # exp(-4 beta) is 0 at beta 300: the sparse sums dropped those entries
+    for bc in (PLUS, PERIODIC):
+        with np.errstate(over="ignore"):
+            G = G_of(3, 300.0, bc)
+        Q, S = reference_q_and_s(G)
+        assert Q.nnz < 10 * 512 and S.nnz < Q.nnz
+        assert same_csr(G.Q, Q) and same_csr(G.S, S), bc
+
+
+def test_box_table_is_checked_against_the_budget_on_every_build():
+    G_of(3, 1.0)  # the box is cached now
+    with pytest.raises(BudgetExceededError):
+        build_generator(LatticeSpec(3, PLUS), RateModel(1.0), budget=100)
+
+
+def test_box_table_is_read_only_and_shared_across_beta():
+    G, H = G_of(3, 1.0), G_of(3, 2.0)
+    assert G.counts is H.counts and G.symmetry is H.symmetry
+    sym = G.symmetry
+    arrays = [G.counts, G._box.k, G.Q.indices, G.Q.indptr, G.S.indices,
+              sym.act, sym.reps, sym.orbit, sym.carrier, *sym.sectors, *sym.columns]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1
+
+
+def test_box_table_is_per_frame():
+    a, b = broken_frame(3), LatticeSpec(3, FIXED, np.ones((5, 5), dtype=np.int8))
+    Ga, Gb = build_generator(a, RateModel(1.0)), build_generator(b, RateModel(1.0))
+    assert exact._box(a) is not exact._box(b)
+    assert not np.array_equal(Ga.counts, Gb.counts)
+    assert (Ga.Q != Gb.Q).nnz > 0
+    assert Ga.symmetry.act.shape[0] == 2 and Gb.symmetry.act.shape[0] == 4
+    # the all-plus frame is the plus box
+    assert np.array_equal(Gb.counts, G_of(3, 1.0).counts)
+
+
+def test_box_cache_is_bounded():
+    rng = np.random.default_rng(5)
+    for _ in range(exact._BOX_CACHE + 3):
+        theta = np.where(rng.random((4, 4)) < 0.5, -1, 1).astype(np.int8)
+        build_generator(LatticeSpec(2, FIXED, theta), RateModel(1.0))
+    info = exact._box.cache_info()
+    assert info.maxsize == exact._BOX_CACHE
+    assert info.currsize <= exact._BOX_CACHE
+
+
 def test_gap_sparse_route_raises_when_unconverged(monkeypatch):
     monkeypatch.setattr(exact, "_GAP_MAXITER", 2)
     with warnings.catch_warnings():
@@ -282,6 +372,48 @@ def test_level_set_value_matches_the_generalized_pencil():
                     assert _lambda_of_subset(G, idx) == pytest.approx(want, rel=1e-12)
                     checked += 1
     assert checked == 48
+
+
+def dense_lambda_of_subset(G, idx):
+    """The level-set value as one `eigh` of the whole corrected -S_AA."""
+    v = np.sqrt(G.pi[idx])
+    r = math.sqrt(1.0 - float(v @ v))
+    c = 1.0 / (r * (1.0 + r))
+    M = -G.S[idx][:, idx].toarray()
+    Mv = M @ v
+    u = c * Mv + (0.5 * c * c * float(v @ Mv)) * v
+    M += np.outer(u, v) + np.outer(v, u)
+    return scipy.linalg.eigh(M, eigvals_only=True, subset_by_index=[0, 0])[0]
+
+
+def test_level_set_sectors_match_the_dense_route():
+    checked = 0
+    for spec, beta in itertools.product(symmetric_boxes(), (0.0, 0.5, 1.0, 3.0)):
+        G = build_generator(spec, RateModel(beta))
+        act = G.symmetry.act
+        for k in np.unique(G.counts):
+            idx = level_set(G, k)
+            if idx.size == G.n_states:
+                continue
+            assert np.all(np.isin(act[:, idx], idx))  # a union of orbits
+            assert _lambda_of_subset(G, idx) == pytest.approx(
+                dense_lambda_of_subset(G, idx), rel=1e-12), (spec, beta, k)
+            checked += 1
+    assert checked == 80
+
+
+def test_level_value_of_a_set_that_is_not_closed_is_one_dense_eigh(monkeypatch):
+    G = G_of(3, 1.0)
+    sym = G.symmetry
+    o = int(np.argmax(np.bincount(sym.orbit)))  # an orbit of four codes
+    idx = np.nonzero(sym.orbit == o)[0][:2]
+    assert not np.all(np.isin(sym.act[:, idx], idx))
+
+    def no_sectors(self):
+        raise AssertionError("a set that is not a union of orbits read the sectors")
+
+    monkeypatch.setattr(exact.SparseGenerator, "_sector_blocks", no_sectors)
+    assert _lambda_of_subset(G, idx) == pytest.approx(dense_lambda_of_subset(G, idx), rel=1e-12)
 
 
 def test_tv_mixing_time_pinned():
@@ -376,7 +508,7 @@ def test_orbit_row_certificate_matches_the_full_kernel():
 def passes_exact_check(G, sigma, g):
     """k[g(i), sigma[b]] == k[i, b] and counts[g(i)] == counts[i] for all i, b."""
     return (np.array_equal(G.counts[g], G.counts)
-            and np.array_equal(G._k[g][:, sigma], G._k))
+            and np.array_equal(G._box.k[g][:, sigma], G._box.k))
 
 
 def code_image(G, sigma, mask):
