@@ -23,19 +23,20 @@ defective plaquettes, so k = POP4[pattern]. A flip at t toggles all of
 t's plaquettes, which changes each neighbour u's pattern by a fixed XOR
 mask: `lattice._toggles` lists those (u, x) pairs, at most nine per
 site, and the defect count moves by 4 - 2k. The code, one int, is the
-state; the defect int is rebuilt from it only when read. No step scans
-the L^2 rates or touches the defect int; what grows with the box is one
-bit XORed into the code. An event takes about 4-5.5 us at L=64 and
-3-4 us at L=4 (one core of a shared 2-vCPU host). All randomness flows
-through numpy Generators seeded via SeedSequence so runs are
-reproducible and replicas independent. `simulate` is the module's one
-event loop, whose body `Simulator.step` runs too; `hitting_time` and
-`trace_chain` run through it.
+state, and the simulator keeps no defect int. No step scans the L^2
+rates; what grows with the box is one bit XORed into the code. An
+event takes about 4-5.5 us at L=64 and 3-4 us at L=4 (one core of a
+shared 2-vCPU host). All randomness flows through numpy Generators
+seeded via SeedSequence so runs are reproducible and replicas
+independent. `simulate` is the module's one event loop, whose body
+`Simulator.step` runs too; `hitting_time` and `trace_chain` run
+through it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,6 @@ from .lattice import (
     LatticeSpec,
     SpinConfig,
     _CodedState,
-    _code_defects,
     _frame_defects,
     _frame_patterns,
     _grid_from_text,
@@ -59,6 +59,13 @@ from .lattice import (
 MAX_EVENTS_DEFAULT = 10**7
 
 
+def _check_beta(beta):
+    """ValueError unless the inverse temperature beta is finite and
+    nonnegative; every layer that takes a beta checks it here."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
+
+
 class RateModel:
     """Jump-rate family at a fixed inverse temperature."""
 
@@ -67,8 +74,7 @@ class RateModel:
     def __init__(self, beta, kind="metropolis"):
         if kind not in self.KINDS:
             raise ValueError(f"unknown rate kind {kind!r}")
-        if not (math.isfinite(beta) and beta >= 0):
-            raise ValueError("beta must be finite and nonnegative")
+        _check_beta(beta)
         self.beta = float(beta)
         self.kind = kind
         ks = np.arange(5)
@@ -113,12 +119,11 @@ class Simulator:
     `state_key()` is the code) with, per site, the 4-bit pattern of its
     defective plaquettes; a site's k is POP4[pattern]. A flip at t XORs
     the patterns of its `lattice._toggles` entry and moves the defect
-    count by 4 - 2k; no step touches the defect int, which `D` rebuilds
-    from the code when read. Sites sit in five buckets by k, so a step
-    draws a class from the five weights len(bucket) * rate(k) and then a
-    site uniformly inside it. Exponential holding times and uniforms are
-    drawn in blocks that start at _BLOCK_FIRST and double up to
-    _BLOCK_MAX.
+    count by 4 - 2k; no defect int is kept. Sites sit in five buckets by
+    k, so a step draws a class from the five weights len(bucket) * rate(k)
+    and then a site uniformly inside it. Exponential holding times and
+    uniforms are drawn in blocks that start at _BLOCK_FIRST and double up
+    to _BLOCK_MAX.
 
     Sites are addressed in lattice coordinates (1-based for fixed boxes,
     0-based for periodic ones). Stop predicates receive this object and
@@ -157,10 +162,6 @@ class Simulator:
     @property
     def _total(self):
         return sum(len(b) * r for b, r in zip(self._buckets, self._rate))
-
-    @property
-    def D(self):
-        return _code_defects(self.spec, self.code)
 
     def state(self):
         return SpinConfig.from_code(self.spec, self.code)
@@ -247,6 +248,9 @@ class Trajectory:
 
 
 def stop_after_events(n):
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"stop event count must be a nonnegative integer, got {n!r}")
+
     def pred(sim):
         return sim.n_events >= n
 

@@ -9,11 +9,16 @@ Everything here is dense or sparse linear algebra on enumerated boxes
 reversible, so S = D^1/2 Q D^-1/2 with D = diag(pi) is symmetric, and
 sqrt(pi) spans its kernel.
 
+- Derived data is cached one way, by `functools`: `_box` is an
+  lru_cache over `_Box`, and the box's `symmetry` and the generator's
+  pi, S, sector_blocks, eigen and tv_factors are cached properties, each
+  formed on its first read and kept on the object that owns it. A read
+  that raises (a table past DENSE_THRESHOLD) caches nothing.
 - What the rates do not change is built once per box and kept for the
   last _BOX_CACHE boxes (`_box`): the defect counts, each site's k, the
   sorted CSR pattern of Q and each entry's k in that order. Q at one beta
   is then one gather of the rate table, its diagonal minus the row sums,
-  and S, built on first use, one more gather on the same index arrays.
+  and S one more gather on the same index arrays.
 - Below the dense threshold each box builds one `Symmetry` table:
   the group H of box symmetries that commute with Q (the two axis
   reflections of a framed box, the 2L - 1 independent whole-line flips
@@ -22,8 +27,8 @@ sqrt(pi) spans its kernel.
   frame falls back to fewer or none. It holds each code's orbit
   representative, the element carrying the representative to the code,
   and the +-1 character basis of each sector.
-- S = V diag(w) V^T is cached on the generator, found by one `eigh` per
-  sector (`SparseGenerator.eigen`). The gap, the slow eigenfunction and
+- S = V diag(w) V^T is found by one `eigh` per sector
+  (`SparseGenerator.eigen`). The gap, the slow eigenfunction and
   every step of the mixing-time search read it, the last through
   P_t = D^-1/2 V e^{tw} V^T D^1/2. A step forms only the rows of P_t
   whose chi^2 bound could decide it, and only at orbit representatives:
@@ -84,7 +89,13 @@ class ConvergenceError(RuntimeError):
 
 class SparseGenerator:
     """Generator matrix plus the state indexing it lives on; the box's
-    beta-free tables (`_Box`) are shared by every generator of the box."""
+    beta-free tables (`_Box`) are shared by every generator of the box.
+
+    What is derived from Q is a `functools.cached_property`, formed on
+    first read and kept on this object: pi, S, sector_blocks, eigen and
+    tv_factors. A read that raises (eigen above DENSE_THRESHOLD) caches
+    nothing and raises again on the next read.
+    """
 
     def __init__(self, box, model, Q):
         self.spec = box.spec
@@ -92,11 +103,6 @@ class SparseGenerator:
         self.Q = Q
         self.counts = box.counts
         self._box = box
-        self._pi = None
-        self._S = None
-        self._blocks = None
-        self._eigen = None
-        self._tv = None
 
     @property
     def n_states(self):
@@ -105,58 +111,63 @@ class SparseGenerator:
     def config(self, i):
         return SpinConfig.from_code(self.spec, i)
 
-    @property
+    @functools.cached_property
     def pi(self):
-        if self._pi is None:
-            self._pi = stationary_distribution(self)
-        return self._pi
+        return stationary_distribution(self)
 
-    @property
+    @functools.cached_property
     def S(self):
-        """The symmetrized generator D^1/2 Q D^-1/2 (CSR), built once, on
-        Q's index arrays.
+        """The symmetrized generator D^1/2 Q D^-1/2 (CSR), on Q's index
+        arrays.
 
         The entry for flipping site b at state i is sqrt(r(k) r(4 - k)),
         k = k_b(i): the reverse flip finds the other 4 - k plaquettes
         defective (and the periodic 1x1 flip has k = 2 both ways). The
         diagonal is Q's.
         """
-        if self._S is None:
-            r = self.model.table
-            self._S = _on_pattern(self._box, np.sqrt(r * r[::-1]), self.Q.diagonal())
-        return self._S
+        r = self.model.table
+        return _on_pattern(self._box, np.sqrt(r * r[::-1]), self.Q.diagonal())
 
     @property
     def symmetry(self):
         """The box's `Symmetry` table (`_Box.symmetry`)."""
         return self._box.symmetry
 
-    def _sector_blocks(self):
-        """B^T S B for each sector basis B of `symmetry`, formed once."""
-        if self._blocks is None:
-            S = self.S
-            self._blocks = [B.T @ (S @ B) for B in self.symmetry.sectors]
-        return self._blocks
+    @functools.cached_property
+    def sector_blocks(self):
+        """B^T S B for each sector basis B of `symmetry`."""
+        S = self.S
+        return [B.T @ (S @ B) for B in self.symmetry.sectors]
 
-    @property
+    @functools.cached_property
     def eigen(self):
         """(w, V) with S = V diag(w) V^T, w ascending, for the symmetrized
-        generator S; computed once, and only up to DENSE_THRESHOLD states.
+        generator S; only up to DENSE_THRESHOLD states.
 
         One `eigh` per symmetry sector: B^T S B = V_B diag(w_B) V_B^T for
         each sector basis B, and the columns B V_B of all sectors, sorted
         by w, are an orthonormal eigenbasis of S.
         """
-        if self._eigen is None:
-            ws, Vs = [], []
-            for B, M in zip(self.symmetry.sectors, self._sector_blocks()):
-                w, V = np.linalg.eigh(M)
-                ws.append(w)
-                Vs.append(B @ V)
-            w = np.concatenate(ws)
-            order = np.argsort(w, kind="stable")
-            self._eigen = (w[order], np.hstack(Vs)[:, order])
-        return self._eigen
+        ws, Vs = [], []
+        for B, M in zip(self.symmetry.sectors, self.sector_blocks):
+            w, V = np.linalg.eigh(M)
+            ws.append(w)
+            Vs.append(B @ V)
+        w = np.concatenate(ws)
+        order = np.argsort(w, kind="stable")
+        return w[order], np.hstack(Vs)[:, order]
+
+    @functools.cached_property
+    def tv_factors(self):
+        """(U^2, U / sqrt(pi), (U sqrt(pi))^T, w') for the worst-start
+        search, the first two on the representative rows only. U = V' is V
+        without its stationary column; start x's row of P_t - Pi is
+        (U / sqrt(pi))[x] e^{tw'} (U sqrt(pi))^T."""
+        w, V = self.eigen
+        r = np.sqrt(self.pi)[:, None]
+        U = V[:, :-1]
+        reps = self.symmetry.reps
+        return U[reps] ** 2, U[reps] / r[reps], (U * r).T, w[:-1]
 
 
 def _frozen(*arrays):
@@ -205,27 +216,20 @@ class _Box:
         self.spec = spec
         self.counts = np.bitwise_count(D)
         self.k = k
-        self._symmetry = None
         _frozen(self.counts, self.k, self.indptr, self.indices, self.diag, self.kc, self.k_off)
 
-    @property
+    @functools.cached_property
     def symmetry(self):
-        """The box's `Symmetry` table, built once, and only up to
-        DENSE_THRESHOLD states."""
-        if self._symmetry is None:
-            if self.counts.size > DENSE_THRESHOLD:
-                raise BudgetExceededError(
-                    f"symmetry table limited to {DENSE_THRESHOLD} states"
-                )
-            self._symmetry = Symmetry.of(self)
-        return self._symmetry
+        """The box's `Symmetry` table, only up to DENSE_THRESHOLD states;
+        above that every read raises."""
+        if self.counts.size > DENSE_THRESHOLD:
+            raise BudgetExceededError(f"symmetry table limited to {DENSE_THRESHOLD} states")
+        return Symmetry.of(self)
 
 
-@functools.lru_cache(maxsize=_BOX_CACHE)
-def _box(spec):
-    """The `_Box` of spec, kept for the _BOX_CACHE boxes used last; the
-    spec's key holds the frame, so two frames of one side are two boxes."""
-    return _Box(spec)
+# the `_Box` of a spec, kept for the _BOX_CACHE boxes used last; the spec's
+# key holds the frame, so two frames of one side are two boxes
+_box = functools.lru_cache(maxsize=_BOX_CACHE)(_Box)
 
 
 def _involutions(spec):
@@ -542,7 +546,7 @@ def _lambda_of_subset(G, idx):
     if N > DENSE_THRESHOLD or not inside[G.symmetry.act[:, idx]].all():
         return _corrected_bottom(-G.S[idx][:, idx].toarray(), np.sqrt(G.pi[idx]))
     sym = G.symmetry
-    blocks = G._sector_blocks()
+    blocks = G.sector_blocks
     keep = inside[sym.reps[sym.columns[0]]]
     v = (sym.sectors[0].T @ np.sqrt(G.pi))[keep]
     lam = _corrected_bottom(-blocks[0][np.ix_(keep, keep)], v)
@@ -574,9 +578,8 @@ def _bottom(M):
 
 
 def spectral_profile(G, k):
-    """lambda(S_k) over the level set of at least k defects; k=0 gives the gap."""
-    if k <= 0:
-        return spectral_gap(G)
+    """lambda(S_k) over the level set of at least k defects; k <= 0 gives
+    the whole box, whose value is the gap."""
     return _lambda_of_subset(G, level_set(G, k))
 
 
@@ -671,7 +674,7 @@ def _tv_spectral(G, t, eps=None):
     once the next bound is below eps, so the value is at or above eps
     exactly when the worst start is.
     """
-    _, left, right, w = _tv_factors(G)
+    _, left, right, w = G.tv_factors
     e = np.exp(t * w)
     bound = _tv_chi2_bound(G, t) + _TV_TAIL + _TV_MARGIN
     order = np.argsort(-bound)
@@ -694,22 +697,8 @@ def _tv_chi2_bound(G, t):
     with h_t^x = P_t(x, .) / pi. By Cauchy-Schwarz it is at or above x's
     total variation distance (the l2 bound, as in Levin, Peres and
     Wilmer), and it costs one matrix-vector product for all starts."""
-    U2, _, _, w = _tv_factors(G)
+    U2, _, _, w = G.tv_factors
     return 0.5 * np.sqrt(U2 @ np.exp(2.0 * t * w)) / np.sqrt(G.pi[G.symmetry.reps])
-
-
-def _tv_factors(G):
-    """(U^2, U / sqrt(pi), (U sqrt(pi))^T, w') for the worst-start search,
-    formed once per eigendecomposition, the first two on the
-    representative rows only. U = V' is V without its stationary column;
-    start x's row of P_t - Pi is (U / sqrt(pi))[x] e^{tw'} (U sqrt(pi))^T."""
-    if G._tv is None:
-        w, V = G.eigen
-        r = np.sqrt(G.pi)[:, None]
-        U = V[:, :-1]
-        reps = G.symmetry.reps
-        G._tv = (U[reps] ** 2, U[reps] / r[reps], (U * r).T, w[:-1])
-    return G._tv
 
 
 def _first_time_below(tv, lo, t, eps):
@@ -795,16 +784,11 @@ def profile_mixing_bound(G):
             pts.add(x_k)
     grid = sorted(pts)
     uniq = np.unique(G.counts)
-    lam_cache = {}
+    level_value = functools.cache(functools.partial(spectral_profile, G))
 
     def lam_for(k):
-        if k == 0:
-            key = 0
-        else:
-            key = int(uniq[np.searchsorted(uniq, k)])  # S_k == S_key
-        if key not in lam_cache:
-            lam_cache[key] = spectral_profile(G, key)
-        return lam_cache[key]
+        # S_k is S_key for the least defect count key >= k
+        return level_value(0 if k == 0 else int(uniq[np.searchsorted(uniq, k)]))
 
     steps = [(lo, hi, k_of(math.sqrt(lo * hi))) for lo, hi in zip(grid, grid[1:])]
     # proper level sets from the largest down, then the whole box (the

@@ -21,9 +21,10 @@ walks of `paths`) flips both ints by XOR, and `_box_defects` gives a
 whole box's defect ints as one array by code. `dynamics.Simulator`
 instead keeps, per site, the 4-bit pattern of its defective plaquettes
 in the slot order of `_site_plaquettes`, which the masks are built from
-too; `_toggles` holds the XOR masks a flip applies to the patterns around
-it. `_site_k`, k counted from spin geometry, is the test reference for
-both.
+too, and so is `_toggles`, the XOR masks a flip applies to the patterns
+around it: each of the flipped site's plaquettes marks the slots that
+hold it. `_site_k`, k counted from spin geometry, is the test reference
+for both.
 
 Coordinate conventions, used consistently across the package:
 
@@ -134,10 +135,6 @@ class LatticeSpec:
     def sites(self):
         """All sites in array storage order (column-major in coordinates)."""
         return list(_site_codec(self.side, self.is_periodic)[0])
-
-    def plaquettes(self):
-        a, b = self.plaq_shape
-        return [(i, j) for i in range(a) for j in range(b)]
 
     def boundary_is_plus(self):
         """True when the frozen frame is identically +1 (or absent)."""
@@ -377,33 +374,27 @@ def _site_masks(side, periodic):
 @functools.lru_cache(maxsize=None)
 def _toggles(side, periodic):
     """Per flat site index t, the pairs (u, x) for the sites u that share a
-    plaquette with t, t itself included. A site's pattern has bit s set
-    where its slot-s plaquette (`_site_plaquettes`) is defective; a flip at
-    t toggles all of t's plaquettes, so it XORs x into u's pattern.
-    x depends only on the offset of u from t; the masks are read
-    off the centre of a fixed 3x3 box. Offsets that wrap onto the same
-    site (periodic L <= 2) XOR their masks, so on the periodic 1x1 box,
-    whose flip toggles its one plaquette four times, there are no pairs.
+    plaquette with t, t itself included, in increasing u. A site's pattern
+    has bit s set where its slot-s plaquette (`_site_plaquettes`) is
+    defective; a flip at t toggles each of t's plaquettes, so it XORs into
+    u's pattern the bit of each slot of u that holds one. A plaquette
+    that fills several slots (periodic L <= 2) is toggled once per slot
+    of t and marked once per slot of u, and what meets twice cancels: on
+    the periodic 1x1 box, whose flip toggles its one plaquette four
+    times, there are no pairs.
     """
-    slots = list(_site_plaquettes(3, False))
-    centre = slots[4]
-    x_at = {(da, db): sum((p in centre) << s for s, p in enumerate(slots[4 + 3 * da + db]))
-            for da in (-1, 0, 1) for db in (-1, 0, 1)}
-    L = side
-    ts = list(range(L * L))  # one int object per site, shared by the pairs
+    slots = list(_site_plaquettes(side, periodic))
+    holders = {}  # plaquette -> [(u, the bit of u's slot holding it)]
+    for u, row in enumerate(slots):
+        for s, p in enumerate(row):
+            holders.setdefault(p, []).append((u, 1 << s))
     table = []
-    for i in range(L):
-        for j in range(L):
-            xs = {}
-            for (da, db), x in x_at.items():
-                a, b = i + da, j + db
-                if periodic:
-                    a, b = a % L, b % L
-                elif not (0 <= a < L and 0 <= b < L):
-                    continue
-                u = ts[a * L + b]
-                xs[u] = xs.get(u, 0) ^ x
-            table.append(tuple((u, x) for u, x in sorted(xs.items()) if x))
+    for row in slots:
+        xs = {}
+        for p in row:
+            for u, bit in holders[p]:
+                xs[u] = xs.get(u, 0) ^ bit
+        table.append(tuple((u, x) for u, x in sorted(xs.items()) if x))
     return tuple(table)
 
 

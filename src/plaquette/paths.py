@@ -52,7 +52,7 @@ from .lattice import (
     _site_codec,
     _site_masks,
 )
-from .dynamics import RateModel, _as_rng
+from .dynamics import RateModel, _as_rng, _check_beta
 
 
 class PartitionViolation(ValueError):
@@ -446,6 +446,7 @@ def classify_occupancy(v, beta):
     smallest offset theta in [0:floor(beta)] whose row-count level
     v_max - theta dominates all levels within distance 32 up to a factor
     beta. Exactly one class per vector, or a partition violation."""
+    _check_beta(beta)
     theta = _theta(v.v if isinstance(v, OccupancyVector) else tuple(v), beta)
     return ThetaClass(sparse=theta is None, theta=theta)
 
@@ -474,6 +475,7 @@ def good_rectangles(sigma, i, beta, c=100):
     any exit-path measure yields a valid congestion bound, and the dense
     classification can fail at small beta.
     """
+    _check_beta(beta)
     rows, cols = _state_lines(sigma)
     split = SplitStructure(boundaries=_split(cols, c), c=c)
     if not 1 <= i <= split.n:
@@ -500,6 +502,7 @@ class _Segments:
     """
 
     def __init__(self, L, beta, c):
+        _check_beta(beta)
         self.L, self.beta, self.c = L, beta, c
         self.w = (L + 1).bit_length()
         self._states = {}
@@ -753,41 +756,32 @@ def _flow_exhaustive(spec, beta, level, c, kind):
     dbits = D.tolist()
     masks = _site_masks(L, False)
     segments = _Segments(L, beta, c)
-    tree = {}
 
-    def branches(code, s):
-        """[(q, edges, end state, end count)] of segment s from code: every
-        rectangle segment while s <= M, then the naive path, with the
-        edges (state * n + site) it takes up to the truncation crossing."""
-        key = (code, s > M)
-        if key not in tree:
-            if s > M:
-                drawn = [(1.0, _naive(code, L))]
-            else:
-                drawn = segments.every(dbits[code])
-            tree[key] = []
-            for q, flips in drawn:
-                taken, end, D = _walk(code, dbits[code], flips, masks, trunc)
-                edges, cur = [], code
-                for t in flips[:taken]:
-                    edges.append(cur * n + t)
-                    cur ^= 1 << t
-                tree[key].append((q, edges, end, D.bit_count()))
-        return tree[key]
+    @functools.cache
+    def branches(code, naive):
+        """[(q, edges, end state, end count)] of a segment from code: every
+        rectangle segment, or the naive path once the segment index is past
+        M, with the edges (state * n + site) it takes up to the truncation
+        crossing."""
+        drawn = [(1.0, _naive(code, L))] if naive else segments.every(dbits[code])
+        out = []
+        for q, flips in drawn:
+            taken, end, D = _walk(code, dbits[code], flips, masks, trunc)
+            edges, cur = [], code
+            for t in flips[:taken]:
+                edges.append(cur * n + t)
+                cur ^= 1 << t
+            out.append((q, edges, end, D.bit_count()))
+        return out
 
-    ell_memo = {}
-
-    def ell_rem(code, cnt, s):
-        """Expected remaining truncated-path length from a segment start."""
-        if cnt <= trunc:
-            return 0.0
-        key = (code, s)
-        if key not in ell_memo:
-            val = 0.0
-            for q, edges, endb, endc in branches(code, s):
-                val += q * (len(edges) + ell_rem(endb, endc, s + 1))
-            ell_memo[key] = val
-        return ell_memo[key]
+    @functools.cache
+    def ell_rem(code, s):
+        """Expected remaining truncated-path length from the start of
+        segment s at a state above the truncation."""
+        val = 0.0
+        for q, edges, endb, endc in branches(code, s > M):
+            val += q * (len(edges) + (0.0 if endc <= trunc else ell_rem(endb, s + 1)))
+        return val
 
     # Forward pass: pooled mass W and mass-weighted cumulative length ML
     # per (state, segment index). Every edge of a branch receives the same
@@ -804,9 +798,9 @@ def _flow_exhaustive(spec, beta, level, c, kind):
         for code, (W, ML) in layer.items():
             if dbits[code].bit_count() <= trunc:
                 continue
-            for q, edges, endb, endc in branches(code, s):
+            for q, edges, endb, endc in branches(code, s > M):
                 taken = len(edges)
-                tail = 0.0 if endc <= trunc else ell_rem(endb, endc, s + 1)
+                tail = 0.0 if endc <= trunc else ell_rem(endb, s + 1)
                 inc = q * (ML + W * (taken + tail))
                 for e in edges:
                     numer[e] = numer.get(e, 0.0) + inc

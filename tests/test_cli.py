@@ -404,6 +404,14 @@ def test_simulate_rejects_bad_stop_times():
             cli.main(["simulate", "--stop", f"time={t}"])
 
 
+def test_simulate_rejects_a_negative_event_count():
+    # events=-5 used to run no event, print tau 0.0 and exit 0
+    proc = run_python("-m", "plaquette", "simulate", "--size", "2", "--stop", "events=-5")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("bad --stop value 'events=-5': stop event count must be"
+                           " a nonnegative integer, got -5\n")
+
+
 def test_spent_budget_and_empty_pool_exit_with_one_line(tmp_path):
     # both used to escape as tracebacks; a split threshold of 1 empties
     # the rectangle pools, so it is refused as an option value

@@ -34,6 +34,8 @@ from plaquette.lattice import (
     LatticeSpec,
     SpinConfig,
     _site_k,
+    _site_plaquettes,
+    _toggles,
     defect_count,
     defect_map,
     relative_weight,
@@ -243,6 +245,14 @@ def test_stop_after_time_rejects_bad_times():
     assert stop_after_time(0)
 
 
+def test_stop_after_events_rejects_bad_counts():
+    # a negative count used to run no event and report tau 0
+    for n in (-5, -1, 2.5, float("nan"), "3"):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            stop_after_events(n)
+    assert stop_after_events(0) and stop_after_events(np.int64(3))
+
+
 def test_stop_on_initial_state_gives_empty_trajectory():
     spec = LatticeSpec(3, PLUS)
     init = SpinConfig.all_plus(spec)
@@ -431,3 +441,34 @@ def test_trace_chain_budget_leaves_it_incomplete():
     assert short.times == full.times[: len(short.times)]
     empty = trace_chain(spec, 2.0, init, lambda sim: False, n_records=0, seed=5)
     assert empty.completed and empty.n_events == 0 and empty.states == []
+
+
+def toggles_from_offsets(side, periodic):
+    """`lattice._toggles` as it was first built: the XOR mask of each offset
+    (da, db) read off the centre of a fixed 3x3 box, with offsets that wrap
+    onto one site (periodic L <= 2) XORing their masks."""
+    slots = list(_site_plaquettes(3, False))
+    centre = slots[4]
+    x_at = {(da, db): sum((p in centre) << s for s, p in enumerate(slots[4 + 3 * da + db]))
+            for da in (-1, 0, 1) for db in (-1, 0, 1)}
+    L = side
+    table = []
+    for i in range(L):
+        for j in range(L):
+            xs = {}
+            for (da, db), x in x_at.items():
+                a, b = i + da, j + db
+                if periodic:
+                    a, b = a % L, b % L
+                elif not (0 <= a < L and 0 <= b < L):
+                    continue
+                xs[a * L + b] = xs.get(a * L + b, 0) ^ x
+            table.append(tuple((u, x) for u, x in sorted(xs.items()) if x))
+    return tuple(table)
+
+
+def test_toggles_match_the_offset_construction():
+    for L in (1, 2, 3, 4, 5, 8, 64):
+        for periodic in (False, True):
+            assert _toggles(L, periodic) == toggles_from_offsets(L, periodic), (L, periodic)
+    assert _toggles(1, True) == ((),)

@@ -412,7 +412,7 @@ def test_level_value_of_a_set_that_is_not_closed_is_one_dense_eigh(monkeypatch):
     def no_sectors(self):
         raise AssertionError("a set that is not a union of orbits read the sectors")
 
-    monkeypatch.setattr(exact.SparseGenerator, "_sector_blocks", no_sectors)
+    monkeypatch.setattr(exact.SparseGenerator, "sector_blocks", property(no_sectors))
     assert _lambda_of_subset(G, idx) == pytest.approx(dense_lambda_of_subset(G, idx), rel=1e-12)
 
 
@@ -781,6 +781,21 @@ def test_eigen_budget_guard():
             build_generator(LatticeSpec(4, PLUS), RateModel(0.5)),
             np.arange(DENSE_THRESHOLD + 1),
         )
+
+
+def test_derived_tables_are_formed_once():
+    G = G_of(3, 1.0)
+    for name in ("pi", "S", "sector_blocks", "eigen", "tv_factors"):
+        assert getattr(G, name) is getattr(G, name), name
+
+
+def test_tables_past_the_dense_threshold_raise_on_every_read():
+    # a cached property caches no exception: the second read raises too
+    G = G_of(4, 1.0)
+    for name in ("symmetry", "eigen"):
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError, match=f"limited to {DENSE_THRESHOLD}"):
+                getattr(G, name)
 
 
 def sweep_point(bc, beta):

@@ -867,3 +867,24 @@ def test_mask_kernel_matches_the_list_reference():
                                 assert order == _five_case_order(rect, dset)
                         checked += 1
     assert checked > 500
+
+
+def test_path_samplers_and_pools_reject_bad_beta():
+    # beta -1 used to give the naive path or a rectangle, inf an
+    # OverflowError and nan a failed float-to-int conversion
+    spec = LatticeSpec(3, PLUS)
+    sigma = SpinConfig.all_minus(spec)
+    v = occupancy_vector(sigma, 1)
+    calls = [
+        lambda beta: sample_full_path(sigma, beta, seed=0),
+        lambda beta: sample_partial_path(sigma, beta, seed=0),
+        lambda beta: good_rectangles(sigma, 1, beta),
+        lambda beta: classify_occupancy(v, beta),
+        lambda beta: _Segments(3, beta, 100),
+        lambda beta: flow_cost(LatticeSpec(2, PLUS), beta, 1),
+        lambda beta: flow_cost(LatticeSpec(2, PLUS), beta, 1, mode="monte_carlo", samples=10),
+    ]
+    for call in calls:
+        for beta in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
+                call(beta)
