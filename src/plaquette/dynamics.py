@@ -15,8 +15,9 @@ Kalos and Lebowitz): waiting times are sampled from the current total
 rate and only actual flips cost work, so metastable stretches are free.
 Since a rate depends only on k, the simulator keeps the sites in five
 buckets by k. An event pops an exponential holding time and a uniform
-that picks a class from the five weights len(bucket) * rate(k) and a site
-inside it; both are drawn from the Generator in blocks that start at 16
+that picks a class from the five weights len(bucket) * rate(k), the same
+five it sums for the total rate, and a site inside it; both are drawn
+from the Generator in blocks that start at 16
 and double up to 4096, so short runs draw little and long ones make no
 numpy call per event. Each site carries the 4-bit pattern of its
 defective plaquettes, so k = POP4[pattern]. A flip at t toggles all of
@@ -25,12 +26,16 @@ mask: `lattice._toggles` lists those (u, x) pairs, at most nine per
 site, and the defect count moves by 4 - 2k. The code, one int, is the
 state, and the simulator keeps no defect int. No step scans the L^2
 rates; what grows with the box is one bit XORed into the code. An
-event takes about 4-5.5 us at L=64 and 3-4 us at L=4 (one core of a
+event takes about 3-4 us at L=64 and 2-2.6 us at L=4 (one core of a
 shared 2-vCPU host). All randomness flows through numpy Generators
 seeded via SeedSequence so runs are reproducible and replicas
-independent. `simulate` is the module's one event loop, whose body
-`Simulator.step` runs too; `hitting_time` and `trace_chain` run
-through it.
+independent. `Simulator._run` is the module's one event loop;
+`simulate`, `Simulator.step` and `trace_chain` run through it.
+`hitting_time` and `ground.excursion_statistics` build the start once,
+with its patterns, buckets and tables, and run every replica from a
+copy of it (`Simulator.replica`): a replica's set-up is its seeded
+Generator and three list copies, and its result is read off the
+simulator (`time`, `code`) with no trajectory built.
 """
 
 from __future__ import annotations
@@ -159,6 +164,19 @@ class Simulator:
             bucket.append(t)
         self._exps, self._unis, self._block = [], [], _BLOCK_FIRST
 
+    def replica(self, rng):
+        """A fresh simulator at this one's state, drawing from rng: it
+        copies the patterns, positions and buckets and shares the read-only
+        tables, so a start built once runs any number of replicas."""
+        sim = object.__new__(Simulator)
+        sim.__dict__.update(self.__dict__)
+        sim.rng = rng
+        sim._pat = self._pat.copy()
+        sim._pos = self._pos.copy()
+        sim._buckets = [b.copy() for b in self._buckets]
+        sim._exps, sim._unis, sim._block = [], [], _BLOCK_FIRST
+        return sim
+
     @property
     def _total(self):
         return sum(len(b) * r for b, r in zip(self._buckets, self._rate))
@@ -190,7 +208,8 @@ class Simulator:
         while not stop(self):
             if n >= max_events:
                 return False
-            total = len(b0) * r0 + len(b1) * r1 + len(b2) * r2 + len(b3) * r3 + len(b4) * r4
+            w0, w1, w2, w3, w4 = len(b0) * r0, len(b1) * r1, len(b2) * r2, len(b3) * r3, len(b4) * r4
+            total = w0 + w1 + w2 + w3 + w4
             if total <= 0:
                 raise RuntimeError("total rate vanished; no move possible")
             if not exps:
@@ -199,18 +218,27 @@ class Simulator:
                 self._exps = exps = rng.standard_exponential(size).tolist()
                 self._unis = unis = rng.random(size).tolist()
             time += exps.pop() / total
+            # the class: the first whose weight exceeds what is left of r
             r = unis.pop() * total
-            for k, bucket in enumerate(buckets):
-                w = len(bucket) * rate[k]
-                if r < w:
-                    t = bucket[min(int(r / rate[k]), len(bucket) - 1)]
-                    break
-                r -= w
+            if r < w0:
+                k, bucket, i = 0, b0, int(r / r0)
+            elif (r := r - w0) < w1:
+                k, bucket, i = 1, b1, int(r / r1)
+            elif (r := r - w1) < w2:
+                k, bucket, i = 2, b2, int(r / r2)
+            elif (r := r - w2) < w3:
+                k, bucket, i = 3, b3, int(r / r3)
+            elif (r := r - w3) < w4:
+                k, bucket, i = 4, b4, int(r / r4)
             else:
                 # rounding carried r past the last class: take the last class
                 # of positive weight
                 k = max(k for k, bucket in enumerate(buckets) if bucket and rate[k] > 0)
-                t = buckets[k][-1]
+                bucket, i = buckets[k], -1
+            try:
+                t = bucket[i]
+            except IndexError:  # rounding carried r / rate up to len(bucket)
+                t = bucket[-1]
             code ^= 1 << t
             n_defects += 4 - 2 * k
             for u, x in tog[t]:
@@ -301,6 +329,12 @@ def stop_at_ground_other_than(cfg0):
         return sim.code != code0
 
     return pred
+
+
+def _check_count(name, n):
+    """ValueError unless n is an integer of at least 1."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {n!r}")
 
 
 def _as_rng(seed):
@@ -395,25 +429,16 @@ def hitting_time(
     back, which keeps it positive and stable across the decades these
     times span. Budget-exhausted replicas are excluded and counted in
     `flagged`. An initial state already in the target gives time 0.
+    Replica r runs from a copy of one prepared start with the Generator
+    of the seed's r-th spawned child; `replicas` must be at least 1.
     """
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(replicas)
+    _check_count("replicas", replicas)
+    start = Simulator(spec, RateModel(beta, kind), init, None)
     taus = np.full(replicas, np.nan)
-    for r in range(replicas):
-        try:
-            traj = simulate(
-                spec,
-                beta,
-                init,
-                target,
-                seed=children[r],
-                kind=kind,
-                max_events=max_events,
-                record=False,
-            )
-            taus[r] = traj.elapsed
-        except BudgetExceededError:
-            pass
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(replicas)):
+        sim = start.replica(_as_rng(child))
+        if sim._run(target, max_events):
+            taus[r] = sim.time
     good = taus[~np.isnan(taus)]
     flagged = int(np.isnan(taus).sum())
     if good.size == 0:

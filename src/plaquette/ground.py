@@ -22,10 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BudgetExceededError, SpinConfig, _code_defects, defect_map
+from .lattice import SpinConfig, _code_defects, defect_map
 from .dynamics import (
     MAX_EVENTS_DEFAULT,
-    simulate,
+    RateModel,
+    Simulator,
+    _as_rng,
+    _check_count,
     stop_at_zero_defects,
     trace_chain,
 )
@@ -289,28 +292,27 @@ def excursion_statistics(
 ):
     """Independent excursions off the all-plus ground: evolve from the
     first jump until the chain either re-enters the ground set or its
-    defect count exceeds 4."""
+    defect count exceeds 4. Each runs from a copy of one prepared start
+    (`Simulator.replica`); `n_excursions` must be at least 1."""
     _require_periodic(spec)
-    init = SpinConfig.all_plus(spec)
-    init_code = init.code
-    seeds = np.random.SeedSequence(seed).spawn(n_excursions)
+    _check_count("n_excursions", n_excursions)
+    start = Simulator(spec, RateModel(beta, kind), SpinConfig.all_plus(spec), None)
     n_escape = n_other = n_same = n_unfinished = 0
     durations = []
 
     def ended(sim):
         return sim.n_events > 0 and not 0 < sim.n_defects <= 4
 
-    for ss in seeds:
-        try:
-            traj = simulate(spec, beta, init, ended, seed=ss, kind=kind, max_events=max_events)
-        except BudgetExceededError:
+    for ss in np.random.SeedSequence(seed).spawn(n_excursions):
+        sim = start.replica(_as_rng(ss))
+        events = []
+        if not sim._run(ended, max_events, events):
             n_unfinished += 1
             continue
-        durations.append(traj.elapsed - traj.events[0][0])
-        code = traj.final.code
-        if _code_defects(spec, code):
+        durations.append(sim.time - events[0][0])
+        if sim.n_defects:
             n_escape += 1
-        elif code == init_code:
+        elif sim.code == start.code:
             n_same += 1
         else:
             n_other += 1

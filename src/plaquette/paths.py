@@ -644,6 +644,14 @@ def _walk(code, D, flips, masks, trunc):
     return taken, code, D
 
 
+def _rectangle_segments(beta, L):
+    """How many segments of a path are drawn from rectangle pools before
+    the naive one: floor(beta*L), capped at (L+1)^2. A rectangle segment
+    removes at least two of the at most (L+1)^2 defects, so the cap
+    changes no path, and a huge finite beta cannot overflow the floor."""
+    return math.floor(min(beta * L, (L + 1) ** 2))
+
+
 def _sample_path(segments, code, D, rng, trunc):
     """One full path from the state (code, D): segments drawn from
     `segments` while the segment index is at most beta*L, then the naive
@@ -652,7 +660,7 @@ def _sample_path(segments, code, D, rng, trunc):
     indices) and per segment (R, i, steps), R a `_rect` key, or None on
     the naive segment."""
     L = segments.L
-    M = math.floor(segments.beta * L)
+    M = _rectangle_segments(segments.beta, L)
     masks = _site_masks(L, False)
     flips = []
     marks = []
@@ -733,7 +741,13 @@ def _flow_result(spec, model, numer, defects, half=None, **fields):
             key = keys[code] = _code_bytes(code, n)
         D = defects[code]
         denom = weights[D.bit_count()] * rate[(D & masks[t]).bit_count()]
-        v = congestion[key, sites[t]] = x / denom
+        try:
+            v = congestion[key, sites[t]] = x / denom
+        except ZeroDivisionError:
+            raise ValueError(
+                f"the flow weight exp(-beta * {D.bit_count()}) * rate of an edge "
+                f"underflows to 0 at beta={beta!r}"
+            ) from None
         if v > cost:
             cost, best, best_denom = v, e, denom
     code, t = divmod(best, n)
@@ -749,7 +763,7 @@ def _flow_exhaustive(spec, beta, level, c, kind):
     L = spec.side
     n = L * L
     trunc = level - 1
-    M = math.floor(beta * L)
+    M = _rectangle_segments(beta, L)
     # States are codes; a flip at t XORs 1 << t and masks[t] into them.
     D = _box_defects(spec, ENUM_BUDGET_DEFAULT)
     counts_all = np.bitwise_count(D)
@@ -812,6 +826,10 @@ def _flow_exhaustive(spec, beta, level, c, kind):
         s += 1
         if s > M + 2:
             break
+    # ell_rem reaches itself through its closure cell; emptying the cell
+    # breaks that cycle, so the branch tree goes on return, not at the
+    # next run of the cyclic collector
+    del ell_rem
     return _flow_result(spec, model, {e: 2.0 * v for e, v in numer.items()}, dbits,
                         mode="exhaustive", level=level, beta=beta, c=c)
 

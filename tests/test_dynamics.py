@@ -410,6 +410,107 @@ def test_hitting_time_budget_flags():
     assert math.isnan(res.mean)
 
 
+def hitting_taus_by_simulate(spec, beta, init, target, replicas, seed, max_events):
+    """hitting_time's taus the way they were first computed: one `simulate`
+    per child seed, nan where the budget ran out."""
+    taus = np.full(replicas, np.nan)
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(replicas)):
+        try:
+            taus[r] = simulate(spec, beta, init, target, seed=child,
+                               max_events=max_events, record=False).elapsed
+        except BudgetExceededError:
+            pass
+    return taus
+
+
+@pytest.mark.parametrize("side", [2, 3, 4, 5])
+def test_hitting_time_replicas_match_a_loop_of_simulate(side):
+    plus, per = LatticeSpec(side, PLUS), LatticeSpec(side, PERIODIC)
+    rect = SpinConfig.all_plus(plus).flip(
+        [(i, j) for i in range(1, side + 1) for j in range(1, side // 2 + 1)])
+    ground0 = SpinConfig.all_plus(per)
+    cases = [(plus, rect, stop_at_zero_defects()),
+             (per, ground0, stop_at_ground_other_than(ground0))]
+    flagged = []
+    for spec, init, target in cases:
+        # the small budget leaves some replicas unfinished
+        for max_events in (10**6, 12):
+            res = hitting_time(spec, 2.5, init, target, 30, seed=side, max_events=max_events)
+            ref = hitting_taus_by_simulate(spec, 2.5, init, target, 30, side, max_events)
+            assert np.array_equal(res.taus, ref, equal_nan=True)
+            assert res.flagged == int(np.isnan(ref).sum())
+            flagged.append(res.flagged)
+    assert any(0 < f < 30 for f in flagged)
+
+
+def test_a_replica_leaves_its_start_unchanged():
+    spec = LatticeSpec(4, PLUS)
+    init = random_config(spec, np.random.default_rng(3))
+    model = RateModel(1.0)
+    start = Simulator(spec, model, init, None)
+    sim = start.replica(np.random.default_rng(4))
+    sim._run(stop_after_events(200), 10**6)
+    assert sim.n_events == 200 and start.n_events == 0
+    fresh = Simulator(spec, model, init, None)
+    assert start._pat == fresh._pat
+    assert start._buckets == fresh._buckets
+    assert start._pos == fresh._pos
+    assert (start.code, start.n_defects, start.time) == (init.code, defect_count(init), 0.0)
+
+
+class FixedDraws:
+    """A Generator stand-in whose uniforms are all u and whose holding
+    times are all 1."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def standard_exponential(self, size):
+        return np.ones(size)
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@pytest.mark.parametrize("u", [1.0, 1.5])
+def test_event_loop_takes_the_last_positive_class_past_the_weights(u):
+    spec = LatticeSpec(3, PLUS)
+    init = SpinConfig.all_minus(spec)
+    # r = u * total reaches or passes the total, as rounding can carry it
+    sim = Simulator(spec, RateModel(1.0), init, FixedDraws(u))
+    k = max(k for k, b in enumerate(sim._buckets) if b)
+    last = sim._buckets[k][-1]
+    assert sim.step() == sim.sites[last]
+    assert sim.n_defects == defect_count(init) + 4 - 2 * k
+
+
+def test_event_loop_takes_the_last_site_when_the_index_rounds_up():
+    spec = LatticeSpec(3, PLUS)
+    init = SpinConfig.all_minus(spec)
+    found = 0
+    for i in range(2000):
+        sim = Simulator(spec, RateModel(0.5 + i / 1000), init, None)
+        w = [len(b) * r for b, r in zip(sim._buckets, sim._rate)]
+        k = next(k for k, wk in enumerate(w) if wk)
+        # the largest r inside class k whose quotient r / rate rounds up
+        r = math.nextafter(w[k], 0.0)
+        u = r / sim._total
+        if u * sim._total != r or int(r / sim._rate[k]) < len(sim._buckets[k]):
+            continue
+        sim.rng = FixedDraws(u)
+        last = sim._buckets[k][-1]
+        assert sim.step() == sim.sites[last]
+        found += 1
+    assert found
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5])
+def test_hitting_time_rejects_replica_counts_below_one(count):
+    spec = LatticeSpec(2, PLUS)
+    with pytest.raises(ValueError, match="replicas must be an integer of at least 1"):
+        hitting_time(spec, 1.0, SpinConfig.all_minus(spec), stop_at_zero_defects(), count)
+
+
 def test_trace_chain_records_in_set_and_distinct():
     spec = LatticeSpec(3, PERIODIC)
     init = SpinConfig.all_plus(spec)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from plaquette.dynamics import RateModel, Simulator
+from plaquette.dynamics import RateModel, Simulator, simulate
 from plaquette.ground import (
     PathPlacement,
     code_order_key,
@@ -21,6 +21,7 @@ from plaquette.ground import (
 from plaquette.lattice import (
     PERIODIC,
     PLUS,
+    BudgetExceededError,
     LatticeSpec,
     SpinConfig,
     defect_count,
@@ -254,6 +255,48 @@ def test_excursion_budget_too_small_to_finish():
     # one event leaves four defects on a periodic box; nothing has ended
     with pytest.raises(RuntimeError):
         excursion_statistics(spec_of(3), 2.0, n_excursions=5, seed=0, max_events=1)
+
+
+def excursions_by_simulate(spec, beta, n, seed, max_events):
+    """excursion_statistics' tallies the way they were first computed: one
+    recorded `simulate` per child seed."""
+    init = SpinConfig.all_plus(spec)
+
+    def ended(sim):
+        return sim.n_events > 0 and not 0 < sim.n_defects <= 4
+
+    ends, durations, unfinished = [], [], 0
+    for ss in np.random.SeedSequence(seed).spawn(n):
+        try:
+            traj = simulate(spec, beta, init, ended, seed=ss, max_events=max_events)
+        except BudgetExceededError:
+            unfinished += 1
+            continue
+        durations.append(traj.elapsed - traj.events[0][0])
+        final = traj.final
+        ends.append("escape" if defect_count(final) else "same" if final == init else "other")
+    done = len(ends)
+    probs = tuple(ends.count(e) / done for e in ("escape", "other", "same"))
+    return probs, durations, unfinished
+
+
+@pytest.mark.parametrize("side", [2, 3, 4, 5])
+def test_excursion_replicas_match_a_loop_of_simulate(side):
+    for max_events in (10**6, 3):
+        ex = excursion_statistics(spec_of(side), 1.5, 40, seed=side, max_events=max_events)
+        probs, durations, unfinished = excursions_by_simulate(spec_of(side), 1.5, 40, side,
+                                                              max_events)
+        assert (ex.p_escape, ex.p_other_ground, ex.p_same_ground) == probs
+        assert ex.durations == durations and ex.n_unfinished == unfinished
+    # every excursion on the 2x2 torus ends at its second event; on larger
+    # boxes three events leave some unfinished
+    assert 0 < unfinished < 40 or side == 2
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5])
+def test_excursion_counts_below_one_are_rejected(count):
+    with pytest.raises(ValueError, match="n_excursions must be an integer of at least 1"):
+        excursion_statistics(spec_of(3), 2.0, n_excursions=count)
 
 
 def test_trace_kernel_report():

@@ -3,7 +3,10 @@
 import bisect
 import collections
 import hashlib
+import gc
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -888,3 +891,46 @@ def test_path_samplers_and_pools_reject_bad_beta():
         for beta in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
                 call(beta)
+
+
+def test_a_huge_finite_beta_caps_the_rectangle_segments():
+    # floor(beta * L) used to overflow; past (L+1)^2 segments every defect
+    # is gone, so the cap leaves the path as it is
+    sigma = SpinConfig.all_minus(LatticeSpec(3, PLUS))
+    with np.errstate(over="ignore"):
+        huge = sample_full_path(sigma, 1e308, seed=0)
+    assert huge.flips == sample_full_path(sigma, 1e6, seed=0).flips
+    assert huge.final == SpinConfig.all_plus(sigma.spec)
+    assert all(m.kind == "rectangle" for m in huge.marks)
+
+
+@pytest.mark.parametrize("L, beta, mode", [(2, 200.0, "exhaustive"), (3, 120.0, "exhaustive"),
+                                           (3, 300.0, "monte_carlo"), (2, 1e308, "exhaustive")])
+def test_an_underflowing_flow_weight_is_named(L, beta, mode):
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=rf"exp\(-beta \* \d+\) \* rate .* underflows to 0 at beta={re.escape(repr(beta))}"):
+        flow_cost(LatticeSpec(L, PLUS), beta, 1, mode=mode, samples=200)
+
+
+def test_a_flow_at_large_beta_still_returns():
+    assert flow_cost(LatticeSpec(2, PLUS), 100.0, 1).cost == pytest.approx(5.780779014500599e87,
+                                                                         rel=1e-12)
+
+
+def test_the_exhaustive_flow_frees_its_branch_tree_on_return():
+    spec = LatticeSpec(3, PLUS)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        # the first call fills the module-level caches and CPython's free
+        # lists of small tuples, which keep up to 2000 each once freed
+        flow_cost(spec, 1.0, 1)
+        before = tracemalloc.get_traced_memory()[0]
+        res = flow_cost(spec, 1.0, 1)
+        del res
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left < 0.1e6
