@@ -222,8 +222,9 @@ def cmd_flow(args):
     if res.mode == "monte_carlo":
         lines.append(f"# ci_halfwidth={res.ci_halfwidth!r}")
         lines.append(
-            "# monte carlo congestion is maximized over observed edges only:"
-            " a lower estimate of the true maximum"
+            "# monte carlo congestion is the maximum over observed edges of noisy"
+            " per-edge means: biased upward at small sample counts, not a bound"
+            " in either direction"
         )
     _emit(lines)
     if args.out:

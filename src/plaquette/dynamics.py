@@ -84,10 +84,13 @@ class RateModel:
         self.kind = kind
         ks = np.arange(5)
         dh = 4.0 - 2.0 * ks
-        if kind == "metropolis":
-            tbl = np.minimum(1.0, np.exp(-self.beta * dh))
-        else:
-            tbl = 1.0 / (1.0 + np.exp(self.beta * dh))
+        # at large beta the exponent overflows to inf, which min(1, inf) and
+        # 1 / (1 + inf) turn into the exact rates 1 and 0
+        with np.errstate(over="ignore"):
+            if kind == "metropolis":
+                tbl = np.minimum(1.0, np.exp(-self.beta * dh))
+            else:
+                tbl = 1.0 / (1.0 + np.exp(self.beta * dh))
         self.table = tbl
 
     def rate_for_k(self, k):

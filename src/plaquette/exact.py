@@ -32,12 +32,15 @@ sqrt(pi) spans its kernel.
   every step of the mixing-time search read it, the last through
   P_t = D^-1/2 V e^{tw} V^T D^1/2. A step forms only the rows of P_t
   whose chi^2 bound could decide it, and only at orbit representatives:
-  a few GEMM blocks near the mixing time, not the N x N product.
+  a few GEMM blocks near the mixing time, not the N x N product. No step
+  is taken below ln(1/(2 eps)) / gap, where d(t) >= e^{-t gap} / 2
+  already puts the distance at or above eps.
 - Above it the gap is the smallest eigenvalue of -S on the complement of
   sqrt(pi), found by a block-size-1 LOBPCG in numpy (one product with S
   per step, negated in place, so -S is never formed) with a diagonal
-  preconditioner from a fixed-seed start, and accepted only once its
-  residual is checked.
+  preconditioner, started from the slow mode (the minus fraction, less its
+  stationary mean) with a little of a fixed-seed vector, and accepted only
+  once its residual is checked.
 - The time the mixing search returns is certified by a route that does
   not rest on the eigensolver: exp(tQ) by scaling and squaring, each
   factor a truncated uniformization series, so the kernel is bounded
@@ -355,18 +358,27 @@ def spectral_gap(G, dense_threshold=DENSE_THRESHOLD):
     the stationary mode, found by `_lobpcg` (block size 1, Jacobi
     preconditioner 1/diag(-S)) to residual _GAP_TOL.
 
-    The start is a fixed-seed Gaussian vector, so the result is the same
-    on every call. It is not a symmetric vector such as all ones: -S and
-    the preconditioner commute with the box's symmetries, so a start they
-    fix keeps every iterate in the symmetric sector, which need not hold
-    the gap. The residual is checked again on the returned vector; above
+    The start is the slow mode (m - pi.m) sqrt(pi), m = popcount(i) / n
+    the minus fraction, normalized, plus 1e-3 of a fixed-seed Gaussian
+    vector, normalized, so the result is the same on every call. The
+    minus fraction relaxes slowly, so the start lies close to the bottom
+    of the spectrum and the step count falls (581 -> 112 at L=4 `plus`,
+    beta 0.25). The random part stays: -S and the preconditioner commute
+    with the box's symmetries, so a start inside some symmetry sectors
+    keeps every iterate in them. The reflections of a framed box keep the
+    minus fraction, so its slow mode lies in the trivial sector, and no
+    rule puts the gap there: the periodic L=4 gap, for one, lies outside
+    it. The residual is checked again on the returned vector; above
     _GAP_TOL it raises ConvergenceError.
     """
     if G.n_states <= min(dense_threshold, DENSE_THRESHOLD):
         return float(-G.eigen[0][-2])
     S = G.S
     y = np.sqrt(G.pi)
-    x0 = np.random.default_rng(0).standard_normal(G.n_states)
+    m = np.bitwise_count(np.arange(G.n_states)) / G.spec.n_sites
+    x0 = (m - G.pi @ m) * y
+    g = np.random.default_rng(0).standard_normal(G.n_states)
+    x0 = x0 / np.linalg.norm(x0) + 1e-3 / np.linalg.norm(g) * g
     lam, x, steps = _lobpcg(S, y / np.linalg.norm(y), x0)
     r = S @ x
     r += lam * x  # minus the residual of -S
@@ -388,11 +400,12 @@ def _lobpcg(S, y, x):
     the Jacobi preconditioner 1/diag(A), projected onto the complement of
     y, and p is the previous step's direction, dropped when the Gram
     matrix of the three, scaled to unit diagonal, is near singular. The
-    small matrices are formed from dot products, each once; the Ritz
-    vector comes out of them with unit norm, and x, A x, p and A p are
-    updated in place, so a step costs one product with S and no
-    normalizing pass. It stops at residual _GAP_TOL or after _GAP_MAXITER
-    steps.
+    Gram matrix and the projected matrix H = basis^T A basis are filled in
+    one pass over i <= j, at most six dot products each, H from its upper
+    triangle (A is symmetric); the Ritz vector comes out of them with unit
+    norm, and x, A x, p and A p are updated in place, so a step costs one
+    product with S and no normalizing pass. It stops at residual _GAP_TOL
+    or after _GAP_MAXITER steps.
     """
     def times_a(v):
         Av = S @ v
@@ -404,7 +417,7 @@ def _lobpcg(S, y, x):
     Ax = times_a(x)
     lam = float(x @ Ax)
     p = Ap = None
-    gram = np.empty((3, 3))
+    gram, H = np.empty((3, 3)), np.empty((3, 3))
     for step in range(_GAP_MAXITER):
         w = Ax - lam * x  # the residual
         if np.linalg.norm(w) <= _GAP_TOL:
@@ -417,6 +430,7 @@ def _lobpcg(S, y, x):
         for i in range(m):
             for j in range(i, m):
                 gram[i, j] = gram[j, i] = basis[i] @ basis[j]
+                H[i, j] = H[j, i] = basis[i] @ images[j]
         while True:
             s = 1.0 / np.sqrt(np.diag(gram)[:m])
             g, T = np.linalg.eigh(s[:, None] * gram[:m, :m] * s)
@@ -424,8 +438,7 @@ def _lobpcg(S, y, x):
                 break
             m = 2
         T *= s[:, None] / np.sqrt(g)  # coefficients of an orthonormal basis of the span
-        H = np.array([[u @ v for v in images[:m]] for u in basis[:m]])
-        theta, C = np.linalg.eigh(T.T @ (0.5 * (H + H.T)) @ T)
+        theta, C = np.linalg.eigh(T.T @ H[:m, :m] @ T)
         c = T @ C[:, 0]
         w *= c[1]
         Aw *= c[1]
@@ -701,11 +714,22 @@ def _tv_chi2_bound(G, t):
     return 0.5 * np.sqrt(U2 @ np.exp(2.0 * t * w)) / np.sqrt(G.pi[G.symmetry.reps])
 
 
-def _first_time_below(tv, lo, t, eps):
+def _first_time_below(tv, lo, t, eps, floor=0.0):
     """Double t until tv(t) < eps, then bisect [lo, t] to relative width
-    _TV_RTOL; returns the upper endpoint, where tv is below eps."""
+    _TV_RTOL; returns the upper endpoint, where tv is below eps.
+
+    A time below `floor` counts as not below eps without a call to tv:
+    the caller passes a floor under which tv is known to be at or above
+    eps (`tv_mixing_time`'s relaxation bound), so the brackets, and the
+    time returned, are those of the search that called tv there too. The
+    default 0 skips nothing, not even t = 0, where the bisection ends for
+    a chain that starts within eps of stationarity.
+    """
+    def below(t):
+        return t >= floor and tv(t) < eps
+
     for _ in range(200):
-        if tv(t) < eps:
+        if below(t):
             break
         lo = t
         t *= 2.0
@@ -714,7 +738,7 @@ def _first_time_below(tv, lo, t, eps):
     hi = t
     while hi - lo > _TV_RTOL * hi:
         mid = 0.5 * (lo + hi)
-        if tv(mid) < eps:
+        if below(mid):
             hi = mid
         else:
             lo = mid
@@ -734,15 +758,28 @@ def tv_mixing_time(G, eps=0.25):
     Above DENSE_THRESHOLD states `G.eigen` raises BudgetExceededError.
     The distance read carries _TV_TAIL, so eps must exceed it
     (ValueError otherwise).
+
+    Neither search reads the distance at a time below the floor
+    (1 - 1e-9) ln(1/(2 eps)) / gap (0 for eps >= 1/2), gap from `G.eigen`:
+    a reversible chain has d(t) >= e^{-t gap} / 2 (Levin, Peres and
+    Wilmer, the t_rel ln(1/(2 eps)) lower bound on the mixing time), so
+    there the distance is at or above eps, and both reads would say so.
+    The factor 1 - 1e-9 leaves room for rounding in the gap, and a gap
+    that rounds to 0 or below (at large beta) gives no floor. The times
+    searched, and the time returned, are those of a search without it.
     """
     if not eps > _TV_TAIL:
         raise ValueError(f"eps must exceed the certificate's tail {_TV_TAIL:g}, got {eps!r}")
     q = float(np.max(-G.Q.diagonal()))
     if q <= 0:
         raise ValueError("zero generator")
-    hi = _first_time_below(lambda t: _tv_spectral(G, t, eps), 0.0, 1.0 / q, eps)
+    gap = -float(G.eigen[0][-2])
+    floor = 0.0
+    if eps < 0.5 and gap > 0:
+        floor = (1.0 - 1e-9) * math.log(1.0 / (2.0 * eps)) / gap
+    hi = _first_time_below(lambda t: _tv_spectral(G, t, eps), 0.0, 1.0 / q, eps, floor)
     if _tv_all_starts(G, hi) >= eps:
-        hi = _first_time_below(lambda t: _tv_all_starts(G, t), hi, 2.0 * hi, eps)
+        hi = _first_time_below(lambda t: _tv_all_starts(G, t), hi, 2.0 * hi, eps, floor)
     return hi
 
 

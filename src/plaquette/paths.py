@@ -900,9 +900,12 @@ def flow_cost(
 
     Exhaustive mode enumerates the whole branching tree of the path
     measure from every source (the default enumeration budget applies).
-    Monte Carlo mode samples sources uniformly and reports an unbiased
-    per-edge estimator maximized over observed edges: a lower estimate of
-    the true maximum.
+    Monte Carlo mode samples sources uniformly and reports the maximum,
+    over the edges observed, of unbiased but noisy per-edge means. That
+    maximum is biased upward at small sample counts and bounds the true
+    cost in neither direction: at beta=1, level 1, seeds 0-2, it is
+    12-16 times the exhaustive cost at L=4 with 1000 samples and 2.1-2.5
+    times with 10 000, and 0.96-1.14 times at L=3 with 1000 samples.
 
     The split threshold c must be at least 2: with c = 1 a part can hold
     one defect per row, and at L = 3 most states have an empty pool. With

@@ -161,7 +161,7 @@ def test_flow_monte_carlo_caveat(capsys):
         capsys,
     )
     assert code == 0
-    assert "lower estimate" in out
+    assert "biased upward at small sample counts, not a bound in either direction" in out
     assert "# ci_halfwidth=" in out
 
 

@@ -1,6 +1,7 @@
 """Rate model, event-driven simulation, stop rules, and trajectory I/O."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,24 @@ def test_rate_model_rejects_bad_beta():
         for beta in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
                 RateModel(beta, kind)
+
+
+def test_rate_model_is_silent_and_exact_at_large_beta():
+    # exp(beta * dh) overflows to inf there (and beta * dh itself at
+    # 1e308); min(1, inf) and 1 / (1 + inf) are the exact rates, but the
+    # table used to warn of the overflow
+    for beta in (200.0, 1e308):
+        for kind in RateModel.KINDS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = RateModel(beta, kind).table
+            for k, dh in enumerate((4, 2, 0, -2, -4)):
+                e = math.exp(-beta * abs(dh))  # in [0, 1]: no overflow
+                if kind == "metropolis":
+                    ref = e if dh > 0 else 1.0
+                else:
+                    ref = e / (1.0 + e) if dh > 0 else 1.0 / (1.0 + e)
+                assert table[k] == pytest.approx(ref, rel=1e-15, abs=0), (beta, kind, k)
 
 
 def test_site_defect_count_matches_map():

@@ -73,6 +73,11 @@ GAP_L4_BETA1 = 0.13288074424781995
 GAP_L4_BETA3 = 0.0015039808491194731  # ARPACK eigsh: 0.0015039808491205775
 # ARPACK eigsh (smallest, tol=0) on -S + 10 sqrt(pi) sqrt(pi)^T
 GAP_L4_BETA05 = 0.6765894507219039
+GAP_L4_BETA025 = 1.2285479131127321
+# the periodic L=4 gap lies outside the trivial symmetry sector; these
+# equal the bottoms of its character sectors
+GAP_TORUS4_BETA1 = 0.15327804682312
+GAP_TORUS4_BETA3 = 3.90693684248536e-05
 TMIX_L2_BETA1 = 6.6988703495881055  # expm bisection, independent route
 PI_GROUND_L3_PLUS_BETA2 = 0.9874647454351252
 PI_GROUND_TORUS3_BETA2 = 0.9969532819332968
@@ -167,12 +172,17 @@ def test_gap_sparse_route_pinned_and_deterministic_at_l4():
     assert spectral_gap(G) == gap
     # L=4 is the critical length at beta=3
     assert spectral_gap(G_of(4, 3.0)) == pytest.approx(GAP_L4_BETA3, abs=1e-11)
+    assert spectral_gap(G_of(4, 1.0, PERIODIC)) == pytest.approx(GAP_TORUS4_BETA1, abs=1e-11)
+    assert spectral_gap(G_of(4, 3.0, PERIODIC)) == pytest.approx(GAP_TORUS4_BETA3, abs=1e-11)
 
 
-def test_gap_sparse_route_converges_where_scipy_lobpcg_stalled():
-    # scipy's LOBPCG stalled here near residual 1e-8 for its 1000 iterations
-    gap = spectral_gap(G_of(4, 0.5))
-    assert gap == pytest.approx(GAP_L4_BETA05, abs=1e-11)
+def test_gap_sparse_route_converges_where_scipy_lobpcg_stalled(monkeypatch):
+    # scipy's LOBPCG stalled at beta 0.5 near residual 1e-8 for its 1000
+    # iterations; from a fixed-seed Gaussian start alone this solver took
+    # 581 and 366 steps at beta 0.25 and 0.5, from the slow mode under 150
+    monkeypatch.setattr(exact, "_GAP_MAXITER", 150)
+    assert spectral_gap(G_of(4, 0.25)) == pytest.approx(GAP_L4_BETA025, abs=1e-11)
+    assert spectral_gap(G_of(4, 0.5)) == pytest.approx(GAP_L4_BETA05, abs=1e-11)
 
 
 def test_gap_sparse_route_converges_without_the_previous_direction(monkeypatch):
@@ -649,6 +659,62 @@ def test_tv_mixing_time_l3_rows_unchanged():
         (PERIODIC, 1.0, 13.11111111111111),
     ):
         assert tv_mixing_time(G_of(3, beta, bc)) == tmix
+
+
+def first_time_below_reference(tv, lo, t, eps):
+    """The bracket search without a floor: every doubling step and every
+    midpoint reads tv."""
+    for _ in range(200):
+        if tv(t) < eps:
+            break
+        lo = t
+        t *= 2.0
+    else:
+        raise RuntimeError("mixing bracket not found")
+    hi = t
+    while hi - lo > exact._TV_RTOL * hi:
+        mid = 0.5 * (lo + hi)
+        if tv(mid) < eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def tv_mixing_time_reference(G, eps, tv_spectral=_tv_spectral):
+    q = float(np.max(-G.Q.diagonal()))
+    hi = first_time_below_reference(lambda t: tv_spectral(G, t, eps), 0.0, 1.0 / q, eps)
+    if _tv_all_starts(G, hi) >= eps:
+        hi = first_time_below_reference(lambda t: _tv_all_starts(G, t), hi, 2.0 * hi, eps)
+    return hi
+
+
+def test_tv_mixing_time_equals_the_search_without_the_floor():
+    # the relaxation floor skips reads, never moves a bracket
+    for L, bc, kind, beta in itertools.product((1, 2, 3), (PLUS, PERIODIC), RateModel.KINDS,
+                                               (0.0, 0.5, 1.0, 3.0)):
+        G = build_generator(LatticeSpec(L, bc), RateModel(beta, kind))
+        for eps in (0.25, 0.1, 0.01):
+            assert tv_mixing_time(G, eps) == tv_mixing_time_reference(G, eps), (L, bc, kind, beta)
+
+
+def test_tv_mixing_time_skips_the_times_the_relaxation_bound_decides(monkeypatch):
+    G = G_of(3, 1.0)
+    floor = math.log(2.0) / spectral_gap(G)
+    times = []
+
+    def counted(G, t, eps=None):
+        times.append(t)
+        return _tv_spectral(G, t, eps)
+
+    assert tv_mixing_time_reference(G, 0.25, counted) == 11.11111111111111
+    assert len(times) == 14
+    assert sum(t < floor for t in times) == 6
+    times.clear()
+    monkeypatch.setattr(exact, "_tv_spectral", counted)
+    assert tv_mixing_time(G) == 11.11111111111111
+    assert len(times) == 8
+    assert min(times) >= floor * (1 - 1e-9)
 
 
 def test_tv_mixing_time_certified_when_the_spectral_route_under_reports(monkeypatch):
