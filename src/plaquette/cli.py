@@ -180,13 +180,13 @@ def cmd_exact(args):
             G = exact.build_generator(spec, RateModel(beta, args.kind))
         except BudgetExceededError as err:
             raise SystemExit(f"exact: {err}") from None
-        try:
-            gap = exact.spectral_gap(G)
-        except exact.ConvergenceError as err:
-            raise SystemExit(f"exact: {err}") from None
         # tmix and the profile bound read nan where the box is past their
         # dense budget (exact.DENSE_THRESHOLD states)
-        tmix = _nan_over_budget(lambda: exact.tv_mixing_time(G, eps=args.eps))
+        try:
+            gap = exact.spectral_gap(G)
+            tmix = _nan_over_budget(lambda: exact.tv_mixing_time(G, eps=args.eps))
+        except exact.ConvergenceError as err:
+            raise SystemExit(f"exact: {err}") from None
         profile = _nan_over_budget(lambda: exact.profile_mixing_bound(G).value)
         values = (gap, 1.0 / gap, tmix, profile, exact.ground_mass(G))
         lines.append(",".join([_fmt(beta), str(L), args.bc] + [_fmt(v) for v in values]))

@@ -35,13 +35,19 @@ independent. `Simulator._run` is the module's one event loop;
 with its patterns, buckets and tables, and run every replica from a
 copy of it (`Simulator.replica`): a replica's set-up is its seeded
 Generator and three list copies, and its result is read off the
-simulator (`time`, `code`) with no trajectory built.
+simulator (`time`, `code`) with no trajectory built. A recorded run
+appends each event's time and flat site index t to two compact arrays
+(`_recorder`), 16 bytes an event, which become the `Trajectory`'s
+`times` and `flips`; the text format and replay read those columns.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +64,12 @@ from .lattice import (
     _grid_to_text,
     _site_codec,
     _site_flat,
+    _sites_flat,
     _toggles,
 )
 
 MAX_EVENTS_DEFAULT = 10**7
+_TEXT_CHUNK = 4096  # events per joined piece of trajectory text
 
 
 def _check_beta(beta):
@@ -192,22 +200,25 @@ class Simulator:
 
     def step(self):
         """Advance by one event; returns the flipped site."""
-        events = []
-        self._run(_never, self.n_events + 1, events)
-        return events[0][1]
+        record = _recorder()
+        self._run(_never, self.n_events + 1, record)
+        return self.sites[record[1][0]]
 
-    def _run(self, stop, max_events, events=None):
+    def _run(self, stop, max_events, record=None):
         """The event loop: flip until stop(self) holds, checked first and
         after every event, and return True; return False once n_events
-        reaches max_events first. Appends (time, site) to `events` when
-        given. Runs on locals and writes back after each event only what
-        stop predicates read."""
-        tog, pat, pos, sites, rng = self._toggles, self._pat, self._pos, self.sites, self.rng
+        reaches max_events first. Given `record`, a pair of arrays from
+        `_recorder`, appends each event's time to the first and its flat
+        site index t to the second. Runs on locals and writes back after
+        each event only what stop predicates read."""
+        tog, pat, pos, rng = self._toggles, self._pat, self._pos, self.rng
         buckets = self._buckets
         b0, b1, b2, b3, b4 = buckets
         r0, r1, r2, r3, r4 = rate = self._rate
         exps, unis = self._exps, self._unis
         time, n, n_defects, code = self.time, self.n_events, self.n_defects, self.code
+        if record is not None:
+            add_time, add_flip = record[0].append, record[1].append
         while not stop(self):
             if n >= max_events:
                 return False
@@ -259,23 +270,44 @@ class Simulator:
                     bucket.append(u)
             n += 1
             self.time, self.n_events, self.n_defects, self.code = time, n, n_defects, code
-            if events is not None:
-                events.append((time, sites[t]))
+            if record is not None:
+                add_time(time)
+                add_flip(t)
         return True
+
+
+def _recorder():
+    """(times, flips): the two compact columns `Simulator._run` records
+    into, 8 bytes per event each."""
+    return array("d"), array("q")
 
 
 @dataclass
 class Trajectory:
+    """A run's events are two columns, None when not recorded: `times`
+    (float64) and `flips`, the flat index t (`lattice._site_codec`) of
+    each flipped site, the bit the event XORs into the code."""
+
     spec: LatticeSpec
     beta: float
     kind: str
     seed: object
     initial: SpinConfig
-    events: list  # [(time, site)] or None when not recorded
+    times: np.ndarray
+    flips: np.ndarray
     final: SpinConfig
     n_events: int
     elapsed: float
     stopped: bool  # True when the stop predicate fired
+
+    @property
+    def events(self):
+        """[(time, site)] in lattice coordinates, built from the columns
+        on each read; None when not recorded."""
+        if self.flips is None:
+            return None
+        sites = _site_codec(self.spec.side, self.spec.is_periodic)[0]
+        return list(zip(self.times.tolist(), [sites[t] for t in self.flips.tolist()]))
 
 
 def stop_after_events(n):
@@ -365,23 +397,27 @@ def simulate(
     """
     model = RateModel(beta, kind)
     sim = Simulator(spec, model, init, _as_rng(seed))
-    events = [] if record else None
+    columns = _recorder() if record else None
 
     def snapshot(stopped):
+        times = flips = None
+        if columns is not None:
+            times, flips = (np.frombuffer(c, c.typecode) for c in columns)
         return Trajectory(
             spec=spec,
             beta=beta,
             kind=kind,
             seed=seed,
             initial=init,
-            events=events,
+            times=times,
+            flips=flips,
             final=sim.state(),
             n_events=sim.n_events,
             elapsed=sim.time,
             stopped=stopped,
         )
 
-    if not sim._run(stop, max_events, events):
+    if not sim._run(stop, max_events, columns):
         err = BudgetExceededError(
             f"event budget {max_events} exhausted before the stop condition"
         )
@@ -391,17 +427,16 @@ def simulate(
 
 
 def replay_trajectory(traj):
-    """Recompute the final state from the initial state and the event list."""
-    if traj.events is None:
+    """Recompute the final state from the initial state and the flips."""
+    if traj.flips is None:
         raise ValueError("trajectory was not recorded")
     spec = traj.spec
     L = spec.side
-    flat = _site_codec(L, spec.is_periodic)[1]
-    try:
-        ts = [flat[site] for _, site in traj.events]
-    except KeyError as err:
-        raise ValueError(f"event site {err.args[0]} outside the box") from None
-    odd = np.bincount(np.array(ts, np.int64), minlength=L * L).reshape(L, L) % 2 == 1
+    flips = traj.flips
+    bad = (flips < 0) | (flips >= L * L)
+    if bad.any():
+        raise ValueError(f"event flat index {int(flips[bad.argmax()])} outside the box")
+    odd = np.bincount(flips, minlength=L * L).reshape(L, L) % 2 == 1
     spins = traj.initial.spins
     return SpinConfig._from_frozen(spec, np.where(odd, -spins, spins))
 
@@ -513,7 +548,12 @@ def frame_from_text(side, text):
 
 
 def trajectory_to_text(traj):
-    if traj.events is None:
+    """The trajectory as text: a `key = value` header, then the [frame]
+    (fixed boxes), [init], [events] and [final] sections. Each event is
+    one line `time i j`, time as `repr` and the site in lattice
+    coordinates; the block is joined _TEXT_CHUNK events at a time, so no
+    string per event outlives its chunk."""
+    if traj.flips is None:
         raise ValueError("trajectory was not recorded")
     spec = traj.spec
     out = ["# schema=1", "# kind=trajectory"]
@@ -529,32 +569,81 @@ def trajectory_to_text(traj):
     out.append("[init]")
     out.append(traj.initial.to_text())
     out.append("[events]")
-    for t, site in traj.events:
-        out.append(f"{t!r} {site[0]} {site[1]}")
-    out.append("[final]")
-    out.append(traj.final.to_text())
-    return "\n".join(out) + "\n"
+    parts = ["\n".join(out) + "\n"]
+    labels = [f"{i} {j}" for i, j in _site_codec(spec.side, spec.is_periodic)[0]]
+    for lo in range(0, len(traj.flips), _TEXT_CHUNK):
+        hi = lo + _TEXT_CHUNK
+        parts.append("".join([f"{t!r} {labels[f]}\n" for t, f in
+                              zip(traj.times[lo:hi].tolist(), traj.flips[lo:hi].tolist())]))
+    parts.append("[final]\n" + traj.final.to_text() + "\n")
+    return "".join(parts)
+
+
+# `[name]` closing its line, trailing blanks allowed
+_SECTION = re.compile(r"\[(.*)\][^\S\n]*$", re.M)
+# a line whose first non-blank character is `#`
+_COMMENT = re.compile(r"^[^\S\n]*#.*$", re.M)
+_EVENT_ROW = np.dtype([("time", "f8"), ("i", "i8"), ("j", "i8")])
+
+
+def _section_heads(text):
+    """The `_SECTION` matches with only blanks before them on their line:
+    the section headers. The search scans for `[` as a literal, so the
+    event lines cost it no more than a character scan."""
+    return [m for m in _SECTION.finditer(text)
+            if not text[text.rfind("\n", 0, m.start()) + 1:m.start()].strip()]
+
+
+def _grid_section(body):
+    """A grid section's lines, stripped, without blank and `#` lines."""
+    return "\n".join(s for ln in body.splitlines() if (s := ln.strip()) and not s.startswith("#"))
+
+
+def _chunks(text):
+    """text in pieces of about _TEXT_CHUNK event lines (24 characters an
+    event at L=64), each ending at a line end."""
+    lo = 0
+    while lo < len(text):
+        hi = text.find("\n", lo + 24 * _TEXT_CHUNK) + 1 or len(text)
+        yield text[lo:hi]
+        lo = hi
+
+
+def _event_columns(spec, body):
+    """(times, flips) of an [events] block: blank and `#` lines are
+    skipped, every other line is `time i j`, parsed by one np.loadtxt
+    call, and each site maps to its flat index through the codec. The
+    lines reach loadtxt one chunk at a time, so only one chunk's line
+    strings are alive at once."""
+    if "#" in body:
+        body = _COMMENT.sub("", body)
+    if not body or body.isspace():
+        return np.empty(0), np.empty(0, np.int64)
+    lines = itertools.chain.from_iterable(map(str.splitlines, _chunks(body)))
+    try:
+        rows = np.loadtxt(lines, dtype=_EVENT_ROW, comments=None, ndmin=1)
+    except ValueError as err:
+        raise ValueError(f"bad [events] row: {err}") from None
+    return rows["time"].copy(), _sites_flat(spec, rows["i"], rows["j"])
 
 
 def trajectory_from_text(text):
-    lines = text.splitlines()
+    """Inverse of `trajectory_to_text`. Blank and `#` lines are skipped;
+    the header, the event count and `elapsed` are checked against the
+    events, and the events are replayed against [final]. ValueError
+    names what does not fit."""
+    heads = _section_heads(text)
     header = {}
-    sections = {}
-    current = None
-    for ln in lines:
+    for ln in text[: heads[0].start() if heads else len(text)].splitlines():
         s = ln.strip()
         if not s or s.startswith("#"):
             continue
-        if s.startswith("[") and s.endswith("]"):
-            current = s[1:-1]
-            sections[current] = []
-        elif current is None:
-            if "=" not in s:
-                raise ValueError(f"bad header line {ln!r}")
-            k, v = s.split("=", 1)
-            header[k.strip()] = v.strip()
-        else:
-            sections[current].append(s)
+        if "=" not in s:
+            raise ValueError(f"bad header line {ln!r}")
+        k, v = s.split("=", 1)
+        header[k.strip()] = v.strip()
+    ends = [m.start() for m in heads[1:]] + [len(text)]
+    sections = {m[1]: text[m.end():end] for m, end in zip(heads, ends)}
 
     def header_value(key):
         if key not in header:
@@ -564,7 +653,7 @@ def trajectory_from_text(text):
     def section_text(name):
         if name not in sections:
             raise ValueError(f"trajectory text lacks the [{name}] section")
-        return "\n".join(sections[name])
+        return _grid_section(sections[name])
 
     side = int(header_value("side"))
     bc = header_value("bc")
@@ -574,15 +663,12 @@ def trajectory_from_text(text):
         spec = LatticeSpec(side, bc)
     init = SpinConfig.from_text(spec, section_text("init"))
     final = SpinConfig.from_text(spec, section_text("final"))
-    events = []
-    for row in sections.get("events", []):
-        t_s, a, b = row.split()
-        events.append((float(t_s), (int(a), int(b))))
+    times, flips = _event_columns(spec, sections.get("events", ""))
     n_events = int(header_value("n_events"))
-    if n_events != len(events):
-        raise ValueError(f"header key 'n_events' = {n_events} but [events] has {len(events)} lines")
+    if n_events != len(flips):
+        raise ValueError(f"header key 'n_events' = {n_events} but [events] has {len(flips)} lines")
     elapsed = float(header_value("elapsed"))
-    last = events[-1][0] if events else 0.0
+    last = float(times[-1]) if len(times) else 0.0
     if not (math.isfinite(elapsed) and elapsed >= last):
         raise ValueError(f"header key 'elapsed' = {elapsed!r} is not finite or before {last!r}")
     model = RateModel(float(header_value("beta")), header_value("rates"))
@@ -592,7 +678,8 @@ def trajectory_from_text(text):
         kind=model.kind,
         seed=None,
         initial=init,
-        events=events,
+        times=times,
+        flips=flips,
         final=final,
         n_events=n_events,
         elapsed=elapsed,

@@ -370,22 +370,37 @@ def spectral_gap(G, dense_threshold=DENSE_THRESHOLD):
     rule puts the gap there: the periodic L=4 gap, for one, lies outside
     it. The residual is checked again on the returned vector; above
     _GAP_TOL it raises ConvergenceError.
+
+    At large beta the iteration breaks down: a state whose exit rate
+    underflows to 0 leaves no Jacobi preconditioner, and pi concentrated
+    on one state leaves no start. A division by zero, an invalid value
+    or an overflow there, a failed small `eigh`, and a gap that is not
+    positive (a gap far below the absolute residual _GAP_TOL, lost to
+    rounding) all raise ConvergenceError, with no RuntimeWarning.
     """
     if G.n_states <= min(dense_threshold, DENSE_THRESHOLD):
         return float(-G.eigen[0][-2])
     S = G.S
-    y = np.sqrt(G.pi)
-    m = np.bitwise_count(np.arange(G.n_states)) / G.spec.n_sites
-    x0 = (m - G.pi @ m) * y
-    g = np.random.default_rng(0).standard_normal(G.n_states)
-    x0 = x0 / np.linalg.norm(x0) + 1e-3 / np.linalg.norm(g) * g
-    lam, x, steps = _lobpcg(S, y / np.linalg.norm(y), x0)
-    r = S @ x
-    r += lam * x  # minus the residual of -S
-    residual = float(np.linalg.norm(r) / np.linalg.norm(x))
+    beta = G.model.beta
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            y = np.sqrt(G.pi)
+            m = np.bitwise_count(np.arange(G.n_states)) / G.spec.n_sites
+            x0 = (m - G.pi @ m) * y
+            g = np.random.default_rng(0).standard_normal(G.n_states)
+            x0 = x0 / np.linalg.norm(x0) + 1e-3 / np.linalg.norm(g) * g
+            lam, x, steps = _lobpcg(S, y / np.linalg.norm(y), x0)
+            r = S @ x
+            r += lam * x  # minus the residual of -S
+            residual = float(np.linalg.norm(r) / np.linalg.norm(x))
+    except (FloatingPointError, np.linalg.LinAlgError) as err:
+        raise ConvergenceError(f"LOBPCG gap broke down at beta {beta!r}: {err}") from None
     if not residual <= _GAP_TOL:
         raise ConvergenceError(f"LOBPCG gap did not converge: residual {residual:.3g}"
                                f" after {steps} iterations, above {_GAP_TOL:g}")
+    if not lam > 0:
+        raise ConvergenceError(f"LOBPCG gap {lam:.3g} at beta {beta!r} is not positive:"
+                               f" the gap is below what the residual {_GAP_TOL:g} resolves")
     return lam
 
 
@@ -734,7 +749,8 @@ def _first_time_below(tv, lo, t, eps, floor=0.0):
         lo = t
         t *= 2.0
     else:
-        raise RuntimeError("mixing bracket not found; chain mixes too slowly")
+        raise ConvergenceError(f"mixing bracket not found: the distance stays at or"
+                               f" above eps {eps!r} through 200 doublings")
     hi = t
     while hi - lo > _TV_RTOL * hi:
         mid = 0.5 * (lo + hi)
@@ -756,6 +772,10 @@ def tv_mixing_time(G, eps=0.25):
     certificate fail, the search goes on above that endpoint with the
     certificate alone, so the time returned is always certified below eps.
     Above DENSE_THRESHOLD states `G.eigen` raises BudgetExceededError.
+    At large beta the gap from `G.eigen` rounds to 0 or below, or to a
+    few ulps above it, and the distance read off the eigenpairs never
+    falls: a gap that is not positive, or no time below eps in 200
+    doublings, raises ConvergenceError naming beta and the gap.
     The distance read carries _TV_TAIL, so eps must exceed it
     (ValueError otherwise).
 
@@ -764,8 +784,7 @@ def tv_mixing_time(G, eps=0.25):
     a reversible chain has d(t) >= e^{-t gap} / 2 (Levin, Peres and
     Wilmer, the t_rel ln(1/(2 eps)) lower bound on the mixing time), so
     there the distance is at or above eps, and both reads would say so.
-    The factor 1 - 1e-9 leaves room for rounding in the gap, and a gap
-    that rounds to 0 or below (at large beta) gives no floor. The times
+    The factor 1 - 1e-9 leaves room for rounding in the gap. The times
     searched, and the time returned, are those of a search without it.
     """
     if not eps > _TV_TAIL:
@@ -774,12 +793,19 @@ def tv_mixing_time(G, eps=0.25):
     if q <= 0:
         raise ValueError("zero generator")
     gap = -float(G.eigen[0][-2])
+    beta = G.model.beta
+    if not gap > 0:
+        raise ConvergenceError(f"mixing time not found at beta {beta!r}:"
+                               f" the gap {gap:.3g} is not positive")
     floor = 0.0
-    if eps < 0.5 and gap > 0:
+    if eps < 0.5:
         floor = (1.0 - 1e-9) * math.log(1.0 / (2.0 * eps)) / gap
-    hi = _first_time_below(lambda t: _tv_spectral(G, t, eps), 0.0, 1.0 / q, eps, floor)
-    if _tv_all_starts(G, hi) >= eps:
-        hi = _first_time_below(lambda t: _tv_all_starts(G, t), hi, 2.0 * hi, eps, floor)
+    try:
+        hi = _first_time_below(lambda t: _tv_spectral(G, t, eps), 0.0, 1.0 / q, eps, floor)
+        if _tv_all_starts(G, hi) >= eps:
+            hi = _first_time_below(lambda t: _tv_all_starts(G, t), hi, 2.0 * hi, eps, floor)
+    except ConvergenceError as err:
+        raise ConvergenceError(f"{err}, at beta {beta!r} with gap {gap:.3g}") from None
     return hi
 
 

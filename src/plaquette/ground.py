@@ -29,6 +29,7 @@ from .dynamics import (
     Simulator,
     _as_rng,
     _check_count,
+    _recorder,
     stop_at_zero_defects,
     trace_chain,
 )
@@ -305,11 +306,11 @@ def excursion_statistics(
 
     for ss in np.random.SeedSequence(seed).spawn(n_excursions):
         sim = start.replica(_as_rng(ss))
-        events = []
-        if not sim._run(ended, max_events, events):
+        record = _recorder()  # (times, flips)
+        if not sim._run(ended, max_events, record):
             n_unfinished += 1
             continue
-        durations.append(sim.time - events[0][0])
+        durations.append(sim.time - record[0][0])
         if sim.n_defects:
             n_escape += 1
         elif sim.code == start.code:

@@ -37,9 +37,10 @@ Coordinate conventions, used consistently across the package:
 * Arrays are indexed arr[i, j] where i is the column index and j the
   row index, both shifted to 0-based storage. For fixed boxes
   arr[i, j] is site (i+1, j+1).
-* `_site_codec` is the one place that offset lives: it maps each flat
-  index t = i*L + j (bit t of a code) to its site and back, and every
-  layer that addresses a site by t goes through it. `_site_flat` and
+* `_site_offset` is the one place that offset lives. `_site_codec` maps
+  each flat index t = i*L + j (bit t of a code) to its site and back,
+  and `_sites_flat` maps arrays of sites; every layer that addresses a
+  site by t goes through them. `_site_flat`, `_sites_flat` and
   `_CodedState.flip` refuse a site outside the box with ValueError.
 * "Reading order" on sites or plaquettes means top row first, left to
   right within a row: x precedes y iff x2 > y2, or x2 == y2 and
@@ -156,12 +157,17 @@ class LatticeSpec:
         return f"LatticeSpec(side={self.side}, bc={self.bc!r})"
 
 
+def _site_offset(periodic):
+    """Coordinate of array index 0: fixed boxes put site (i+1, j+1) at
+    array index (i, j), periodic ones site (i, j)."""
+    return 0 if periodic else 1
+
+
 @functools.lru_cache(maxsize=None)
 def _site_codec(side, periodic):
     """(sites, flat): the site at each flat index t = i*L + j, and the flat
-    index of each site. Fixed boxes put site (i+1, j+1) at t, periodic
-    ones site (i, j)."""
-    lo = 0 if periodic else 1
+    index of each site."""
+    lo = _site_offset(periodic)
     sites = tuple((i + lo, j + lo) for i in range(side) for j in range(side))
     return sites, {x: t for t, x in enumerate(sites)}
 
@@ -172,6 +178,19 @@ def _site_flat(spec, x):
     if t is None:
         raise ValueError(f"site {x} outside the box")
     return t
+
+
+def _sites_flat(spec, i, j):
+    """Flat indices of the sites (i[k], j[k]), given as int64 arrays: the
+    array form of `_site_flat`, with its ValueError for the first site
+    outside the box."""
+    L, lo = spec.side, _site_offset(spec.is_periodic)
+    a, b = i - lo, j - lo
+    bad = (a < 0) | (a >= L) | (b < 0) | (b >= L)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"site {(int(i[k]), int(j[k]))} outside the box")
+    return a * L + b
 
 
 def _site_index(spec, x):

@@ -92,6 +92,19 @@ def test_exact_exits_with_one_line_when_the_gap_does_not_converge(monkeypatch):
     assert "after 2 iterations" in str(err.value)
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["--beta", "20", "--size", "2"], "mixing bracket not found"),
+    (["--beta", "300", "--size", "2", "--bc", "per"], "mixing time not found"),
+    (["--beta", "150", "--size", "4"], "LOBPCG gap .* is not positive"),
+    (["--beta", "200", "--size", "4"], "LOBPCG gap broke down"),
+])
+def test_exact_exits_with_one_line_at_large_beta(argv, what):
+    # these ended in RuntimeError, ZeroDivisionError and LinAlgError tracebacks
+    proc = run_python("-W", "error", "-m", "plaquette", "exact", *argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert re.fullmatch(f"exact: {what}.*\n", proc.stderr), proc.stderr
+
+
 def test_exact_l4_plus_beta_half_exits_zero(capsys):
     # scipy's LOBPCG stalled here, and the command exited 1
     code, out, _ = run(["exact", "--beta", "0.5", "--size", "4"], capsys)

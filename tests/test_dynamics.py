@@ -1,5 +1,6 @@
 """Rate model, event-driven simulation, stop rules, and trajectory I/O."""
 
+import hashlib
 import math
 import warnings
 
@@ -319,13 +320,18 @@ def test_replay_rejects_sites_outside_the_box():
     spec = LatticeSpec(3, PLUS)
     init = SpinConfig.all_minus(spec)
     traj = simulate(spec, 1.0, init, stop_after_events(5), seed=0)
+    text = trajectory_to_text(traj).replace("n_events = 5", "n_events = 6")
     # (0, 1) is frame, not box; a negative index would land on (3, 1)
-    traj.events.append((traj.elapsed + 1.0, (0, 1)))
-    with pytest.raises(ValueError, match="outside the box"):
-        replay_trajectory(traj)
-    traj.events[-1] = (traj.elapsed + 1.0, (4, 1))
-    with pytest.raises(ValueError, match="outside the box"):
-        replay_trajectory(traj)
+    for site in ("0 1", "4 1"):
+        row = f"{traj.elapsed + 1.0!r} {site}\n"
+        with pytest.raises(ValueError, match=f"site \\({site[0]}, 1\\) outside the box"):
+            trajectory_from_text(text.replace("[final]", row + "[final]"))
+    for t in (-1, 9):
+        traj.flips = np.append(traj.flips, t)
+        with pytest.raises(ValueError, match="outside the box"):
+            replay_trajectory(traj)
+        traj.flips = traj.flips[:-1]
+    assert replay_trajectory(traj) == traj.final
 
 
 def test_trajectory_text_names_what_is_missing():
@@ -374,6 +380,79 @@ def test_trajectory_header_must_match_the_events():
             trajectory_from_text(text.replace(old, new))
     back = trajectory_from_text(text.replace("rates = metropolis", "rates = heat_bath"))
     assert back.kind == "heat_bath" and back.beta == 1.0
+
+
+# (box, beta, events, seed, sha256 of trajectory_to_text, sha256 of
+# repr(traj.events)), recorded when each event was stored as a
+# (time, site) tuple; all runs start all minus
+PINNED_TRAJECTORIES = [
+    (lambda: LatticeSpec(64, PLUS), 1.0, 50_000, 7,
+     "4a2fdd4ef00530349c54a8a3be9ac60b965991dc2447f0ec09a7983380dbbaa3",
+     "f1ee15eab874b973c746f19d9bcf9d42a0e6ff4418d9661d5f0950b8ae635257"),
+    (lambda: LatticeSpec(5, PERIODIC), 1.2, 400, 3,
+     "dc29151c03307563f2a72f18d594f259e433d326dfa2e8fce66ccdc5989b0cdc",
+     "a388b674a1be7d5510c693648767c14f0dc2a2142fbfad5a0d2812a55374c2f9"),
+    (lambda: mixed_frame_spec(2), 1.0, 60, 0,
+     "fd9d3b70222b0b24bf2c0c5a0b57c464a3941cdbc16118c811519e50769ef156",
+     "bdbc3e25c1c8ec6973831eeff810331ca123630ce9a98dc4d5891ccd193a4036"),
+    (lambda: LatticeSpec(3, PLUS), 1.0, 0, 0,
+     "1b33880440834ca42079cd2c52b749ee350401ac3ecd776c286ae170efe02a49",
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+]
+
+
+@pytest.mark.parametrize("make_spec, beta, n, seed, text_sha, events_sha", PINNED_TRAJECTORIES)
+def test_trajectory_columns_keep_the_text_and_the_events(make_spec, beta, n, seed, text_sha,
+                                                          events_sha):
+    spec = make_spec()
+    traj = simulate(spec, beta, SpinConfig.all_minus(spec), stop_after_events(n), seed=seed)
+    text = trajectory_to_text(traj)
+    assert hashlib.sha256(text.encode()).hexdigest() == text_sha
+    assert hashlib.sha256(repr(traj.events).encode()).hexdigest() == events_sha
+    assert traj.times.dtype == np.float64 and traj.flips.dtype == np.int64
+    assert traj.times.size == traj.flips.size == n
+    assert traj.times.nbytes + traj.flips.nbytes <= 16 * traj.n_events
+    sites = spec.sites()
+    assert [(t, sites[f]) for t, f in zip(traj.times.tolist(), traj.flips.tolist())] == traj.events
+    back = trajectory_from_text(text)
+    assert back.events == traj.events and back.final == traj.final
+    assert np.array_equal(back.flips, traj.flips) and back.flips.dtype == np.int64
+    assert trajectory_to_text(back) == text
+
+
+def test_unrecorded_trajectory_has_no_columns():
+    spec = LatticeSpec(3, PLUS)
+    traj = simulate(spec, 1.0, SpinConfig.all_minus(spec), stop_after_events(20), record=False)
+    assert traj.times is None and traj.flips is None and traj.events is None
+    for read in (trajectory_to_text, replay_trajectory):
+        with pytest.raises(ValueError, match="not recorded"):
+            read(traj)
+
+
+def test_trajectory_events_block_edge_cases():
+    spec = LatticeSpec(3, PERIODIC)
+    traj = simulate(spec, 1.0, SpinConfig.all_minus(spec), stop_after_events(6), seed=0)
+    text = trajectory_to_text(traj)
+    head, rest = text.split("[events]\n")
+    block, tail = rest.split("[final]\n")
+    rows = block.splitlines()
+    # blank and comment lines inside the block are skipped
+    spaced = (head + "[events]\n\n# a comment\n" + "\n \t \n".join(rows)
+              + "\n   # indented comment\n\n[final]\n" + tail)
+    for variant in (spaced, text.replace("[events]", "  [events] ").replace("[final]", "\t[final]"),
+                    text.replace("\n", "\r\n")):
+        back = trajectory_from_text(variant)
+        assert back.events == traj.events and back.final == traj.final
+    empty = trajectory_to_text(simulate(spec, 1.0, traj.initial, stop_after_events(0)))
+    assert "[events]\n[final]" in empty
+    for variant in (empty, empty.replace("[events]\n", "[events]\n\n# no events\n  \n")):
+        back = trajectory_from_text(variant)
+        assert back.events == [] and back.flips.size == 0 and back.final == traj.initial
+    t, i, j = rows[2].split()
+    for bad in (f"{t} {i}", f"{t} {i} {j} 7", f"{t} {i}.0 {j}", f"{t} {i} x", f"x {i} {j}",
+                f"{t} {i} {j} # inline"):
+        with pytest.raises(ValueError, match=r"^bad \[events\] row: .* row \d"):
+            trajectory_from_text(text.replace(rows[2], bad))
 
 
 def test_frame_from_text_rejects_bad_characters():

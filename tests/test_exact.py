@@ -306,6 +306,18 @@ def test_gap_sparse_route_raises_when_unconverged(monkeypatch):
             spectral_gap(G_of(3, 1.0), dense_threshold=1)
 
 
+def test_sparse_gap_raises_convergence_error_at_large_beta():
+    # beta 150 gave a gap of 0 or below, on which `plaquette exact` divided
+    # by zero; beta 200 escaped as numpy's LinAlgError after a
+    # divide-by-zero warning
+    for beta, what in ((150.0, "is not positive"), (200.0, "broke down")):
+        G = G_of(4, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=f"LOBPCG gap .*{what}"):
+                spectral_gap(G)
+
+
 def test_heat_bath_gap_within_factor_two():
     g_met = spectral_gap(G_of(2, 1.0))
     g_hb = spectral_gap(build_generator(LatticeSpec(2, PLUS), RateModel(1.0, "heat_bath")))
@@ -725,6 +737,19 @@ def test_tv_mixing_time_certified_when_the_spectral_route_under_reports(monkeypa
     tmix = tv_mixing_time(G)
     assert _tv_all_starts(G, tmix) < 0.25
     assert abs(tmix - honest) <= 0.02 * honest
+
+
+def test_tv_mixing_time_raises_convergence_error_where_the_gap_rounds_away():
+    # each escaped as a bare RuntimeError after 200 doublings
+    cases = ((2, PLUS, 20.0, "200 doublings"), (3, PLUS, 20.0, "not positive"),
+             (2, PERIODIC, 300.0, "not positive"))
+    for L, bc, beta, what in cases:
+        G = G_of(L, beta, bc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=rf"{what}.*beta {beta!r} with gap"
+                                                       rf"|beta {beta!r}: the gap .*{what}"):
+                tv_mixing_time(G)
 
 
 def test_poisson_weights_match_scipy_stats():
