@@ -29,15 +29,16 @@ rates; what grows with the box is one bit XORed into the code. An
 event takes about 3-4 us at L=64 and 2-2.6 us at L=4 (one core of a
 shared 2-vCPU host). All randomness flows through numpy Generators
 seeded via SeedSequence so runs are reproducible and replicas
-independent. `Simulator._run` is the module's one event loop;
-`simulate`, `Simulator.step` and `trace_chain` run through it.
+independent. `Simulator._run` is the module's one event loop, and every
+run of the chain is started, seeded and ended through it: `simulate`,
+`Simulator.step`, `trace_chain` and the replicas of `Simulator.replicas`.
 `hitting_time` and `ground.excursion_statistics` build the start once,
-with its patterns, buckets and tables, and run every replica from a
-copy of it (`Simulator.replica`): a replica's set-up is its seeded
-Generator and three list copies, and its result is read off the
-simulator (`time`, `code`) with no trajectory built. A recorded run
-appends each event's time and flat site index t to two compact arrays
-(`_recorder`), 16 bytes an event, which become the `Trajectory`'s
+with its patterns, buckets and tables, and draw every replica from it:
+a copy of the start (`Simulator.replica`, three list copies) with the
+Generator of the seed's next spawned child. A replica's result is read
+off the simulator (`time`, `code`) with no trajectory built. A
+recorded run appends each event's time and flat site index t to two
+compact arrays, 16 bytes an event, which become the `Trajectory`'s
 `times` and `flips`; the text format and replay read those columns.
 """
 
@@ -188,6 +189,13 @@ class Simulator:
         sim._exps, sim._unis, sim._block = [], [], _BLOCK_FIRST
         return sim
 
+    def replicas(self, seed, n):
+        """n replicas of this simulator, drawn one at a time: replica r
+        draws from the Generator of `SeedSequence(seed)`'s r-th spawned
+        child."""
+        for child in np.random.SeedSequence(seed).spawn(n):
+            yield self.replica(_as_rng(child))
+
     @property
     def _total(self):
         return sum(len(b) * r for b, r in zip(self._buckets, self._rate))
@@ -199,18 +207,19 @@ class Simulator:
         return self.code
 
     def step(self):
-        """Advance by one event; returns the flipped site."""
-        record = _recorder()
-        self._run(_never, self.n_events + 1, record)
-        return self.sites[record[1][0]]
+        """Advance by one event; returns the flipped site, the one bit
+        the event changed in the code."""
+        code = self.code
+        self._run(_never, self.n_events + 1)
+        return self.sites[(code ^ self.code).bit_length() - 1]
 
     def _run(self, stop, max_events, record=None):
         """The event loop: flip until stop(self) holds, checked first and
         after every event, and return True; return False once n_events
-        reaches max_events first. Given `record`, a pair of arrays from
-        `_recorder`, appends each event's time to the first and its flat
-        site index t to the second. Runs on locals and writes back after
-        each event only what stop predicates read."""
+        reaches max_events first. Given `record`, a pair of arrays
+        (`array("d")`, `array("q")`), appends each event's time to the
+        first and its flat site index t to the second. Runs on locals
+        and writes back after each event only what stop predicates read."""
         tog, pat, pos, rng = self._toggles, self._pat, self._pos, self.rng
         buckets = self._buckets
         b0, b1, b2, b3, b4 = buckets
@@ -274,12 +283,6 @@ class Simulator:
                 add_time(time)
                 add_flip(t)
         return True
-
-
-def _recorder():
-    """(times, flips): the two compact columns `Simulator._run` records
-    into, 8 bytes per event each."""
-    return array("d"), array("q")
 
 
 @dataclass
@@ -346,9 +349,7 @@ def stop_at_state(cfg):
     code = cfg.code
 
     def pred(sim):
-        if sim.n_defects:
-            return False
-        _check_box(sim, cfg)  # only at zero defects: no cost per event
+        _check_box(sim, cfg)
         return sim.code == code
 
     return pred
@@ -397,33 +398,27 @@ def simulate(
     """
     model = RateModel(beta, kind)
     sim = Simulator(spec, model, init, _as_rng(seed))
-    columns = _recorder() if record else None
-
-    def snapshot(stopped):
-        times = flips = None
-        if columns is not None:
-            times, flips = (np.frombuffer(c, c.typecode) for c in columns)
-        return Trajectory(
-            spec=spec,
-            beta=beta,
-            kind=kind,
-            seed=seed,
-            initial=init,
-            times=times,
-            flips=flips,
-            final=sim.state(),
-            n_events=sim.n_events,
-            elapsed=sim.time,
-            stopped=stopped,
-        )
-
+    columns = (array("d"), array("q")) if record else None
     if not sim._run(stop, max_events, columns):
-        err = BudgetExceededError(
+        raise BudgetExceededError(
             f"event budget {max_events} exhausted before the stop condition"
         )
-        err.partial = snapshot(stopped=False)
-        raise err
-    return snapshot(stopped=True)
+    times = flips = None
+    if record:
+        times, flips = (np.frombuffer(c, c.typecode) for c in columns)
+    return Trajectory(
+        spec=spec,
+        beta=beta,
+        kind=kind,
+        seed=seed,
+        initial=init,
+        times=times,
+        flips=flips,
+        final=sim.state(),
+        n_events=sim.n_events,
+        elapsed=sim.time,
+        stopped=True,
+    )
 
 
 def replay_trajectory(traj):
@@ -467,14 +462,14 @@ def hitting_time(
     back, which keeps it positive and stable across the decades these
     times span. Budget-exhausted replicas are excluded and counted in
     `flagged`. An initial state already in the target gives time 0.
-    Replica r runs from a copy of one prepared start with the Generator
-    of the seed's r-th spawned child; `replicas` must be at least 1.
+    The replicas are `Simulator.replicas(seed, replicas)` of one
+    prepared start, each run through `Simulator._run`; `replicas` must be
+    at least 1.
     """
     _check_count("replicas", replicas)
     start = Simulator(spec, RateModel(beta, kind), init, None)
     taus = np.full(replicas, np.nan)
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(replicas)):
-        sim = start.replica(_as_rng(child))
+    for r, sim in enumerate(start.replicas(seed, replicas)):
         if sim._run(target, max_events):
             taus[r] = sim.time
     good = taus[~np.isnan(taus)]
@@ -516,7 +511,7 @@ def trace_chain(
     the last record. Excursions outside S are skipped entirely; repeated
     re-entries at the unchanged state are not records. Stops after
     n_records records or when the event budget is spent (completed=False
-    then). The chain runs through `simulate`, whose stop predicate takes
+    then). The chain runs on `Simulator._run`, whose stop predicate takes
     the records.
     """
     times, states = [], []
@@ -530,12 +525,9 @@ def trace_chain(
             last_code = sim.code
         return len(states) >= n_records
 
-    try:
-        traj = simulate(spec, beta, init, watch, seed=seed, kind=kind,
-                        max_events=max_events, record=False)
-    except BudgetExceededError as err:
-        return TraceSample(times, states, err.partial.n_events, completed=False)
-    return TraceSample(times, states, traj.n_events, completed=True)
+    sim = Simulator(spec, RateModel(beta, kind), init, _as_rng(seed))
+    completed = sim._run(watch, max_events)
+    return TraceSample(times, states, sim.n_events, completed)
 
 
 # Trajectory serialization: a small line-oriented text format so runs can

@@ -27,9 +27,8 @@ from .dynamics import (
     MAX_EVENTS_DEFAULT,
     RateModel,
     Simulator,
-    _as_rng,
     _check_count,
-    _recorder,
+    stop_after_events,
     stop_at_zero_defects,
     trace_chain,
 )
@@ -293,24 +292,28 @@ def excursion_statistics(
 ):
     """Independent excursions off the all-plus ground: evolve from the
     first jump until the chain either re-enters the ground set or its
-    defect count exceeds 4. Each runs from a copy of one prepared start
-    (`Simulator.replica`); `n_excursions` must be at least 1."""
+    defect count exceeds 4. The excursions are `Simulator.replicas(seed,
+    n_excursions)` of one prepared start, each run through
+    `Simulator._run`: one event to the first jump, whose time starts the
+    duration, then on to the end, both within the `max_events` budget;
+    `n_excursions` must be at least 1."""
     _require_periodic(spec)
     _check_count("n_excursions", n_excursions)
     start = Simulator(spec, RateModel(beta, kind), SpinConfig.all_plus(spec), None)
     n_escape = n_other = n_same = n_unfinished = 0
     durations = []
+    jumped = stop_after_events(1)
 
     def ended(sim):
-        return sim.n_events > 0 and not 0 < sim.n_defects <= 4
+        return not 0 < sim.n_defects <= 4
 
-    for ss in np.random.SeedSequence(seed).spawn(n_excursions):
-        sim = start.replica(_as_rng(ss))
-        record = _recorder()  # (times, flips)
-        if not sim._run(ended, max_events, record):
+    for sim in start.replicas(seed, n_excursions):
+        finished = sim._run(jumped, max_events)
+        t0 = sim.time
+        if not (finished and sim._run(ended, max_events)):
             n_unfinished += 1
             continue
-        durations.append(sim.time - record[0][0])
+        durations.append(sim.time - t0)
         if sim.n_defects:
             n_escape += 1
         elif sim.code == start.code:

@@ -483,7 +483,7 @@ class _CodedState:
         spec = cfg.spec
         self.spec = spec
         self.masks = _site_masks(spec.side, spec.is_periodic)
-        self.sites, self._flat = _site_codec(spec.side, spec.is_periodic)
+        self.sites = _site_codec(spec.side, spec.is_periodic)[0]
         self.code = cfg.code
         self.D = _code_defects(spec, self.code)
 
@@ -494,10 +494,7 @@ class _CodedState:
     def flip(self, site):
         """Flip the spin at a site in lattice coordinates; ValueError
         outside the box."""
-        t = self._flat.get(tuple(site))
-        if t is None:
-            raise ValueError(f"site {site} outside the box")
-        self._flip(t)
+        self._flip(_site_flat(self.spec, site))
 
     def _flip(self, t):
         self.code ^= 1 << t

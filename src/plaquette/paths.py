@@ -50,6 +50,7 @@ from .lattice import (
     _code_defects,
     _defect_bits,
     _site_codec,
+    _site_flat,
     _site_masks,
 )
 from .dynamics import RateModel, _as_rng, _check_beta
@@ -91,10 +92,7 @@ class CanonicalPath:
         self.initial = initial
         self.flips = list(flips)
         self.marks = list(marks)
-        flat = _site_codec(initial.spec.side, False)[1]
-        bad = next((x for x in self.flips if tuple(x) not in flat), None)
-        if bad is not None:
-            raise ValueError(f"site {bad} outside the box")
+        self._flat = [_site_flat(initial.spec, x) for x in self.flips]
 
     def __len__(self):
         return len(self.flips)
@@ -103,8 +101,8 @@ class CanonicalPath:
         """The walker at each visited state, initial first."""
         w = _CodedState(self.initial)
         yield w
-        for x in self.flips:
-            w.flip(x)
+        for t in self._flat:
+            w._flip(t)
             yield w
 
     def states(self):

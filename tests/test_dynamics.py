@@ -12,6 +12,7 @@ from plaquette.dynamics import (
     POP4,
     RateModel,
     Simulator,
+    _as_rng,
     frame_from_text,
     hitting_time,
     simulate,
@@ -127,8 +128,10 @@ def test_periodic_unit_box_flips_are_energy_neutral():
         model = RateModel(1.0, kind)
         rng = np.random.default_rng(3)
         sim = Simulator(spec, model, SpinConfig.all_plus(spec), rng)
-        for _ in range(6):
-            sim.step()
+        for i in range(6):
+            # the flip changes no plaquette, only the code's one bit
+            assert sim.step() == (0, 0)
+            assert sim.code == (i + 1) % 2
             assert sim.n_defects == defect_count(sim.state()) == 0
             assert sim._total == model.rate_for_k(2)
         assert site_rate(model, sim.state(), (0, 0)) == model.rate_for_k(2)
@@ -255,6 +258,36 @@ def test_stop_rules():
     assert defect_count(t.final) == 0
     t = simulate(spec, 2.0, init, stop_at_state(SpinConfig.all_plus(spec)), seed=0)
     assert t.final == SpinConfig.all_plus(spec)
+
+
+def test_stop_at_state_fires_at_a_state_with_defects():
+    # the target was compared at zero defects only, so this run spent its
+    # whole budget though the chain visits the 4-defect target early
+    spec = LatticeSpec(2, PLUS)
+    init = SpinConfig.all_plus(spec)
+    target = init.flip([(1, 1)])
+    assert defect_count(target) == 4
+    t = simulate(spec, 0.5, init, stop_at_state(target), seed=0, max_events=100_000)
+    assert t.final == target and 0 < t.n_events <= 2000
+
+
+def test_stop_at_state_checks_the_box_before_any_event():
+    per = LatticeSpec(3, PERIODIC)
+    pred = stop_at_state(SpinConfig.all_plus(LatticeSpec(3, PLUS)).flip([(1, 1)]))
+    # a start with defects: the check no longer waits for a ground state
+    init = SpinConfig.all_plus(per).flip([(0, 0)])
+    sim = Simulator(per, RateModel(1.0), init, _as_rng(0))
+    with pytest.raises(ValueError, match="different box"):
+        pred(sim)
+    with pytest.raises(ValueError, match="different box"):
+        sim._run(pred, 100)
+    assert sim.n_events == 0
+    # each simulator is checked on its first call, so a predicate shared by
+    # replicas refuses a later one from another box too
+    plus = LatticeSpec(3, PLUS)
+    assert not pred(Simulator(plus, RateModel(1.0), SpinConfig.all_plus(plus), None))
+    with pytest.raises(ValueError, match="different box"):
+        pred(sim)
 
 
 def test_stop_after_time_rejects_bad_times():
@@ -519,6 +552,20 @@ def hitting_taus_by_simulate(spec, beta, init, target, replicas, seed, max_event
         except BudgetExceededError:
             pass
     return taus
+
+
+@pytest.mark.parametrize("seed", [7, (7, 2)])  # an int and the tuple of `arrhenius`
+def test_replicas_draw_the_spawned_streams(seed):
+    spec = LatticeSpec(3, PERIODIC)
+    start = Simulator(spec, RateModel(1.0), SpinConfig.all_plus(spec), None)
+    sims = list(start.replicas(seed, 4))
+    assert len(sims) == 4
+    for sim, child in zip(sims, np.random.SeedSequence(seed).spawn(4)):
+        ref = start.replica(_as_rng(child))
+        assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert [sim.step() for _ in range(50)] == [ref.step() for _ in range(50)]
+        assert (sim.time, sim.code, sim.n_defects) == (ref.time, ref.code, ref.n_defects)
+    assert start.n_events == 0 and start.code == 0
 
 
 @pytest.mark.parametrize("side", [2, 3, 4, 5])

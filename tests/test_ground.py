@@ -282,7 +282,8 @@ def excursions_by_simulate(spec, beta, n, seed, max_events):
 
 @pytest.mark.parametrize("side", [2, 3, 4, 5])
 def test_excursion_replicas_match_a_loop_of_simulate(side):
-    for max_events in (10**6, 3):
+    # 2 is the first budget at which an excursion can end
+    for max_events in (10**6, 2, 3):
         ex = excursion_statistics(spec_of(side), 1.5, 40, seed=side, max_events=max_events)
         probs, durations, unfinished = excursions_by_simulate(spec_of(side), 1.5, 40, side,
                                                               max_events)
