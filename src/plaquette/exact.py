@@ -165,8 +165,15 @@ class SparseGenerator:
         """(U^2, U / sqrt(pi), (U sqrt(pi))^T, w') for the worst-start
         search, the first two on the representative rows only. U = V' is V
         without its stationary column; start x's row of P_t - Pi is
-        (U / sqrt(pi))[x] e^{tw'} (U sqrt(pi))^T."""
+        (U / sqrt(pi))[x] e^{tw'} (U sqrt(pi))^T.
+
+        A stationary mass that underflows to 0 (periodic L=2 at beta 300)
+        would make rows of nan, which no distance exceeds: ConvergenceError
+        naming beta, raised before the division, so no RuntimeWarning."""
         w, V = self.eigen
+        if not self.pi.all():
+            raise ConvergenceError(f"the stationary mass of a state underflows to 0 at beta"
+                                   f" {self.model.beta!r}, so the distance cannot be formed")
         r = np.sqrt(self.pi)[:, None]
         U = V[:, :-1]
         reps = self.symmetry.reps

@@ -19,9 +19,13 @@ inverse spectral gap of the dynamics restricted above a defect level.
 All three stages read bit masks of a state's defect int D (`_lines`):
 occupancies are popcounts, nearest defects along a column are
 `bit_length`s, and the corner tests of a removal order are single bits.
-Both flows and the public samplers draw on one per-call `_Segments`
-cache of splits, pools and removal orders, and work on codes and flat
-site indices until a public path is built.
+The Monte Carlo flow and the public samplers draw segments one state at
+a time from a per-call `_Segments` cache of splits, pools and removal
+orders. The exhaustive flow forms the same segments for every state of
+the enumerated box at once, as arrays (`_box_segments`, on the per-side
+tables of `_flow_tables`), and sums the flow in layer passes over them;
+the tests hold those arrays to `_Segments`. Both flows work on codes and
+flat site indices until a public path is built.
 
 Everything in this module is for the all-plus boundary (fixed frames
 lack a defect-free reference state, periodic boxes have their own ground
@@ -224,13 +228,16 @@ def _sweep(R, cols):
     the third defect, which keeps the intermediate defect excess at 2. So
     rows run downward unless exactly three corners are defective and one
     of them is missing at the top, and columns run leftward when exactly
-    three are defective and the missing one is on the left."""
+    three are defective and the missing one is on the left.
+
+    Written in arithmetic only, so the fields of R and the masks may be
+    ints or numpy arrays of them (`_box_segments`)."""
     y2, x1, y1, x2 = R
     left, right = cols[x1], cols[x2]
     bl, br, tl, tr = left >> y1 & 1, right >> y1 & 1, left >> y2 & 1, right >> y2 & 1
     three = bl + br + tl + tr == 3
-    down = not three or (tl and tr)
-    leftward = three and not (bl and tl)
+    down = 1 - three * (1 - tl * tr)
+    leftward = three * (1 - bl * tl)
     return 2 * down + leftward
 
 
@@ -449,19 +456,24 @@ def classify_occupancy(v, beta):
     return ThetaClass(sparse=theta is None, theta=theta)
 
 
-def _pool(rows, cols, a, b, beta):
-    """good_rectangles of the part over plaquette columns a..b, as `_rect`
-    keys."""
-    v = _row_counts(rows, a, b)
+def _pair_rows(v, beta):
+    """The rows a part with row counts v pairs defects on: those with
+    count v_max - theta in a dense part, every row in a sparse one or
+    where the classification fails (`good_rectangles`)."""
     try:
         theta = _theta(v, beta)
     except PartitionViolation:
         theta = None
-    pair_rows = range(len(rows))
-    if theta is not None:
-        level = max(v) - theta
-        pair_rows = [j for j, vj in enumerate(v) if vj == level]
-    return _extended(rows, cols, pair_rows, a, b)
+    if theta is None:
+        return range(len(v))
+    level = max(v) - theta
+    return [j for j, vj in enumerate(v) if vj == level]
+
+
+def _pool(rows, cols, a, b, beta):
+    """good_rectangles of the part over plaquette columns a..b, as `_rect`
+    keys."""
+    return _extended(rows, cols, _pair_rows(_row_counts(rows, a, b), beta), a, b)
 
 
 def good_rectangles(sigma, i, beta, c=100):
@@ -493,7 +505,9 @@ class _Segments:
 
     Each defect int's lines and split, each part's sorted pool, and each
     rectangle's removal order per sweep are built once for the life of
-    this object, which lives for one call (a flow, or one sampled path).
+    this object, which lives for one call (a Monte Carlo flow, or one
+    sampled path). The exhaustive flow reads the same segments for a whole
+    box from `_box_segments`, which the tests hold to this class.
     At most _SEGMENT_CACHE defect ints are held; past that the caches
     start over, which bounds memory on large boxes, where states rarely
     repeat.
@@ -532,17 +546,6 @@ class _Segments:
                 raise PathSamplingError(f"no good rectangles in part {i}")
             pools[i - 1] = pool
         return pool
-
-    def every(self, D):
-        """Every segment of D as (probability, flat flips)."""
-        state = self.parts(D)
-        cols, n = state[1], len(state[3])
-        out = []
-        for i in range(1, n + 1):
-            pool = self.pool(state, i)
-            q = 1.0 / (n * len(pool))
-            out += [(q, self.order(R, cols)) for R in pool]
-        return out
 
     def draw(self, D, rng):
         """One segment of D as (flat flips, R, i), R a `_rect` key. One
@@ -756,7 +759,154 @@ def _flow_result(spec, model, numer, defects, half=None, **fields):
     return res
 
 
+@functools.lru_cache(maxsize=None)
+def _flow_tables(L):
+    """What the exhaustive flow reads on the plus box of side L whatever
+    beta, read only:
+
+    - rects: every rectangle (y2, x1, y1, x2) of the plaquette grid with
+      x1 < x2 and y1 < y2, one column each, in `_rect` key order;
+    - flips, codes, defects: per rectangle r and sweep, at row
+      4*r + sweep, its `_block` flips (padded with 0 to L*L), and in
+      column j the code and defect XOR of its first j flips (0 past the
+      block);
+    - below, above: per column mask (`_lines`) and row j, its nearest
+      defect under and over j (`_below`, `_above`), L+1 and -1 when there
+      is none.
+    """
+    n1 = L + 1
+    masks = _site_masks(L, False)
+    rects = [(y2, x1, y1, x2) for y2 in range(n1) for x1 in range(n1)
+             for y1 in range(y2) for x2 in range(x1 + 1, n1)]
+    flips = np.zeros((4 * len(rects), L * L), np.intp)
+    codes = np.zeros((4 * len(rects), L * L + 1), np.intp)
+    defects = np.zeros((4 * len(rects), L * L + 1), np.uint64)
+    for row, (R, sweep) in enumerate(itertools.product(rects, range(4))):
+        code = D = 0
+        for j, t in enumerate(_block(R, sweep, L)):
+            code ^= 1 << t
+            D ^= masks[t]
+            flips[row, j], codes[row, j + 1], defects[row, j + 1] = t, code, D
+    near = [[(_below(m, j), _above(m, j)) for j in range(n1)] for m in range(1 << n1)]
+    below, above = np.moveaxis(np.array(near), 2, 0)
+    below[below < 0] = n1
+    tables = np.array(rects, np.intp).T, flips, codes, defects, below, above
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def _distinct(rows):
+    """(first, inverse) over the rows of a small nonnegative int array: the
+    index of the first of each distinct row, and each row's distinct
+    index."""
+    keys = rows @ (int(rows.max(initial=0)) + 1) ** np.arange(rows.shape[1])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+_BOX_BLOCK = 1 << 12  # states per block of the pool matrix
+
+
+def _box_segments(L, D, beta, c):
+    """The rectangle segments of the states with defect ints D (a uint64
+    array) on the plus box of side L at (beta, c), all at once: what
+    `_Segments.parts`, `pool` and `order` give one state at a time.
+
+    Returns (state, row, q, empty): per segment, in (state, part, key)
+    order, the index of its state in D, its row 4*r + sweep in
+    `_flow_tables(L)` and its probability 1/(parts * pool size); and per
+    state the first part whose pool is empty, 0 when none is
+    (`_Segments.pool` raises there).
+
+    Splits come from `_split` once per distinct column-count vector, pair
+    rows from `_pair_rows` once per distinct row-count vector of a part.
+    The pool matrix (states x rectangles) is formed _BOX_BLOCK states at
+    a time from the column masks: a rectangle is pooled when both its
+    columns lie in one part and its pair row is a pair row of that part
+    with defects in both columns, and its far edge is the farther of
+    their nearest defects (`_extended`).
+    """
+    _check_beta(beta)
+    rects, _, _, _, below, above = _flow_tables(L)
+    y2, x1, y1, x2 = rects
+    n1 = L + 1
+    cols = (D[:, None] >> np.arange(0, n1 * n1, n1, dtype=np.uint64)
+            & np.uint64((1 << n1) - 1)).astype(np.intp)
+    # part[s, x]: the part (1-based) holding column x, 0 past the last part
+    first, inverse = _distinct(np.bitwise_count(cols))
+    part = np.zeros((first.size, n1), np.intp)
+    for d, i in enumerate(first.tolist()):
+        bounds = _split(cols[i].tolist(), c)
+        for p in range(1, max(1, len(bounds) - 2) + 1):
+            part[d, bounds[p - 1]:bounds[p]] = p
+    part = part[inverse]
+    parts = part.max(axis=1)
+    # pairs[s, p - 1]: the pair rows of part p as a row mask
+    counts = np.einsum("sxp,sxj->spj", part[:, :, None] == np.arange(1, n1 + 1),
+                       cols[:, :, None] >> np.arange(n1) & 1).reshape(-1, n1)
+    first, inverse = _distinct(counts)
+    pairs = np.array([sum(1 << j for j in _pair_rows(tuple(counts[i].tolist()), beta))
+                      for i in first.tolist()])[inverse].reshape(D.size, n1)
+    out = []
+    empty = np.zeros(D.size, np.intp)
+    for lo in range(0, D.size, _BOX_BLOCK):
+        sl = slice(lo, lo + _BOX_BLOCK)
+        col, p, n = cols[sl], part[sl][:, x1], parts[sl]
+        left, right = col[:, x1], col[:, x2]
+        both = left & right & np.take_along_axis(pairs[sl], np.maximum(p - 1, 0), axis=1)
+        on_top = (both >> y2 & 1 == 1) & (np.minimum(below[left, y2], below[right, y2]) == y1)
+        at_bottom = (both >> y1 & 1 == 1) & (np.maximum(above[left, y1], above[right, y1]) == y2)
+        s, r = np.nonzero((p > 0) & (p == part[sl][:, x2]) & (on_top | at_bottom))
+        slot = s * n1 + p[s, r] - 1
+        size = np.bincount(slot, minlength=n.size * n1)
+        if n.max() > 1:
+            order = np.argsort(slot, kind="stable")
+            s, r, slot = s[order], r[order], slot[order]
+        sweep = _sweep((y2[r], (s, x1[r]), y1[r], (s, x2[r])), col)
+        out.append((lo + s, 4 * r + sweep, 1.0 / (n[s] * size[slot])))
+        hole = (size.reshape(-1, n1) == 0) & (np.arange(n1) < n[:, None])
+        empty[sl] = np.where(hole.any(axis=1), hole.argmax(axis=1) + 1, 0)
+    state, row, q = (np.concatenate(a) for a in zip(*out))
+    return state, row, q, empty
+
+
+_EDGE_BLOCK = 1 << 20  # edge visits the exhaustive flow forms at a time
+
+
+def _blocks(visits):
+    """Slices of consecutive entries, each nonempty, whose visit counts sum
+    to about _EDGE_BLOCK at most."""
+    cum = np.cumsum(visits)
+    lo = 0
+    while lo < visits.size:
+        hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] - visits[lo] + _EDGE_BLOCK, "right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
 def _flow_exhaustive(spec, beta, level, c, kind):
+    """The exhaustive flow as array passes over the box's codes.
+
+    A branch is one segment from one state: every pooled rectangle
+    (`_box_segments`) while the segment index s is at most M, then the
+    naive path, each walked up to the first state with at most trunc
+    defects. A backward pass gives ell[s][x], the expected remaining
+    length from the start of segment s at state x, as the sum over x's
+    branches of q*(steps + ell[s + 1] at the branch end). The forward pass
+    carries one layer of states per segment index, in the order first
+    reached, with its pooled mass W and mass-weighted length ML: every
+    edge of a branch receives q*(ML + W*(steps + ell)), and each branch
+    end above the truncation collects q*W and q*(ML + W*steps) for the
+    next layer.
+
+    Each sum runs in the order of the recursion over states, branches and
+    flips that defines the flow (np.bincount and np.add.at add in index
+    order), and the weights come from math.exp, whose last bit np.exp
+    does not always match, so the numerators are reproducible bit for bit
+    (the pins in the tests); edges are keyed state * L^2 + site, in the
+    order first reached.
+    """
     model = RateModel(beta, kind)
     L = spec.side
     n = L * L
@@ -764,72 +914,105 @@ def _flow_exhaustive(spec, beta, level, c, kind):
     M = _rectangle_segments(beta, L)
     # States are codes; a flip at t XORs 1 << t and masks[t] into them.
     D = _box_defects(spec, ENUM_BUDGET_DEFAULT)
-    counts_all = np.bitwise_count(D)
-    dbits = D.tolist()
-    masks = _site_masks(L, False)
-    segments = _Segments(L, beta, c)
-
-    @functools.cache
-    def branches(code, naive):
-        """[(q, edges, end state, end count)] of a segment from code: every
-        rectangle segment, or the naive path once the segment index is past
-        M, with the edges (state * n + site) it takes up to the truncation
-        crossing."""
-        drawn = [(1.0, _naive(code, L))] if naive else segments.every(dbits[code])
-        out = []
-        for q, flips in drawn:
-            taken, end, D = _walk(code, dbits[code], flips, masks, trunc)
-            edges, cur = [], code
-            for t in flips[:taken]:
-                edges.append(cur * n + t)
-                cur ^= 1 << t
-            out.append((q, edges, end, D.bit_count()))
-        return out
-
-    @functools.cache
-    def ell_rem(code, s):
-        """Expected remaining truncated-path length from the start of
-        segment s at a state above the truncation."""
-        val = 0.0
-        for q, edges, endb, endc in branches(code, s > M):
-            val += q * (len(edges) + (0.0 if endc <= trunc else ell_rem(endb, s + 1)))
-        return val
-
-    # Forward pass: pooled mass W and mass-weighted cumulative length ML
-    # per (state, segment index). Every edge of a branch receives the same
-    # increment q*(ML + W*(segment steps + expected remaining length)).
-    # Edges are keyed state * n + site until the end.
-    sources = np.nonzero(counts_all >= level)[0]
+    N = D.size
+    counts = np.bitwise_count(D)
+    sources = np.flatnonzero(counts >= level)
     if sources.size == 0:
         raise ValueError("empty level set")
-    numer = {}
-    layer = {int(i): [math.exp(-beta * float(counts_all[i])), 0.0] for i in sources}
-    s = 1
-    while layer:
-        nxt = {}
-        for code, (W, ML) in layer.items():
-            if dbits[code].bit_count() <= trunc:
-                continue
-            for q, edges, endb, endc in branches(code, s > M):
-                taken = len(edges)
-                tail = 0.0 if endc <= trunc else ell_rem(endb, s + 1)
-                inc = q * (ML + W * (taken + tail))
-                for e in edges:
-                    numer[e] = numer.get(e, 0.0) + inc
-                if endc > trunc:
-                    wml = nxt.setdefault(endb, [0.0, 0.0])
-                    wml[0] += q * W
-                    wml[1] += q * (ML + W * taken)
-        layer = nxt
-        s += 1
-        if s > M + 2:
+    (y2, x1, y1, x2), flips, codes, defects, _, _ = _flow_tables(L)
+
+    # The rectangle branches of every state above the truncation, by state.
+    live = np.flatnonzero(counts > trunc)
+    st, row, q, hole = _box_segments(L, D[live], beta, c)
+    st = live[st]
+    empty = np.zeros(N, np.intp)
+    empty[live] = hole
+    offsets = np.searchsorted(st, np.arange(N + 1))
+    area = ((y2 - y1) * (x2 - x1))[row >> 2]
+    steps = np.empty(st.size, np.intp)
+    block = _EDGE_BLOCK // (n + 1)
+    for lo in range(0, st.size, block):
+        sl = slice(lo, lo + block)
+        cut = np.bitwise_count(D[st[sl], None] ^ defects[row[sl]]) <= trunc
+        steps[sl] = np.where(cut.any(axis=1), cut.argmax(axis=1), area[sl])
+    end = st ^ codes[row, steps]
+    alive = counts[end] > trunc
+    rect_visits = np.diff(np.concatenate(([0], np.cumsum(steps)))[offsets])
+
+    # The naive branch of every state: its minus sites in reading order;
+    # cleared[p] holds the sites read before position p, plus once flipped.
+    order = np.array(_reading_order(L))
+    cleared = np.array([sum(1 << t for t in order[:p].tolist()) for p in range(n)])
+    masks = np.array(_site_masks(L, False), np.uint64)
+    x = np.arange(N)
+    naive = np.zeros(N, np.intp)
+    walked, Dw = np.zeros(N, np.intp), D.copy()
+    for t in order.tolist():
+        minus = x >> t & 1 == 1
+        Dw[minus] ^= masks[t]
+        walked += minus
+        stop = minus & (naive == 0) & (np.bitwise_count(Dw) <= trunc)
+        naive[stop] = walked[stop]
+    naive = np.where(naive > 0, naive, walked)
+
+    # Backward pass: ell[s] by state, for s = M+1 down to 2.
+    ell = {M + 1: naive.astype(float)}
+    for s in range(M, 1, -1):
+        ell[s] = np.bincount(st, q * (steps + np.where(alive, ell[s + 1][end], 0.0)),
+                             minlength=N)
+
+    # Forward pass. `first` holds the visit that first reached each edge,
+    # `reach` the branch end that first reached each next-layer state.
+    never = np.iinfo(np.int64).max
+    numer = np.zeros(N * n)
+    first = np.full(N * n, never)
+    visits = 0
+    weights = np.array([math.exp(-beta * float(k)) for k in range(spec.n_plaquettes + 1)])
+    layer, W, ML = sources, weights[counts[sources]], np.zeros(sources.size)
+    for s in range(1, M + 2):
+        if not layer.size:
             break
-    # ell_rem reaches itself through its closure cell; emptying the cell
-    # breaks that cycle, so the branch tree goes on return, not at the
-    # next run of the cyclic collector
-    del ell_rem
-    return _flow_result(spec, model, {e: 2.0 * v for e, v in numer.items()}, dbits,
-                        mode="exhaustive", level=level, beta=beta, c=c)
+        nW, nML = np.zeros(N), np.zeros(N)
+        reach = np.full(N, never)
+        reached = 0
+        if s <= M:
+            bad = empty[layer]
+            if bad.any():
+                raise PathSamplingError(f"no good rectangles in part {bad[bad > 0][0]}")
+        for sl in _blocks(rect_visits[layer] if s <= M else naive[layer]):
+            x, w, ml = layer[sl], W[sl], ML[sl]
+            if s <= M:
+                lens = offsets[x + 1] - offsets[x]
+                b = np.arange(lens.sum()) + np.repeat(offsets[x] - np.cumsum(lens) + lens, lens)
+                w, ml = np.repeat(w, lens), np.repeat(ml, lens)
+                qb, taken, go = q[b], steps[b], alive[b]
+                tail = np.where(go, ell[s + 1][end[b]], 0.0)
+                eb = np.repeat(b, taken)
+                j = np.arange(eb.size) - np.repeat(np.cumsum(taken) - taken, taken)
+                e = (st[eb] ^ codes[row[eb], j]) * n + flips[row[eb], j]
+            else:
+                qb, taken, tail = 1.0, naive[x], 0.0
+                minus = x[:, None] >> order & 1
+                on = (minus == 1) & (np.cumsum(minus, axis=1) <= taken[:, None])
+                e = ((x[:, None] & ~cleared) * n + order)[on]
+            inc = qb * (ml + w * (taken + tail))
+            np.add.at(numer, e, np.repeat(inc, taken))
+            np.minimum.at(first, e, np.arange(visits, visits + e.size))
+            visits += e.size
+            if s <= M:
+                en, qb, w, ml, taken = end[b][go], qb[go], w[go], ml[go], taken[go]
+                np.add.at(nW, en, qb * w)
+                np.add.at(nML, en, qb * (ml + w * taken))
+                np.minimum.at(reach, en, np.arange(reached, reached + en.size))
+                reached += en.size
+        layer = np.flatnonzero(reach != never)
+        layer = layer[np.argsort(reach[layer])]
+        W, ML = nW[layer], nML[layer]
+    edges = np.flatnonzero(first != never)
+    edges = edges[np.argsort(first[edges])]
+    numer = dict(zip(edges.tolist(), (2.0 * numer[edges]).tolist()))
+    return _flow_result(spec, model, numer, D.tolist(), mode="exhaustive",
+                        level=level, beta=beta, c=c)
 
 
 def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):

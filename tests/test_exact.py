@@ -752,6 +752,18 @@ def test_tv_mixing_time_raises_convergence_error_where_the_gap_rounds_away():
                 tv_mixing_time(G)
 
 
+def test_tv_factors_raise_where_the_stationary_mass_underflows():
+    # pi underflows to 0 at periodic L=2, beta 300: the factors divided by
+    # it, and _tv_spectral returned 0.0 from rows of nan
+    G = G_of(2, 300.0, PERIODIC)
+    assert not G.pi.all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1.0, 1e300):
+            with pytest.raises(ConvergenceError, match=r"underflows to 0 at beta 300\.0"):
+                _tv_spectral(G, t, 0.25)
+
+
 def test_poisson_weights_match_scipy_stats():
     tail = 1e-8
     for lam in (0.1, 1.0, 11.0, 94.0, 1000.0):

@@ -54,6 +54,8 @@ from plaquette.paths import (
     sample_full_path,
     sample_partial_path,
     _Segments,
+    _box_segments,
+    _flow_tables,
     _lines,
     _pool,
     _rect,
@@ -917,7 +919,7 @@ def test_a_flow_at_large_beta_still_returns():
                                                                          rel=1e-12)
 
 
-def test_the_exhaustive_flow_frees_its_branch_tree_on_return():
+def test_the_exhaustive_flow_frees_its_arrays_on_return():
     spec = LatticeSpec(3, PLUS)
     gc.collect()
     gc.disable()
@@ -934,3 +936,62 @@ def test_the_exhaustive_flow_frees_its_branch_tree_on_return():
         tracemalloc.stop()
         gc.enable()
     assert left < 0.1e6
+
+
+def _kernel_segments(L, D, beta, c):
+    """The per-state reference for `_box_segments`: every segment of D as
+    (rectangle, flat flips, q) in (part, key) order, or the first part
+    whose pool is empty."""
+    segments = _Segments(L, beta, c)
+    state = segments.parts(D)
+    cols, n = state[1], len(state[3])
+    out = []
+    for i in range(1, n + 1):
+        try:
+            pool = segments.pool(state, i)
+        except PathSamplingError as err:
+            assert str(err) == f"no good rectangles in part {i}"
+            return i
+        out += [(_rect(R, segments.w), segments.order(R, cols), 1.0 / (n * len(pool)))
+                for R in pool]
+    return out
+
+
+def test_box_segments_match_the_per_state_kernel():
+    # the pool matrix, sweeps and q of the box arrays against _Segments,
+    # state by state: every state at L = 2 and 3, 3000 random ones at
+    # L = 4, and which states have an empty part (PathSamplingError)
+    rng = np.random.default_rng(24)
+    raised = 0
+    for L, codes in ((2, np.arange(16)), (3, np.arange(512)),
+                     (4, rng.integers(0, 1 << 16, 3000))):
+        spec = LatticeSpec(L, PLUS)
+        D = np.array([_code_defects(spec, int(x)) for x in codes], np.uint64)
+        rects, flips = _flow_tables(L)[:2]
+        for beta in (0.5, 1.0, 2.0, 3.0):
+            for c in (2, 3, 100):
+                state, row, q, empty = _box_segments(L, D, beta, c)
+                starts = np.searchsorted(state, np.arange(D.size + 1))
+                for k, Dk in enumerate(D.tolist()):
+                    want = _kernel_segments(L, Dk, beta, c)
+                    if isinstance(want, int):
+                        assert empty[k] == want, (L, beta, c, k)
+                        raised += 1
+                        continue
+                    assert empty[k] == 0
+                    got = []
+                    for b in range(starts[k], starts[k + 1]):
+                        y2, x1, y1, x2 = (int(v) for v in rects[:, row[b] >> 2])
+                        area = (y2 - y1) * (x2 - x1)
+                        got.append(((y2, x1, y1, x2), flips[row[b], :area].tolist(), float(q[b])))
+                    assert got == want, (L, beta, c, k)
+    # the empty states at every (beta, c), and more at L <= 2 with c = 2
+    assert raised > 24
+
+
+def test_exhaustive_flow_at_side_four_pinned_bit_for_bit():
+    # 65 536 states, 859 790 edges; pinned from the state-by-state
+    # recursion the array passes replaced
+    res = flow_cost(LatticeSpec(4, PLUS), 1.0, 1)
+    assert res.cost == 2804.4247340308216 and len(res.congestion) == 859790
+    assert flow_digests(res) == ("2facc2ccfa09116c", "c7aaf6ed289640f5")
