@@ -20,12 +20,13 @@ All three stages read bit masks of a state's defect int D (`_lines`):
 occupancies are popcounts, nearest defects along a column are
 `bit_length`s, and the corner tests of a removal order are single bits.
 The Monte Carlo flow and the public samplers draw segments one state at
-a time from a per-call `_Segments` cache of splits, pools and removal
-orders. The exhaustive flow forms the same segments for every state of
-the enumerated box at once, as arrays (`_box_segments`, on the per-side
-tables of `_flow_tables`), and sums the flow in layer passes over them;
-the tests hold those arrays to `_Segments`. Both flows work on codes and
-flat site indices until a public path is built.
+a time through `_segments`, per-call `functools` caches of splits, pools
+and removal orders. The exhaustive flow forms the same segments for every
+state of the enumerated box at once, as arrays (`_box_segments`, on the
+per-side tables of `_flow_tables`), and sums the flow in layer passes over
+them; the tests hold those arrays to `_segments`. Both flows work on codes
+and flat site indices until a public path is built, and hand
+`_flow_result` each edge's numerator, defect count and k as arrays.
 
 Everything in this module is for the all-plus boundary (fixed frames
 lack a defect-free reference state, periodic boxes have their own ground
@@ -38,6 +39,8 @@ import functools
 import hashlib
 import itertools
 import math
+import numbers
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -497,76 +500,55 @@ def good_rectangles(sigma, i, beta, c=100):
 _SEGMENT_CACHE = 1 << 14
 
 
-class _Segments:
+def _segments(L, beta, c):
     """The rectangle segments of defect ints on the plus box of side L at
-    (beta, c): a uniform part index of the split (`SplitStructure.n`
-    parts), then a uniform rectangle of that part's sorted pool, removed
-    in `_removal_order`.
+    (beta, c), for one call (a Monte Carlo flow, or one sampled path): a
+    uniform part index of the split (`SplitStructure.n` parts), then a
+    uniform rectangle of that part's sorted pool, removed in
+    `_removal_order`.
 
-    Each defect int's lines and split, each part's sorted pool, and each
-    rectangle's removal order per sweep are built once for the life of
-    this object, which lives for one call (a Monte Carlo flow, or one
-    sampled path). The exhaustive flow reads the same segments for a whole
-    box from `_box_segments`, which the tests hold to this class.
-    At most _SEGMENT_CACHE defect ints are held; past that the caches
-    start over, which bounds memory on large boxes, where states rarely
-    repeat.
-    """
+    Three `lru_cache`s of at most _SEGMENT_CACHE entries each, which
+    bounds memory on large boxes, where states rarely repeat:
+    `parts(D)` gives the lines and split bounds of the defect int D,
+    `pool(D, i)` the sorted pool of part i as `_rect` keys
+    (PathSamplingError when empty), and `order(R, sweep)` the `_block` of
+    the rectangle key R; all read only. `draw(D, rng)` draws one segment.
+    The exhaustive flow reads the same segments for a whole box from
+    `_box_segments`, which the tests hold to these."""
+    _check_beta(beta)
+    w = (L + 1).bit_length()
+    cache = functools.lru_cache(maxsize=_SEGMENT_CACHE)
 
-    def __init__(self, L, beta, c):
-        _check_beta(beta)
-        self.L, self.beta, self.c = L, beta, c
-        self.w = (L + 1).bit_length()
-        self._states = {}
-        self._orders = {}
+    @cache
+    def parts(D):
+        rows, cols = _lines(D, L + 1)
+        # fewer than c*L defects make one part
+        return rows, cols, _split(cols, c) if D.bit_count() >= c * L else (0, L + 1)
 
-    def parts(self, D):
-        """(rows, cols, split boundaries, pools) of the defect int D, with
-        one pool slot per part drawn from (`pool` fills them)."""
-        got = self._states.get(D)
-        if got is None:
-            if len(self._states) >= _SEGMENT_CACHE:
-                self._states.clear()
-                self._orders.clear()
-            L = self.L
-            rows, cols = _lines(D, L + 1)
-            # fewer than c*L defects make one part
-            bounds = _split(cols, self.c) if D.bit_count() >= self.c * L else (0, L + 1)
-            got = self._states[D] = rows, cols, bounds, [None] * max(1, len(bounds) - 2)
-        return got
+    @cache
+    def pool(D, i):
+        rows, cols, bounds = parts(D)
+        keys = sorted(_pool(rows, cols, bounds[i - 1], bounds[i] - 1, beta))
+        if not keys:
+            raise PathSamplingError(f"no good rectangles in part {i}")
+        return keys
 
-    def pool(self, state, i):
-        """The sorted pool of part i of a state's `parts`; PathSamplingError
-        when empty."""
-        rows, cols, bounds, pools = state
-        pool = pools[i - 1]
-        if pool is None:
-            pool = sorted(_pool(rows, cols, bounds[i - 1], bounds[i] - 1, self.beta))
-            if not pool:
-                raise PathSamplingError(f"no good rectangles in part {i}")
-            pools[i - 1] = pool
-        return pool
+    @cache
+    def order(R, sweep):
+        return _block(_rect(R, w), sweep, L)
 
-    def draw(self, D, rng):
+    def draw(D, rng):
         """One segment of D as (flat flips, R, i), R a `_rect` key. One
         part draws no part index, which leaves rng's stream as a draw from
         [1, 2) would."""
-        state = self.parts(D)
-        n = len(state[3])
+        cols, bounds = parts(D)[1:]
+        n = max(1, len(bounds) - 2)
         i = int(rng.integers(1, n + 1)) if n > 1 else 1
-        pool = self.pool(state, i)
-        R = pool[int(rng.integers(len(pool)))]
-        return self.order(R, state[1]), R, i
+        keys = pool(D, i)
+        R = keys[int(rng.integers(len(keys)))]
+        return order(R, _sweep(_rect(R, w), cols)), R, i
 
-    def order(self, R, cols):
-        """_removal_order of the rectangle key R in a state with column
-        masks cols, built once per rectangle and sweep; read only."""
-        r = _rect(R, self.w)
-        key = R << 2 | _sweep(r, cols)
-        got = self._orders.get(key)
-        if got is None:
-            got = self._orders[key] = _block(r, key & 3, self.L)
-        return got
+    return types.SimpleNamespace(parts=parts, pool=pool, order=order, draw=draw)
 
 
 def sample_partial_path(sigma, beta, seed, c=100):
@@ -575,9 +557,8 @@ def sample_partial_path(sigma, beta, seed, c=100):
     if not D:
         raise ValueError("empty defect set")
     L = sigma.spec.side
-    segments = _Segments(L, beta, c)
-    flips, R, i = segments.draw(D, _as_rng(seed))
-    R = Rectangle(*_rect(R, segments.w))
+    flips, R, i = _segments(L, beta, c).draw(D, _as_rng(seed))
+    R = Rectangle(*_rect(R, (L + 1).bit_length()))
     return CanonicalPath(sigma, _sites_of(L, flips), [SegmentMark("rectangle", R, i, len(flips))])
 
 
@@ -653,22 +634,22 @@ def _rectangle_segments(beta, L):
     return math.floor(min(beta * L, (L + 1) ** 2))
 
 
-def _sample_path(segments, code, D, rng, trunc):
-    """One full path from the state (code, D): segments drawn from
-    `segments` while the segment index is at most beta*L, then the naive
+def _sample_path(draw, L, beta, code, D, rng, trunc):
+    """One full path from the state (code, D) on the plus box of side L:
+    segments from `draw` (`_segments`) while the segment index is at most
+    beta*L, then the naive
     segment, until no defects remain, cut at the first state with at most
     `trunc` defects (no cut when trunc < 0). Returns the flips (flat
     indices) and per segment (R, i, steps), R a `_rect` key, or None on
     the naive segment."""
-    L = segments.L
-    M = _rectangle_segments(segments.beta, L)
+    M = _rectangle_segments(beta, L)
     masks = _site_masks(L, False)
     flips = []
     marks = []
     s = 1
     while D and D.bit_count() > trunc:
         if s <= M:
-            seg, R, i = segments.draw(D, rng)
+            seg, R, i = draw(D, rng)
         else:
             seg, R, i = _naive(code, L), None, None
         taken, code, D = _walk(code, D, seg, masks, trunc)
@@ -688,10 +669,12 @@ def sample_full_path(sigma, beta, seed, truncate_at=None, c=100):
     L = spec.side
     code = sigma.code
     trunc = -1 if truncate_at is None else truncate_at
-    segments = _Segments(L, beta, c)
-    flips, marks = _sample_path(segments, code, _code_defects(spec, code), _as_rng(seed), trunc)
+    draw = _segments(L, beta, c).draw
+    D = _code_defects(spec, code)
+    flips, marks = _sample_path(draw, L, beta, code, D, _as_rng(seed), trunc)
+    w = (L + 1).bit_length()
     marks = [SegmentMark("naive", None, None, taken) if R is None
-             else SegmentMark("rectangle", Rectangle(*_rect(R, segments.w)), i, taken)
+             else SegmentMark("rectangle", Rectangle(*_rect(R, w)), i, taken)
              for R, i, taken in marks]
     return CanonicalPath(sigma, _sites_of(L, flips), marks)
 
@@ -722,41 +705,37 @@ def flow_report_csv(result):
     return "\n".join(rows) + "\n"
 
 
-def _flow_result(spec, model, numer, defects, half=None, **fields):
-    """FlowResult from edge numerators keyed code * n + t: congestion is
-    numer / (exp(-beta * defects) * rate) under the key (SpinConfig.key(),
-    site), in numer's order; `defects[code]` is the defect int of each edge
-    state, and `half` gives the heaviest edge's ci_halfwidth."""
+def _flow_result(spec, model, codes, ts, numer, count, k, half=None, **fields):
+    """FlowResult from parallel per-edge inputs, in the flow's edge order:
+    each edge's state code and flat site index t (ints), and arrays of its
+    numerator and of the defect count and the flipped site's k at its
+    state. Congestion is numer / (exp(-beta * count) * rate[k]) under the
+    key (SpinConfig.key(), site), and the heaviest edge is the first
+    maximum; `half` gives each edge's ci_halfwidth numerator."""
     n, beta = spec.n_sites, fields["beta"]
-    masks = _site_masks(spec.side, False)
+    weights = np.array([math.exp(-beta * j) for j in range(spec.n_plaquettes + 1)])
+    denom = weights[count] * model.table[k]
+    zero = np.flatnonzero(denom == 0)
+    if zero.size:
+        raise ValueError(
+            f"the flow weight exp(-beta * {int(count[zero[0]])}) * rate of an edge "
+            f"underflows to 0 at beta={beta!r}"
+        )
+    with np.errstate(over="ignore"):
+        congestion = numer / denom
+    best = int(np.argmax(congestion))
+    cost = float(congestion[best])
+    ci = None if half is None else float(half[best]) / float(denom[best])
+    if math.isinf(cost) or ci is not None and math.isinf(ci):
+        raise ValueError(
+            f"the congestion or ci_halfwidth of an edge overflows a float at beta={beta!r}"
+        )
     sites = _site_codec(spec.side, False)[0]
-    rate = model.table.tolist()
-    weights = [math.exp(-beta * k) for k in range(spec.n_plaquettes + 1)]
-    keys = {}
-    congestion = {}
-    cost = -math.inf
-    for e, x in numer.items():
-        code, t = divmod(e, n)
-        key = keys.get(code)
-        if key is None:
-            key = keys[code] = _code_bytes(code, n)
-        D = defects[code]
-        denom = weights[D.bit_count()] * rate[(D & masks[t]).bit_count()]
-        try:
-            v = congestion[key, sites[t]] = x / denom
-        except ZeroDivisionError:
-            raise ValueError(
-                f"the flow weight exp(-beta * {D.bit_count()}) * rate of an edge "
-                f"underflows to 0 at beta={beta!r}"
-            ) from None
-        if v > cost:
-            cost, best, best_denom = v, e, denom
-    code, t = divmod(best, n)
-    edge = EdgeRef(SpinConfig.from_code(spec, code), sites[t])
-    res = FlowResult(cost=cost, edge=edge, congestion=congestion, **fields)
-    if half is not None:
-        res.ci_halfwidth = float(half[best] / best_denom)
-    return res
+    keys = {code: _code_bytes(code, n) for code in set(codes)}
+    congestion = dict(zip(zip(map(keys.get, codes), map(sites.__getitem__, ts)),
+                          congestion.tolist()))
+    edge = EdgeRef(SpinConfig.from_code(spec, codes[best]), sites[ts[best]])
+    return FlowResult(cost=cost, edge=edge, congestion=congestion, ci_halfwidth=ci, **fields)
 
 
 @functools.lru_cache(maxsize=None)
@@ -811,13 +790,13 @@ _BOX_BLOCK = 1 << 12  # states per block of the pool matrix
 def _box_segments(L, D, beta, c):
     """The rectangle segments of the states with defect ints D (a uint64
     array) on the plus box of side L at (beta, c), all at once: what
-    `_Segments.parts`, `pool` and `order` give one state at a time.
+    `parts`, `pool` and `order` of `_segments` give one state at a time.
 
     Returns (state, row, q, empty): per segment, in (state, part, key)
     order, the index of its state in D, its row 4*r + sweep in
     `_flow_tables(L)` and its probability 1/(parts * pool size); and per
-    state the first part whose pool is empty, 0 when none is
-    (`_Segments.pool` raises there).
+    state the first part whose pool is empty, 0 when none is (`pool`
+    raises there).
 
     Splits come from `_split` once per distinct column-count vector, pair
     rows from `_pair_rows` once per distinct row-count vector of a part.
@@ -1010,9 +989,10 @@ def _flow_exhaustive(spec, beta, level, c, kind):
         W, ML = nW[layer], nML[layer]
     edges = np.flatnonzero(first != never)
     edges = edges[np.argsort(first[edges])]
-    numer = dict(zip(edges.tolist(), (2.0 * numer[edges]).tolist()))
-    return _flow_result(spec, model, numer, D.tolist(), mode="exhaustive",
-                        level=level, beta=beta, c=c)
+    state, t = np.divmod(edges, n)
+    return _flow_result(spec, model, state.tolist(), t.tolist(), 2.0 * numer[edges],
+                        counts[state], np.bitwise_count(D[state] & masks[t]),
+                        mode="exhaustive", level=level, beta=beta, c=c)
 
 
 def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
@@ -1022,11 +1002,12 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
     trunc = level - 1
     rng = _as_rng(seed)
     masks = _site_masks(L, False)
-    segments = _Segments(L, beta, c)
-    n_states = 2.0 ** n
+    draw = _segments(L, beta, c).draw
     acc = {}  # edge -> sum of its per-sample terms
     acc2 = {}  # edge -> sum of their squares
-    defects = {}  # edge state code -> its defect int
+    # per edge in acc's order, flat (no tuple per edge for the collector to
+    # track): its code and t, and the defect count and k at its state
+    seen = []
     for _ in range(samples):
         # a uniform state: bit t of the code is the drawn bit of site t
         bits = rng.integers(2, size=n)
@@ -1036,7 +1017,7 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
         count = D.bit_count()
         if count < level:
             continue
-        flips = _sample_path(segments, code, D, rng, trunc)[0]
+        flips = _sample_path(draw, L, beta, code, D, rng, trunc)[0]
         x = math.exp(-beta * float(count)) * len(flips)
         xx = x * x
         for t in flips:
@@ -1045,7 +1026,7 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
             if a is None:
                 acc[e] = x
                 acc2[e] = xx
-                defects[code] = D
+                seen += code, t, D.bit_count(), (D & masks[t]).bit_count()
             else:
                 acc[e] = a + x
                 acc2[e] += xx
@@ -1053,16 +1034,19 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
             D ^= masks[t]
     if not acc:
         raise ValueError("no sampled path visited the level set")
-    # elementwise, the same IEEE operations as per-edge float arithmetic
+    # elementwise, the same IEEE operations as per-edge float arithmetic;
+    # scaling by 2^(n+1) (2 * the number of states) is exact while finite
     a = np.fromiter(acc.values(), float, len(acc))
     a2 = np.fromiter(acc2.values(), float, len(acc))
     mean = a / samples
     var = np.maximum(a2 - a * a / samples, 0.0) / max(samples - 1, 1)
     se = np.sqrt(var / samples)
-    numer = dict(zip(acc, (2.0 * n_states * mean).tolist()))
-    half = dict(zip(acc, (2.0 * n_states * 1.96 * se).tolist()))
-    return _flow_result(spec, model, numer, defects, half, mode="monte_carlo",
-                        level=level, beta=beta, c=c, samples=samples)
+    with np.errstate(over="ignore"):
+        numer = np.ldexp(mean, n + 1)
+        half = np.ldexp(se, n + 1) * 1.96
+    codes, ts, counts, ks = (seen[j::4] for j in range(4))
+    return _flow_result(spec, model, codes, ts, numer, np.array(counts), np.array(ks), half,
+                        mode="monte_carlo", level=level, beta=beta, c=c, samples=samples)
 
 
 def flow_cost(
@@ -1096,12 +1080,17 @@ def flow_cost(
     """
     if spec.bc != PLUS:
         raise ValueError("flow bounds are computed for the all-plus boundary")
+    if not isinstance(level, numbers.Integral):
+        raise ValueError(f"level must be an integer, got {level!r}")
     if level < 1:
         raise ValueError("level must be at least 1")
     if c < 2:
         raise ValueError(f"split threshold c must be at least 2, got {c}")
-    if mode == "monte_carlo" and samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    if mode == "monte_carlo":
+        if not isinstance(samples, numbers.Integral):
+            raise ValueError(f"samples must be an integer, got {samples!r}")
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
     if mode == "exhaustive":
         return _flow_exhaustive(spec, beta, level, c, kind)
     if mode == "monte_carlo":

@@ -7,6 +7,7 @@ import gc
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from plaquette.lattice import (
     _site_index,
     _site_k,
 )
+from plaquette import paths
 from plaquette.paths import (
     CanonicalPath,
     EdgeRef,
@@ -53,14 +55,15 @@ from plaquette.paths import (
     rectangle_removal_path,
     sample_full_path,
     sample_partial_path,
-    _Segments,
     _box_segments,
     _flow_tables,
     _lines,
     _pool,
     _rect,
     _removal_order,
+    _segments,
     _split,
+    _sweep,
 )
 from plaquette.exact import build_generator, spectral_gap, spectral_profile
 from plaquette.dynamics import RateModel
@@ -73,13 +76,15 @@ GAP_L3_BETA1 = 0.1542219403486512
 # regression pins for the flow constants themselves
 FLOW_L2_BETA1 = 70.61244879144519
 
-# exhaustive plus-box flows, (L, beta, level) -> cost, edge count, and the
-# congestion and report digests of flow_digests
+# exhaustive plus-box flows, (L, beta, level) -> cost, edge count, the
+# congestion and report digests of flow_digests, and the heaviest edge as
+# (state code, site)
 FLOW_PINS = {
-    (2, 1.0, 1): (70.61244879144519, 39, "c3042ee4af6cca48", "f3e80b05f0c32989"),
-    (3, 1.0, 1): (436.477575655193, 3144, "aa12a827c55c4047", "3793c6f5cd534713"),
-    (3, 1.0, 2): (436.477575655193, 3144, "aa12a827c55c4047", "3793c6f5cd534713"),
-    (3, 2.0, 1): (1794.8911910125098, 3156, "346ba252c7873daf", "c50d047bb5c440dc"),
+    (2, 1.0, 1): (70.61244879144519, 39, "c3042ee4af6cca48", "f3e80b05f0c32989", (13, (2, 2))),
+    (3, 1.0, 1): (436.477575655193, 3144, "aa12a827c55c4047", "3793c6f5cd534713", (219, (1, 2))),
+    (3, 1.0, 2): (436.477575655193, 3144, "aa12a827c55c4047", "3793c6f5cd534713", (219, (1, 2))),
+    (3, 2.0, 1): (1794.8911910125098, 3156, "346ba252c7873daf", "c50d047bb5c440dc",
+                  (219, (1, 2))),
 }
 
 # the same for L = 3, level 1 at split threshold c = 2, where a part can
@@ -100,6 +105,11 @@ def config_with_defects(spec, defects):
     for x, y in defects:
         p[x, y] = -1
     return invert_defects(spec, p)
+
+
+def heaviest_edge(res):
+    """FlowResult.edge as (state code, site)."""
+    return res.edge.e_minus.code, res.edge.site
 
 
 def flow_digests(res):
@@ -668,9 +678,11 @@ def test_flow_cost_L3():
 @pytest.mark.parametrize("L, beta, level", sorted(FLOW_PINS))
 def test_exhaustive_flow_pinned_bit_for_bit(L, beta, level):
     res = flow_cost(LatticeSpec(L, PLUS), beta, level)
-    cost, n_edges, *digests = FLOW_PINS[L, beta, level]
+    cost, n_edges, *digests, edge = FLOW_PINS[L, beta, level]
     assert res.cost == cost and len(res.congestion) == n_edges
     assert flow_digests(res) == tuple(digests)
+    assert heaviest_edge(res) == edge
+    assert res.congestion[res.edge.e_minus.key(), res.edge.site] == res.cost
 
 
 def test_monte_carlo_flow_at_split_threshold_two_pinned_bit_for_bit():
@@ -680,6 +692,7 @@ def test_monte_carlo_flow_at_split_threshold_two_pinned_bit_for_bit():
     assert res.cost == 761658103037.1957 and res.ci_halfwidth == 1492849881952.9036
     assert len(res.congestion) == 4533
     assert flow_digests(res) == ("48b1e563d9d56898", "fc3d804c9eccbd07")
+    assert heaviest_edge(res) == (3724222133, (3, 4))
 
 
 def test_monte_carlo_flow_pinned_bit_for_bit():
@@ -687,6 +700,9 @@ def test_monte_carlo_flow_pinned_bit_for_bit():
     assert res.cost == 35834.439356964416 and res.ci_halfwidth == 70235.50113965027
     assert len(res.congestion) == 11949
     assert flow_digests(res) == ("f7081a94c3106e3c", "92ae705953e6a7fb")
+    # four edges reach the maximum; the heaviest is the first in edge order
+    assert sum(v == res.cost for v in res.congestion.values()) == 4
+    assert heaviest_edge(res) == (27849, (2, 2))
 
 
 def test_flow_monte_carlo_consistent():
@@ -717,6 +733,29 @@ def test_flow_requires_plus_and_valid_mode():
     for mode in ("exhaustive", "monte_carlo"):
         with pytest.raises(ValueError, match="split threshold c must be at least 2"):
             flow_cost(LatticeSpec(3, PLUS), 1.0, level=1, mode=mode, c=1)
+
+
+def test_flow_counts_must_be_integers():
+    # level 1.5 used to run, with sources at >= 1.5 defects and the paths
+    # cut at 0.5, and samples 2.5 escaped from range as a TypeError
+    spec = LatticeSpec(2, PLUS)
+    for mode in ("exhaustive", "monte_carlo"):
+        with pytest.raises(ValueError, match="level must be an integer, got 1.5"):
+            flow_cost(spec, 1.0, level=1.5, mode=mode, samples=10)
+    with pytest.raises(ValueError, match="samples must be an integer, got 2.5"):
+        flow_cost(spec, 1.0, level=1, mode="monte_carlo", samples=2.5)
+    assert flow_cost(spec, 1.0, level=np.int64(1)).cost == FLOW_L2_BETA1
+    mc = flow_cost(spec, 1.0, level=1, mode="monte_carlo", seed=3, samples=np.int64(40))
+    assert mc.cost == flow_cost(spec, 1.0, level=1, mode="monte_carlo", seed=3, samples=40).cost
+
+
+def test_a_monte_carlo_flow_past_the_float_range_is_named():
+    # at 1024 sites the scale 2^(n+1) used to escape from 2.0 ** n as a
+    # bare OverflowError; scaled exactly, the congestion overflows instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"ci_halfwidth of an edge overflows a float at beta=0\.5"):
+            flow_cost(LatticeSpec(32, PLUS), 0.5, 1, mode="monte_carlo", samples=3)
 
 
 @pytest.mark.parametrize("beta, cost", [(1.0, 453.558830905748), (2.0, 1797.1415336637365)])
@@ -848,27 +887,27 @@ def test_mask_kernel_matches_the_list_reference():
                 for c in (2, 100):
                     bounds = _ref_split(ref_cols, c)
                     assert _split(cols, c) == bounds
-                    segments = _Segments(L, beta, c)
-                    state = segments.parts(D)
-                    assert state[2] == bounds and len(state[3]) == max(1, len(bounds) - 2)
+                    segments = _segments(L, beta, c)
+                    assert segments.parts(D)[2] == bounds
+                    n_parts = max(1, len(bounds) - 2)
                     for i in range(1, len(bounds)):
                         a, b = bounds[i - 1], bounds[i] - 1
                         want = _ref_pool(ref_rows, ref_cols, a, b, beta)
                         got = sorted(_rect(R, n1.bit_length()) for R in _pool(rows, cols, a, b, beta))
                         assert got == want, (L, D, beta, c, i)
-                        if i > len(state[3]):
+                        if i > n_parts:
                             continue
                         if not want:
                             with pytest.raises(PathSamplingError):
-                                segments.pool(state, i)
+                                segments.pool(D, i)
                             continue
-                        pool = segments.pool(state, i)
-                        assert [_rect(R, segments.w) for R in pool] == want
+                        pool = segments.pool(D, i)
+                        assert [_rect(R, n1.bit_length()) for R in pool] == want
                         if realizable:
                             for R in pool:
-                                y2, x1, y1, x2 = _rect(R, segments.w)
-                                rect = Rectangle(y2, x1, y1, x2)
-                                order = [sites[t] for t in segments.order(R, cols)]
+                                r = _rect(R, n1.bit_length())
+                                rect = Rectangle(*r)
+                                order = [sites[t] for t in segments.order(R, _sweep(r, cols))]
                                 assert order == _five_case_order(rect, dset)
                         checked += 1
     assert checked > 500
@@ -885,7 +924,7 @@ def test_path_samplers_and_pools_reject_bad_beta():
         lambda beta: sample_partial_path(sigma, beta, seed=0),
         lambda beta: good_rectangles(sigma, 1, beta),
         lambda beta: classify_occupancy(v, beta),
-        lambda beta: _Segments(3, beta, 100),
+        lambda beta: _segments(3, beta, 100),
         lambda beta: flow_cost(LatticeSpec(2, PLUS), beta, 1),
         lambda beta: flow_cost(LatticeSpec(2, PLUS), beta, 1, mode="monte_carlo", samples=10),
     ]
@@ -942,23 +981,25 @@ def _kernel_segments(L, D, beta, c):
     """The per-state reference for `_box_segments`: every segment of D as
     (rectangle, flat flips, q) in (part, key) order, or the first part
     whose pool is empty."""
-    segments = _Segments(L, beta, c)
-    state = segments.parts(D)
-    cols, n = state[1], len(state[3])
+    segments = _segments(L, beta, c)
+    _, cols, bounds = segments.parts(D)
+    n = max(1, len(bounds) - 2)
+    w = (L + 1).bit_length()
     out = []
     for i in range(1, n + 1):
         try:
-            pool = segments.pool(state, i)
+            pool = segments.pool(D, i)
         except PathSamplingError as err:
             assert str(err) == f"no good rectangles in part {i}"
             return i
-        out += [(_rect(R, segments.w), segments.order(R, cols), 1.0 / (n * len(pool)))
-                for R in pool]
+        for R in pool:
+            r = _rect(R, w)
+            out.append((r, segments.order(R, _sweep(r, cols)), 1.0 / (n * len(pool))))
     return out
 
 
 def test_box_segments_match_the_per_state_kernel():
-    # the pool matrix, sweeps and q of the box arrays against _Segments,
+    # the pool matrix, sweeps and q of the box arrays against _segments,
     # state by state: every state at L = 2 and 3, 3000 random ones at
     # L = 4, and which states have an empty part (PathSamplingError)
     rng = np.random.default_rng(24)
@@ -989,9 +1030,35 @@ def test_box_segments_match_the_per_state_kernel():
     assert raised > 24
 
 
+def test_segment_caches_stay_bounded(monkeypatch):
+    # with room for 8 entries each the caches evict, and no output moves
+    sigma = random_config(LatticeSpec(6, PLUS), np.random.default_rng(25))
+
+    def outputs():
+        res = flow_cost(LatticeSpec(5, PLUS), 1.0, 1, mode="monte_carlo", seed=4, samples=200, c=2)
+        path = sample_full_path(sigma, 2.0, seed=5, c=2)
+        return (res.cost, res.ci_halfwidth, flow_digests(res), heaviest_edge(res),
+                path.flips, path.marks)
+
+    want = outputs()
+    made = []
+    real = paths._segments
+    monkeypatch.setattr(paths, "_SEGMENT_CACHE", 8)
+    monkeypatch.setattr(paths, "_segments", lambda *args: made.append(real(*args)) or made[-1])
+    assert outputs() == want
+    assert len(made) == 2
+    for segments in made:
+        for cache in (segments.parts, segments.pool, segments.order):
+            info = cache.cache_info()
+            assert info.maxsize == 8 and info.currsize <= 8
+    # the flow's caches were filled past their size
+    assert all(c.cache_info().misses > 8 for c in (made[0].parts, made[0].pool, made[0].order))
+
+
 def test_exhaustive_flow_at_side_four_pinned_bit_for_bit():
     # 65 536 states, 859 790 edges; pinned from the state-by-state
     # recursion the array passes replaced
     res = flow_cost(LatticeSpec(4, PLUS), 1.0, 1)
     assert res.cost == 2804.4247340308216 and len(res.congestion) == 859790
     assert flow_digests(res) == ("2facc2ccfa09116c", "c7aaf6ed289640f5")
+    assert heaviest_edge(res) == (13107, (1, 2))
