@@ -121,12 +121,8 @@ def _one_beta(args):
 
 
 def _resolve_size(size, beta):
-    if size != "critical":
-        return size
-    L = critical_length(beta)
-    if L < 1:
-        raise SystemExit(f"critical length at beta={beta} is below 1")
-    return L
+    # every beta has passed _betas (finite, >= 0), so the length is >= 1
+    return critical_length(beta) if size == "critical" else size
 
 
 def _resolve_spec(bc, L):
@@ -155,10 +151,9 @@ def _emit(lines, out_path=None):
         _write(out_path, text)
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _row(*fields):
+    """One CSV row: floats by repr, which round-trips, the rest by str."""
+    return ",".join(repr(x) if isinstance(x, float) else str(x) for x in fields)
 
 
 # ---------------------------------------------------------------- exact
@@ -188,8 +183,8 @@ def cmd_exact(args):
         except exact.ConvergenceError as err:
             raise SystemExit(f"exact: {err}") from None
         profile = _nan_over_budget(lambda: exact.profile_mixing_bound(G).value)
-        values = (gap, 1.0 / gap, tmix, profile, exact.ground_mass(G))
-        lines.append(",".join([_fmt(beta), str(L), args.bc] + [_fmt(v) for v in values]))
+        lines.append(_row(beta, L, args.bc, gap, 1.0 / gap, tmix, profile,
+                          exact.ground_mass(G)))
         if args.dump_matrix and i == 0:
             _write(args.dump_matrix, exact.dump_generator_text(G))
     _emit(lines, args.out)
@@ -216,9 +211,8 @@ def cmd_flow(args):
         G = exact.build_generator(spec, RateModel(beta, args.kind))
         lam = exact.spectral_profile(G, args.level)
         holds = str(lam * res.cost >= 1.0 - 1e-9).lower()
-    row = [_fmt(beta), str(L), str(args.level), res.mode, _fmt(res.cost),
-           _fmt(1.0 / res.cost), _fmt(lam), holds]
-    lines = [SCHEMA_LINE, "beta,L,level,mode,cost,inv_cost,lambda_S,holds", ",".join(row)]
+    lines = [SCHEMA_LINE, "beta,L,level,mode,cost,inv_cost,lambda_S,holds",
+             _row(beta, L, args.level, res.mode, res.cost, 1.0 / res.cost, lam, holds)]
     if res.mode == "monte_carlo":
         lines.append(f"# ci_halfwidth={res.ci_halfwidth!r}")
         lines.append(
@@ -298,20 +292,8 @@ def cmd_arrhenius(args):
         results = [_arrhenius_point(p) for p in payloads]
     lines = [SCHEMA_LINE, "beta,L,bc,mean_tau,ci_lo,ci_hi,replicas,flagged"]
     for beta, L, res in results:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(beta),
-                    str(L),
-                    args.bc,
-                    _fmt(res.mean),
-                    _fmt(res.ci_lo),
-                    _fmt(res.ci_hi),
-                    str(res.replicas),
-                    str(res.flagged),
-                ]
-            )
-        )
+        lines.append(_row(beta, L, args.bc, res.mean, res.ci_lo, res.ci_hi, res.replicas,
+                          res.flagged))
     slope, stderr = _weighted_slope(
         [r[0] for r in results],
         [r[2].mean for r in results],
@@ -363,14 +345,15 @@ def cmd_simulate(args):
     _emit([
         SCHEMA_LINE,
         "beta,L,bc,seed,tau",
-        ",".join([_fmt(beta), str(L), args.bc, str(args.seed), _fmt(traj.elapsed)]),
+        _row(beta, L, args.bc, args.seed, traj.elapsed),
     ])
     return 0
 
 
 # --------------------------------------------------------------- verify
 # Each check is a function named after itself that raises AssertionError
-# on failure.
+# on failure. A suite's roster is read off its definitions: every local
+# of `_checks_quick` or `_checks_full` is a check, run in definition order.
 
 
 def _counting_bound(spec):
@@ -591,19 +574,7 @@ def _checks_quick():
         pn = ex.p_other_ground + ex.p_escape
         assert 0.2 <= pn * 3 <= 5.0, pn
 
-    return [
-        parity_bijection_L3, no_two_defect_states_L3, defect_histogram_L2,
-        counting_bound_L3, torus_ground_count_side3, torus_count_prefix_side3,
-        flip_toggles_corners, rate_ratio_heatbath_metropolis, detailed_balance_L2,
-        generator_rowsums_zero_L3, gap_L1_formula, gap_beta0_L2,
-        eigenfunction_rayleigh_L3, tmix_ge_trel_ln2_L2, profile_bound_ge_tmix_L2,
-        singleton_lambda_formula_L2, rectangle_energy_discipline,
-        extended_rectangle_count_bounds, split_part_bounds,
-        classify_total_random_vectors, flow_bound_L2_beta1,
-        ground_code_roundtrip_side3, minimal_path_recovery_side3,
-        trajectory_roundtrip, hitting_seed_determinism, ground_mass_decay_rate_L3,
-        excursion_nonreturn_side3,
-    ]
+    return list(locals().values())
 
 
 def _checks_full():
@@ -626,7 +597,7 @@ def _checks_full():
             assert p.final.spins.min() == 1
             assert len(p) <= L * L * min(3.0 * L + 1, d0 / 2.0) + L * L
 
-    return [counting_bound_L4, ground_code_roundtrip_side4, path_suite_10k_L6]
+    return list(locals().values())
 
 
 def cmd_verify(args):

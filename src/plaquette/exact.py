@@ -854,23 +854,18 @@ def profile_mixing_bound(G):
             pts.add(x_k)
     grid = sorted(pts)
     uniq = np.unique(G.counts)
-    level_value = functools.cache(functools.partial(spectral_profile, G))
-
-    def lam_for(k):
-        # S_k is S_key for the least defect count key >= k
-        return level_value(0 if k == 0 else int(uniq[np.searchsorted(uniq, k)]))
-
     steps = [(lo, hi, k_of(math.sqrt(lo * hi))) for lo, hi in zip(grid, grid[1:])]
-    # proper level sets from the largest down, then the whole box (the
-    # gap): a set past the dense budget raises before any solve is spent
-    for k in sorted({k for _, _, k in steps}, key=lambda k: (k == 0, k)):
-        lam_for(k)
+    # S_k is S_key for the least defect count key >= k, the whole box for
+    # k = 0. Each key is solved once: the proper level sets from the largest
+    # down, then the gap, so a set past the dense budget raises before any
+    # solve is spent.
+    key_of = {k: 0 if k == 0 else int(uniq[np.searchsorted(uniq, k)]) for _, _, k in steps}
+    lam = {key: spectral_profile(G, key)
+           for key in sorted(set(key_of.values()), key=lambda key: (key == 0, key))}
+    segments = [(lo, hi, k, lam[key_of[k]]) for lo, hi, k in steps]
     total = 0.0
-    segments = []
-    for lo, hi, k in steps:
-        lam = lam_for(k)
-        total += (2.0 / lam) * math.log(hi / lo)
-        segments.append((lo, hi, k, lam))
+    for lo, hi, _, lam_k in segments:
+        total += (2.0 / lam_k) * math.log(hi / lo)
     return ProfileBound(value=total, segments=segments, x_lo=a, x_hi=b)
 
 

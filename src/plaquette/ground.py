@@ -156,16 +156,13 @@ def locate_on_minimal_path(cfg):
     placements = []
 
     def try_line(line_kind, line_index, family, lo, hi):
+        # with the 2x2 pattern and adjacency tested, flipping either window
+        # toggles exactly the four defects: both flips are ground states
         for start, k in _window_candidates(L, lo, hi):
-            cells = _line_cells(spec, line_kind, line_index, start, k)
-            g = cfg.flip(cells)
-            if defect_map(g).count != 0:
-                continue
+            g = cfg.flip(_line_cells(spec, line_kind, line_index, start, k))
             other = cfg.flip(
                 _line_cells(spec, line_kind, line_index, (start + k) % L, L - k)
             )
-            if defect_map(other).count != 0:
-                continue
             if code_order_key(encode_ground(g)) < code_order_key(encode_ground(other)):
                 placements.append(
                     PathPlacement(sigma=g, eta=other, m=start + 1, k=k, family=family)

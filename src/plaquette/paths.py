@@ -366,8 +366,15 @@ class SplitStructure:
         raise ValueError(f"column {col} outside the grid")
 
 
+def _check_c(c):
+    """ValueError unless the split threshold c is an integer."""
+    if not isinstance(c, numbers.Integral):
+        raise ValueError(f"split threshold c must be an integer, got {c!r}")
+
+
 def _split(cols, c):
     """Boundaries of the greedy bands of the column masks `cols`."""
+    _check_c(c)
     L = len(cols) - 1
     bounds = [0]
     while bounds[-1] < L + 1:
@@ -414,8 +421,6 @@ def _row_counts(rows, a, b):
 def occupancy_vector(sigma, i, c=100):
     rows, cols = _state_lines(sigma)
     split = SplitStructure(boundaries=_split(cols, c), c=c)
-    if not 1 <= i <= split.m:
-        raise ValueError(f"part index {i} out of range 1..{split.m}")
     return OccupancyVector(v=_row_counts(rows, *split.part_columns(i)))
 
 
@@ -435,9 +440,7 @@ def _theta(v, beta):
     for x in v:
         num[x] = num.get(x, 0) + 1
     for theta in range(0, int(math.floor(beta)) + 1):
-        target = v_max - theta
-        if target < 0:
-            break
+        target = v_max - theta  # >= 1, as v_max > beta^2 >= theta (integers)
         # A level within distance 32 that no row has passes for any
         # beta >= 0; the offset fits when no level there beats the bound.
         bound = beta * num.get(target, 0)
@@ -516,6 +519,7 @@ def _segments(L, beta, c):
     The exhaustive flow reads the same segments for a whole box from
     `_box_segments`, which the tests hold to these."""
     _check_beta(beta)
+    _check_c(c)
     w = (L + 1).bit_length()
     cache = functools.lru_cache(maxsize=_SEGMENT_CACHE)
 
@@ -1011,8 +1015,7 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
     for _ in range(samples):
         # a uniform state: bit t of the code is the drawn bit of site t
         bits = rng.integers(2, size=n)
-        code = int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(),
-                              "little")
+        code = _defect_bits(bits)
         D = _code_defects(spec, code)
         count = D.bit_count()
         if count < level:
@@ -1084,6 +1087,7 @@ def flow_cost(
         raise ValueError(f"level must be an integer, got {level!r}")
     if level < 1:
         raise ValueError("level must be at least 1")
+    _check_c(c)
     if c < 2:
         raise ValueError(f"split threshold c must be at least 2, got {c}")
     if mode == "monte_carlo":

@@ -445,3 +445,68 @@ def test_spent_budget_and_empty_pool_exit_with_one_line(tmp_path):
                       "--stop", "hit-ground", "--budget-events", "5")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "simulate: event budget 5 exhausted before the stop condition\n"
+
+
+QUICK_CHECKS = (
+    "parity_bijection_L3", "no_two_defect_states_L3", "defect_histogram_L2",
+    "counting_bound_L3", "torus_ground_count_side3", "torus_count_prefix_side3",
+    "flip_toggles_corners", "rate_ratio_heatbath_metropolis", "detailed_balance_L2",
+    "generator_rowsums_zero_L3", "gap_L1_formula", "gap_beta0_L2",
+    "eigenfunction_rayleigh_L3", "tmix_ge_trel_ln2_L2", "profile_bound_ge_tmix_L2",
+    "singleton_lambda_formula_L2", "rectangle_energy_discipline",
+    "extended_rectangle_count_bounds", "split_part_bounds",
+    "classify_total_random_vectors", "flow_bound_L2_beta1",
+    "ground_code_roundtrip_side3", "minimal_path_recovery_side3",
+    "trajectory_roundtrip", "hitting_seed_determinism", "ground_mass_decay_rate_L3",
+    "excursion_nonreturn_side3",
+)
+FULL_CHECKS = ("counting_bound_L4", "ground_code_roundtrip_side4", "path_suite_10k_L6")
+
+
+def test_verify_rosters_are_the_checks_in_definition_order():
+    # each roster is read off its suite's definitions: a local that is not
+    # a check, or a check out of place, shows here
+    assert tuple(fn.__name__ for fn in cli._checks_quick()) == QUICK_CHECKS
+    assert tuple(fn.__name__ for fn in cli._checks_full()) == FULL_CHECKS
+
+
+def test_verify_full_runs_the_quick_then_the_full_roster(capsys):
+    code, out, err = run(["verify", "--level", "full"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["# schema=1", "check,status",
+                                *(f"{name},pass" for name in QUICK_CHECKS + FULL_CHECKS)]
+
+
+def test_single_beta_commands_refuse_a_beta_list():
+    for command in ("flow", "simulate"):
+        with pytest.raises(SystemExit, match=f"^{command} takes a single --beta$"):
+            cli.main([command, "--beta", "1.0,2.0"])
+
+
+def test_simulate_starts_from_the_half_area_rectangle(tmp_path, capsys):
+    out_file = tmp_path / "traj.txt"
+    code, _, _ = run(["simulate", "--size", "4", "--init", "rect", "--stop", "events=0",
+                      "--out", str(out_file)], capsys)
+    assert code == 0
+    traj = trajectory_from_text(out_file.read_text())
+    assert traj.initial == cli._rect_init(lattice.LatticeSpec(4))
+    assert int((traj.initial.spins == -1).sum()) == 9  # a 3x3 block of 16 sites
+    with pytest.raises(SystemExit, match="^bad --init value 'square'$"):
+        cli.main(["simulate", "--init", "square"])
+
+
+def test_unreadable_config_and_init_files_are_named(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("# sizes\nsize 2\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(conf))}:2: expected 'key = value'$"):
+        cli.main(["exact", "--config", str(conf)])
+    init = tmp_path / "init.txt"
+    init.write_text("+++\n+x+\n+++\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(init))}: bad spin character 'x'$"):
+        cli.main(["simulate", "--size", "3", "--init", f"file:{init}"])
+
+
+def test_critical_size_at_beta_zero_is_one(capsys):
+    code, out, _ = run(["exact", "--size", "critical", "--beta", "0"], capsys)
+    assert code == 0
+    assert rows_of(out)[1].startswith("0.0,1,plus,")

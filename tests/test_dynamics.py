@@ -718,3 +718,23 @@ def test_toggles_match_the_offset_construction():
         for periodic in (False, True):
             assert _toggles(L, periodic) == toggles_from_offsets(L, periodic), (L, periodic)
     assert _toggles(1, True) == ((),)
+
+
+def test_simulator_refuses_a_start_from_another_box():
+    spec = LatticeSpec(3, PLUS)
+    with pytest.raises(ValueError, match="^initial configuration belongs to a different box$"):
+        Simulator(spec, RateModel(1.0), SpinConfig.all_plus(LatticeSpec(3, PERIODIC)),
+                  _as_rng(0))
+
+
+def test_trajectory_text_with_a_bad_header_or_final_state_is_refused():
+    spec = LatticeSpec(3, PLUS)
+    traj = simulate(spec, 1.0, SpinConfig.all_minus(spec), stop_after_events(20), seed=1)
+    text = trajectory_to_text(traj)
+    with pytest.raises(ValueError, match="^bad header line 'side 3'$"):
+        trajectory_from_text("side 3\n" + text)
+    head, final = text.split("[final]\n")
+    other = SpinConfig.from_text(spec, final).flip([(2, 2)])
+    with pytest.raises(ValueError,
+                       match="^event list does not reproduce the recorded final state$"):
+        trajectory_from_text(f"{head}[final]\n{other.to_text()}\n")

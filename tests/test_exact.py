@@ -856,6 +856,9 @@ def test_plus_test_function_bound():
         assert variance(G, f) / dirichlet_form(G, f) <= relaxation_time(G) * (1 + 1e-12)
     with pytest.raises(ValueError):
         witness_plus(SpinConfig.all_plus(LatticeSpec(3, PERIODIC)))
+    G = build_generator(LatticeSpec(2, PERIODIC), RateModel(1.0))
+    with pytest.raises(ValueError, match="^this test function is for the all-plus boundary$"):
+        witness_plus_values(G)
 
 
 def test_dump_generator_text_parses():

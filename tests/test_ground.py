@@ -323,3 +323,34 @@ def test_requires_periodic_boundary():
         encode_ground(plus_cfg)
     with pytest.raises(ValueError):
         excursion_statistics(LatticeSpec(3, PLUS), 2.0, n_excursions=5, seed=0)
+
+
+def test_locate_rejects_four_defects_with_no_adjacent_pair():
+    # a 2x2 block flip at side 4 leaves defects in columns and rows {1, 3},
+    # which no line window joins
+    cfg = SpinConfig.all_plus(spec_of(4)).flip([(0, 0), (0, 1), (1, 0), (1, 1)])
+    assert defect_map(cfg).defects() == [(1, 1), (1, 3), (3, 1), (3, 3)]
+    with pytest.raises(ValueError, match="^off the path complex$"):
+        locate_on_minimal_path(cfg)
+
+
+@pytest.mark.parametrize("side", [2, 3, 4])
+def test_every_located_placement_is_a_path_state(side):
+    # the guarantee behind try_line's missing ground checks: every window
+    # it flips leaves a ground state, and the placement rebuilds the state
+    spec = spec_of(side)
+    located = 0
+    for code in range(1 << side * side):
+        cfg = SpinConfig.from_code(spec, code)
+        if defect_count(cfg) != 4:
+            continue
+        try:
+            placements = locate_on_minimal_path(cfg)
+        except ValueError as err:
+            assert str(err) == "off the path complex"
+            continue
+        for p in placements:
+            assert defect_count(p.sigma) == 0 and defect_count(p.eta) == 0
+            assert minimal_path_config(p.sigma, p.eta, p.m, p.k) == cfg
+        located += 1
+    assert located > 0

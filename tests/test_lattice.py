@@ -14,6 +14,7 @@ from plaquette.lattice import (
     PERIODIC,
     PLUS,
     BudgetExceededError,
+    DefectConfig,
     LatticeSpec,
     Rectangle,
     SpinConfig,
@@ -26,6 +27,7 @@ from plaquette.lattice import (
     ground_states,
     hamiltonian,
     invert_defects,
+    log_relative_weight,
     parity_check,
     reading_order_key,
     relative_weight,
@@ -297,3 +299,70 @@ def test_site_bounds_checked():
     per = SpinConfig.all_plus(LatticeSpec(3, PERIODIC))
     with pytest.raises(ValueError):
         per.flip([(3, 0)])
+
+
+def test_lattice_spec_refuses_bad_geometry():
+    frame = np.ones((5, 5), np.int8)
+    cases = [
+        (lambda: LatticeSpec(0), "side must be a positive integer, got 0"),
+        (lambda: LatticeSpec(3, "moebius"), "unknown boundary condition 'moebius'"),
+        (lambda: LatticeSpec(3, PERIODIC, theta=frame),
+         "periodic boxes take no boundary frame"),
+        (lambda: LatticeSpec(3, FIXED), "bc='fixed' requires a theta frame"),
+        (lambda: LatticeSpec(3, FIXED, theta=np.ones((4, 4))),
+         r"theta must have shape \(5, 5\), got \(4, 4\)"),
+        (lambda: LatticeSpec(3, FIXED, theta=2 * frame), r"theta entries must be \+-1"),
+        (lambda: LatticeSpec(3, PERIODIC).frame_template(), "periodic boxes have no frame"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+
+def test_validating_constructors_refuse_bad_arrays():
+    spec = LatticeSpec(3, PLUS)
+    assert SpinConfig(spec, -np.ones((3, 3))) == SpinConfig.all_minus(spec)
+    with pytest.raises(ValueError, match=r"^spins must have shape \(3, 3\), got \(2, 3\)$"):
+        SpinConfig(spec, np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"^spins must be \+-1$"):
+        SpinConfig(spec, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="^expected 3 rows of 3 characters$"):
+        SpinConfig.from_text(spec, "+++\n+++\n")
+    assert DefectConfig(spec, np.ones((4, 4))).count == 0
+    with pytest.raises(ValueError, match=r"^plaquette grid must have shape \(4, 4\)$"):
+        DefectConfig(spec, np.ones((3, 3)))
+    with pytest.raises(ValueError, match=r"^plaquette variables must be \+-1$"):
+        DefectConfig(spec, np.zeros((4, 4)))
+    with pytest.raises(ValueError, match=r"^pattern must have shape \(4, 4\)$"):
+        parity_check(spec, np.ones((3, 3)))
+
+
+def test_invert_defects_anchors_and_refusals():
+    plus, per = LatticeSpec(3, PLUS), LatticeSpec(3, PERIODIC)
+    ones = np.ones(3, np.int8)
+    with pytest.raises(ValueError, match="^anchor applies only to periodic boxes$"):
+        invert_defects(plus, np.ones((4, 4)), anchor=(ones, ones))
+    with pytest.raises(ValueError, match="^anchor arrays must have length 3$"):
+        invert_defects(per, np.ones((3, 3)), anchor=(ones, ones[:2]))
+    with pytest.raises(ValueError, match=r"^anchor column and row disagree at site \(0,0\)$"):
+        invert_defects(per, np.ones((3, 3)), anchor=(ones, -ones))
+    lone = np.ones((3, 3))
+    lone[1, 1] = -1  # one defect: every row and column product must be +1
+    with pytest.raises(ValueError, match="^defect pattern violates the parity identities$"):
+        invert_defects(per, lone)
+    # the default anchor puts +1 on column 0 and row 0
+    cfg = SpinConfig.all_plus(per).flip([(1, 1)])
+    back = invert_defects(per, defect_map(cfg))
+    assert defect_map(back) == defect_map(cfg)
+    assert np.all(back.spins[0, :] == 1) and np.all(back.spins[:, 0] == 1)
+
+
+def test_log_relative_weight_needs_a_plus_frame():
+    L = 2
+    theta = np.ones((L + 2, L + 2), np.int8)
+    theta[0, 0] = -1
+    cfg = SpinConfig.all_plus(LatticeSpec(L, FIXED, theta=theta))
+    with pytest.raises(ValueError, match="^unsupported normalization reference: boundary"
+                                         " frame is not all-plus$"):
+        log_relative_weight(cfg, 1.0)
+    assert log_relative_weight(SpinConfig.all_minus(LatticeSpec(L, PLUS)), 1.5) == -1.5 * 4

@@ -1062,3 +1062,55 @@ def test_exhaustive_flow_at_side_four_pinned_bit_for_bit():
     assert res.cost == 2804.4247340308216 and len(res.congestion) == 859790
     assert flow_digests(res) == ("2facc2ccfa09116c", "c7aaf6ed289640f5")
     assert heaviest_edge(res) == (13107, (1, 2))
+
+
+def test_split_threshold_must_be_an_integer():
+    # c = 2.5 used to close a band at 2.5*L defects: flow_cost at L=3,
+    # beta 1 returned 436.89..., between its c=2 and c=3 costs
+    spec = LatticeSpec(3, PLUS)
+    cfg = SpinConfig.all_minus(spec)
+    calls = [
+        lambda: flow_cost(spec, 1.0, 1, c=2.5),
+        lambda: flow_cost(spec, 1.0, 1, mode="monte_carlo", samples=10, c=2.5),
+        lambda: compute_split(cfg, 2.5),
+        lambda: occupancy_vector(cfg, 1, c=2.5),
+        lambda: good_rectangles(cfg, 1, 1.0, c=2.5),
+        lambda: identify_split(EdgeRef(cfg, (1, 1)), c=2.5),
+        lambda: sample_partial_path(cfg, 1.0, seed=0, c=2.5),
+        lambda: sample_full_path(cfg, 1.0, seed=0, c=2.5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^split threshold c must be an integer, got 2\.5$"):
+            call()
+    assert flow_cost(spec, 1.0, 1, c=np.int64(3)).cost == flow_cost(spec, 1.0, 1, c=3).cost
+    assert compute_split(cfg, np.int64(2)) == compute_split(cfg, 2)
+    assert compute_split(cfg, 1).m >= 1  # verify's split_part_bounds reads c = 1
+
+
+def test_flow_names_a_level_set_that_no_path_reaches():
+    spec = LatticeSpec(2, PLUS)  # at most 6 defects
+    with pytest.raises(ValueError, match="^empty level set$"):
+        flow_cost(spec, 1.0, 7)
+    with pytest.raises(ValueError, match="^no sampled path visited the level set$"):
+        flow_cost(spec, 1.0, 7, mode="monte_carlo", samples=20)
+
+
+def test_path_helpers_refuse_what_they_cannot_walk():
+    spec = LatticeSpec(3, PLUS)
+    cfg = SpinConfig.all_minus(spec)
+    per = SpinConfig.all_minus(LatticeSpec(3, PERIODIC))
+    with pytest.raises(ValueError, match="^rectangle paths are for non-periodic boxes$"):
+        rectangle_removal_path(per, Rectangle.from_corners(0, 1, 0, 1))
+    far = Rectangle.from_corners(0, 4, 0, 1)
+    with pytest.raises(ValueError, match=rf"^{re.escape(repr(far))} outside the plaquette grid$"):
+        rectangle_removal_path(cfg, far)
+    flat = rectangle_removal_path(cfg, Rectangle.from_corners(1, 1, 0, 2))
+    assert len(flat) == 0 and flat.final == cfg
+    with pytest.raises(ValueError, match="^column 4 outside the grid$"):
+        compute_split(cfg, 2).part_of_column(4)
+    with pytest.raises(ValueError, match=r"^part index 2 out of range 1\.\.1$"):
+        good_rectangles(cfg, 2, 1.0, c=2)
+    with pytest.raises(ValueError, match=r"^part index 0 out of range 1\.\.1$"):
+        occupancy_vector(cfg, 0, c=2)
+    with pytest.raises(ValueError, match="^empty defect set$"):
+        sample_partial_path(SpinConfig.all_plus(spec), 1.0, seed=0)
