@@ -203,7 +203,7 @@ def cmd_flow(args):
     try:
         res = paths.flow_cost(spec, beta, args.level, mode=args.mode, seed=args.seed,
                               samples=args.samples, c=args.split_threshold, kind=args.kind)
-    except (BudgetExceededError, paths.PathSamplingError) as err:
+    except (BudgetExceededError, paths.PathSamplingError, ValueError) as err:
         raise SystemExit(f"flow: {err}") from None
     lam = float("nan")
     holds = ""

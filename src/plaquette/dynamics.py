@@ -58,13 +58,14 @@ from .lattice import (
     BudgetExceededError,
     LatticeSpec,
     SpinConfig,
-    _CodedState,
+    _code_defects,
     _frame_defects,
     _frame_patterns,
     _grid_from_text,
     _grid_to_text,
     _site_codec,
     _site_flat,
+    _site_masks,
     _sites_flat,
     _toggles,
 )
@@ -111,8 +112,11 @@ class RateModel:
 
 
 def site_defect_count(cfg, x):
-    """How many of the plaquettes containing site x are defective."""
-    return _CodedState(cfg).k_index(_site_flat(cfg.spec, x))
+    """How many of the plaquettes containing site x are defective: the
+    popcount under its mask, 2 where the mask is 0 (see `_site_masks`)."""
+    spec = cfg.spec
+    m = _site_masks(spec.side, spec.is_periodic)[_site_flat(spec, x)]
+    return (_code_defects(spec, cfg.code) & m).bit_count() if m else 2
 
 
 def site_rate(model, cfg, x):

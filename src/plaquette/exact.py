@@ -168,16 +168,22 @@ class SparseGenerator:
         (U / sqrt(pi))[x] e^{tw'} (U sqrt(pi))^T.
 
         A stationary mass that underflows to 0 (periodic L=2 at beta 300)
-        would make rows of nan, which no distance exceeds: ConvergenceError
-        naming beta, raised before the division, so no RuntimeWarning."""
+        would make rows of nan, which no distance exceeds: `_check_pi`
+        raises before the division, so no RuntimeWarning."""
         w, V = self.eigen
-        if not self.pi.all():
-            raise ConvergenceError(f"the stationary mass of a state underflows to 0 at beta"
-                                   f" {self.model.beta!r}, so the distance cannot be formed")
+        _check_pi(self, "the distance")
         r = np.sqrt(self.pi)[:, None]
         U = V[:, :-1]
         reps = self.symmetry.reps
         return U[reps] ** 2, U[reps] / r[reps], (U * r).T, w[:-1]
+
+
+def _check_pi(G, what):
+    """ConvergenceError naming beta where the stationary mass of a state
+    underflows to 0, which leaves `what` undefined."""
+    if not G.pi.all():
+        raise ConvergenceError(f"the stationary mass of a state underflows to 0 at beta"
+                               f" {G.model.beta!r}, so {what} cannot be formed")
 
 
 def _frozen(*arrays):
@@ -832,6 +838,7 @@ def profile_mixing_bound(G):
     <= x then has at least k(x) defects, so any set of mass <= x sits
     inside S_k(x) and the staircase under-estimates the true profile.
     """
+    _check_pi(G, "the profile bound")
     pi = G.pi
     beta = G.model.beta
     pi_plus = float(pi[0])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SpinConfig, _code_defects, defect_map
+from .lattice import SpinConfig, _code_defects
 from .dynamics import (
     MAX_EVENTS_DEFAULT,
     RateModel,
@@ -147,10 +147,10 @@ def locate_on_minimal_path(cfg):
     spec = cfg.spec
     _require_periodic(spec)
     L = spec.side
-    d = defect_map(cfg)
-    if d.count != 4:
+    D = _code_defects(spec, cfg.code)  # plaquette (a, b) is bit a*L + b
+    if D.bit_count() != 4:
         raise ValueError("off the path complex")
-    defects = d.defects()
+    defects = [divmod(p, L) for p in range(L * L) if D >> p & 1]
     cols = sorted(set(x for x, y in defects))
     rows = sorted(set(y for x, y in defects))
     placements = []
@@ -199,7 +199,7 @@ def test_function_g(cfg):
     (first placement); zero elsewhere."""
     _require_periodic(cfg.spec)
     L = cfg.spec.side
-    if defect_map(cfg).count == 0:
+    if _code_defects(cfg.spec, cfg.code) == 0:
         return _g_hat(encode_ground(cfg))
     try:
         p = locate_on_minimal_path(cfg)[0]

@@ -16,15 +16,15 @@ decoded by `SpinConfig.from_code`): bit t is set where the spin at flat
 site t = i*L + j is minus, so the code is the enumeration index. Its
 defects are one int over plaquette bits (`_code_defects`), the frame's
 defects XOR the plaquette mask (`_site_masks`) of each minus site, so a
-defect count or a site's k is a popcount. `_CodedState` (under the path
-walks of `paths`) flips both ints by XOR, and `_box_defects` gives a
-whole box's defect ints as one array by code. `dynamics.Simulator`
-instead keeps, per site, the 4-bit pattern of its defective plaquettes
-in the slot order of `_site_plaquettes`, which the masks are built from
-too, and so is `_toggles`, the XOR masks a flip applies to the patterns
-around it: each of the flipped site's plaquettes marks the slots that
-hold it. `_site_k`, k counted from spin geometry, is the test reference
-for both.
+defect count or a site's k is a popcount. The path walks of `paths` XOR
+bit t into the code and mask t into the defect int to flip site t, and
+`_box_defects` gives a whole box's defect ints as one array by code.
+`dynamics.Simulator` instead keeps, per site, the 4-bit pattern of its
+defective plaquettes in the slot order of `_site_plaquettes`, which the
+masks are built from too, and so is `_toggles`, the XOR masks a flip
+applies to the patterns around it: each of the flipped site's
+plaquettes marks the slots that hold it. `_site_k`, k counted from spin
+geometry, is the test reference for both.
 
 Coordinate conventions, used consistently across the package:
 
@@ -40,8 +40,8 @@ Coordinate conventions, used consistently across the package:
 * `_site_offset` is the one place that offset lives. `_site_codec` maps
   each flat index t = i*L + j (bit t of a code) to its site and back,
   and `_sites_flat` maps arrays of sites; every layer that addresses a
-  site by t goes through them. `_site_flat`, `_sites_flat` and
-  `_CodedState.flip` refuse a site outside the box with ValueError.
+  site by t goes through them. `_site_flat` and `_sites_flat` refuse a
+  site outside the box with ValueError.
 * "Reading order" on sites or plaquettes means top row first, left to
   right within a row: x precedes y iff x2 > y2, or x2 == y2 and
   x1 < y1.
@@ -473,41 +473,6 @@ def _box_defects(spec, budget):
     return D
 
 
-class _CodedState:
-    """One mutable configuration as its `code` and defect bits `D`, with the
-    box's plaquette `masks` and `sites` (`_site_codec`) by flat site index
-    t. The periodic 1x1 mask is 0 (that flip changes no plaquette), and
-    its k is 2."""
-
-    def __init__(self, cfg):
-        spec = cfg.spec
-        self.spec = spec
-        self.masks = _site_masks(spec.side, spec.is_periodic)
-        self.sites = _site_codec(spec.side, spec.is_periodic)[0]
-        self.code = cfg.code
-        self.D = _code_defects(spec, self.code)
-
-    @property
-    def count(self):
-        return self.D.bit_count()
-
-    def flip(self, site):
-        """Flip the spin at a site in lattice coordinates; ValueError
-        outside the box."""
-        self._flip(_site_flat(self.spec, site))
-
-    def _flip(self, t):
-        self.code ^= 1 << t
-        self.D ^= self.masks[t]
-
-    def k_index(self, t):
-        m = self.masks[t]
-        return (self.D & m).bit_count() if m else 2
-
-    def config(self):
-        return SpinConfig.from_code(self.spec, self.code)
-
-
 class DefectConfig:
     """A +-1 pattern on the plaquette grid (not necessarily realizable)."""
 
@@ -618,46 +583,38 @@ def parity_check(spec, pattern):
 def invert_defects(spec, pattern, anchor=None):
     """Reconstruct a spin configuration from a parity-valid defect pattern.
 
-    Fixed boundary: the inverse is unique; site (x1, x2) carries
-    theta(0,0) * theta(x1,0) * theta(0,x2) times the product of all
-    plaquettes strictly below and to the left.
-
-    Periodic boundary: the fibre has one element per assignment of spins
-    on column 0 and row 0; `anchor` is a pair (col0, row0) of +-1 arrays
-    of length L agreeing at their shared site (0,0), defaulting to all +1.
+    Both boundaries fill one grid whose column 0 and row 0 are given:
+    grid[i, j] = grid[0, 0] * grid[i, 0] * grid[0, j] times the product of
+    the plaquettes strictly below and to the left. On a fixed box that
+    grid is the frame's lower-left part, with the sites at [1:L]^2, so the
+    inverse is unique. On a periodic box it is the spin array itself, and
+    the fibre has one element per `anchor`: a pair (col0, row0) of +-1
+    arrays of length L, the spins on column 0 and row 0, agreeing at
+    their shared site (0,0), and all +1 by default.
     """
     d = pattern if isinstance(pattern, DefectConfig) else DefectConfig(spec, pattern)
     if not parity_check(spec, d):
         raise ValueError("defect pattern violates the parity identities")
-    P = d.plaq
     L = spec.side
     if not spec.is_periodic:
         if anchor is not None:
             raise ValueError("anchor applies only to periodic boxes")
-        t = spec.frame_template()
-        cum = np.cumprod(np.cumprod(P, axis=0), axis=1)
-        spins = t[0, 0] * np.outer(t[1 : L + 1, 0], t[0, 1 : L + 1]) * cum[0:L, 0:L]
-        return SpinConfig._from_frozen(spec, spins.astype(np.int8))
-    if anchor is None:
-        col0 = np.ones(L, dtype=np.int8)
-        row0 = np.ones(L, dtype=np.int8)
+        grid = spec.frame_template()[: L + 1, : L + 1]
     else:
-        col0 = np.asarray(anchor[0], dtype=np.int8)
-        row0 = np.asarray(anchor[1], dtype=np.int8)
-        if col0.shape != (L,) or row0.shape != (L,):
-            raise ValueError(f"anchor arrays must have length {L}")
-        if col0[0] != row0[0]:
-            raise ValueError("anchor column and row disagree at site (0,0)")
-    spins = np.empty((L, L), dtype=np.int8)
-    spins[0, :] = col0
-    spins[:, 0] = row0
-    for i in range(1, L):
-        for j in range(1, L):
-            spins[i, j] = P[i - 1, j - 1] * spins[i - 1, j - 1] * spins[i, j - 1] * spins[i - 1, j]
-    cfg = SpinConfig._from_frozen(spec, spins)
-    if defect_map(cfg).plaq.tobytes() != P.tobytes():
-        raise ValueError("defect pattern is not realizable with any anchor")
-    return cfg
+        grid = np.ones((L, L), dtype=np.int8)
+        if anchor is not None:
+            col0 = np.asarray(anchor[0], dtype=np.int8)
+            row0 = np.asarray(anchor[1], dtype=np.int8)
+            if col0.shape != (L,) or row0.shape != (L,):
+                raise ValueError(f"anchor arrays must have length {L}")
+            if col0[0] != row0[0]:
+                raise ValueError("anchor column and row disagree at site (0,0)")
+            grid[0, :], grid[:, 0] = col0, row0
+    n = len(grid)
+    cum = np.ones((n, n), dtype=np.int8)
+    cum[1:, 1:] = np.cumprod(np.cumprod(d.plaq[: n - 1, : n - 1], axis=0), axis=1)
+    spins = grid[0, 0] * np.outer(grid[:, 0], grid[0, :]) * cum
+    return SpinConfig._from_frozen(spec, spins[n - L :, n - L :].astype(np.int8))
 
 
 def enumerate_configs(spec, budget=ENUM_BUDGET_DEFAULT):

@@ -52,7 +52,6 @@ from .lattice import (
     SpinConfig,
     reading_order_key,
     _box_defects,
-    _CodedState,
     _code_bytes,
     _code_defects,
     _defect_bits,
@@ -105,16 +104,21 @@ class CanonicalPath:
         return len(self.flips)
 
     def _walk(self):
-        """The walker at each visited state, initial first."""
-        w = _CodedState(self.initial)
-        yield w
+        """(code, D) at each visited state, initial first: a flip at t XORs
+        bit t into the code and the site's plaquette mask into D."""
+        spec = self.initial.spec
+        masks = _site_masks(spec.side, False)
+        code = self.initial.code
+        D = _code_defects(spec, code)
+        yield code, D
         for t in self._flat:
-            w._flip(t)
-            yield w
+            code ^= 1 << t
+            D ^= masks[t]
+            yield code, D
 
     def states(self):
         """All visited configurations, initial first (length len+1)."""
-        return [w.config() for w in self._walk()]
+        return [SpinConfig.from_code(self.initial.spec, code) for code, _ in self._walk()]
 
     def edges(self):
         """[(EdgeRef, step index)] for every traversal along the path."""
@@ -123,12 +127,12 @@ class CanonicalPath:
 
     @property
     def final(self):
-        *_, w = self._walk()
-        return w.config()
+        *_, (code, _) = self._walk()
+        return SpinConfig.from_code(self.initial.spec, code)
 
     def defect_counts(self):
         """Defect count at every visited state, initial first."""
-        return [w.count for w in self._walk()]
+        return [D.bit_count() for _, D in self._walk()]
 
 
 def path_to_text(path):
@@ -586,14 +590,11 @@ def edge_type(e, R, sigma):
         return "none"
     if sigma.flip(flips[: flips.index(e.site)]) != e.e_minus:
         return "none"
-    rows_in_order = []
-    for x in flips:
-        if not rows_in_order or rows_in_order[-1] != x[1]:
-            rows_in_order.append(x[1])
+    # `_block` takes the rows in turn: the order's ends are its first and last
     row = e.site[1]
-    if row == rows_in_order[-1]:
+    if row == flips[-1][1]:
         return "fin"
-    if row == rows_in_order[0] and len(rows_in_order) > 1:
+    if row == flips[0][1]:
         return "init"
     return "mid"
 

@@ -21,7 +21,6 @@ from plaquette.lattice import (
     invert_defects,
     count_by_defect_number,
     ground_states,
-    _CodedState,
 )
 from plaquette.dynamics import RateModel
 from plaquette import cli, exact, ground, paths
@@ -148,16 +147,17 @@ def test_05_path_battery():
         cfg = _random_plus_config(spec, rng)
         p = paths.sample_full_path(cfg, BETA, seed=trial)
         assert p.initial == cfg
-        w = _CodedState(cfg)
-        n0 = w.count
+        # the walk flips one state; its one defect map serves every count
+        state, d = cfg, defect_map(cfg)
+        n0 = d.count
         assert len(p) <= L * L * min(BETA * L + 1, n0 / 2.0), (len(p), n0)
-        row0 = np.count_nonzero(defect_map(cfg).plaq == -1, axis=0)
+        row0 = np.count_nonzero(d.plaq == -1, axis=0)
         cum = 0
         api_path = trial % 20 == 0
         for mark in p.marks:
             seg = p.flips[cum : cum + mark.n_flips]
-            seg_start_cfg = w.config() if api_path else None
-            n_seg = w.count
+            seg_start_cfg = state if api_path else None
+            n_seg = d.count
             rows_in_order = []
             for x in seg:
                 if not rows_in_order or rows_in_order[-1] != x[1]:
@@ -165,11 +165,12 @@ def test_05_path_battery():
             seg_edges = []
             for idx, x in enumerate(seg):
                 assert 1 <= x[0] <= L and 1 <= x[1] <= L
-                n_minus = w.count
+                n_minus = d.count
                 if mark.kind == "rectangle":
-                    seg_edges.append(paths.EdgeRef(w.config(), x))
-                w.flip(x)
-                n_plus = w.count
+                    seg_edges.append(paths.EdgeRef(state, x))
+                state = state.flip([x])
+                d = defect_map(state)
+                n_plus = d.count
                 if mark.kind == "rectangle":
                     etype = (
                         "fin"
@@ -189,16 +190,16 @@ def test_05_path_battery():
                         n_seg,
                     )
                     assert n_plus <= n_seg + 2
-                rows_now = np.count_nonzero(defect_map(w.config()).plaq == -1, axis=0)
+                rows_now = np.count_nonzero(d.plaq == -1, axis=0)
                 drift = int(np.abs(rows_now - row0).max())
                 assert drift <= 8
             if mark.kind == "rectangle":
-                assert n_seg - w.count in (2, 4)
+                assert n_seg - d.count in (2, 4)
                 for e in seg_edges:
                     assert paths.identify_split(e) == mark.part_index
             else:
                 assert mark.kind == "naive"
-                assert mark is p.marks[-1] and w.count == 0
+                assert mark is p.marks[-1] and d.count == 0
             if api_path and mark.kind == "rectangle":
                 occ = paths.occupancy_vector(seg_start_cfg, mark.part_index)
                 start_rows = np.count_nonzero(defect_map(seg_start_cfg).plaq == -1, axis=0)
@@ -215,7 +216,7 @@ def test_05_path_battery():
                     assert paths.edge_type(e, mark.rectangle, seg_start_cfg) == etype_bulk
                     api_edges += 1
             cum += mark.n_flips
-        assert w.count == 0 and w.code == all_plus_code
+        assert d.count == 0 and state.code == all_plus_code
     assert api_edges > 10_000
     assert time.monotonic() - t0 < 300.0
 

@@ -201,6 +201,22 @@ def test_flow_rejects_non_plus_boundaries(tmp_path):
         assert str(exc.value) == "flow: flow bounds are computed for the all-plus boundary (--bc plus)"
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["--size", "2", "--level", "7"], "empty level set"),
+    (["--size", "4", "--mode", "monte_carlo", "--samples", "3", "--level", "18", "--seed", "1"],
+     "no sampled path visited the level set"),
+    (["--size", "32", "--mode", "monte_carlo", "--samples", "3", "--beta", "0.5"],
+     "the congestion or ci_halfwidth of an edge overflows a float at beta=0.5"),
+    (["--size", "3", "--beta", "150"],
+     r"the flow weight .* underflows to 0 at beta=150\.0"),
+])
+def test_flow_exits_with_one_line_on_a_flow_error(argv, what):
+    # these escaped from paths.flow_cost as ValueError tracebacks
+    proc = run_python("-W", "error", "-m", "plaquette", "flow", *argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert re.fullmatch(f"flow: {what}\n", proc.stderr), proc.stderr
+
+
 def test_simulate_event_count_and_replay(tmp_path, capsys):
     out_file = tmp_path / "traj.txt"
     code, out, _ = run(

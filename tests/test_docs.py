@@ -1,4 +1,5 @@
-"""The names README.md gives in backticks resolve to package objects."""
+"""The names README.md and the package sources give in backticks resolve
+to package objects."""
 
 import dataclasses
 import importlib
@@ -7,7 +8,9 @@ import pathlib
 import re
 
 MODULES = ("cli", "dynamics", "exact", "ground", "lattice", "paths")
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SOURCES = sorted((ROOT / "src" / "plaquette").glob("*.py"))
 NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
@@ -28,11 +31,11 @@ def _has(obj, attr):
     return dataclasses.is_dataclass(obj) and attr in {f.name for f in dataclasses.fields(obj)}
 
 
-def _readme_names(modules, classes):
-    """Backticked names that start with a package module, an underscore, or
-    a package class followed by an attribute."""
+def _names(doc, modules, classes):
+    """Backticked names in the text doc that start with a package module,
+    an underscore, or a package class followed by an attribute."""
     names = set()
-    for text in re.findall(r"`([^`\n]+)`", README.read_text()):
+    for text in re.findall(r"`([^`\n]+)`", doc):
         if not NAME.fullmatch(text):
             continue
         head = text.split(".")[0]
@@ -74,7 +77,23 @@ def test_readme_names_resolve():
     assert _resolves("Trajectory.times", modules, classes)
     assert not _resolves("Trajectory.nope", modules, classes)
     assert not _resolves("_no_such_name", modules, classes)
-    names = _readme_names(modules, classes)
+    names = _names(README.read_text(), modules, classes)
     assert len(names) > 20  # the filter still finds the documented names
     missing = [n for n in names if not _resolves(n, modules, classes)]
     assert not missing, f"README names no package object: {missing}"
+
+
+def test_source_names_resolve():
+    # docstrings and comments name code the same way, and go stale the same way
+    modules = _modules()
+    classes = _package_classes(modules)
+    assert {p.stem for p in SOURCES} >= set(MODULES)
+    missing, found = {}, 0
+    for path in SOURCES:
+        names = _names(path.read_text(), modules, classes)
+        found += len(names)
+        bad = [n for n in names if not _resolves(n, modules, classes)]
+        if bad:
+            missing[path.name] = bad
+    assert found > 40  # the filter still finds the named code
+    assert not missing, f"sources name no package object: {missing}"

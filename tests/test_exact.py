@@ -764,6 +764,16 @@ def test_tv_factors_raise_where_the_stationary_mass_underflows():
                 _tv_spectral(G, t, 0.25)
 
 
+@pytest.mark.parametrize("L, beta, bc", [(2, 300.0, PLUS), (2, 300.0, PERIODIC),
+                                         (3, 200.0, PLUS)])
+def test_profile_bound_is_refused_where_the_stationary_mass_underflows(L, beta, bc):
+    # the lower limit 4 min(pi) is 0 there, and log(hi / lo) divided by it
+    G = G_of(L, beta, bc)
+    assert not G.pi.all()
+    with pytest.raises(ConvergenceError, match=f"underflows to 0 at beta {beta!r}"):
+        profile_mixing_bound(G)
+
+
 def test_poisson_weights_match_scipy_stats():
     tail = 1e-8
     for lam in (0.1, 1.0, 11.0, 94.0, 1000.0):

@@ -357,6 +357,49 @@ def test_invert_defects_anchors_and_refusals():
     assert np.all(back.spins[0, :] == 1) and np.all(back.spins[:, 0] == 1)
 
 
+def _periodic_patterns(L):
+    """Every parity-valid periodic pattern: any block on plaquettes
+    [0:L-2]^2, completed so that each row and column multiplies to +1."""
+    n = (L - 1) ** 2
+    for bits in range(1 << n):
+        block = (1 - 2 * (bits >> np.arange(n) & 1)).reshape(L - 1, L - 1)
+        p = np.ones((L, L), np.int8)
+        p[: L - 1, : L - 1] = block
+        p[: L - 1, L - 1] = block.prod(axis=1)
+        p[L - 1, : L - 1] = block.prod(axis=0)
+        p[L - 1, L - 1] = block.prod()
+        yield p
+
+
+def test_invert_defects_realizes_every_parity_valid_pattern():
+    # every parity-valid periodic pattern at L <= 4, from the default anchor
+    # and two random agreeing ones: the defect map is the pattern, and
+    # column 0 and row 0 are the anchor; fixed boxes (plus and a random
+    # frame), whose inverse is unique, over every configuration at L <= 3
+    rng = np.random.default_rng(27)
+    for L in range(1, 5):
+        spec = LatticeSpec(L, PERIODIC)
+        patterns = list(_periodic_patterns(L))
+        assert len({p.tobytes() for p in patterns}) == 2 ** ((L - 1) ** 2)
+        for p in patterns:
+            assert parity_check(spec, p)
+            anchors = [(np.ones(L), np.ones(L))]
+            for _ in range(2):
+                col0, row0 = 1 - 2 * rng.integers(0, 2, size=(2, L))
+                row0[0] = col0[0]
+                anchors.append((col0, row0))
+            for i, (col0, row0) in enumerate(anchors):
+                cfg = invert_defects(spec, p, anchor=None if i == 0 else (col0, row0))
+                assert np.array_equal(defect_map(cfg).plaq, p)
+                assert np.array_equal(cfg.spins[0, :], col0)
+                assert np.array_equal(cfg.spins[:, 0], row0)
+    for L in range(1, 4):
+        theta = (1 - 2 * rng.integers(0, 2, size=(L + 2, L + 2))).astype(np.int8)
+        for spec in (LatticeSpec(L, PLUS), LatticeSpec(L, FIXED, theta=theta)):
+            for cfg in enumerate_configs(spec):
+                assert invert_defects(spec, defect_map(cfg)) == cfg
+
+
 def test_log_relative_weight_needs_a_plus_frame():
     L = 2
     theta = np.ones((L + 2, L + 2), np.int8)

@@ -23,12 +23,12 @@ from plaquette.lattice import (
     defect_map,
     invert_defects,
     reading_order_key,
-    _CodedState,
     _code_defects,
     _site_codec,
     _site_flat,
     _site_index,
     _site_k,
+    _site_masks,
 )
 from plaquette import paths
 from plaquette.paths import (
@@ -124,9 +124,10 @@ def flow_digests(res):
 
 
 def test_walker_codec_matches_the_lattice_kernels():
-    # the walker's code and defect bits against SpinConfig.code, defect_map
-    # and _site_k after every flip, on plus, non-plus and periodic boxes;
-    # flat index t is site spec.sites()[t] and bit t of the code
+    # the path walks' (code, D), flipped by XOR through _site_flat and
+    # _site_masks, against SpinConfig.flip, SpinConfig.code, defect_map and
+    # _site_k after every flip, on plus, non-plus and periodic boxes; flat
+    # index t is site spec.sites()[t] and bit t of the code
     rng = np.random.default_rng(12)
     for L in range(2, 6):
         theta = np.ones((L + 2, L + 2), dtype=np.int8)
@@ -135,26 +136,28 @@ def test_walker_codec_matches_the_lattice_kernels():
                      LatticeSpec(L, PERIODIC)):
             sites = spec.sites()
             assert [_site_flat(spec, x) for x in sites] == list(range(L * L))
+            assert _site_codec(L, spec.is_periodic)[0] == tuple(sites)
+            masks = _site_masks(L, spec.is_periodic)
             cfg = random_config(spec, rng)
-            w = _CodedState(cfg)
-            assert w.sites == tuple(sites)
+            code = cfg.code
+            D = _code_defects(spec, code)
             for _ in range(60):
                 x = sites[int(rng.integers(len(sites)))]
-                w.flip(x)
+                t = _site_flat(spec, x)
+                code ^= 1 << t
+                D ^= masks[t]
                 cfg = cfg.flip([x])
                 d = defect_map(cfg)
                 k = _site_k(spec, d.plaq == -1)
-                assert w.count == d.count
-                assert w.code == cfg.code and w.config() == cfg
-                assert [w.k_index(t) for t in range(len(sites))] == [int(k[_site_index(spec, y)]) for y in sites]
-                assert [(w.code >> t) & 1 for t in range(L * L)] == [int(v == -1) for v in cfg.spins.flat]
+                assert D.bit_count() == d.count
+                assert code == cfg.code and SpinConfig.from_code(spec, code) == cfg
+                assert [(D & m).bit_count() for m in masks] == [int(k[_site_index(spec, y)]) for y in sites]
+                assert [(code >> t) & 1 for t in range(L * L)] == [int(v == -1) for v in cfg.spins.flat]
             lo = sites[0][0]
             for x in ((lo - 1, lo), (lo, lo + L), (lo + L, lo)):
                 with pytest.raises(ValueError, match="outside the box"):
-                    w.flip(x)
-                with pytest.raises(ValueError, match="outside the box"):
                     _site_flat(spec, x)
-            assert w.code == cfg.code
+            assert code == cfg.code
 
 
 def test_naive_path_reading_order():
@@ -188,6 +191,31 @@ def test_path_states_edges_counts():
         assert e.e_minus == a and e.e_plus() == b
     counts = p.defect_counts()
     assert counts[0] == defect_map(cfg).count and counts[-1] == 0
+
+
+def test_path_walk_matches_the_spin_flip_chain():
+    # states(), final and defect_counts() walk (code, D) by XOR; they must
+    # equal the SpinConfig.flip chain and its defect_map counts, on plus and
+    # framed boxes, for random flip sequences (repeats included) and for
+    # sampled full paths
+    rng = np.random.default_rng(31)
+    for L in range(1, 6):
+        theta = (1 - 2 * rng.integers(0, 2, size=(L + 2, L + 2))).astype(np.int8)
+        for spec in (LatticeSpec(L, PLUS), LatticeSpec(L, FIXED, theta=theta)):
+            sites = spec.sites()
+            for _ in range(10):
+                cfg = random_config(spec, rng)
+                n = int(rng.integers(0, 3 * L * L))
+                walks = [CanonicalPath(cfg, [sites[i] for i in rng.integers(0, L * L, n)], [])]
+                if spec.bc == PLUS:
+                    walks.append(sample_full_path(cfg, 1.0, seed=int(rng.integers(1 << 30))))
+                for p in walks:
+                    chain = [p.initial]
+                    for x in p.flips:
+                        chain.append(chain[-1].flip([x]))
+                    assert p.states() == chain
+                    assert p.final == chain[-1]
+                    assert p.defect_counts() == [defect_map(s).count for s in chain]
 
 
 def test_path_text_roundtrip():
@@ -330,6 +358,42 @@ def test_edge_type_temporal_split():
     off = EdgeRef(cfg, p.flips[0])
     other = EdgeRef(p.states()[2], p.flips[0])
     assert edge_type(other, R, cfg) == "none"
+
+
+def test_edge_type_matches_the_rows_in_order_reference():
+    # edge_type reads the first and the last row off the removal order; the
+    # reference lists the rows in the order they are flipped. Every edge of
+    # every extended rectangle of random states at L <= 6, one-row
+    # rectangles included (all "fin"), and moves that miss the path
+    rng = np.random.default_rng(44)
+    seen = collections.Counter()
+    one_row = 0
+    for k in range(150):
+        L = 2 + k % 5
+        cfg = random_config(LatticeSpec(L, PLUS), rng)
+        for R in extended_rectangles(defect_map(cfg)):
+            p = rectangle_removal_path(cfg, R)
+            rows_in_order = []
+            for x in p.flips:
+                if not rows_in_order or rows_in_order[-1] != x[1]:
+                    rows_in_order.append(x[1])
+            assert len(set(rows_in_order)) == len(rows_in_order)
+            states = p.states()
+            for e, i in p.edges():
+                y = e.site[1]
+                want = ("fin" if y == rows_in_order[-1] else
+                        "init" if y == rows_in_order[0] and len(rows_in_order) > 1 else
+                        "mid")
+                assert edge_type(e, R, cfg) == want
+                seen[want] += 1
+                # the same flip out of the next state: its prefix misses
+                assert edge_type(EdgeRef(states[i + 1], e.site), R, cfg) == "none"
+            if p.flips and R.y2 - R.y1 == 1:
+                one_row += 1
+                assert len(rows_in_order) == 1
+            # column x1 lies left of the block, so off the path
+            assert edge_type(EdgeRef(cfg, (R.x1, R.y2)), R, cfg) == "none"
+    assert one_row > 20 and min(seen.values()) > 100, (one_row, seen)
 
 
 def test_edge_type_energy_discipline():
