@@ -337,7 +337,7 @@ def cmd_simulate(args):
         raise SystemExit(f"bad --stop value {args.stop!r}: {err}") from None
     try:
         traj = dynamics.simulate(spec, beta, init, stop, seed=args.seed, kind=args.kind,
-                                 max_events=args.budget_events)
+                                 max_events=args.budget_events, record=bool(args.out))
     except BudgetExceededError as err:
         raise SystemExit(f"simulate: {err}") from None
     if args.out:

@@ -518,12 +518,14 @@ def trace_chain(
     then). The chain runs on `Simulator._run`, whose stop predicate takes
     the records.
     """
+    if not isinstance(n_records, numbers.Integral) or n_records < 0:
+        raise ValueError(f"n_records must be a nonnegative integer, got {n_records!r}")
     times, states = [], []
     last_code = None
 
     def watch(sim):
         nonlocal last_code
-        if in_set(sim) and sim.code != last_code:
+        if len(states) < n_records and in_set(sim) and sim.code != last_code:
             times.append(sim.time)
             states.append(sim.state())
             last_code = sim.code
@@ -625,9 +627,10 @@ def _event_columns(spec, body):
 
 def trajectory_from_text(text):
     """Inverse of `trajectory_to_text`. Blank and `#` lines are skipped;
-    the header, the event count and `elapsed` are checked against the
-    events, and the events are replayed against [final]. ValueError
-    names what does not fit."""
+    event times must be finite, from 0 and in order, the header, the
+    event count and `elapsed` are checked against the events, and the
+    events are replayed against [final]. ValueError names what does not
+    fit."""
     heads = _section_heads(text)
     header = {}
     for ln in text[: heads[0].start() if heads else len(text)].splitlines():
@@ -663,6 +666,10 @@ def trajectory_from_text(text):
     n_events = int(header_value("n_events"))
     if n_events != len(flips):
         raise ValueError(f"header key 'n_events' = {n_events} but [events] has {len(flips)} lines")
+    bad = np.flatnonzero(~(np.isfinite(times) & (np.diff(times, prepend=0.0) >= 0)))
+    if bad.size:
+        raise ValueError(f"[events] row {bad[0] + 1} has time {float(times[bad[0]])!r}, "
+                         "which is not finite, below 0 or before the time before it")
     elapsed = float(header_value("elapsed"))
     last = float(times[-1]) if len(times) else 0.0
     if not (math.isfinite(elapsed) and elapsed >= last):

@@ -19,6 +19,8 @@ inverse spectral gap of the dynamics restricted above a defect level.
 All three stages read bit masks of a state's defect int D (`_lines`):
 occupancies are popcounts, nearest defects along a column are
 `bit_length`s, and the corner tests of a removal order are single bits.
+A rectangle is its field tuple (y2, x1, y1, x2), which sorts as
+`Rectangle` does, until a public function wraps it.
 The Monte Carlo flow and the public samplers draw segments one state at
 a time through `_segments`, per-call `functools` caches of splits, pools
 and removal orders. The exhaustive flow forms the same segments for every
@@ -135,25 +137,6 @@ class CanonicalPath:
         return [D.bit_count() for _, D in self._walk()]
 
 
-def path_to_text(path):
-    """Header with the initial rows joined by '/', then one site per line."""
-    head = path.initial.to_text().replace("\n", "/")
-    lines = [head] + [f"{x[0]} {x[1]}" for x in path.flips]
-    return "\n".join(lines) + "\n"
-
-
-def path_from_text(spec, text):
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("path text has no initial configuration")
-    initial = SpinConfig.from_text(spec, lines[0].replace("/", "\n"))
-    flips = []
-    for ln in lines[1:]:
-        a, b = ln.split()
-        flips.append((int(a), int(b)))
-    return CanonicalPath(initial, flips, [SegmentMark("naive", None, None, len(flips))])
-
-
 def mirror_config(cfg):
     """Vertical reflection: site (i, j) -> (i, L+1-j)."""
     return SpinConfig._from_frozen(cfg.spec, cfg.spins[:, ::-1].copy())
@@ -259,11 +242,6 @@ def _block(R, sweep, L):
     return [x + y for y in ys for x in xs]
 
 
-def _removal_order(R, cols, L):
-    """The flat flips that remove R = (y2, x1, y1, x2) (see `_sweep`)."""
-    return _block(R, _sweep(R, cols), L)
-
-
 def _sites_of(L, flips):
     """Lattice sites of flat indices on the fixed box of side L."""
     sites = _site_codec(L, False)[0]
@@ -280,27 +258,19 @@ def rectangle_removal_path(sigma, R):
         raise ValueError(f"{R} outside the plaquette grid")
     if R.is_degenerate():
         return CanonicalPath(sigma, [], [SegmentMark("rectangle", R, None, 0)])
-    order = _removal_order((R.y2, R.x1, R.y1, R.x2), _state_lines(sigma)[1], L)
+    R4 = (R.y2, R.x1, R.y1, R.x2)
+    order = _block(R4, _sweep(R4, _state_lines(sigma)[1]), L)
     return CanonicalPath(sigma, _sites_of(L, order),
                          [SegmentMark("rectangle", R, None, len(order))])
 
 
-def _rect(R, w):
-    """(y2, x1, y1, x2) of the rectangle key R: the four fields in w-bit
-    digits, y2 highest, so keys sort as Rectangle does (`_extended` sets
-    w = (L+1).bit_length())."""
-    m = (1 << w) - 1
-    return R >> 3 * w, R >> 2 * w & m, R >> w & m, R & m
-
-
 def _extended(rows, cols, pair_rows, a, b):
     """Extended rectangles with pair row in `pair_rows` and columns in
-    a..b, as `_rect` keys. A pair spans to the farther of its defects'
-    nearest defects below (the pair on top) and above (the pair at the
-    bottom)."""
+    a..b, as (y2, x1, y1, x2) tuples. A pair spans to the farther of its
+    defects' nearest defects below (the pair on top) and above (the pair
+    at the bottom)."""
     n1 = len(rows)
     none_below, none_above = n1, -1
-    w = n1.bit_length()
     band = _band(a, b, n1)
     out = set()
     for j in pair_rows:
@@ -322,9 +292,9 @@ def _extended(rows, cols, pair_rows, a, b):
             dn = dn_u if dn_u < dn_v else dn_v
             up = up_u if up_u > up_v else up_v
             if dn != none_below:
-                out.add(((j << w | x1) << w | dn) << w | x2)
+                out.add((j, x1, dn, x2))
             if up != none_above:
-                out.add(((up << w | x1) << w | j) << w | x2)
+                out.add((up, x1, j, x2))
     return out
 
 
@@ -337,8 +307,7 @@ def extended_rectangles(d, row=None, col_range=None):
     rows, cols = _lines(_defect_bits(d.plaq == -1), n1)
     a, b = (0, n1 - 1) if col_range is None else col_range
     pair_rows = range(n1) if row is None else [row]
-    w = n1.bit_length()
-    return {Rectangle(*_rect(R, w)) for R in _extended(rows, cols, pair_rows, a, b)}
+    return {Rectangle(*R) for R in _extended(rows, cols, pair_rows, a, b)}
 
 
 @dataclass(frozen=True)
@@ -481,8 +450,8 @@ def _pair_rows(v, beta):
 
 
 def _pool(rows, cols, a, b, beta):
-    """good_rectangles of the part over plaquette columns a..b, as `_rect`
-    keys."""
+    """good_rectangles of the part over plaquette columns a..b, as
+    (y2, x1, y1, x2) tuples."""
     return _extended(rows, cols, _pair_rows(_row_counts(rows, a, b), beta), a, b)
 
 
@@ -500,8 +469,7 @@ def good_rectangles(sigma, i, beta, c=100):
     split = SplitStructure(boundaries=_split(cols, c), c=c)
     if not 1 <= i <= split.n:
         raise ValueError(f"part index {i} out of range 1..{split.n}")
-    w = len(rows).bit_length()
-    return {Rectangle(*_rect(R, w)) for R in _pool(rows, cols, *split.part_columns(i), beta)}
+    return {Rectangle(*R) for R in _pool(rows, cols, *split.part_columns(i), beta)}
 
 
 _SEGMENT_CACHE = 1 << 14
@@ -511,20 +479,19 @@ def _segments(L, beta, c):
     """The rectangle segments of defect ints on the plus box of side L at
     (beta, c), for one call (a Monte Carlo flow, or one sampled path): a
     uniform part index of the split (`SplitStructure.n` parts), then a
-    uniform rectangle of that part's sorted pool, removed in
-    `_removal_order`.
+    uniform rectangle of that part's sorted pool, removed in the
+    order of `_sweep`.
 
     Three `lru_cache`s of at most _SEGMENT_CACHE entries each, which
     bounds memory on large boxes, where states rarely repeat:
     `parts(D)` gives the lines and split bounds of the defect int D,
-    `pool(D, i)` the sorted pool of part i as `_rect` keys
+    `pool(D, i)` the sorted pool of part i as (y2, x1, y1, x2) tuples
     (PathSamplingError when empty), and `order(R, sweep)` the `_block` of
-    the rectangle key R; all read only. `draw(D, rng)` draws one segment.
+    the rectangle R; all read only. `draw(D, rng)` draws one segment.
     The exhaustive flow reads the same segments for a whole box from
     `_box_segments`, which the tests hold to these."""
     _check_beta(beta)
     _check_c(c)
-    w = (L + 1).bit_length()
     cache = functools.lru_cache(maxsize=_SEGMENT_CACHE)
 
     @cache
@@ -536,25 +503,25 @@ def _segments(L, beta, c):
     @cache
     def pool(D, i):
         rows, cols, bounds = parts(D)
-        keys = sorted(_pool(rows, cols, bounds[i - 1], bounds[i] - 1, beta))
-        if not keys:
+        rects = sorted(_pool(rows, cols, bounds[i - 1], bounds[i] - 1, beta))
+        if not rects:
             raise PathSamplingError(f"no good rectangles in part {i}")
-        return keys
+        return rects
 
     @cache
     def order(R, sweep):
-        return _block(_rect(R, w), sweep, L)
+        return _block(R, sweep, L)
 
     def draw(D, rng):
-        """One segment of D as (flat flips, R, i), R a `_rect` key. One
+        """One segment of D as (flat flips, R, i), R a field tuple. One
         part draws no part index, which leaves rng's stream as a draw from
         [1, 2) would."""
         cols, bounds = parts(D)[1:]
         n = max(1, len(bounds) - 2)
         i = int(rng.integers(1, n + 1)) if n > 1 else 1
-        keys = pool(D, i)
-        R = keys[int(rng.integers(len(keys)))]
-        return order(R, _sweep(_rect(R, w), cols)), R, i
+        rects = pool(D, i)
+        R = rects[int(rng.integers(len(rects)))]
+        return order(R, _sweep(R, cols)), R, i
 
     return types.SimpleNamespace(parts=parts, pool=pool, order=order, draw=draw)
 
@@ -566,8 +533,8 @@ def sample_partial_path(sigma, beta, seed, c=100):
         raise ValueError("empty defect set")
     L = sigma.spec.side
     flips, R, i = _segments(L, beta, c).draw(D, _as_rng(seed))
-    R = Rectangle(*_rect(R, (L + 1).bit_length()))
-    return CanonicalPath(sigma, _sites_of(L, flips), [SegmentMark("rectangle", R, i, len(flips))])
+    return CanonicalPath(sigma, _sites_of(L, flips),
+                         [SegmentMark("rectangle", Rectangle(*R), i, len(flips))])
 
 
 def identify_split(e, c=100):
@@ -645,8 +612,8 @@ def _sample_path(draw, L, beta, code, D, rng, trunc):
     beta*L, then the naive
     segment, until no defects remain, cut at the first state with at most
     `trunc` defects (no cut when trunc < 0). Returns the flips (flat
-    indices) and per segment (R, i, steps), R a `_rect` key, or None on
-    the naive segment."""
+    indices) and per segment (R, i, steps), R a (y2, x1, y1, x2) tuple,
+    or None on the naive segment."""
     M = _rectangle_segments(beta, L)
     masks = _site_masks(L, False)
     flips = []
@@ -671,15 +638,16 @@ def sample_full_path(sigma, beta, seed, truncate_at=None, c=100):
     spec = sigma.spec
     if spec.bc != PLUS:
         raise ValueError("full paths are defined for the all-plus boundary")
+    if truncate_at is not None and not isinstance(truncate_at, numbers.Integral):
+        raise ValueError(f"truncate_at must be an integer or None, got {truncate_at!r}")
     L = spec.side
     code = sigma.code
     trunc = -1 if truncate_at is None else truncate_at
     draw = _segments(L, beta, c).draw
     D = _code_defects(spec, code)
     flips, marks = _sample_path(draw, L, beta, code, D, _as_rng(seed), trunc)
-    w = (L + 1).bit_length()
     marks = [SegmentMark("naive", None, None, taken) if R is None
-             else SegmentMark("rectangle", Rectangle(*_rect(R, w)), i, taken)
+             else SegmentMark("rectangle", Rectangle(*R), i, taken)
              for R, i, taken in marks]
     return CanonicalPath(sigma, _sites_of(L, flips), marks)
 
@@ -688,7 +656,7 @@ def sample_full_path(sigma, beta, seed, truncate_at=None, c=100):
 class FlowResult:
     cost: float
     edge: EdgeRef
-    congestion: dict  # (state bytes, site) -> congestion value
+    congestion: dict  # (SpinConfig.code, site) -> congestion value
     mode: str
     level: int
     beta: float
@@ -697,16 +665,15 @@ class FlowResult:
     ci_halfwidth: float | None = None
 
 
-def _edge_hash(state_bytes):
-    return hashlib.sha1(state_bytes).hexdigest()[:12]
-
-
 def flow_report_csv(result):
-    """Rows 'edge_state_hash,site_x,site_y,congestion', heaviest first."""
+    """Rows 'edge_state_hash,site_x,site_y,congestion', heaviest first; the
+    hash is of the state's SpinConfig.key()."""
+    n = result.edge.e_minus.spec.n_sites
     rows = ["edge_state_hash,site_x,site_y,congestion"]
     items = sorted(result.congestion.items(), key=lambda kv: -kv[1])
-    for (sb, site), cong in items:
-        rows.append(f"{_edge_hash(sb)},{site[0]},{site[1]},{cong!r}")
+    for (code, site), cong in items:
+        h = hashlib.sha1(_code_bytes(code, n)).hexdigest()[:12]
+        rows.append(f"{h},{site[0]},{site[1]},{cong!r}")
     return "\n".join(rows) + "\n"
 
 
@@ -715,9 +682,9 @@ def _flow_result(spec, model, codes, ts, numer, count, k, half=None, **fields):
     each edge's state code and flat site index t (ints), and arrays of its
     numerator and of the defect count and the flipped site's k at its
     state. Congestion is numer / (exp(-beta * count) * rate[k]) under the
-    key (SpinConfig.key(), site), and the heaviest edge is the first
-    maximum; `half` gives each edge's ci_halfwidth numerator."""
-    n, beta = spec.n_sites, fields["beta"]
+    key (code, site), and the heaviest edge is the first maximum; `half`
+    gives each edge's ci_halfwidth numerator."""
+    beta = fields["beta"]
     weights = np.array([math.exp(-beta * j) for j in range(spec.n_plaquettes + 1)])
     denom = weights[count] * model.table[k]
     zero = np.flatnonzero(denom == 0)
@@ -736,9 +703,7 @@ def _flow_result(spec, model, codes, ts, numer, count, k, half=None, **fields):
             f"the congestion or ci_halfwidth of an edge overflows a float at beta={beta!r}"
         )
     sites = _site_codec(spec.side, False)[0]
-    keys = {code: _code_bytes(code, n) for code in set(codes)}
-    congestion = dict(zip(zip(map(keys.get, codes), map(sites.__getitem__, ts)),
-                          congestion.tolist()))
+    congestion = dict(zip(zip(codes, map(sites.__getitem__, ts)), congestion.tolist()))
     edge = EdgeRef(SpinConfig.from_code(spec, codes[best]), sites[ts[best]])
     return FlowResult(cost=cost, edge=edge, congestion=congestion, ci_halfwidth=ci, **fields)
 
@@ -749,7 +714,7 @@ def _flow_tables(L):
     beta, read only:
 
     - rects: every rectangle (y2, x1, y1, x2) of the plaquette grid with
-      x1 < x2 and y1 < y2, one column each, in `_rect` key order;
+      x1 < x2 and y1 < y2, one column each, in sorted order;
     - flips, codes, defects: per rectangle r and sweep, at row
       4*r + sweep, its `_block` flips (padded with 0 to L*L), and in
       column j the code and defect XOR of its first j flips (0 past the
@@ -797,8 +762,8 @@ def _box_segments(L, D, beta, c):
     array) on the plus box of side L at (beta, c), all at once: what
     `parts`, `pool` and `order` of `_segments` give one state at a time.
 
-    Returns (state, row, q, empty): per segment, in (state, part, key)
-    order, the index of its state in D, its row 4*r + sweep in
+    Returns (state, row, q, empty): per segment, in (state, part,
+    rectangle) order, the index of its state in D, its row 4*r + sweep in
     `_flow_tables(L)` and its probability 1/(parts * pool size); and per
     state the first part whose pool is empty, 0 when none is (`pool`
     raises there).

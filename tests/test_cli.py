@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import plaquette
-from plaquette import cli, exact, lattice, paths
+from plaquette import cli, dynamics, exact, lattice, paths
 from plaquette.dynamics import RateModel, trajectory_from_text, replay_trajectory
 
 GAP_L2_BETA1 = 0.2847662422089848
@@ -243,6 +243,23 @@ def test_simulate_ground_start_is_empty(tmp_path, capsys):
     )
     traj = trajectory_from_text(out_file.read_text())
     assert traj.n_events == 0 and traj.elapsed == 0.0
+
+
+def test_simulate_records_events_only_for_out(tmp_path, monkeypatch, capsys):
+    # without --out no trajectory is written, so none is recorded
+    seen = []
+    real = dynamics.simulate
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["record"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "simulate", spy)
+    args = ["simulate", "--beta", "1.5", "--size", "3", "--stop", "events=100", "--seed", "8"]
+    _, bare, _ = run(args, capsys)
+    _, written, _ = run(args + ["--out", str(tmp_path / "traj.txt")], capsys)
+    assert seen == [False, True] and bare == written
+    assert trajectory_from_text((tmp_path / "traj.txt").read_text()).n_events == 100
 
 
 def test_simulate_determinism(capsys):

@@ -672,6 +672,22 @@ def test_trace_chain_records_in_set_and_distinct():
     assert all(t2 >= t1 for t1, t2 in zip(tr.times, tr.times[1:]))
 
 
+def test_trace_chain_takes_a_nonnegative_integer_record_count():
+    # 0 and -3 used to return one record from a start in the set, 2.5 three
+    spec = LatticeSpec(3, PERIODIC)
+    init = SpinConfig.all_plus(spec)
+
+    def anywhere(sim):
+        return True
+
+    none = trace_chain(spec, 2.0, init, anywhere, n_records=0, seed=5)
+    assert none.completed and none.n_events == 0 and none.states == [] and none.times == []
+    assert len(trace_chain(spec, 2.0, init, anywhere, n_records=1, seed=5).states) == 1
+    for bad in (-3, 2.5, "3", None):
+        with pytest.raises(ValueError, match="n_records must be a nonnegative integer"):
+            trace_chain(spec, 2.0, init, anywhere, n_records=bad, seed=5)
+
+
 def test_trace_chain_budget_leaves_it_incomplete():
     spec = LatticeSpec(3, PERIODIC)
     init = SpinConfig.all_plus(spec)
@@ -725,6 +741,29 @@ def test_simulator_refuses_a_start_from_another_box():
     with pytest.raises(ValueError, match="^initial configuration belongs to a different box$"):
         Simulator(spec, RateModel(1.0), SpinConfig.all_plus(LatticeSpec(3, PERIODIC)),
                   _as_rng(0))
+
+
+def test_trajectory_event_times_must_be_finite_nonnegative_and_in_order():
+    # each of these used to load: swapped times as [1.64, 1.34, 1.67, 4.28]
+    spec = LatticeSpec(3, PLUS)
+    traj = simulate(spec, 1.0, SpinConfig.all_minus(spec), stop_after_events(4), seed=0)
+    text = trajectory_to_text(traj)
+    head, rest = text.split("[events]\n")
+    body, final = rest.split("[final]\n")
+    rows = [ln.split(" ", 1) for ln in body.splitlines()]
+    assert len(rows) == 4
+
+    def edited(times):
+        lines = "".join(f"{t} {site}\n" for t, (_, site) in zip(times, rows))
+        return f"{head}[events]\n{lines}[final]\n{final}"
+
+    times = [t for t, _ in rows]
+    assert trajectory_from_text(edited(times)).times.tolist() == traj.times.tolist()
+    swapped = [times[1], times[0], *times[2:]]
+    for bad, row in ((swapped, 2), ([times[0], "nan", *times[2:]], 2),
+                     ([times[0], "-5.0", *times[2:]], 2), (["-5.0", *times[1:]], 1)):
+        with pytest.raises(ValueError, match=rf"^\[events\] row {row} has time "):
+            trajectory_from_text(edited(bad))
 
 
 def test_trajectory_text_with_a_bad_header_or_final_state_is_refused():

@@ -1,7 +1,5 @@
 """Periodic ground-state codes, minimal-path complexes, and excursions."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -308,6 +306,18 @@ def test_trace_kernel_report():
     assert sum(rep.visits.values()) == 400
     again = estimate_trace_kernel(spec_of(3), 3.0, n_records=400, seed=3)
     assert again.counts == rep.counts
+
+
+@pytest.mark.parametrize("count", [-3, 2.5])
+def test_trace_kernel_record_counts_must_be_nonnegative_integers(count):
+    # the start is a ground state: -3 used to give one record, 2.5 three
+    with pytest.raises(ValueError, match="n_records must be a nonnegative integer"):
+        estimate_trace_kernel(spec_of(3), 3.0, n_records=count, seed=3)
+
+
+def test_trace_kernel_with_no_records():
+    rep = estimate_trace_kernel(spec_of(3), 3.0, n_records=0, seed=3)
+    assert rep.n_pairs == 0 and rep.visits == {} and rep.sample.n_events == 0
 
 
 def test_trace_kernel_locality_plateau():

@@ -23,6 +23,7 @@ from plaquette.lattice import (
     defect_map,
     invert_defects,
     reading_order_key,
+    _code_bytes,
     _code_defects,
     _site_codec,
     _site_flat,
@@ -36,7 +37,6 @@ from plaquette.paths import (
     EdgeRef,
     PartitionViolation,
     PathSamplingError,
-    SplitStructure,
     classify_occupancy,
     compute_split,
     defect_neighbours,
@@ -50,17 +50,14 @@ from plaquette.paths import (
     mirror_rectangle,
     naive_path,
     occupancy_vector,
-    path_from_text,
-    path_to_text,
     rectangle_removal_path,
     sample_full_path,
     sample_partial_path,
+    _block,
     _box_segments,
     _flow_tables,
     _lines,
     _pool,
-    _rect,
-    _removal_order,
     _segments,
     _split,
     _sweep,
@@ -113,10 +110,11 @@ def heaviest_edge(res):
 
 
 def flow_digests(res):
-    """sha256 prefixes of the sorted congestion entries and of the CSV report."""
-    lines = "".join(
-        f"{sb.hex()} {s[0]} {s[1]} {v!r}\n" for (sb, s), v in sorted(res.congestion.items())
-    )
+    """sha256 prefixes of the congestion entries, sorted by state key bytes,
+    and of the CSV report."""
+    n = res.edge.e_minus.spec.n_sites
+    entries = sorted((_code_bytes(code, n), s, v) for (code, s), v in res.congestion.items())
+    lines = "".join(f"{sb.hex()} {s[0]} {s[1]} {v!r}\n" for sb, s, v in entries)
     return (
         hashlib.sha256(lines.encode()).hexdigest()[:16],
         hashlib.sha256(flow_report_csv(res).encode()).hexdigest()[:16],
@@ -218,19 +216,6 @@ def test_path_walk_matches_the_spin_flip_chain():
                     assert p.defect_counts() == [defect_map(s).count for s in chain]
 
 
-def test_path_text_roundtrip():
-    spec = LatticeSpec(3, PLUS)
-    p = naive_path(SpinConfig.all_minus(spec))
-    q = path_from_text(spec, path_to_text(p))
-    assert q.initial == p.initial and q.flips == p.flips
-    for site in ("0 1", "4 2", "2 -1"):
-        with pytest.raises(ValueError, match="outside the box"):
-            path_from_text(spec, "+++/+++/+++\n" + site + "\n")
-    for empty in ("", " \n\n"):
-        with pytest.raises(ValueError, match="no initial configuration"):
-            path_from_text(spec, empty)
-
-
 def test_canonical_path_rejects_sites_outside_the_box():
     # (0, 1) once flipped (3, 1) through a negative index
     cfg = SpinConfig.all_plus(LatticeSpec(3, PLUS))
@@ -311,7 +296,8 @@ def test_removal_order_starts_at_the_defect_pair_row():
     for bits in range(16):
         dset = {c for b, c in enumerate(R.corners) if bits >> b & 1} | {(0, 4)}
         cols = [sum(1 << y for x, y in dset if x == a) for a in range(5)]
-        order = _removal_order((R.y2, R.x1, R.y1, R.x2), cols, 4)
+        R4 = (R.y2, R.x1, R.y1, R.x2)
+        order = _block(R4, _sweep(R4, cols), 4)
         assert [sites[t] for t in order] == _five_case_order(R, dset), bits
     # pattern with corners at bottom-left, bottom-right, top-left only:
     # the pair row is the bottom, the sweep runs upward and left to right
@@ -689,6 +675,15 @@ def test_sample_full_path_truncation():
         assert all(c > 4 for c in counts[:-1])
 
 
+def test_sample_full_path_truncation_takes_an_integer_or_none():
+    # 2.5 used to cut as 2 would, and "x" raised a bare TypeError
+    cfg = SpinConfig.all_minus(LatticeSpec(3, PLUS))
+    for bad in (2.5, "x", 2.0):
+        with pytest.raises(ValueError, match="truncate_at must be an integer or None"):
+            sample_full_path(cfg, 1.0, seed=0, truncate_at=bad)
+    assert sample_full_path(cfg, 1.0, seed=0, truncate_at=np.int64(2)).defect_counts()[-1] <= 2
+
+
 def test_sample_full_path_requires_plus():
     spec = LatticeSpec(3, PERIODIC)
     with pytest.raises(ValueError):
@@ -746,7 +741,7 @@ def test_exhaustive_flow_pinned_bit_for_bit(L, beta, level):
     assert res.cost == cost and len(res.congestion) == n_edges
     assert flow_digests(res) == tuple(digests)
     assert heaviest_edge(res) == edge
-    assert res.congestion[res.edge.e_minus.key(), res.edge.site] == res.cost
+    assert res.congestion[res.edge.e_minus.code, res.edge.site] == res.cost
 
 
 def test_monte_carlo_flow_at_split_threshold_two_pinned_bit_for_bit():
@@ -957,7 +952,7 @@ def test_mask_kernel_matches_the_list_reference():
                     for i in range(1, len(bounds)):
                         a, b = bounds[i - 1], bounds[i] - 1
                         want = _ref_pool(ref_rows, ref_cols, a, b, beta)
-                        got = sorted(_rect(R, n1.bit_length()) for R in _pool(rows, cols, a, b, beta))
+                        got = sorted(_pool(rows, cols, a, b, beta))
                         assert got == want, (L, D, beta, c, i)
                         if i > n_parts:
                             continue
@@ -966,13 +961,11 @@ def test_mask_kernel_matches_the_list_reference():
                                 segments.pool(D, i)
                             continue
                         pool = segments.pool(D, i)
-                        assert [_rect(R, n1.bit_length()) for R in pool] == want
+                        assert pool == want
                         if realizable:
                             for R in pool:
-                                r = _rect(R, n1.bit_length())
-                                rect = Rectangle(*r)
-                                order = [sites[t] for t in segments.order(R, _sweep(r, cols))]
-                                assert order == _five_case_order(rect, dset)
+                                order = [sites[t] for t in segments.order(R, _sweep(R, cols))]
+                                assert order == _five_case_order(Rectangle(*R), dset)
                         checked += 1
     assert checked > 500
 
@@ -1043,12 +1036,11 @@ def test_the_exhaustive_flow_frees_its_arrays_on_return():
 
 def _kernel_segments(L, D, beta, c):
     """The per-state reference for `_box_segments`: every segment of D as
-    (rectangle, flat flips, q) in (part, key) order, or the first part
-    whose pool is empty."""
+    (rectangle, flat flips, q) in (part, rectangle) order, or the first
+    part whose pool is empty."""
     segments = _segments(L, beta, c)
     _, cols, bounds = segments.parts(D)
     n = max(1, len(bounds) - 2)
-    w = (L + 1).bit_length()
     out = []
     for i in range(1, n + 1):
         try:
@@ -1057,8 +1049,7 @@ def _kernel_segments(L, D, beta, c):
             assert str(err) == f"no good rectangles in part {i}"
             return i
         for R in pool:
-            r = _rect(R, w)
-            out.append((r, segments.order(R, _sweep(r, cols)), 1.0 / (n * len(pool))))
+            out.append((R, segments.order(R, _sweep(R, cols)), 1.0 / (n * len(pool))))
     return out
 
 
