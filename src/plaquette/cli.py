@@ -230,14 +230,15 @@ def cmd_flow(args):
 
 
 def _rect_init(spec):
-    """Centered minus rectangle of area about half the box."""
+    """Minus rectangle of area about half the box, centred in array
+    storage (the same for 1-based fixed and 0-based periodic sites)."""
     L = spec.side
     w = min(L, max(1, round(L / math.sqrt(2.0))))
     h = min(L, max(1, round(L * L / 2.0 / w)))
-    i0 = (L - w) // 2 + 1
-    j0 = (L - h) // 2 + 1
-    cells = [(i, j) for i in range(i0, i0 + w) for j in range(j0, j0 + h)]
-    return SpinConfig.all_plus(spec).flip(cells)
+    spins = np.ones((L, L), np.int8)
+    a, b = (L - w) // 2, (L - h) // 2
+    spins[a:a + w, b:b + h] = -1
+    return SpinConfig(spec, spins)
 
 
 def _arrhenius_point(payload):
@@ -263,6 +264,10 @@ def _arrhenius_point(payload):
 
 
 def _weighted_slope(betas, means, ci_his):
+    """Weighted least-squares slope of log mean against beta and its
+    standard error; both nan with fewer than two distinct betas."""
+    if len(set(betas)) < 2:
+        return math.nan, math.nan
     x = np.asarray(betas)
     y = np.log(np.asarray(means))
     se = np.log(np.asarray(ci_his) / np.asarray(means)) / 1.96

@@ -136,15 +136,14 @@ def _never(sim):
 class Simulator:
     """Mutable chain state with rejection-free event selection.
 
-    The state is the configuration's code (`SpinConfig.code`, so
-    `state_key()` is the code) with, per site, the 4-bit pattern of its
-    defective plaquettes; a site's k is POP4[pattern]. A flip at t XORs
-    the patterns of its `lattice._toggles` entry and moves the defect
-    count by 4 - 2k; no defect int is kept. Sites sit in five buckets by
-    k, so a step draws a class from the five weights len(bucket) * rate(k)
-    and then a site uniformly inside it. Exponential holding times and
-    uniforms are drawn in blocks that start at _BLOCK_FIRST and double up
-    to _BLOCK_MAX.
+    The state is the configuration's code (`SpinConfig.code`) with, per
+    site, the 4-bit pattern of its defective plaquettes; a site's k is
+    POP4[pattern]. A flip at t XORs the patterns of its `lattice._toggles`
+    entry and moves the defect count by 4 - 2k; no defect int is kept.
+    Sites sit in five buckets by k, so a step draws a class from the five
+    weights len(bucket) * rate(k) and then a site uniformly inside it.
+    Exponential holding times and uniforms are drawn in blocks that start
+    at _BLOCK_FIRST and double up to _BLOCK_MAX.
 
     Sites are addressed in lattice coordinates (1-based for fixed boxes,
     0-based for periodic ones). Stop predicates receive this object and
@@ -206,9 +205,6 @@ class Simulator:
 
     def state(self):
         return SpinConfig.from_code(self.spec, self.code)
-
-    def state_key(self):
-        return self.code
 
     def step(self):
         """Advance by one event; returns the flipped site, the one bit
@@ -298,7 +294,6 @@ class Trajectory:
     spec: LatticeSpec
     beta: float
     kind: str
-    seed: object
     initial: SpinConfig
     times: np.ndarray
     flips: np.ndarray
@@ -414,7 +409,6 @@ def simulate(
         spec=spec,
         beta=beta,
         kind=kind,
-        seed=seed,
         initial=init,
         times=times,
         flips=flips,
@@ -679,7 +673,6 @@ def trajectory_from_text(text):
         spec=spec,
         beta=model.beta,
         kind=model.kind,
-        seed=None,
         initial=init,
         times=times,
         flips=flips,

@@ -5,7 +5,7 @@ where the spin at flat site b is -1, so index 0 is the all-plus state.
 The generator acts as Q[i, i ^ (1 << b)] = rate of flipping site b.
 
 Everything here is dense or sparse linear algebra on enumerated boxes
-(2^(L^2) grows fast; the hard budget is explicit). The chain is
+(2^(L^2) grows fast; the hard budget is lattice.ENUM_BUDGET). The chain is
 reversible, so S = D^1/2 Q D^-1/2 with D = diag(pi) is symmetric, and
 sqrt(pi) spans its kernel.
 
@@ -65,12 +65,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
-    ENUM_BUDGET_DEFAULT,
     PLUS,
     BudgetExceededError,
     SpinConfig,
     _box_defects,
-    _enum_size,
     _site_masks,
 )
 
@@ -208,8 +206,8 @@ class _Box:
 
     def __init__(self, spec):
         n = spec.n_sites
-        N = 1 << n
-        D = _box_defects(spec, N)
+        D = _box_defects(spec)
+        N = D.size
         masks = np.array(_site_masks(spec.side, spec.is_periodic), np.uint64)
         k = np.bitwise_count(D[:, None] & masks)
         k[:, masks == 0] = 2
@@ -325,11 +323,12 @@ class Symmetry:
         return cls(act, reps, orbit, carrier, tuple(sectors), tuple(columns))
 
 
-def build_generator(spec, model, budget=ENUM_BUDGET_DEFAULT):
+def build_generator(spec, model):
     """Assemble the full jump-rate matrix over every configuration on the
     box's table (`_box`): each entry the rate of its k, and the diagonal
-    minus the row sums, summed in column order as a CSR row sum does."""
-    _enum_size(spec, budget)  # on every call: a box cached under a larger budget still raises
+    minus the row sums, summed in column order as a CSR row sum does.
+    A box past lattice.ENUM_BUDGET raises on every call, as `_box` caches
+    no table it fails to build."""
     box = _box(spec)
     rowsum = np.add.reduceat(model.table[box.k_off], np.arange(0, box.k_off.size, spec.n_sites))
     return SparseGenerator(box, model, _on_pattern(box, model.table, -rowsum))
@@ -665,7 +664,7 @@ def _kernel_below(G, t):
     W = np.zeros((N, R))  # the transposed rows, so each term is one CSR product
     W[sym.reps, np.arange(R)] = 1.0
     q = float(np.max(-Q.diagonal()))
-    if q <= 0 or t <= 0:
+    if t <= 0:
         return W.T.copy()
     s = max(0, math.ceil(math.log2(q * t / 8.0)))
     w = _poisson_weights(q * t / 2**s, _TV_TAIL / 2**s)
@@ -802,9 +801,7 @@ def tv_mixing_time(G, eps=0.25):
     """
     if not eps > _TV_TAIL:
         raise ValueError(f"eps must exceed the certificate's tail {_TV_TAIL:g}, got {eps!r}")
-    q = float(np.max(-G.Q.diagonal()))
-    if q <= 0:
-        raise ValueError("zero generator")
+    q = float(np.max(-G.Q.diagonal()))  # >= 1/2: a flip or its reverse has k >= 2
     gap = -float(G.eigen[0][-2])
     beta = G.model.beta
     if not gap > 0:
@@ -825,9 +822,7 @@ def tv_mixing_time(G, eps=0.25):
 @dataclass
 class ProfileBound:
     value: float
-    segments: list  # (x_lo, x_hi, k, lambda_k)
-    x_lo: float
-    x_hi: float
+    segments: list  # (x_lo, x_hi, k, lambda_k), from 4 * min(pi) up to 16
 
 
 def profile_mixing_bound(G):
@@ -837,6 +832,7 @@ def profile_mixing_bound(G):
     k(x) = min{k : pi(plus) * exp(-beta k) <= x}; every state of mass
     <= x then has at least k(x) defects, so any set of mass <= x sits
     inside S_k(x) and the staircase under-estimates the true profile.
+    As x >= 4 * min(pi), k(x) never exceeds the largest defect count.
     """
     _check_pi(G, "the profile bound")
     pi = G.pi
@@ -849,10 +845,7 @@ def profile_mixing_bound(G):
     def k_of(x):
         if pi_plus <= x or beta == 0:
             return 0
-        k = int(math.ceil(math.log(pi_plus / x) / beta - 1e-12))
-        if k > k_max:
-            raise AssertionError("breakpoint below the minimum stationary mass")
-        return k
+        return int(math.ceil((math.log(pi_plus) - math.log(x)) / beta - 1e-12))
 
     pts = {a, b}
     for k in range(1, k_max + 1):
@@ -861,7 +854,7 @@ def profile_mixing_bound(G):
             pts.add(x_k)
     grid = sorted(pts)
     uniq = np.unique(G.counts)
-    steps = [(lo, hi, k_of(math.sqrt(lo * hi))) for lo, hi in zip(grid, grid[1:])]
+    steps = [(lo, hi, k_of(math.sqrt(lo) * math.sqrt(hi))) for lo, hi in zip(grid, grid[1:])]
     # S_k is S_key for the least defect count key >= k, the whole box for
     # k = 0. Each key is solved once: the proper level sets from the largest
     # down, then the gap, so a set past the dense budget raises before any
@@ -873,7 +866,7 @@ def profile_mixing_bound(G):
     total = 0.0
     for lo, hi, _, lam_k in segments:
         total += (2.0 / lam_k) * math.log(hi / lo)
-    return ProfileBound(value=total, segments=segments, x_lo=a, x_hi=b)
+    return ProfileBound(value=total, segments=segments)
 
 
 def _g_profile(x):

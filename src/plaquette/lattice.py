@@ -61,7 +61,7 @@ PLUS = "plus"
 FIXED = "fixed"
 PERIODIC = "periodic"
 
-ENUM_BUDGET_DEFAULT = 1 << 20
+ENUM_BUDGET = 1 << 20  # the most configurations any box enumeration touches
 
 
 class BudgetExceededError(RuntimeError):
@@ -263,9 +263,6 @@ class SpinConfig:
         bits = rng.integers(0, 2, size=(spec.side, spec.side))
         return cls._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
 
-    def key(self):
-        return self.spins.tobytes()
-
     @property
     def code(self):
         """Bit t set where the spin at flat site t (array C-order) is minus."""
@@ -301,7 +298,7 @@ _BIT_TO_SPIN = bytes.maketrans(b"01", b"\x01\xff")
 
 
 def _code_bytes(code, n):
-    """SpinConfig.key() of the configuration with this code on n sites."""
+    """spins.tobytes() of the configuration with this code on n sites."""
     return bin(code)[:1:-1].ljust(n, "0").encode().translate(_BIT_TO_SPIN)
 
 
@@ -454,19 +451,19 @@ def _code_defects(spec, code):
     return D
 
 
-def _enum_size(spec, budget):
-    """The box's number of configurations, 2^n, if it is within `budget`."""
+def _enum_size(spec):
+    """The box's number of configurations, 2^n, if it is within ENUM_BUDGET."""
     N = 1 << spec.n_sites
-    if N > budget:
-        raise BudgetExceededError(f"enumeration needs {N} states, budget is {budget}")
+    if N > ENUM_BUDGET:
+        raise BudgetExceededError(f"enumeration needs {N} states, budget is {ENUM_BUDGET}")
     return N
 
 
-def _box_defects(spec, budget):
+def _box_defects(spec):
     """uint64 array whose entry i is `_code_defects(spec, i)`, filled by
     doubling: codes in [2^b, 2^(b+1)) are those below 2^b with site b
     minus, so D[2^b : 2^(b+1)] = D[:2^b] ^ masks[b]."""
-    D = np.empty(_enum_size(spec, budget), np.uint64)
+    D = np.empty(_enum_size(spec), np.uint64)
     D[0] = _frame_defects(spec)
     for b, m in enumerate(_site_masks(spec.side, spec.is_periodic)):
         D[1 << b : 2 << b] = D[: 1 << b] ^ np.uint64(m)
@@ -510,9 +507,6 @@ class DefectConfig:
         if not (0 <= x[0] < a and 0 <= x[1] < b):
             raise ValueError(f"plaquette {x} outside the {a}x{b} plaquette grid")
         return int(self.plaq[x[0], x[1]])
-
-    def to_text(self):
-        return "\n".join(f"({a},{b})" for a, b in self.defects())
 
     def __eq__(self, other):
         return (
@@ -617,24 +611,24 @@ def invert_defects(spec, pattern, anchor=None):
     return SpinConfig._from_frozen(spec, spins[n - L :, n - L :].astype(np.int8))
 
 
-def enumerate_configs(spec, budget=ENUM_BUDGET_DEFAULT):
+def enumerate_configs(spec):
     """Every configuration of the box, in code order."""
-    return [SpinConfig.from_code(spec, i) for i in range(_enum_size(spec, budget))]
+    return [SpinConfig.from_code(spec, i) for i in range(_enum_size(spec))]
 
 
-def count_by_defect_number(spec, budget=ENUM_BUDGET_DEFAULT):
+def count_by_defect_number(spec):
     """Exhaustive histogram {defect count: number of configurations}."""
-    binc = np.bincount(np.bitwise_count(_box_defects(spec, budget)))
+    binc = np.bincount(np.bitwise_count(_box_defects(spec)))
     return {int(k): int(v) for k, v in enumerate(binc) if v > 0}
 
 
-def enumerate_by_defect_count(spec, count, budget=ENUM_BUDGET_DEFAULT):
+def enumerate_by_defect_count(spec, count):
     """All configurations with exactly `count` defects, in code order."""
-    sel = np.flatnonzero(np.bitwise_count(_box_defects(spec, budget)) == count)
+    sel = np.flatnonzero(np.bitwise_count(_box_defects(spec)) == count)
     return [SpinConfig.from_code(spec, i) for i in sel.tolist()]
 
 
-def ground_states(spec, budget=ENUM_BUDGET_DEFAULT):
+def ground_states(spec):
     """All zero-defect configurations.
 
     Plus boundary: the all-plus state, and nothing else. Periodic: the
@@ -652,7 +646,7 @@ def ground_states(spec, budget=ENUM_BUDGET_DEFAULT):
                 a = np.array((1,) + abits, dtype=np.int8)
                 out.append(SpinConfig._from_frozen(spec, np.outer(a, b)))
         return out
-    return enumerate_by_defect_count(spec, 0, budget)
+    return enumerate_by_defect_count(spec, 0)
 
 
 def critical_length(beta):
@@ -711,9 +705,6 @@ class Rectangle:
             (self.x1, self.y2),
             (self.x2, self.y2),
         )
-
-    def corner_set(self):
-        return set(self.corners)
 
     def flip_sites(self):
         """Sites whose joint flip toggles exactly this rectangle's corners:

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
-    ENUM_BUDGET_DEFAULT,
     PLUS,
     Rectangle,
     SpinConfig,
@@ -86,9 +85,6 @@ class EdgeRef:
 
     e_minus: SpinConfig
     site: tuple
-
-    def e_plus(self):
-        return self.e_minus.flip([self.site])
 
 
 class CanonicalPath:
@@ -660,14 +656,13 @@ class FlowResult:
     mode: str
     level: int
     beta: float
-    c: int
     samples: int | None = None
     ci_halfwidth: float | None = None
 
 
 def flow_report_csv(result):
     """Rows 'edge_state_hash,site_x,site_y,congestion', heaviest first; the
-    hash is of the state's SpinConfig.key()."""
+    hash is of the state's int8 spin bytes."""
     n = result.edge.e_minus.spec.n_sites
     rows = ["edge_state_hash,site_x,site_y,congestion"]
     items = sorted(result.congestion.items(), key=lambda kv: -kv[1])
@@ -862,7 +857,7 @@ def _flow_exhaustive(spec, beta, level, c, kind):
     trunc = level - 1
     M = _rectangle_segments(beta, L)
     # States are codes; a flip at t XORs 1 << t and masks[t] into them.
-    D = _box_defects(spec, ENUM_BUDGET_DEFAULT)
+    D = _box_defects(spec)
     N = D.size
     counts = np.bitwise_count(D)
     sources = np.flatnonzero(counts >= level)
@@ -962,7 +957,7 @@ def _flow_exhaustive(spec, beta, level, c, kind):
     state, t = np.divmod(edges, n)
     return _flow_result(spec, model, state.tolist(), t.tolist(), 2.0 * numer[edges],
                         counts[state], np.bitwise_count(D[state] & masks[t]),
-                        mode="exhaustive", level=level, beta=beta, c=c)
+                        mode="exhaustive", level=level, beta=beta)
 
 
 def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
@@ -1008,14 +1003,15 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
     a = np.fromiter(acc.values(), float, len(acc))
     a2 = np.fromiter(acc2.values(), float, len(acc))
     mean = a / samples
-    var = np.maximum(a2 - a * a / samples, 0.0) / max(samples - 1, 1)
+    # one sample leaves the variance undefined: nan, not 0
+    var = np.maximum(a2 - a * a / samples, 0.0) / (samples - 1 or math.nan)
     se = np.sqrt(var / samples)
     with np.errstate(over="ignore"):
         numer = np.ldexp(mean, n + 1)
         half = np.ldexp(se, n + 1) * 1.96
     codes, ts, counts, ks = (seen[j::4] for j in range(4))
     return _flow_result(spec, model, codes, ts, numer, np.array(counts), np.array(ks), half,
-                        mode="monte_carlo", level=level, beta=beta, c=c, samples=samples)
+                        mode="monte_carlo", level=level, beta=beta, samples=samples)
 
 
 def flow_cost(
@@ -1033,7 +1029,7 @@ def flow_cost(
     spectral value, so in particular 1/cost <= spectral gap for level 1.
 
     Exhaustive mode enumerates the whole branching tree of the path
-    measure from every source (the default enumeration budget applies).
+    measure from every source (lattice.ENUM_BUDGET applies).
     Monte Carlo mode samples sources uniformly and reports the maximum,
     over the edges observed, of unbiased but noisy per-edge means. That
     maximum is biased upward at small sample counts and bounds the true

@@ -191,6 +191,14 @@ def test_flow_monte_carlo_rejects_no_samples(tmp_path):
                                                 f" expected a positive integer, got '{bad}'")
 
 
+def test_flow_monte_carlo_interval_is_nan_at_one_sample():
+    # one sample leaves the variance undefined; it was reported as 0.0
+    proc = run_python("-W", "error", "-m", "plaquette", "flow", "--size", "3",
+                      "--mode", "monte_carlo", "--samples", "1")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "# ci_halfwidth=nan\n" in proc.stdout
+
+
 def test_flow_rejects_non_plus_boundaries(tmp_path):
     # both used to escape as ValueError tracebacks from paths.flow_cost
     frame = tmp_path / "frame.txt"
@@ -292,6 +300,16 @@ def test_arrhenius_critical_size_column(capsys):
     assert [r.split(",")[1] for r in rows] == ["2", "3"]  # floor(exp(beta/2))
 
 
+@pytest.mark.parametrize("betas", ["2.0", "2,2"])
+def test_arrhenius_slope_is_nan_below_two_distinct_betas(betas):
+    # the weighted fit divided by a zero sxx: two RuntimeWarnings and
+    # slope_stderr=inf, a traceback under -W error
+    proc = run_python("-W", "error", "-m", "plaquette", "arrhenius", "--beta", betas,
+                      "--replicas", "5", "--workers", "1")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "# slope=nan\n# slope_stderr=nan\n" in proc.stdout
+
+
 def test_arrhenius_rejects_fixed_frames(capsys):
     with pytest.raises(SystemExit):
         cli.main(["arrhenius", "--bc", "fixed:/tmp/x", "--replicas", "5"])
@@ -366,8 +384,8 @@ def test_verify_names_broken_invariant(monkeypatch, capsys):
     # sabotage one primitive; the named check must catch it and fail the run
     real = lattice.ground_states
 
-    def lying_ground_states(spec, budget=1 << 20):
-        out = real(spec, budget)
+    def lying_ground_states(spec):
+        out = real(spec)
         return out[:-1] if spec.is_periodic else out
 
     monkeypatch.setattr(lattice, "ground_states", lying_ground_states)
@@ -526,6 +544,24 @@ def test_simulate_starts_from_the_half_area_rectangle(tmp_path, capsys):
     assert int((traj.initial.spins == -1).sum()) == 9  # a 3x3 block of 16 sites
     with pytest.raises(SystemExit, match="^bad --init value 'square'$"):
         cli.main(["simulate", "--init", "square"])
+
+
+def test_rect_start_is_centred_in_storage_on_both_boundaries():
+    # periodic sites are 0-based, and the rectangle built from 1-based
+    # sites left the periodic box at L = 1 and 2 (ValueError: site (1, 2)
+    # outside the box); plus starts are those 1-based sites, as before
+    for L in range(1, 9):
+        plus = cli._rect_init(lattice.LatticeSpec(L))
+        per = cli._rect_init(lattice.LatticeSpec(L, lattice.PERIODIC))
+        assert per.spins.tobytes() == plus.spins.tobytes()
+        minus = [(i + 1, j + 1) for i, j in zip(*(plus.spins == -1).nonzero())]
+        (a, b), (c, d) = min(minus), max(minus)
+        w, h = c - a + 1, d - b + 1
+        assert len(minus) == w * h and (a, b) == ((L - w) // 2 + 1, (L - h) // 2 + 1)
+    for L in ("1", "2"):
+        proc = run_python("-W", "error", "-m", "plaquette", "simulate", "--bc", "per",
+                          "--init", "rect", "--size", L)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 def test_unreadable_config_and_init_files_are_named(tmp_path):

@@ -166,7 +166,7 @@ def test_simulator_tracks_defects():
             cfg = cfg.flip([sim.step()])
             assert sim.state() == cfg
             assert sim.n_defects == defect_count(cfg)
-            assert sim.code == cfg.code and sim.state_key() == cfg.code
+            assert sim.code == cfg.code
             total = model.table[_site_k(spec, defect_map(cfg).plaq == -1)].sum()
             assert sim._total == pytest.approx(total, rel=1e-12)
         assert sim.n_events == 300

@@ -260,12 +260,6 @@ def test_gathered_generator_drops_rates_that_underflow():
         assert same_csr(G.Q, Q) and same_csr(G.S, S), bc
 
 
-def test_box_table_is_checked_against_the_budget_on_every_build():
-    G_of(3, 1.0)  # the box is cached now
-    with pytest.raises(BudgetExceededError):
-        build_generator(LatticeSpec(3, PLUS), RateModel(1.0), budget=100)
-
-
 def test_box_table_is_read_only_and_shared_across_beta():
     G, H = G_of(3, 1.0), G_of(3, 2.0)
     assert G.counts is H.counts and G.symmetry is H.symmetry
@@ -774,6 +768,35 @@ def test_profile_bound_is_refused_where_the_stationary_mass_underflows(L, beta, 
         profile_mixing_bound(G)
 
 
+def test_every_generator_has_a_state_leaving_at_rate_one_half():
+    # a flip or its reverse finds k >= 2, whose rate is at least 1/2 under
+    # both kinds, so q = max(-diag Q) >= 1/2 and no generator is zero
+    for spec, kind in itertools.product(symmetric_boxes(), RateModel.KINDS):
+        for beta in (0.0, 1.0, 3.0, 30.0, 300.0):
+            with np.errstate(over="ignore"):
+                G = build_generator(spec, RateModel(beta, kind))
+            assert float(np.max(-G.Q.diagonal())) >= 0.5, (spec, kind, beta)
+
+
+def test_profile_staircase_stays_within_the_largest_defect_count():
+    # x >= 4 min(pi) keeps k(x) <= counts.max(), up to the largest beta at
+    # which no stationary mass underflows; there the geometric midpoint of
+    # a segment underflowed (ZeroDivisionError, L=3 plus beta=30) or
+    # pi(plus) / x overflowed (OverflowError)
+    for spec, kind in itertools.product(symmetric_boxes(), RateModel.KINDS):
+        lo, hi = 0.0, 1000.0
+        for _ in range(50):
+            mid = (lo + hi) / 2
+            with np.errstate(over="ignore"):
+                ok = build_generator(spec, RateModel(mid, kind)).pi.all()
+            lo, hi = (mid, hi) if ok else (lo, mid)
+        for beta in (0.0, 1.0, 3.0, 30.0, lo):
+            with np.errstate(over="ignore"):
+                G = build_generator(spec, RateModel(beta, kind))
+            ks = [k for _, _, k, _ in profile_mixing_bound(G).segments]
+            assert max(ks) <= G.counts.max(), (spec, kind, beta)
+
+
 def test_poisson_weights_match_scipy_stats():
     tail = 1e-8
     for lam in (0.1, 1.0, 11.0, 94.0, 1000.0):
@@ -885,8 +908,11 @@ def test_dump_generator_text_parses():
 
 
 def test_generator_budget():
-    with pytest.raises(BudgetExceededError):
-        build_generator(LatticeSpec(3, PLUS), RateModel(1.0), budget=100)
+    # 2^25 states is past lattice.ENUM_BUDGET; a failed build is not
+    # cached, so every build raises
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            build_generator(LatticeSpec(5, PLUS), RateModel(1.0))
 
 
 def test_eigen_budget_guard():

@@ -163,7 +163,7 @@ def test_locate_multiplicity_histogram_side3():
             for m in (1, 2, 3):
                 for k in (1, 2):
                     cfg = minimal_path_config(g, h, m, k)
-                    states[cfg.key()] = cfg
+                    states[cfg.code] = cfg
                     constructions += 1
     hist = {}
     for cfg in states.values():

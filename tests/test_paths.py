@@ -186,7 +186,7 @@ def test_path_states_edges_counts():
     assert len(sts) == len(p) + 1
     assert sts[0] == cfg and sts[-1] == p.final
     for (e, i), a, b in zip(p.edges(), sts, sts[1:]):
-        assert e.e_minus == a and e.e_plus() == b
+        assert e.e_minus == a and e.e_minus.flip([e.site]) == b
     counts = p.defect_counts()
     assert counts[0] == defect_map(cfg).count and counts[-1] == 0
 
@@ -242,7 +242,7 @@ def test_removal_path_toggles_rectangle_corners():
             continue
         for R in extended_rectangles(d):
             p = rectangle_removal_path(cfg, R)
-            want = set(d.defects()).symmetric_difference(R.corner_set())
+            want = set(d.defects()).symmetric_difference(R.corners)
             assert set(defect_map(p.final).defects()) == want
             assert sorted(p.flips) == sorted(R.flip_sites())
 
@@ -448,7 +448,7 @@ def test_mirror_equivariance_of_three_corner_removal():
             p = rectangle_removal_path(cfg, R)
             m = rectangle_removal_path(mirror_config(cfg), mirror_rectangle(spec, R))
             mirrored = [mirror_config(s) for s in p.states()]
-            assert [s.key() for s in m.states()] == [s.key() for s in mirrored]
+            assert [s.code for s in m.states()] == [s.code for s in mirrored]
             checked += 1
     assert checked > 30
 
