@@ -376,7 +376,7 @@ def _ground_code_roundtrip(side):
     assert len(gs) == 2 ** (2 * side - 1)
     for g in gs:
         code = ground.encode_ground(g)
-        assert ground.decode_ground(spec, code).spins.tobytes() == g.spins.tobytes()
+        assert ground.decode_ground(spec, code) == g
 
 
 def _checks_quick():
@@ -387,7 +387,7 @@ def _checks_quick():
             d = defect_map(cfg)
             assert lattice.parity_check(spec, d)
             back = lattice.invert_defects(spec, d)
-            assert back.spins.tobytes() == cfg.spins.tobytes()
+            assert back == cfg
             seen.add(d.plaq.tobytes())
         assert len(seen) == 512
 
@@ -536,7 +536,7 @@ def _checks_quick():
                 pls = ground.locate_on_minimal_path(cfg)
                 assert any(
                     p.m == m and p.k == k
-                    and p.sigma.spins.tobytes() == a.spins.tobytes()
+                    and p.sigma == a
                     for p in pls
                 )
 
@@ -548,7 +548,7 @@ def _checks_quick():
         )
         text = dynamics.trajectory_to_text(traj)
         back = dynamics.trajectory_from_text(text)
-        assert back.final.spins.tobytes() == traj.final.spins.tobytes()
+        assert back.final == traj.final
 
     def hitting_seed_determinism():
         spec = LatticeSpec(2, PLUS)

@@ -59,6 +59,7 @@ from .lattice import (
     LatticeSpec,
     SpinConfig,
     _code_defects,
+    _defect_bits,
     _frame_defects,
     _frame_patterns,
     _grid_from_text,
@@ -429,9 +430,8 @@ def replay_trajectory(traj):
     bad = (flips < 0) | (flips >= L * L)
     if bad.any():
         raise ValueError(f"event flat index {int(flips[bad.argmax()])} outside the box")
-    odd = np.bincount(flips, minlength=L * L).reshape(L, L) % 2 == 1
-    spins = traj.initial.spins
-    return SpinConfig._from_frozen(spec, np.where(odd, -spins, spins))
+    odd = np.bincount(flips, minlength=L * L) % 2 == 1
+    return SpinConfig.from_code(spec, traj.initial.code ^ _defect_bits(odd))
 
 
 @dataclass

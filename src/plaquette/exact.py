@@ -184,6 +184,14 @@ def _check_pi(G, what):
                                f" {G.model.beta!r}, so {what} cannot be formed")
 
 
+def _positive(value, what, beta):
+    """value, a gap (lambda(S_k) is that of the chain killed outside S_k), or
+    ConvergenceError naming beta where rounding left it not positive."""
+    if not value > 0:
+        raise ConvergenceError(f"{what} {value:.3g} at beta {beta!r}: the gap is not positive")
+    return value
+
+
 def _frozen(*arrays):
     """Make the arrays read-only."""
     for a in arrays:
@@ -386,12 +394,12 @@ def spectral_gap(G, dense_threshold=DENSE_THRESHOLD):
     At large beta the iteration breaks down: a state whose exit rate
     underflows to 0 leaves no Jacobi preconditioner, and pi concentrated
     on one state leaves no start. A division by zero, an invalid value
-    or an overflow there, a failed small `eigh`, and a gap that is not
-    positive (a gap far below the absolute residual _GAP_TOL, lost to
-    rounding) all raise ConvergenceError, with no RuntimeWarning.
+    or an overflow there, and a failed small `eigh` raise ConvergenceError,
+    with no RuntimeWarning, and so does a gap from either route that is
+    not positive, lost to rounding (`_positive`).
     """
     if G.n_states <= min(dense_threshold, DENSE_THRESHOLD):
-        return float(-G.eigen[0][-2])
+        return _positive(float(-G.eigen[0][-2]), "dense gap", G.model.beta)
     S = G.S
     beta = G.model.beta
     try:
@@ -410,10 +418,7 @@ def spectral_gap(G, dense_threshold=DENSE_THRESHOLD):
     if not residual <= _GAP_TOL:
         raise ConvergenceError(f"LOBPCG gap did not converge: residual {residual:.3g}"
                                f" after {steps} iterations, above {_GAP_TOL:g}")
-    if not lam > 0:
-        raise ConvergenceError(f"LOBPCG gap {lam:.3g} at beta {beta!r} is not positive:"
-                               f" the gap is below what the residual {_GAP_TOL:g} resolves")
-    return lam
+    return _positive(lam, "LOBPCG gap", beta)
 
 
 def _lobpcg(S, y, x):
@@ -689,11 +694,17 @@ def _tv_all_starts(G, t):
     rows, so for each representative start sum|P_t - pi| <= sum|A - pi| +
     (1 - sum A). The largest row of half that is returned: the distance is
     the same from every start of an orbit. The slack over the true
-    distance is at most the row deficit, which is at most _TV_TAIL.
+    distance is at most the row deficit, which is at most _TV_TAIL. At a
+    huge t the squarings double row sums a rounding above 1 into inf; a
+    distance that is not finite raises ConvergenceError, with no warning.
     """
-    A = _kernel_below(G, t)
-    rows = np.abs(A - G.pi[None, :]).sum(axis=1) + (1.0 - A.sum(axis=1))
-    return 0.5 * float(np.max(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = _kernel_below(G, t)
+        rows = np.abs(A - G.pi[None, :]).sum(axis=1) + (1.0 - A.sum(axis=1))
+    tv = 0.5 * float(np.max(rows))
+    if not math.isfinite(tv):
+        raise ConvergenceError(f"the TV certificate at t {t:.3g} is {tv}")
+    return tv
 
 
 def _tv_spectral(G, t, eps=None):
@@ -783,16 +794,17 @@ def tv_mixing_time(G, eps=0.25):
     certified by `_tv_all_starts` (truncation slack included). Should the
     certificate fail, the search goes on above that endpoint with the
     certificate alone, so the time returned is always certified below eps.
-    Above DENSE_THRESHOLD states `G.eigen` raises BudgetExceededError.
-    At large beta the gap from `G.eigen` rounds to 0 or below, or to a
-    few ulps above it, and the distance read off the eigenpairs never
-    falls: a gap that is not positive, or no time below eps in 200
-    doublings, raises ConvergenceError naming beta and the gap.
+    Above DENSE_THRESHOLD states it raises BudgetExceededError before the
+    gap is solved for. At large beta the gap (`spectral_gap`) rounds to 0
+    or below, or to a few ulps above it, and the distance read off the
+    eigenpairs never falls: a gap that is not positive, no time below eps
+    in 200 doublings, or a certificate that is not finite raises
+    ConvergenceError naming beta.
     The distance read carries _TV_TAIL, so eps must exceed it
     (ValueError otherwise).
 
     Neither search reads the distance at a time below the floor
-    (1 - 1e-9) ln(1/(2 eps)) / gap (0 for eps >= 1/2), gap from `G.eigen`:
+    (1 - 1e-9) ln(1/(2 eps)) / gap (0 for eps >= 1/2):
     a reversible chain has d(t) >= e^{-t gap} / 2 (Levin, Peres and
     Wilmer, the t_rel ln(1/(2 eps)) lower bound on the mixing time), so
     there the distance is at or above eps, and both reads would say so.
@@ -801,18 +813,17 @@ def tv_mixing_time(G, eps=0.25):
     """
     if not eps > _TV_TAIL:
         raise ValueError(f"eps must exceed the certificate's tail {_TV_TAIL:g}, got {eps!r}")
+    if G.n_states > DENSE_THRESHOLD:
+        raise BudgetExceededError(f"mixing time limited to {DENSE_THRESHOLD} states")
     q = float(np.max(-G.Q.diagonal()))  # >= 1/2: a flip or its reverse has k >= 2
-    gap = -float(G.eigen[0][-2])
+    gap = spectral_gap(G)
     beta = G.model.beta
-    if not gap > 0:
-        raise ConvergenceError(f"mixing time not found at beta {beta!r}:"
-                               f" the gap {gap:.3g} is not positive")
     floor = 0.0
     if eps < 0.5:
         floor = (1.0 - 1e-9) * math.log(1.0 / (2.0 * eps)) / gap
     try:
         hi = _first_time_below(lambda t: _tv_spectral(G, t, eps), 0.0, 1.0 / q, eps, floor)
-        if _tv_all_starts(G, hi) >= eps:
+        if not _tv_all_starts(G, hi) < eps:
             hi = _first_time_below(lambda t: _tv_all_starts(G, t), hi, 2.0 * hi, eps, floor)
     except ConvergenceError as err:
         raise ConvergenceError(f"{err}, at beta {beta!r} with gap {gap:.3g}") from None
@@ -832,35 +843,26 @@ def profile_mixing_bound(G):
     k(x) = min{k : pi(plus) * exp(-beta k) <= x}; every state of mass
     <= x then has at least k(x) defects, so any set of mass <= x sits
     inside S_k(x) and the staircase under-estimates the true profile.
-    As x >= 4 * min(pi), k(x) never exceeds the largest defect count.
+    The breakpoints x_k = pi(plus) exp(-beta k), k >= 0, cut the range
+    into segments, each with k the number of breakpoints above its lower
+    end; as x >= 4 * min(pi), k never exceeds the largest defect count.
+    A value lambda(S_k) that is not positive raises ConvergenceError.
     """
     _check_pi(G, "the profile bound")
     pi = G.pi
     beta = G.model.beta
-    pi_plus = float(pi[0])
-    k_max = int(G.counts.max())
     a = 4.0 * float(pi.min())
     b = 16.0
-
-    def k_of(x):
-        if pi_plus <= x or beta == 0:
-            return 0
-        return int(math.ceil((math.log(pi_plus) - math.log(x)) / beta - 1e-12))
-
-    pts = {a, b}
-    for k in range(1, k_max + 1):
-        x_k = pi_plus * math.exp(-beta * k)
-        if a < x_k < b:
-            pts.add(x_k)
-    grid = sorted(pts)
+    xs = [float(pi[0]) * math.exp(-beta * k) for k in range(int(G.counts.max()) + 1)]
+    grid = sorted({a, b, *(x for x in xs if a < x < b)})
     uniq = np.unique(G.counts)
-    steps = [(lo, hi, k_of(math.sqrt(lo) * math.sqrt(hi))) for lo, hi in zip(grid, grid[1:])]
+    steps = [(lo, hi, sum(x > lo for x in xs)) for lo, hi in zip(grid, grid[1:])]
     # S_k is S_key for the least defect count key >= k, the whole box for
     # k = 0. Each key is solved once: the proper level sets from the largest
     # down, then the gap, so a set past the dense budget raises before any
     # solve is spent.
     key_of = {k: 0 if k == 0 else int(uniq[np.searchsorted(uniq, k)]) for _, _, k in steps}
-    lam = {key: spectral_profile(G, key)
+    lam = {key: _positive(spectral_profile(G, key), f"lambda(S_{key})", beta)
            for key in sorted(set(key_of.values()), key=lambda key: (key == 0, key))}
     segments = [(lo, hi, k, lam[key_of[k]]) for lo, hi, k in steps]
     total = 0.0

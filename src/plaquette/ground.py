@@ -63,7 +63,7 @@ def decode_ground(spec, code):
         raise ValueError("bad code vector")
     a = np.array(code[:L], dtype=np.int8)
     b = np.array(list(code[L:]) + [1], dtype=np.int8)
-    return SpinConfig._from_frozen(spec, np.outer(a, b))
+    return SpinConfig(spec, np.outer(a, b))
 
 
 def code_weight(code):

@@ -13,7 +13,9 @@ small boxes, and the rectangle type shared by the path machinery.
 
 Every layer names a configuration by one int, its code (`SpinConfig.code`,
 decoded by `SpinConfig.from_code`): bit t is set where the spin at flat
-site t = i*L + j is minus, so the code is the enumeration index. Its
+site t = i*L + j is minus, so the code is the enumeration index. A
+`SpinConfig` holds only its box and code; `SpinConfig.spins` is decoded
+from the code (`_code_bytes`) each time it is read. Its
 defects are one int over plaquette bits (`_code_defects`), the frame's
 defects XOR the plaquette mask (`_site_masks`) of each minus site, so a
 defect count or a site's k is a popcount. The path walks of `paths` XOR
@@ -193,55 +195,46 @@ def _sites_flat(spec, i, j):
     return a * L + b
 
 
-def _site_index(spec, x):
-    """Array indices of site x, validating membership."""
-    return divmod(_site_flat(spec, x), spec.side)
-
-
 class SpinConfig:
-    """Immutable spin assignment on the interior sites of a box."""
+    """Immutable spin assignment on the interior sites of a box, held as
+    its code: bit t set where the spin at flat site t (array C-order) is
+    minus. `spins` is decoded from the code on each read."""
 
-    __slots__ = ("spec", "spins")
+    __slots__ = ("spec", "code")
 
     def __init__(self, spec, spins):
-        arr = np.array(spins, dtype=np.int8)
+        arr = np.asarray(spins, dtype=np.int8)
         L = spec.side
         if arr.shape != (L, L):
             raise ValueError(f"spins must have shape {(L, L)}, got {arr.shape}")
         if not np.all(np.abs(arr) == 1):
             raise ValueError("spins must be +-1")
-        arr.flags.writeable = False
         self.spec = spec
-        self.spins = arr
-
-    @classmethod
-    def _from_frozen(cls, spec, arr):
-        # Internal fast path: arr must already be a private int8 (L, L) array.
-        obj = object.__new__(cls)
-        arr.flags.writeable = False
-        obj.spec = spec
-        obj.spins = arr
-        return obj
+        self.code = _defect_bits(arr == -1)
 
     @classmethod
     def all_plus(cls, spec):
-        return cls._from_frozen(spec, np.ones((spec.side, spec.side), np.int8))
+        return cls.from_code(spec, 0)
 
     @classmethod
     def all_minus(cls, spec):
-        return cls._from_frozen(spec, -np.ones((spec.side, spec.side), np.int8))
+        return cls.from_code(spec, (1 << spec.n_sites) - 1)
 
     def site_value(self, x):
-        i, j = _site_index(self.spec, x)
-        return int(self.spins[i, j])
+        return 1 - 2 * (self.code >> _site_flat(self.spec, x) & 1)
 
     def flip(self, sites):
         """New configuration with the given sites flipped (each toggles once)."""
-        arr = self.spins.copy()
+        code = self.code
         for x in sites:
-            i, j = _site_index(self.spec, x)
-            arr[i, j] = -arr[i, j]
-        return SpinConfig._from_frozen(self.spec, arr)
+            code ^= 1 << _site_flat(self.spec, x)
+        return SpinConfig.from_code(self.spec, code)
+
+    @property
+    def spins(self):
+        """Read-only (L, L) int8 array of the spins."""
+        L = self.spec.side
+        return np.frombuffer(_code_bytes(self.code, L * L), np.int8).reshape(L, L)
 
     def padded(self):
         """(L+2, L+2) array with the frozen frame in place. Fixed BCs only."""
@@ -255,18 +248,13 @@ class SpinConfig:
 
     @classmethod
     def from_text(cls, spec, text):
-        return cls._from_frozen(spec, _grid_from_text(text, spec.side))
+        return cls(spec, _grid_from_text(text, spec.side))
 
     @classmethod
     def random(cls, spec, rng):
         """Independent uniform spins, drawn as one (L, L) block of bits."""
         bits = rng.integers(0, 2, size=(spec.side, spec.side))
-        return cls._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
-
-    @property
-    def code(self):
-        """Bit t set where the spin at flat site t (array C-order) is minus."""
-        return int(self.spins.tobytes().translate(_SPIN_TO_BIT)[::-1], 2)
+        return cls.from_code(spec, _defect_bits(bits))
 
     @classmethod
     def from_code(cls, spec, code):
@@ -275,25 +263,22 @@ class SpinConfig:
         n = spec.n_sites
         if not 0 <= code < 1 << n:
             raise ValueError(f"code {code} outside [0, 2**{n})")
-        arr = np.frombuffer(_code_bytes(code, n), np.int8)
-        return cls._from_frozen(spec, arr.reshape(spec.side, spec.side))
+        obj = object.__new__(cls)
+        obj.spec = spec
+        obj.code = code
+        return obj
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SpinConfig)
-            and self.spec == other.spec
-            and self.spins.tobytes() == other.spins.tobytes()
-        )
+        return isinstance(other, SpinConfig) and (self.spec, self.code) == (other.spec, other.code)
 
     def __hash__(self):
-        return hash((self.spec._key, self.spins.tobytes()))
+        return hash((self.spec._key, self.code))
 
     def __repr__(self):
         return f"SpinConfig({self.spec!r},\n{self.to_text()})"
 
 
-# int8 spin bytes (+1 is 0x01, -1 is 0xff) <-> the binary digits of a code
-_SPIN_TO_BIT = bytes.maketrans(b"\x01\xff", b"01")
+# the binary digits of a code -> int8 spin bytes (+1 is 0x01, -1 is 0xff)
 _BIT_TO_SPIN = bytes.maketrans(b"01", b"\x01\xff")
 
 
@@ -415,8 +400,9 @@ def _toggles(side, periodic):
 
 
 def _defect_bits(defective):
-    """A boolean plaquette mask as one int, each plaquette at the bit of its
-    flat index in the plaquette grid (the layout of _site_masks)."""
+    """A boolean (or 0/1) array as one int, the entry at flat index t at
+    bit t: a plaquette mask in the layout of _site_masks, or a site mask as
+    a code."""
     packed = np.packbits(defective, axis=None, bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
 
@@ -608,7 +594,7 @@ def invert_defects(spec, pattern, anchor=None):
     cum = np.ones((n, n), dtype=np.int8)
     cum[1:, 1:] = np.cumprod(np.cumprod(d.plaq[: n - 1, : n - 1], axis=0), axis=1)
     spins = grid[0, 0] * np.outer(grid[:, 0], grid[0, :]) * cum
-    return SpinConfig._from_frozen(spec, spins[n - L :, n - L :].astype(np.int8))
+    return SpinConfig(spec, spins[n - L :, n - L :])
 
 
 def enumerate_configs(spec):
@@ -644,7 +630,7 @@ def ground_states(spec):
             b = np.array(bbits, dtype=np.int8)
             for abits in itertools.product((1, -1), repeat=L - 1):
                 a = np.array((1,) + abits, dtype=np.int8)
-                out.append(SpinConfig._from_frozen(spec, np.outer(a, b)))
+                out.append(SpinConfig(spec, np.outer(a, b)))
         return out
     return enumerate_by_defect_count(spec, 0)
 

@@ -135,7 +135,7 @@ class CanonicalPath:
 
 def mirror_config(cfg):
     """Vertical reflection: site (i, j) -> (i, L+1-j)."""
-    return SpinConfig._from_frozen(cfg.spec, cfg.spins[:, ::-1].copy())
+    return SpinConfig(cfg.spec, cfg.spins[:, ::-1])
 
 
 def mirror_rectangle(spec, R):

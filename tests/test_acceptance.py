@@ -34,7 +34,7 @@ def _all_configs(spec):
         for b in range(n):
             if mask >> b & 1:
                 spins[b % L, b // L] = -1
-        yield SpinConfig._from_frozen(spec, spins)
+        yield SpinConfig(spec, spins)
 
 
 def _random_plus_config(spec, rng):

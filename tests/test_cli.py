@@ -94,7 +94,7 @@ def test_exact_exits_with_one_line_when_the_gap_does_not_converge(monkeypatch):
 
 @pytest.mark.parametrize("argv, what", [
     (["--beta", "20", "--size", "2"], "mixing bracket not found"),
-    (["--beta", "300", "--size", "2", "--bc", "per"], "mixing time not found"),
+    (["--beta", "300", "--size", "2", "--bc", "per"], "dense gap .* is not positive"),
     (["--beta", "150", "--size", "4"], "LOBPCG gap .* is not positive"),
     (["--beta", "200", "--size", "4"], "LOBPCG gap broke down"),
 ])
@@ -103,6 +103,15 @@ def test_exact_exits_with_one_line_at_large_beta(argv, what):
     proc = run_python("-W", "error", "-m", "plaquette", "exact", *argv)
     assert proc.returncode == 1 and proc.stdout == ""
     assert re.fullmatch(f"exact: {what}.*\n", proc.stderr), proc.stderr
+
+
+def test_exact_exits_with_one_line_where_the_tv_certificate_overflows():
+    # an uncertified tmix of 7.74e23 was printed after two RuntimeWarnings
+    proc = run_python("-W", "error", "-m", "plaquette", "exact", "--size", "2", "--bc", "per",
+                      "--beta", "14")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert re.fullmatch(r"exact: the TV certificate at t \S+ is nan, at beta 14\.0 with gap"
+                        r" \S+\n", proc.stderr), proc.stderr
 
 
 def test_exact_l4_plus_beta_half_exits_zero(capsys):

@@ -54,7 +54,7 @@ def mixed_frame_spec(side):
 
 def random_config(spec, rng):
     bits = rng.integers(0, 2, size=(spec.side, spec.side))
-    return SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
+    return SpinConfig(spec, 1 - 2 * bits)
 
 
 def test_metropolis_table():

@@ -782,7 +782,9 @@ def test_profile_staircase_stays_within_the_largest_defect_count():
     # x >= 4 min(pi) keeps k(x) <= counts.max(), up to the largest beta at
     # which no stationary mass underflows; there the geometric midpoint of
     # a segment underflowed (ZeroDivisionError, L=3 plus beta=30) or
-    # pi(plus) / x overflowed (OverflowError)
+    # pi(plus) / x overflowed (OverflowError). From beta 30 a level set's
+    # value may round to 0 or below, which gave a negative bound (-5.45e16
+    # at L=3 plus beta=30) and now raises ConvergenceError
     for spec, kind in itertools.product(symmetric_boxes(), RateModel.KINDS):
         lo, hi = 0.0, 1000.0
         for _ in range(50):
@@ -793,7 +795,12 @@ def test_profile_staircase_stays_within_the_largest_defect_count():
         for beta in (0.0, 1.0, 3.0, 30.0, lo):
             with np.errstate(over="ignore"):
                 G = build_generator(spec, RateModel(beta, kind))
-            ks = [k for _, _, k, _ in profile_mixing_bound(G).segments]
+            try:
+                ks = [k for _, _, k, _ in profile_mixing_bound(G).segments]
+            except ConvergenceError as err:
+                assert beta >= 30.0 and "is not positive" in str(err), (spec, kind, beta)
+                continue
+            assert spec != LatticeSpec(3, PLUS) or beta < 30.0, (spec, kind, beta)
             assert max(ks) <= G.counts.max(), (spec, kind, beta)
 
 
@@ -831,6 +838,47 @@ def test_profile_bound_dominates_tmix():
         pb = profile_mixing_bound(G)
         assert isinstance(pb, ProfileBound)
         assert pb.value >= tv_mixing_time(G)
+
+
+def test_profile_bound_is_at_least_the_certified_mixing_time():
+    # without the breakpoint pi(plus) the range above it was charged
+    # lambda(S_1) instead of the gap: periodic L=2 at beta 5 gave 11.73
+    # against a tmix of 1.8e8, and L=3 at beta 8 gave 81.35 against 2.1e13
+    for spec, kind in itertools.product(symmetric_boxes(), RateModel.KINDS):
+        for beta in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 6.5, 8.0):
+            G = build_generator(spec, RateModel(beta, kind))
+            pb = profile_mixing_bound(G)
+            assert pb.value >= tv_mixing_time(G), (spec, kind, beta)
+            assert pb.segments[-1][2] == 0, (spec, kind, beta)
+    G = G_of(3, 1.0, PERIODIC)
+    assert profile_mixing_bound(G).value == pytest.approx(132.253, abs=1e-3)
+
+
+def test_spectral_values_that_are_not_positive_raise():
+    # the dense gap read -2.69e-15 and the profile bound -5.45e16 (L=3 plus
+    # beta 30) and -1.16e18 (L=2 plus beta 20), where the LOBPCG gap raised
+    cases = ((spectral_gap, 3, 20.0, "dense gap"),
+             (profile_mixing_bound, 3, 30.0, r"lambda\(S_\d+\)"),
+             (profile_mixing_bound, 2, 20.0, r"lambda\(S_\d+\)"))
+    for fn, L, beta, what in cases:
+        with pytest.raises(ConvergenceError,
+                           match=rf"^{what} -?[\d.e+-]+ at beta {beta!r}: the gap is not positive$"):
+            fn(G_of(L, beta))
+
+
+def test_tv_certificate_that_is_not_finite_raises():
+    # the squarings overflowed to inf, the distance read nan, and
+    # tv_mixing_time returned the spectral time as certified
+    G = G_of(2, 14.0, PERIODIC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _tv_all_starts(G, 1e3) < 1.0
+        for t in (7.744681031906218e+23, 1e30):
+            with pytest.raises(ConvergenceError, match="^the TV certificate at t .* is nan$"):
+                _tv_all_starts(G, t)
+        for beta in (11.0, 13.0, 14.0):
+            with pytest.raises(ConvergenceError, match=rf"is nan, at beta {beta!r} with gap"):
+                tv_mixing_time(G_of(2, beta, PERIODIC))
 
 
 def test_profile_bound_tries_the_largest_level_set_first(monkeypatch):

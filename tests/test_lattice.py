@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from plaquette import lattice
 from plaquette.lattice import (
     FIXED,
     PERIODIC,
@@ -32,8 +33,10 @@ from plaquette.lattice import (
     reading_order_key,
     relative_weight,
     _box_defects,
+    _code_bytes,
     _code_defects,
     _defect_bits,
+    _site_flat,
 )
 
 HIST_L2_PLUS = {0: 1, 4: 9, 6: 6}
@@ -43,7 +46,7 @@ HIST_TORUS3 = {0: 32, 4: 288, 6: 192}
 
 def random_config(spec, rng):
     bits = rng.integers(0, 2, size=(spec.side, spec.side))
-    return SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
+    return SpinConfig(spec, 1 - 2 * bits)
 
 
 def test_single_flip_defect_block():
@@ -282,6 +285,62 @@ def test_code_is_the_enumeration_index():
                 D = _defect_bits(defect_map(cfg).plaq == -1)
                 assert _code_defects(spec, i) == D
                 assert int(box[i]) == D
+
+
+def test_spin_config_holds_its_code():
+    # for every configuration: decode and encode against an array built bit
+    # by bit, equality and hashing against the spin bytes, and flip and
+    # site_value against array arithmetic
+    for L in (1, 2, 3):
+        for spec in codec_specs(L):
+            n = spec.n_sites
+            arrays = [np.array([1 - 2 * (c >> t & 1) for t in range(n)], np.int8).reshape(L, L)
+                      for c in range(1 << n)]
+            cfgs = [SpinConfig.from_code(spec, c) for c in range(1 << n)]
+            for c, (arr, cfg) in enumerate(zip(arrays, cfgs)):
+                assert cfg.spins.tobytes() == _code_bytes(c, n) == arr.tobytes()
+                assert cfg.spins.dtype == np.int8 and cfg.spins.shape == (L, L)
+                built = SpinConfig(spec, arr)
+                assert built.code == c and built == cfg and hash(built) == hash(cfg)
+                for x in spec.sites():
+                    i, j = divmod(_site_flat(spec, x), L)
+                    assert cfg.site_value(x) == arr[i, j]
+                    flipped = arr.copy()
+                    flipped[i, j] *= -1
+                    assert cfg.flip([x]) == SpinConfig(spec, flipped)
+                    assert cfg.flip([x]).code == c ^ (1 << (i * L + j))
+                assert cfg.flip(spec.sites()) == SpinConfig(spec, -arr)
+            assert len(set(cfgs) | {SpinConfig(spec, a) for a in arrays}) == 1 << n
+            raw = [cfg.spins.tobytes() for cfg in cfgs]
+            for a in range(1 << n):
+                for b in range(a, 1 << n):
+                    same = raw[a] == raw[b]
+                    assert (cfgs[a] == cfgs[b]) == same
+                    assert hash(cfgs[a]) == hash(cfgs[b]) or not same
+    plus, per, framed = codec_specs(2)
+    assert len({SpinConfig.from_code(s, 5) for s in (plus, per, framed)}) == 3
+    assert SpinConfig.from_code(plus, 5) != SpinConfig.from_code(per, 5)
+
+
+def test_spins_are_a_read_only_decode_of_the_code():
+    cfg = SpinConfig.from_code(LatticeSpec(3, PLUS), 0b101)
+    assert not cfg.spins.flags.writeable
+    with pytest.raises(ValueError):
+        cfg.spins[0, 0] = -1
+    assert cfg.code == 0b101 and SpinConfig.__slots__ == ("spec", "code")
+    assert not hasattr(SpinConfig, "_from_frozen") and not hasattr(lattice, "_site_index")
+
+
+def test_random_draws_the_array_construction():
+    # one (L, L) block of bits per draw, packed into the code, leaves the
+    # configurations and the Generator stream of 1 - 2 * bits unchanged
+    for L in (1, 2, 3, 5, 64):
+        for spec in (LatticeSpec(L, PLUS), LatticeSpec(L, PERIODIC)):
+            rng, ref = np.random.default_rng(L), np.random.default_rng(L)
+            for _ in range(20):
+                cfg = SpinConfig.random(spec, rng)
+                assert cfg == SpinConfig(spec, 1 - 2 * ref.integers(0, 2, (L, L)))
+            assert rng.random() == ref.random()
 
 
 def test_enumeration_budget():

@@ -27,7 +27,6 @@ from plaquette.lattice import (
     _code_defects,
     _site_codec,
     _site_flat,
-    _site_index,
     _site_k,
     _site_masks,
 )
@@ -94,7 +93,7 @@ FLOW_PINS_C2 = {
 
 def random_config(spec, rng):
     bits = rng.integers(0, 2, size=(spec.side, spec.side))
-    return SpinConfig._from_frozen(spec, (1 - 2 * bits).astype(np.int8))
+    return SpinConfig(spec, 1 - 2 * bits)
 
 
 def config_with_defects(spec, defects):
@@ -149,7 +148,7 @@ def test_walker_codec_matches_the_lattice_kernels():
                 k = _site_k(spec, d.plaq == -1)
                 assert D.bit_count() == d.count
                 assert code == cfg.code and SpinConfig.from_code(spec, code) == cfg
-                assert [(D & m).bit_count() for m in masks] == [int(k[_site_index(spec, y)]) for y in sites]
+                assert [(D & m).bit_count() for m in masks] == [int(k[divmod(_site_flat(spec, y), L)]) for y in sites]
                 assert [(code >> t) & 1 for t in range(L * L)] == [int(v == -1) for v in cfg.spins.flat]
             lo = sites[0][0]
             for x in ((lo - 1, lo), (lo, lo + L), (lo + L, lo)):
