@@ -121,8 +121,12 @@ def _one_beta(args):
 
 
 def _resolve_size(size, beta):
-    # every beta has passed _betas (finite, >= 0), so the length is >= 1
-    return critical_length(beta) if size == "critical" else size
+    """--size at beta, "critical" read as floor(exp(beta/2)), which is >= 1
+    since every beta has passed _betas."""
+    try:
+        return critical_length(beta) if size == "critical" else size
+    except ValueError as err:
+        raise SystemExit(f"--size critical: {err}") from None
 
 
 def _resolve_spec(bc, L):
@@ -170,17 +174,14 @@ def cmd_exact(args):
     lines = [SCHEMA_LINE, "beta,L,bc,gap,trel,tmix,profile_bound,pi_ground"]
     for i, beta in enumerate(args.beta):
         L = _resolve_size(args.size, beta)
-        spec = _resolve_spec(args.bc, L)
         try:
-            G = exact.build_generator(spec, RateModel(beta, args.kind))
-        except BudgetExceededError as err:
-            raise SystemExit(f"exact: {err}") from None
-        # tmix and the profile bound read nan where the box is past their
-        # dense budget (exact.DENSE_THRESHOLD states)
-        try:
+            lattice._check_enum(L * L)  # before the box and its (L+2)^2 frame are built
+            G = exact.build_generator(_resolve_spec(args.bc, L), RateModel(beta, args.kind))
+            # tmix and the profile bound read nan where the box is past their
+            # dense budget (exact.DENSE_THRESHOLD states)
             gap = exact.spectral_gap(G)
             tmix = _nan_over_budget(lambda: exact.tv_mixing_time(G, eps=args.eps))
-        except exact.ConvergenceError as err:
+        except (BudgetExceededError, exact.ConvergenceError) as err:
             raise SystemExit(f"exact: {err}") from None
         profile = _nan_over_budget(lambda: exact.profile_mixing_bound(G).value)
         lines.append(_row(beta, L, args.bc, gap, 1.0 / gap, tmix, profile,
@@ -197,10 +198,13 @@ def cmd_exact(args):
 def cmd_flow(args):
     beta = _one_beta(args)
     L = _resolve_size(args.size, beta)
-    spec = _resolve_spec(args.bc, L)
-    if spec.bc != PLUS:
-        raise SystemExit("flow: flow bounds are computed for the all-plus boundary (--bc plus)")
     try:
+        if args.mode == "exhaustive":
+            lattice._check_enum(L * L)  # before the box and its (L+2)^2 frame are built
+        spec = _resolve_spec(args.bc, L)
+        if spec.bc != PLUS:
+            raise SystemExit("flow: flow bounds are computed for the all-plus boundary"
+                             " (--bc plus)")
         res = paths.flow_cost(spec, beta, args.level, mode=args.mode, seed=args.seed,
                               samples=args.samples, c=args.split_threshold, kind=args.kind)
     except (BudgetExceededError, paths.PathSamplingError, ValueError) as err:
@@ -388,7 +392,7 @@ def _checks_quick():
             assert lattice.parity_check(spec, d)
             back = lattice.invert_defects(spec, d)
             assert back == cfg
-            seen.add(d.plaq.tobytes())
+            seen.add(d)
         assert len(seen) == 512
 
     def no_two_defect_states_L3():

@@ -15,12 +15,16 @@ Every layer names a configuration by one int, its code (`SpinConfig.code`,
 decoded by `SpinConfig.from_code`): bit t is set where the spin at flat
 site t = i*L + j is minus, so the code is the enumeration index. A
 `SpinConfig` holds only its box and code; `SpinConfig.spins` is decoded
-from the code (`_code_bytes`) each time it is read. Its
-defects are one int over plaquette bits (`_code_defects`), the frame's
-defects XOR the plaquette mask (`_site_masks`) of each minus site, so a
-defect count or a site's k is a popcount. The path walks of `paths` XOR
-bit t into the code and mask t into the defect int to flip site t, and
-`_box_defects` gives a whole box's defect ints as one array by code.
+from the code (`_code_bytes`) each time it is read. Its defects are one
+int over plaquette bits (`_code_defects`), the frame's defects XOR the
+plaquette mask (`_site_masks`) of each minus site, so a defect count or
+a site's k is a popcount. A `DefectConfig` likewise holds only its box
+and that int, `bits`, and decodes `plaq` when read; `defect_map` is
+`_code_defects` of the code. `_plaquettes`, the spin product, gives the
+frame's defects and is the tests' reference for the map. The path walks
+of `paths` XOR bit t into the code and mask t into the defect int to
+flip site t, and `_box_defects` gives a whole box's defect ints as one
+array by code.
 `dynamics.Simulator` instead keeps, per site, the 4-bit pattern of its
 defective plaquettes in the slot order of `_site_plaquettes`, which the
 masks are built from too, and so is `_toggles`, the XOR masks a flip
@@ -236,12 +240,6 @@ class SpinConfig:
         L = self.spec.side
         return np.frombuffer(_code_bytes(self.code, L * L), np.int8).reshape(L, L)
 
-    def padded(self):
-        """(L+2, L+2) array with the frozen frame in place. Fixed BCs only."""
-        out = self.spec.frame_template().copy()
-        out[1:-1, 1:-1] = self.spins
-        return out
-
     def to_text(self):
         """Rows of '+'/'-' characters, top row first, columns left to right."""
         return _grid_to_text(self.spins)
@@ -409,8 +407,11 @@ def _defect_bits(defective):
 
 @functools.lru_cache(maxsize=None)
 def _frame_defects(spec):
-    """Defect bits of the all-plus state: those the frame makes."""
-    return _defect_bits(defect_map(SpinConfig.all_plus(spec)).plaq == -1)
+    """Defect bits of the all-plus state: those the frame makes, none on
+    plus and periodic boxes."""
+    if spec.is_periodic:
+        return 0
+    return _defect_bits(_plaquettes(spec, spec.frame_template()) == -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -437,12 +438,18 @@ def _code_defects(spec, code):
     return D
 
 
+def _check_enum(n_sites):
+    """Refuse to enumerate 2^n_sites states past ENUM_BUDGET, comparing
+    exponents: the count is named, never formed."""
+    budget = ENUM_BUDGET.bit_length() - 1
+    if n_sites > budget:
+        raise BudgetExceededError(f"enumeration needs 2^{n_sites} states, budget is 2^{budget}")
+
+
 def _enum_size(spec):
     """The box's number of configurations, 2^n, if it is within ENUM_BUDGET."""
-    N = 1 << spec.n_sites
-    if N > ENUM_BUDGET:
-        raise BudgetExceededError(f"enumeration needs {N} states, budget is {ENUM_BUDGET}")
-    return N
+    _check_enum(spec.n_sites)
+    return 1 << spec.n_sites
 
 
 def _box_defects(spec):
@@ -457,59 +464,64 @@ def _box_defects(spec):
 
 
 class DefectConfig:
-    """A +-1 pattern on the plaquette grid (not necessarily realizable)."""
+    """A +-1 pattern on the plaquette grid (not necessarily realizable),
+    held as its defect int `bits`: bit a*n1 + b set where plaquette (a, b)
+    is -1, in the layout of `_site_masks`. `plaq` is decoded from the bits
+    on each read."""
 
-    __slots__ = ("spec", "plaq")
+    __slots__ = ("spec", "bits")
 
     def __init__(self, spec, plaq):
-        arr = np.array(plaq, dtype=np.int8)
+        arr = np.asarray(plaq, dtype=np.int8)
         if arr.shape != spec.plaq_shape:
             raise ValueError(f"plaquette grid must have shape {spec.plaq_shape}")
         if not np.all(np.abs(arr) == 1):
             raise ValueError("plaquette variables must be +-1")
-        arr.flags.writeable = False
         self.spec = spec
-        self.plaq = arr
+        self.bits = _defect_bits(arr == -1)
 
     @classmethod
-    def _from_frozen(cls, spec, arr):
+    def from_bits(cls, spec, bits):
+        """The pattern whose defect int is `bits`, in [0, 2**n_plaquettes)."""
+        bits = operator.index(bits)
+        if not 0 <= bits < 1 << spec.n_plaquettes:
+            raise ValueError(f"defect bits {bits} outside [0, 2**{spec.n_plaquettes})")
         obj = object.__new__(cls)
-        arr.flags.writeable = False
-        obj.spec = spec
-        obj.plaq = arr
+        obj.spec, obj.bits = spec, bits
         return obj
 
     @property
+    def plaq(self):
+        """Read-only int8 array of the plaquette variables, of plaq_shape."""
+        shape = self.spec.plaq_shape
+        return np.frombuffer(_code_bytes(self.bits, shape[0] * shape[1]), np.int8).reshape(shape)
+
+    @property
     def count(self):
-        return int(np.count_nonzero(self.plaq == -1))
+        return self.bits.bit_count()
 
     def defects(self):
         """Defect coordinates, sorted ascending by (x1, x2)."""
-        ii, jj = np.nonzero(self.plaq == -1)
-        return [(int(a), int(b)) for a, b in sorted(zip(ii, jj))]
+        n1 = self.spec.plaq_shape[1]
+        return [divmod(t, n1) for t, bit in enumerate(bin(self.bits)[:1:-1]) if bit == "1"]
 
     def value(self, x):
         a, b = self.spec.plaq_shape
         if not (0 <= x[0] < a and 0 <= x[1] < b):
             raise ValueError(f"plaquette {x} outside the {a}x{b} plaquette grid")
-        return int(self.plaq[x[0], x[1]])
+        return 1 - 2 * (self.bits >> int(x[0] * b + x[1]) & 1)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DefectConfig)
-            and self.spec == other.spec
-            and self.plaq.tobytes() == other.plaq.tobytes()
-        )
+        return (isinstance(other, DefectConfig)
+                and (self.spec, self.bits) == (other.spec, other.bits))
 
     def __hash__(self):
-        return hash((self.spec._key, self.plaq.tobytes()))
+        return hash((self.spec._key, self.bits))
 
 
 def defect_map(cfg):
     """The defect picture of a spin configuration."""
-    spec = cfg.spec
-    s = cfg.spins if spec.is_periodic else cfg.padded()
-    return DefectConfig._from_frozen(spec, _plaquettes(spec, s))
+    return DefectConfig.from_bits(cfg.spec, _code_defects(cfg.spec, cfg.code))
 
 
 def defect_count(cfg):
@@ -540,24 +552,16 @@ def relative_weight(cfg, beta):
 
 
 def parity_check(spec, pattern):
-    """Whether a plaquette pattern satisfies the row/column product identities.
-
-    Fixed boundary: the product over plaquette column i equals the product
-    of the four frame spins at the column's ends, for every i in [0:L];
-    same for rows. Periodic boundary: every row and column product is +1.
+    """Whether a plaquette pattern satisfies the row/column product identities:
+    a flip toggles two plaquettes in each plaquette row and column it
+    touches, so a realizable pattern has the line products of the frame's
+    defects (the four frame spins at the line's ends, +1 on periodic boxes).
     """
     plaq = pattern.plaq if isinstance(pattern, DefectConfig) else np.asarray(pattern)
     if plaq.shape != spec.plaq_shape:
         raise ValueError(f"pattern must have shape {spec.plaq_shape}")
-    if spec.is_periodic:
-        return bool(np.all(plaq.prod(axis=0) == 1) and np.all(plaq.prod(axis=1) == 1))
-    t = spec.frame_template()
-    L = spec.side
-    col_target = t[0 : L + 1, 0] * t[1 : L + 2, 0] * t[0 : L + 1, L + 1] * t[1 : L + 2, L + 1]
-    row_target = t[0, 0 : L + 1] * t[0, 1 : L + 2] * t[L + 1, 0 : L + 1] * t[L + 1, 1 : L + 2]
-    return bool(
-        np.all(plaq.prod(axis=1) == col_target) and np.all(plaq.prod(axis=0) == row_target)
-    )
+    rel = plaq * DefectConfig.from_bits(spec, _frame_defects(spec)).plaq
+    return bool(np.all(rel.prod(axis=0) == 1) and np.all(rel.prod(axis=1) == 1))
 
 
 def invert_defects(spec, pattern, anchor=None):
@@ -621,23 +625,21 @@ def ground_states(spec):
     2^(2L-1) states sigma[i, j] = a[i] * b[j] over sign vectors a, b
     with a[0] fixed to +1. General fixed frames: exhaustive search.
     """
-    L = spec.side
     if spec.bc == PLUS:
         return [SpinConfig.all_plus(spec)]
     if spec.is_periodic:
-        out = []
-        for bbits in itertools.product((1, -1), repeat=L):
-            b = np.array(bbits, dtype=np.int8)
-            for abits in itertools.product((1, -1), repeat=L - 1):
-                a = np.array((1,) + abits, dtype=np.int8)
-                out.append(SpinConfig(spec, np.outer(a, b)))
-        return out
+        signs = list(itertools.product((1, -1), repeat=spec.side))
+        return [SpinConfig(spec, np.outer(a, b)) for b in signs for a in signs if a[0] == 1]
     return enumerate_by_defect_count(spec, 0)
 
 
 def critical_length(beta):
-    """floor(exp(beta / 2)), the length scale the scaling results live at."""
-    return int(math.floor(math.exp(beta / 2.0)))
+    """floor(exp(beta / 2)), the length scale the scaling results live at.
+    ValueError where exp(beta / 2) overflows a float."""
+    try:
+        return int(math.floor(math.exp(beta / 2.0)))
+    except OverflowError:
+        raise ValueError(f"critical length exp(beta/2) overflows at beta {beta!r}") from None
 
 
 def defect_pattern_count_bound(spec, two_k):
@@ -650,17 +652,9 @@ def defect_pattern_count_bound(spec, two_k):
     if two_k % 2 != 0:
         raise ValueError("defect counts are even")
     k = two_k // 2
-    if k == 0:
-        return 1.0 if not spec.is_periodic else 2.0 ** (2 * (spec.side - 1) + 1)
-    if spec.is_periodic:
-        Lp = spec.side - 1
-        prefix = 2.0 ** (2 * Lp + 1)
-    else:
-        Lp = spec.side
-        prefix = 1.0
-    a = (math.e * k) ** (2 * k) * float(Lp) ** (2 * k)
-    b = float(Lp) ** (3 * k)
-    return prefix * min(a, b)
+    Lp = spec.side - 1 if spec.is_periodic else spec.side
+    prefix = 2.0 ** (2 * Lp + 1) if spec.is_periodic else 1.0
+    return prefix * min((math.e * k) ** (2 * k) * float(Lp) ** (2 * k), float(Lp) ** (3 * k))
 
 
 @dataclass(frozen=True, order=True)

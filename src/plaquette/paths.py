@@ -194,8 +194,8 @@ def defect_neighbours(d, x):
     if d.value(x) != -1:
         raise ValueError(f"{x} is not a defect")
     i, j = x
-    n1 = d.plaq.shape[0]
-    rows, cols = _lines(_defect_bits(d.plaq == -1), n1)
+    n1 = d.spec.plaq_shape[0]
+    rows, cols = _lines(d.bits, n1)
     left, right = _below(rows[j], i * n1 + j), _above(rows[j], i * n1 + j)
     down, up = _below(cols[i], j), _above(cols[i], j)
     return (
@@ -299,8 +299,8 @@ def extended_rectangles(d, row=None, col_range=None):
     nearest defects below them (pair on top) or above them (pair on
     bottom). `row` restricts the pair's row; `col_range` = (a, b)
     restricts all involved defects to plaquette columns a..b."""
-    n1 = d.plaq.shape[0]
-    rows, cols = _lines(_defect_bits(d.plaq == -1), n1)
+    n1 = d.spec.plaq_shape[0]
+    rows, cols = _lines(d.bits, n1)
     a, b = (0, n1 - 1) if col_range is None else col_range
     pair_rows = range(n1) if row is None else [row]
     return {Rectangle(*R) for R in _extended(rows, cols, pair_rows, a, b)}

@@ -584,6 +584,27 @@ def test_unreadable_config_and_init_files_are_named(tmp_path):
         cli.main(["simulate", "--size", "3", "--init", f"file:{init}"])
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["exact", "--size", "120", "--beta", "1"],
+     "exact: enumeration needs 2^14400 states, budget is 2^20"),
+    (["flow", "--size", "120"], "flow: enumeration needs 2^14400 states, budget is 2^20"),
+    (["exact", "--size", "60"], "exact: enumeration needs 2^3600 states, budget is 2^20"),
+    # L = 3269017: the frame alone would take 9.72 TiB
+    (["exact", "--size", "critical", "--beta", "30"],
+     "exact: enumeration needs 2^10686472146289 states, budget is 2^20"),
+    (["flow", "--size", "critical", "--beta", "30"],
+     "flow: enumeration needs 2^10686472146289 states, budget is 2^20"),
+    (["exact", "--size", "critical", "--beta", "1500"],
+     "--size critical: critical length exp(beta/2) overflows at beta 1500.0"),
+])
+def test_boxes_that_cannot_be_built_exit_with_one_line(argv, line):
+    # these ended in ValueError (4300-digit int conversion), OverflowError
+    # and numpy _ArrayMemoryError tracebacks, or printed a 1084-digit count
+    proc = run_python("-m", "plaquette", *argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == line + "\n"
+
+
 def test_critical_size_at_beta_zero_is_one(capsys):
     code, out, _ = run(["exact", "--size", "critical", "--beta", "0"], capsys)
     assert code == 0

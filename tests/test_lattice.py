@@ -36,6 +36,8 @@ from plaquette.lattice import (
     _code_bytes,
     _code_defects,
     _defect_bits,
+    _enum_size,
+    _plaquettes,
     _site_flat,
 )
 
@@ -226,6 +228,9 @@ def test_critical_length_values():
     assert critical_length(2.2) == 3
     assert critical_length(3.0) == 4
     assert critical_length(3.5) == 5
+    assert critical_length(1419.0) > 10 ** 300
+    with pytest.raises(ValueError, match=r"^critical length exp\(beta/2\) overflows at beta 1500$"):
+        critical_length(1500)
 
 
 def test_rectangle_corners_and_block():
@@ -267,9 +272,19 @@ def codec_specs(L):
     return (LatticeSpec(L, PLUS), LatticeSpec(L, PERIODIC), LatticeSpec(L, FIXED, theta=theta))
 
 
+def padded_spins(cfg):
+    """The array the spin product `_plaquettes` takes: the spins inside
+    their frame on a fixed box, the spins alone on a periodic one."""
+    if cfg.spec.is_periodic:
+        return cfg.spins
+    out = cfg.spec.frame_template().copy()
+    out[1:-1, 1:-1] = cfg.spins
+    return out
+
+
 def test_code_is_the_enumeration_index():
     # decode, encode and the code's defect ints, one by one and for the
-    # whole box, against the enumeration and defect_map, for every
+    # whole box, against the enumeration and the spin product, for every
     # configuration; spin t of code i is minus exactly where bit t is set
     for L in (1, 2, 3):
         for spec in codec_specs(L):
@@ -282,7 +297,7 @@ def test_code_is_the_enumeration_index():
                 assert cfg.code == i
                 bits = [(i >> t) & 1 for t in range(spec.n_sites)]
                 assert cfg.spins.ravel().tolist() == [1 - 2 * b for b in bits]
-                D = _defect_bits(defect_map(cfg).plaq == -1)
+                D = _defect_bits(_plaquettes(spec, padded_spins(cfg)) == -1)
                 assert _code_defects(spec, i) == D
                 assert int(box[i]) == D
 
@@ -331,6 +346,54 @@ def test_spins_are_a_read_only_decode_of_the_code():
     assert not hasattr(SpinConfig, "_from_frozen") and not hasattr(lattice, "_site_index")
 
 
+def test_defect_map_holds_its_defect_int():
+    # for every configuration: the map against the spin product over the
+    # padded spins, through plaq, bits, count, defects() and value;
+    # equality and hashing against the plaquette bytes, pairwise; the
+    # array constructor and from_bits round-trip
+    for L in (1, 2, 3):
+        for spec in codec_specs(L):
+            maps, raw = [], []
+            for cfg in enumerate_configs(spec):
+                p = _plaquettes(spec, padded_spins(cfg))
+                d = defect_map(cfg)
+                assert d.plaq.dtype == np.int8 and d.plaq.shape == p.shape == spec.plaq_shape
+                assert d.plaq.tobytes() == p.tobytes() and not d.plaq.flags.writeable
+                assert d.bits == sum(1 << t for t, v in enumerate(p.ravel().tolist()) if v == -1)
+                assert d.count == int(np.count_nonzero(p == -1))
+                assert d.defects() == sorted(zip(*np.nonzero(p == -1)))
+                assert all(type(a) is int for x in d.defects() for a in x)
+                assert all(d.value(x) == p[x] for x in np.ndindex(p.shape))
+                built = DefectConfig(spec, p)
+                assert built.bits == d.bits and built == d and hash(built) == hash(d)
+                assert DefectConfig.from_bits(spec, d.bits) == d
+                maps.append(d)
+                raw.append(p.tobytes())
+            for a in range(len(maps)):
+                for b in range(a, len(maps)):
+                    same = raw[a] == raw[b]
+                    assert (maps[a] == maps[b]) == same
+                    assert hash(maps[a]) == hash(maps[b]) or not same
+    plus, per, framed = codec_specs(2)
+    assert DefectConfig.from_bits(plus, 0) != DefectConfig.from_bits(framed, 0)
+    assert DefectConfig.from_bits(plus, 0) != DefectConfig.from_bits(per, 0)
+
+
+def test_defect_maps_are_read_only_and_hold_only_their_bits():
+    spec = LatticeSpec(3, PLUS)
+    d = defect_map(SpinConfig.all_plus(spec).flip([(2, 2)]))
+    with pytest.raises(ValueError):
+        d.plaq[1, 1] = 1
+    assert d.bits == 0b110011 << 5 and d.defects() == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert DefectConfig.__slots__ == ("spec", "bits")
+    assert not hasattr(DefectConfig, "_from_frozen") and not hasattr(SpinConfig, "padded")
+    for bits in (-1, 1 << 16):
+        with pytest.raises(ValueError, match=r"^defect bits -?\d+ outside \[0, 2\*\*16\)$"):
+            DefectConfig.from_bits(spec, bits)
+    with pytest.raises(ValueError, match=r"^plaquette \(4, 0\) outside the 4x4 plaquette grid$"):
+        d.value((4, 0))
+
+
 def test_random_draws_the_array_construction():
     # one (L, L) block of bits per draw, packed into the code, leaves the
     # configurations and the Generator stream of 1 - 2 * bits unchanged
@@ -346,6 +409,13 @@ def test_random_draws_the_array_construction():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         count_by_defect_number(LatticeSpec(5, PLUS))
+    # the count is named by its exponent: 2^14400 has 4335 digits, past
+    # the 4300 that int-to-str conversion allows
+    with pytest.raises(BudgetExceededError,
+                       match=r"^enumeration needs 2\^14400 states, budget is 2\^20$"):
+        _enum_size(LatticeSpec(120))
+    assert _enum_size(LatticeSpec(4, PERIODIC)) == 1 << 16
+    assert lattice.ENUM_BUDGET == 1 << 20
 
 
 def test_site_bounds_checked():

@@ -828,7 +828,8 @@ def test_exhaustive_flow_at_split_threshold_two(beta, cost):
 
 def test_exhaustive_flow_past_the_budget_raises_at_once():
     # 2^25 states at L=5: the enumeration refuses before allocating
-    with pytest.raises(BudgetExceededError, match="enumeration needs 33554432 states"):
+    with pytest.raises(BudgetExceededError,
+                       match=r"^enumeration needs 2\^25 states, budget is 2\^20$"):
         flow_cost(LatticeSpec(5, PLUS), 3.0, 1)
 
 
