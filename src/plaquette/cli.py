@@ -129,6 +129,16 @@ def _resolve_size(size, beta):
         raise SystemExit(f"--size critical: {err}") from None
 
 
+def _checked_sites(command, L):
+    """L, or one line naming the command where a box of side L is past
+    lattice.SITE_BUDGET, before its frame is built."""
+    try:
+        lattice._check_sites(L)
+    except BudgetExceededError as err:
+        raise SystemExit(f"{command}: {err}") from None
+    return L
+
+
 def _resolve_spec(bc, L):
     if bc == "plus":
         return LatticeSpec(L, PLUS)
@@ -199,8 +209,11 @@ def cmd_flow(args):
     beta = _one_beta(args)
     L = _resolve_size(args.size, beta)
     try:
+        # before the box and its (L+2)^2 frame are built
         if args.mode == "exhaustive":
-            lattice._check_enum(L * L)  # before the box and its (L+2)^2 frame are built
+            lattice._check_enum(L * L)
+        else:
+            lattice._check_sites(L)
         spec = _resolve_spec(args.bc, L)
         if spec.bc != PLUS:
             raise SystemExit("flow: flow bounds are computed for the all-plus boundary"
@@ -288,8 +301,8 @@ def cmd_arrhenius(args):
     if args.bc.startswith("fixed:"):
         raise SystemExit("arrhenius sweeps take --bc plus or per")
     payloads = [
-        (beta, _resolve_size(args.size, beta), args.bc, args.seed, i, args.replicas,
-         args.kind, args.budget_events)
+        (beta, _checked_sites("arrhenius", _resolve_size(args.size, beta)), args.bc, args.seed,
+         i, args.replicas, args.kind, args.budget_events)
         for i, beta in enumerate(sorted(args.beta))
     ]
     if args.workers > 1 and len(payloads) > 1:
@@ -321,7 +334,7 @@ def cmd_arrhenius(args):
 
 def cmd_simulate(args):
     beta = _one_beta(args)
-    L = _resolve_size(args.size, beta)
+    L = _checked_sites("simulate", _resolve_size(args.size, beta))
     spec = _resolve_spec(args.bc, L)
     if args.init == "plus":
         init = SpinConfig.all_plus(spec)

@@ -11,14 +11,16 @@ sqrt(pi) spans its kernel.
 
 - Derived data is cached one way, by `functools`: `_box` is an
   lru_cache over `_Box`, and the box's `symmetry` and the generator's
-  pi, S, sector_blocks, eigen and tv_factors are cached properties, each
-  formed on its first read and kept on the object that owns it. A read
-  that raises (a table past DENSE_THRESHOLD) caches nothing.
+  Q, pi, S, sector_bases, sector_blocks, eigen and tv_factors are cached
+  properties, each formed on its first read and kept on the object that
+  owns it, so a generator's tables are freed with it. A read that raises
+  (a table past DENSE_THRESHOLD) caches nothing.
 - What the rates do not change is built once per box and kept for the
-  last _BOX_CACHE boxes (`_box`): the defect counts, each site's k, the
-  sorted CSR pattern of Q and each entry's k in that order. Q at one beta
-  is then one gather of the rate table, its diagonal minus the row sums,
-  and S one more gather on the same index arrays.
+  last _BOX_CACHE boxes (`_box`): the defect counts, the sorted CSR
+  pattern of Q and each entry's k in that order. `build_generator` forms
+  only Q's diagonal, minus the row sums; Q and S are each one gather of
+  a rate table on the pattern, formed when read, so the gap above the
+  dense threshold forms S and never Q.
 - Below the dense threshold each box builds one `Symmetry` table:
   the group H of box symmetries that commute with Q (the two axis
   reflections of a framed box, the 2L - 1 independent whole-line flips
@@ -26,9 +28,11 @@ sqrt(pi) spans its kernel.
   integer check on the k table and the defect counts, so an asymmetric
   frame falls back to fewer or none. It holds each code's orbit
   representative, the element carrying the representative to the code,
-  and the +-1 character basis of each sector.
+  and each sector's character and kept orbits; the dense +-1 sector
+  bases are formed per generator (`SparseGenerator.sector_bases`).
 - S = V diag(w) V^T is found by one `eigh` per sector
-  (`SparseGenerator.eigen`). The gap, the slow eigenfunction and
+  (`SparseGenerator.eigen`). A gap within the eigensolver's rounding
+  floor N eps ||S|| is refused. The gap, the slow eigenfunction and
   every step of the mixing-time search read it, the last through
   P_t = D^-1/2 V e^{tw} V^T D^1/2. A step forms only the rows of P_t
   whose chi^2 bound could decide it, and only at orbit representatives:
@@ -81,6 +85,7 @@ _TV_TAIL = 1e-8  # row deficit allowed in the TV certificate's kernel
 _TV_BLOCK = 8  # exact worst-start rows formed per product
 _TV_MARGIN = 1e-9  # over the chi^2 bound, for rounding in the exact rows
 _BOX_CACHE = 8  # boxes whose beta-free tables `_box` keeps
+_ROW_BLOCK = 4096  # rows of Q per block of `_row_sums`
 _DIAG = 5  # the k table's entry at a diagonal slot, one past the largest k
 
 
@@ -92,22 +97,23 @@ class SparseGenerator:
     """Generator matrix plus the state indexing it lives on; the box's
     beta-free tables (`_Box`) are shared by every generator of the box.
 
-    What is derived from Q is a `functools.cached_property`, formed on
-    first read and kept on this object: pi, S, sector_blocks, eigen and
-    tv_factors. A read that raises (eigen above DENSE_THRESHOLD) caches
-    nothing and raises again on the next read.
+    It holds the rates, the box and Q's `diagonal`. The rest is a
+    `functools.cached_property`, formed on first read and freed with this
+    object: Q, pi, S, sector_bases, sector_blocks, eigen and tv_factors.
+    A read that raises (eigen above DENSE_THRESHOLD) caches nothing and
+    raises again on the next read.
     """
 
-    def __init__(self, box, model, Q):
+    def __init__(self, box, model, diagonal):
         self.spec = box.spec
         self.model = model
-        self.Q = Q
+        self.diagonal = diagonal
         self.counts = box.counts
         self._box = box
 
     @property
     def n_states(self):
-        return self.Q.shape[0]
+        return self.counts.size
 
     def config(self, i):
         return SpinConfig.from_code(self.spec, i)
@@ -115,6 +121,12 @@ class SparseGenerator:
     @functools.cached_property
     def pi(self):
         return stationary_distribution(self)
+
+    @functools.cached_property
+    def Q(self):
+        """The generator (CSR) on the box's pattern: each entry the rate of
+        its k, the diagonal `diagonal`."""
+        return _on_pattern(self._box, self.model.table, self.diagonal)
 
     @functools.cached_property
     def S(self):
@@ -127,7 +139,7 @@ class SparseGenerator:
         diagonal is Q's.
         """
         r = self.model.table
-        return _on_pattern(self._box, np.sqrt(r * r[::-1]), self.Q.diagonal())
+        return _on_pattern(self._box, np.sqrt(r * r[::-1]), self.diagonal)
 
     @property
     def symmetry(self):
@@ -135,10 +147,16 @@ class SparseGenerator:
         return self._box.symmetry
 
     @functools.cached_property
+    def sector_bases(self):
+        """The dense basis of each sector of `symmetry` (`Symmetry.bases`),
+        formed once per generator rather than kept with the box."""
+        return self.symmetry.bases()
+
+    @functools.cached_property
     def sector_blocks(self):
-        """B^T S B for each sector basis B of `symmetry`."""
+        """B^T S B for each sector basis B (`sector_bases`)."""
         S = self.S
-        return [B.T @ (S @ B) for B in self.symmetry.sectors]
+        return [B.T @ (S @ B) for B in self.sector_bases]
 
     @functools.cached_property
     def eigen(self):
@@ -150,7 +168,7 @@ class SparseGenerator:
         by w, are an orthonormal eigenbasis of S.
         """
         ws, Vs = [], []
-        for B, M in zip(self.symmetry.sectors, self.sector_blocks):
+        for B, M in zip(self.sector_bases, self.sector_blocks):
             w, V = np.linalg.eigh(M)
             ws.append(w)
             Vs.append(B @ V)
@@ -202,23 +220,18 @@ class _Box:
     """What every generator of one box shares whatever the rates, built
     once per box by `_box`; its arrays are read-only.
 
-    counts[i] is state i's defect count, and k[i, b] the k of site b
-    there: the popcount of the defect bits under masks[b], 2 where the
-    mask is 0 (the periodic 1x1 flip, which changes no plaquette).
-    indptr and indices are the sorted CSR pattern of Q: row i holds
-    i ^ 2^b for every site b, and i itself at slot diag[i] =
-    indptr[i] + popcount(i), since the columns below i are those that
-    clear a set bit of i. kc holds each entry's k in that order, _DIAG at
-    the diagonal slot, and k_off the same without the diagonal slots.
+    counts[i] is state i's defect count. indptr and indices are the sorted
+    CSR pattern of Q: row i holds i ^ 2^b for every site b, and i itself
+    at slot diag[i] = indptr[i] + popcount(i), since the columns below i
+    are those that clear a set bit of i. kc holds each entry's k in that
+    order (`_site_k_column`), filled one site at a time, and _DIAG at the
+    diagonal slot.
     """
 
     def __init__(self, spec):
         n = spec.n_sites
         D = _box_defects(spec)
         N = D.size
-        masks = np.array(_site_masks(spec.side, spec.is_periodic), np.uint64)
-        k = np.bitwise_count(D[:, None] & masks)
-        k[:, masks == 0] = 2
         z = np.arange(N, dtype=np.int64)
         self.indptr = np.arange(0, N * (n + 1) + 1, n + 1, dtype=np.int32)
         self.diag = self.indptr[:-1] + np.bitwise_count(z)
@@ -226,19 +239,17 @@ class _Box:
         self.indices[self.diag] = z
         self.kc = np.full(N * (n + 1), _DIAG, np.uint8)
         low = np.zeros(N, np.int64)  # set bits of i below b
-        for b in range(n):
+        for b, mask in enumerate(_site_masks(spec.side, spec.is_periodic)):
             bit = z >> b & 1
             # below the diagonal the set bits of i, highest first; above it
             # the clear ones, lowest first
             slot = np.where(bit, self.diag - low - 1, self.diag + 1 + b - low)
             self.indices[slot] = z ^ (1 << b)
-            self.kc[slot] = k[:, b]
+            self.kc[slot] = _site_k_column(D, mask)
             low += bit
-        self.k_off = self.kc[self.kc != _DIAG]
         self.spec = spec
         self.counts = np.bitwise_count(D)
-        self.k = k
-        _frozen(self.counts, self.k, self.indptr, self.indices, self.diag, self.kc, self.k_off)
+        _frozen(self.counts, self.indptr, self.indices, self.diag, self.kc)
 
     @functools.cached_property
     def symmetry(self):
@@ -247,6 +258,15 @@ class _Box:
         if self.counts.size > DENSE_THRESHOLD:
             raise BudgetExceededError(f"symmetry table limited to {DENSE_THRESHOLD} states")
         return Symmetry.of(self)
+
+
+def _site_k_column(D, mask):
+    """Each state's k at the site whose plaquettes are `mask`, from the
+    states' defect bits D: the popcount of D under the mask, 2 where the
+    mask is 0 (the periodic 1x1 flip, which changes no plaquette)."""
+    if not mask:
+        return np.full(D.size, 2, np.uint8)
+    return np.bitwise_count(D & np.uint64(mask))
 
 
 # the `_Box` of a spec, kept for the _BOX_CACHE boxes used last; the spec's
@@ -276,20 +296,18 @@ class Symmetry:
     generators whose bit is set in h, so act[0] is the identity and every
     element is its own inverse. Each code z lies in the orbit
     reps[orbit[z]], whose least code is its representative, and
-    act[carrier[z], reps[orbit[z]]] == z. sectors holds, per character
-    chi(h) = (-1)^popcount(c & h) whose sector is nonzero, the basis B_chi
-    (dense, N x orbits): one column per orbit on whose stabilizer chi is
-    1, with chi(carrier[z]) / sqrt(orbit size) at each z of the orbit, and
-    columns the orbit of each column. The bases are orthonormal, their
-    columns number N, and S maps each sector's span into itself.
-    sectors[0] is the trivial character's, with one column per orbit.
+    act[carrier[z], reps[orbit[z]]] == z. A sector is a character
+    chi(h) = (-1)^popcount(c & h) whose span is nonzero: characters holds
+    its c and columns the orbits on whose stabilizer chi is 1, one basis
+    column each (`bases`). characters[0] is the trivial character, with
+    every orbit.
     """
 
     act: np.ndarray
     reps: np.ndarray
     orbit: np.ndarray
     carrier: np.ndarray
-    sectors: tuple
+    characters: tuple
     columns: tuple
 
     @classmethod
@@ -299,11 +317,14 @@ class Symmetry:
         counts[g(i)] == counts[i] for every state i and site b, and is not
         already in the group; so a frame that breaks a reflection drops
         it, and a box with none left gets the trivial group."""
-        counts, k = box.counts, box.k
+        spec, counts = box.spec, box.counts
+        D = _box_defects(spec)
+        k = np.stack([_site_k_column(D, m) for m in _site_masks(spec.side, spec.is_periodic)],
+                     axis=1)
         N = counts.size
         z = np.arange(N, dtype=np.int64)
         act = z[None, :]
-        for sigma, mask in _involutions(box.spec):
+        for sigma, mask in _involutions(spec):
             g = np.full(N, mask, np.int64)
             for b, s in enumerate(sigma):
                 g ^= (z >> b & 1) << int(s)
@@ -313,33 +334,60 @@ class Symmetry:
         rep_code, carrier = act.min(axis=0), act.argmin(axis=0)
         reps = np.unique(rep_code)
         orbit = np.searchsorted(reps, rep_code)
-        size = np.bincount(orbit)
         h = np.arange(act.shape[0])
-        chi = np.where(np.bitwise_count(h[:, None] & h) % 2, -1, 1)
         fixes = act[:, reps] == reps  # fixes[h, o]: h fixes orbit o's representative
-        sectors, columns = [], []
+        characters, columns = [], []
         for c in h:
-            kept = ~np.any(fixes & (chi[c] < 0)[:, None], axis=0)
+            negative = np.bitwise_count(c & h) % 2 == 1  # where chi_c(h) = -1
+            kept = ~np.any(fixes & negative[:, None], axis=0)
             if kept.any():
-                rows = np.nonzero(kept[orbit])[0]
-                B = np.zeros((N, int(kept.sum())))
-                B[rows, (np.cumsum(kept) - 1)[orbit[rows]]] = (
-                    chi[c, carrier[rows]] / np.sqrt(size[orbit[rows]]))
-                sectors.append(B)
+                characters.append(int(c))
                 columns.append(np.nonzero(kept)[0])
-        _frozen(act, reps, orbit, carrier, *sectors, *columns)
-        return cls(act, reps, orbit, carrier, tuple(sectors), tuple(columns))
+        _frozen(act, reps, orbit, carrier, *columns)
+        return cls(act, reps, orbit, carrier, tuple(characters), tuple(columns))
+
+    def bases(self):
+        """The basis B_chi of each sector (dense, N x its columns), in the
+        order of `characters`: column j has chi(carrier[z]) / sqrt(orbit
+        size) at each code z of orbit columns[j]. The bases are orthonormal
+        and read-only, their columns number N, and S maps each sector's
+        span into itself. They are consecutive blocks of one N x N buffer,
+        filled by one scatter."""
+        orbit, N = self.orbit, self.orbit.size
+        widths = np.array([cols.size for cols in self.columns])
+        at = np.full((widths.size, self.reps.size), -1)  # at[s, o]: orbit o's column in sector s
+        for s, cols in enumerate(self.columns):
+            at[s, cols] = np.arange(cols.size)
+        s, z = np.nonzero(at[:, orbit] >= 0)
+        chi = np.where(np.bitwise_count(np.array(self.characters)[s] & self.carrier[z]) % 2, -1, 1)
+        start = N * np.concatenate([[0], np.cumsum(widths)])
+        flat = np.zeros(N * N)
+        flat[start[s] + z * widths[s] + at[s, orbit[z]]] = chi / np.sqrt(np.bincount(orbit))[orbit[z]]
+        bases = tuple(flat[a:b].reshape(N, -1) for a, b in zip(start, start[1:]))
+        _frozen(*bases)
+        return bases
 
 
 def build_generator(spec, model):
-    """Assemble the full jump-rate matrix over every configuration on the
-    box's table (`_box`): each entry the rate of its k, and the diagonal
-    minus the row sums, summed in column order as a CSR row sum does.
+    """The jump-rate generator over every configuration, on the box's
+    table (`_box`); only Q's diagonal, minus the row sums, is formed here.
     A box past lattice.ENUM_BUDGET raises on every call, as `_box` caches
     no table it fails to build."""
     box = _box(spec)
-    rowsum = np.add.reduceat(model.table[box.k_off], np.arange(0, box.k_off.size, spec.n_sites))
-    return SparseGenerator(box, model, _on_pattern(box, model.table, -rowsum))
+    return SparseGenerator(box, model, -_row_sums(box, model.table))
+
+
+def _row_sums(box, values):
+    """Per row of Q's pattern, the sum of values[k] over its entries off
+    the diagonal, in column order as a CSR row sum adds them, taken
+    _ROW_BLOCK rows at a time, so no N x n array of values is formed."""
+    n, N = box.spec.n_sites, box.counts.size
+    sums = np.empty(N)
+    for i in range(0, N, _ROW_BLOCK):
+        kc = box.kc[box.indptr[i]:box.indptr[min(i + _ROW_BLOCK, N)]]
+        v = values[kc[kc != _DIAG]]
+        sums[i:i + _ROW_BLOCK] = np.add.reduceat(v, np.arange(0, v.size, n))
+    return sums
 
 
 def _on_pattern(box, values, diag):
@@ -373,7 +421,10 @@ def spectral_gap(G, dense_threshold=DENSE_THRESHOLD):
     """Smallest positive eigenvalue of -Q (via the symmetric conjugate).
 
     Up to min(dense_threshold, DENSE_THRESHOLD) states it is read off the
-    cached dense eigendecomposition. Above that it is the smallest
+    cached dense eigendecomposition. Its eigenvalues carry an error of up
+    to about N eps ||S|| (||S|| the largest |eigenvalue|), so a gap at or
+    below that rounding floor raises ConvergenceError (L=2 `plus` at beta
+    30 read 1.1e-16 where 80-digit arithmetic gives 2.5e-26). Above that it is the smallest
     eigenvalue of -S under the constraint x . sqrt(pi) = 0, which deflates
     the stationary mode, found by `_lobpcg` (block size 1, Jacobi
     preconditioner 1/diag(-S)) to residual _GAP_TOL.
@@ -398,10 +449,16 @@ def spectral_gap(G, dense_threshold=DENSE_THRESHOLD):
     with no RuntimeWarning, and so does a gap from either route that is
     not positive, lost to rounding (`_positive`).
     """
-    if G.n_states <= min(dense_threshold, DENSE_THRESHOLD):
-        return _positive(float(-G.eigen[0][-2]), "dense gap", G.model.beta)
-    S = G.S
     beta = G.model.beta
+    if G.n_states <= min(dense_threshold, DENSE_THRESHOLD):
+        w = G.eigen[0]
+        gap = _positive(float(-w[-2]), "dense gap", beta)
+        floor = G.n_states * np.finfo(float).eps * float(np.max(np.abs(w)))
+        if not gap > floor:
+            raise ConvergenceError(f"dense gap {gap:.3g} at beta {beta!r}: the gap is within"
+                                   f" the rounding floor {floor:.3g}")
+        return gap
+    S = G.S
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             y = np.sqrt(G.pi)
@@ -409,6 +466,7 @@ def spectral_gap(G, dense_threshold=DENSE_THRESHOLD):
             x0 = (m - G.pi @ m) * y
             g = np.random.default_rng(0).standard_normal(G.n_states)
             x0 = x0 / np.linalg.norm(x0) + 1e-3 / np.linalg.norm(g) * g
+            del m, g
             lam, x, steps = _lobpcg(S, y / np.linalg.norm(y), x0)
             r = S @ x
             r += lam * x  # minus the residual of -S
@@ -593,7 +651,7 @@ def _lambda_of_subset(G, idx):
     sym = G.symmetry
     blocks = G.sector_blocks
     keep = inside[sym.reps[sym.columns[0]]]
-    v = (sym.sectors[0].T @ np.sqrt(G.pi))[keep]
+    v = (G.sector_bases[0].T @ np.sqrt(G.pi))[keep]
     lam = _corrected_bottom(-blocks[0][np.ix_(keep, keep)], v)
     for cols, block in zip(sym.columns[1:], blocks[1:]):
         keep = inside[sym.reps[cols]]
@@ -668,7 +726,7 @@ def _kernel_below(G, t):
     N, R = Q.shape[0], sym.reps.size
     W = np.zeros((N, R))  # the transposed rows, so each term is one CSR product
     W[sym.reps, np.arange(R)] = 1.0
-    q = float(np.max(-Q.diagonal()))
+    q = float(np.max(-G.diagonal))
     if t <= 0:
         return W.T.copy()
     s = max(0, math.ceil(math.log2(q * t / 8.0)))
@@ -815,7 +873,7 @@ def tv_mixing_time(G, eps=0.25):
         raise ValueError(f"eps must exceed the certificate's tail {_TV_TAIL:g}, got {eps!r}")
     if G.n_states > DENSE_THRESHOLD:
         raise BudgetExceededError(f"mixing time limited to {DENSE_THRESHOLD} states")
-    q = float(np.max(-G.Q.diagonal()))  # >= 1/2: a flip or its reverse has k >= 2
+    q = float(np.max(-G.diagonal))  # >= 1/2: a flip or its reverse has k >= 2
     gap = spectral_gap(G)
     beta = G.model.beta
     floor = 0.0

@@ -68,6 +68,9 @@ FIXED = "fixed"
 PERIODIC = "periodic"
 
 ENUM_BUDGET = 1 << 20  # the most configurations any box enumeration touches
+# the most sites of a simulated box: a chain keeps about 1.4 kB of tables a
+# site (`dynamics.Simulator`'s toggles, patterns and buckets), 1.5 GB here
+SITE_BUDGET = 1 << 20
 
 
 class BudgetExceededError(RuntimeError):
@@ -426,16 +429,36 @@ def _frame_patterns(spec):
                  for row in _site_plaquettes(spec.side, spec.is_periodic))
 
 
+@functools.lru_cache(maxsize=None)
+def _row_layout(side):
+    """(row, first, rest, relay) over the L x L bits of a code: the bits of
+    row 0, the first bit of every row, every bit but the last of a row,
+    and per row r > 0 the shifts (r L, r (L + 1)) that move it from the
+    code's row stride L to the fixed plaquette grid's L + 1."""
+    L = side
+    first = sum(1 << (r * L) for r in range(L))
+    relay = tuple((r * L, r * (L + 1)) for r in range(1, L))
+    return (1 << L) - 1, first, ((1 << L * L) - 1) ^ (first << (L - 1)), relay
+
+
 def _code_defects(spec, code):
     """Defect bits of the configuration with this code: the frame's defects
-    XOR the plaquette masks of its minus sites."""
-    D = _frame_defects(spec)
-    masks = _site_masks(spec.side, spec.is_periodic)
-    while code:
-        low = code & -code
-        D ^= masks[low.bit_length() - 1]
-        code ^= low
-    return D
+    XOR the plaquette masks (`_site_masks`) of its minus sites, by row
+    shifts. Site (i, j) lies on plaquettes (i + a, j + b), a, b in {0, 1},
+    of a fixed box and (i - a, j - b) of a periodic one. With S the code at
+    the plaquette grid's row stride (L + 1 fixed, L periodic), its bit sits
+    on plaquette (i, j); T = S ^ (S shifted one column), and T ^ (T
+    shifted one row) XORs in all four. Periodic shifts wrap around."""
+    L = spec.side
+    row, first, rest, relay = _row_layout(L)
+    if spec.bc == PERIODIC:
+        T = code ^ (code >> 1 & rest) ^ (code & first) << (L - 1)
+        return T ^ T >> L ^ (T & row) << (L * (L - 1))
+    S = code & row
+    for a, b in relay:
+        S |= (code >> a & row) << b
+    T = S ^ S << 1
+    return _frame_defects(spec) ^ T ^ T << (L + 1)
 
 
 def _check_enum(n_sites):
@@ -444,6 +467,14 @@ def _check_enum(n_sites):
     budget = ENUM_BUDGET.bit_length() - 1
     if n_sites > budget:
         raise BudgetExceededError(f"enumeration needs 2^{n_sites} states, budget is 2^{budget}")
+
+
+def _check_sites(side):
+    """Refuse a box of side L past SITE_BUDGET sites before its (L+2)^2
+    frame or any per-site table is built; the count is named as L^2."""
+    if side * side > SITE_BUDGET:
+        raise BudgetExceededError(f"a box of side {side} has {side}^2 sites,"
+                                  f" budget is 2^{SITE_BUDGET.bit_length() - 1}")
 
 
 def _enum_size(spec):

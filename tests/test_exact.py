@@ -4,10 +4,14 @@ Spectral and mass constants are pinned from the independent dense
 recomputation in tests/oracles/gen_small_oracles.py.
 """
 
+import dataclasses
+import gc
 import itertools
 import math
+import tracemalloc
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -60,6 +64,8 @@ from plaquette.lattice import (
     BudgetExceededError,
     LatticeSpec,
     SpinConfig,
+    _plaquettes,
+    _site_k,
     critical_length,
     defect_count,
 )
@@ -221,13 +227,28 @@ def flip_matrix(k, values):
     return M
 
 
+def reference_k(spec):
+    """k[i, t], the k of flat site t in state i, counted from the spins by
+    `_site_k` over the spin product `_plaquettes` of every state."""
+    L, n = spec.side, spec.n_sites
+    codes = np.arange(2**n)
+    spins = np.where(codes[:, None] >> np.arange(n) & 1, -1, 1).astype(np.int8)
+    spins = spins.reshape(-1, L, L)
+    if not spec.is_periodic:
+        padded = np.repeat(spec.frame_template()[None], codes.size, axis=0)
+        padded[:, 1:-1, 1:-1] = spins
+        spins = padded
+    return _site_k(spec, _plaquettes(spec, spins) == -1).reshape(codes.size, n)
+
+
 def reference_q_and_s(G):
-    """Q and S from G's k table by sparse sums: Q's diagonal minus its CSR
-    row sums, S's the same as Q's."""
+    """Q and S from the spins' k table (`reference_k`) by sparse sums: Q's
+    diagonal minus its CSR row sums, S's the same as Q's."""
     r = G.model.table
-    Q = flip_matrix(G._box.k, r)
+    k = reference_k(G.spec)
+    Q = flip_matrix(k, r)
     Q = (Q - scipy.sparse.diags(np.asarray(Q.sum(axis=1)).ravel())).tocsr()
-    S = (flip_matrix(G._box.k, np.sqrt(r * r[::-1])) + scipy.sparse.diags(Q.diagonal())).tocsr()
+    S = (flip_matrix(k, np.sqrt(r * r[::-1])) + scipy.sparse.diags(Q.diagonal())).tocsr()
     return Q, S
 
 
@@ -264,8 +285,16 @@ def test_box_table_is_read_only_and_shared_across_beta():
     G, H = G_of(3, 1.0), G_of(3, 2.0)
     assert G.counts is H.counts and G.symmetry is H.symmetry
     sym = G.symmetry
-    arrays = [G.counts, G._box.k, G.Q.indices, G.Q.indptr, G.S.indices,
-              sym.act, sym.reps, sym.orbit, sym.carrier, *sym.sectors, *sym.columns]
+    box = G._box
+    # the box keeps its pattern, each entry's k and the counts, and the
+    # symmetry table no N x N basis
+    kept = {name for name, v in vars(box).items() if isinstance(v, np.ndarray)}
+    assert kept == {"indptr", "indices", "diag", "kc", "counts"}
+    assert [f.name for f in dataclasses.fields(sym)] == [
+        "act", "reps", "orbit", "carrier", "characters", "columns"]
+    arrays = [G.counts, box.indptr, box.indices, box.diag, box.kc, G.Q.indices, G.Q.indptr,
+              G.S.indices, sym.act, sym.reps, sym.orbit, sym.carrier, *sym.columns,
+              *G.sector_bases]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1
@@ -290,6 +319,48 @@ def test_box_cache_is_bounded():
     info = exact._box.cache_info()
     assert info.maxsize == exact._BOX_CACHE
     assert info.currsize <= exact._BOX_CACHE
+
+
+def test_sparse_gap_forms_only_s():
+    # the sparse route forms S alone: Q and the box's N x n k tables were
+    # all held at once, a tracemalloc peak of 32.4 MB for this build and gap
+    spectral_gap(G_of(3, 1.0), dense_threshold=1)  # scipy's imports are not counted
+    exact._box.cache_clear()  # the box table is counted
+    tracemalloc.start()
+    try:
+        G = G_of(4, 1.0)
+        gap = spectral_gap(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gap == pytest.approx(GAP_L4_BETA1, rel=1e-9)
+    assert "Q" not in G.__dict__ and "S" in G.__dict__
+    assert peak < 25 * 2**20, peak
+    Q, S = reference_q_and_s(G)  # read after the gap, Q is the same
+    assert same_csr(G.Q, Q) and same_csr(G.S, S)
+
+
+def test_sector_bases_are_formed_once_per_generator_and_freed_with_it(monkeypatch):
+    calls = []
+    bases = exact.Symmetry.bases
+
+    def spy(sym):
+        calls.append(sym)
+        return bases(sym)
+
+    monkeypatch.setattr(exact.Symmetry, "bases", spy)
+    G = G_of(3, 1.0)
+    spectral_gap(G)
+    tv_mixing_time(G)
+    profile_mixing_bound(G)
+    assert len(calls) == 1 and G.sector_bases is G.sector_bases
+    H = G_of(3, 2.0)  # another generator of the same box forms its own
+    spectral_gap(H)
+    assert len(calls) == 2 and calls[0] is calls[1]
+    refs = [weakref.ref(B) for B in G.sector_bases]
+    del G, H
+    gc.collect()
+    assert all(ref() is None for ref in refs)  # the box's cache does not keep them
 
 
 def test_gap_sparse_route_raises_when_unconverged(monkeypatch):
@@ -429,6 +500,7 @@ def test_level_value_of_a_set_that_is_not_closed_is_one_dense_eigh(monkeypatch):
         raise AssertionError("a set that is not a union of orbits read the sectors")
 
     monkeypatch.setattr(exact.SparseGenerator, "sector_blocks", property(no_sectors))
+    monkeypatch.setattr(exact.SparseGenerator, "sector_bases", property(no_sectors))
     assert _lambda_of_subset(G, idx) == pytest.approx(dense_lambda_of_subset(G, idx), rel=1e-12)
 
 
@@ -523,8 +595,8 @@ def test_orbit_row_certificate_matches_the_full_kernel():
 
 def passes_exact_check(G, sigma, g):
     """k[g(i), sigma[b]] == k[i, b] and counts[g(i)] == counts[i] for all i, b."""
-    return (np.array_equal(G.counts[g], G.counts)
-            and np.array_equal(G._box.k[g][:, sigma], G._box.k))
+    k = reference_k(G.spec)
+    return np.array_equal(G.counts[g], G.counts) and np.array_equal(k[g][:, sigma], k)
 
 
 def code_image(G, sigma, mask):
@@ -582,11 +654,11 @@ def test_symmetry_sector_bases_are_orthonormal_and_invariant():
     for spec in symmetric_boxes():
         G = build_generator(spec, RateModel(1.0))
         sym = G.symmetry
-        B = np.hstack(sym.sectors)
+        B = np.hstack(G.sector_bases)
         assert B.shape == (G.n_states, G.n_states), spec
         assert np.max(np.abs(B.T @ B - np.eye(G.n_states))) <= 1e-14, spec
         S = G.S.toarray()
-        for Bc in sym.sectors:
+        for Bc in G.sector_bases:
             # each element acts on a sector as one sign, and S keeps it
             for g in sym.act:
                 sign = round(float(Bc[g, 0] @ Bc[:, 0]))
@@ -594,7 +666,7 @@ def test_symmetry_sector_bases_are_orthonormal_and_invariant():
             SB = S @ Bc
             assert np.max(np.abs(SB - Bc @ (Bc.T @ SB))) <= 1e-13, spec
     sizes = sorted(B.shape[1] for B in build_generator(
-        LatticeSpec(3, PLUS), RateModel(1.0)).symmetry.sectors)
+        LatticeSpec(3, PLUS), RateModel(1.0)).sector_bases)
     assert sizes == [104, 120, 120, 168]
 
 
@@ -733,10 +805,16 @@ def test_tv_mixing_time_certified_when_the_spectral_route_under_reports(monkeypa
     assert abs(tmix - honest) <= 0.02 * honest
 
 
-def test_tv_mixing_time_raises_convergence_error_where_the_gap_rounds_away():
-    # each escaped as a bare RuntimeError after 200 doublings
-    cases = ((2, PLUS, 20.0, "200 doublings"), (3, PLUS, 20.0, "not positive"),
-             (2, PERIODIC, 300.0, "not positive"))
+def test_tv_mixing_time_raises_convergence_error_where_the_gap_rounds_away(monkeypatch):
+    # each escaped as a bare RuntimeError after 200 doublings; L=2 plus at
+    # beta 20 (gap 5.55e-16, 1.2e-17 in 80-digit arithmetic) still did that
+    # once the gap was checked for sign, and is now refused by the
+    # rounding floor of the dense gap
+    cases = ((2, PLUS, 20.0, "rounding floor"), (3, PLUS, 20.0, "not positive"),
+             (2, PERIODIC, 300.0, "not positive"), (2, PLUS, 1.0, "200 doublings"))
+    # a distance that never falls, which no gap above the floor has shown
+    monkeypatch.setattr(exact, "_tv_spectral", lambda G, t, eps=None: (
+        1.0 if G.model.beta == 1.0 else _tv_spectral(G, t, eps)))
     for L, bc, beta, what in cases:
         G = G_of(L, beta, bc)
         with warnings.catch_warnings():
@@ -798,7 +876,8 @@ def test_profile_staircase_stays_within_the_largest_defect_count():
             try:
                 ks = [k for _, _, k, _ in profile_mixing_bound(G).segments]
             except ConvergenceError as err:
-                assert beta >= 30.0 and "is not positive" in str(err), (spec, kind, beta)
+                assert beta >= 30.0 and ("is not positive" in str(err)
+                                         or "rounding floor" in str(err)), (spec, kind, beta)
                 continue
             assert spec != LatticeSpec(3, PLUS) or beta < 30.0, (spec, kind, beta)
             assert max(ks) <= G.counts.max(), (spec, kind, beta)
@@ -844,14 +923,35 @@ def test_profile_bound_is_at_least_the_certified_mixing_time():
     # without the breakpoint pi(plus) the range above it was charged
     # lambda(S_1) instead of the gap: periodic L=2 at beta 5 gave 11.73
     # against a tmix of 1.8e8, and L=3 at beta 8 gave 81.35 against 2.1e13
+    # Periodic L=3 at beta 8 (gap 6.6e-14) is now refused by the rounding
+    # floor of the dense gap; both calls raise there
+    refused = 0
     for spec, kind in itertools.product(symmetric_boxes(), RateModel.KINDS):
         for beta in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 6.5, 8.0):
             G = build_generator(spec, RateModel(beta, kind))
+            if spec == LatticeSpec(3, PERIODIC) and beta == 8.0:
+                for fn in (profile_mixing_bound, tv_mixing_time):
+                    with pytest.raises(ConvergenceError, match="rounding floor"):
+                        fn(G)
+                refused += 1
+                continue
             pb = profile_mixing_bound(G)
             assert pb.value >= tv_mixing_time(G), (spec, kind, beta)
             assert pb.segments[-1][2] == 0, (spec, kind, beta)
+    assert refused == 2
     G = G_of(3, 1.0, PERIODIC)
     assert profile_mixing_bound(G).value == pytest.approx(132.253, abs=1e-3)
+
+
+def test_dense_gaps_within_the_rounding_floor_are_refused():
+    # L=2 plus at beta 30 read 1.1e-16, where 80-digit arithmetic gives
+    # 2.5e-26; the dense eigenvalues carry an error of about N eps ||S||
+    with pytest.raises(ConvergenceError, match=r"^dense gap 1\.11e-16 at beta 30\.0: the gap"
+                                               r" is within the rounding floor 1\.92e-14$"):
+        spectral_gap(G_of(2, 30.0))
+    # above the floor the gap keeps its digits
+    assert spectral_gap(G_of(2, 10.0)) == 5.889008933532238e-09
+    assert spectral_gap(G_of(2, 14.0)) == 1.9753643164939417e-12
 
 
 def test_spectral_values_that_are_not_positive_raise():
@@ -866,9 +966,16 @@ def test_spectral_values_that_are_not_positive_raise():
             fn(G_of(L, beta))
 
 
-def test_tv_certificate_that_is_not_finite_raises():
+def raw_dense_gap(G, dense_threshold=DENSE_THRESHOLD):
+    """The dense gap without the rounding floor of `spectral_gap`."""
+    return float(-G.eigen[0][-2])
+
+
+def test_tv_certificate_that_is_not_finite_raises(monkeypatch):
     # the squarings overflowed to inf, the distance read nan, and
-    # tv_mixing_time returned the spectral time as certified
+    # tv_mixing_time returned the spectral time as certified. These gaps
+    # (1.4e-24 at beta 14) are now refused by the rounding floor first, so
+    # the search past it is reached with the floor taken out.
     G = G_of(2, 14.0, PERIODIC)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -876,6 +983,11 @@ def test_tv_certificate_that_is_not_finite_raises():
         for t in (7.744681031906218e+23, 1e30):
             with pytest.raises(ConvergenceError, match="^the TV certificate at t .* is nan$"):
                 _tv_all_starts(G, t)
+        for beta in (11.0, 13.0, 14.0):
+            with pytest.raises(ConvergenceError, match=rf"at beta {beta!r}: the gap is within"
+                                                       rf" the rounding floor"):
+                tv_mixing_time(G_of(2, beta, PERIODIC))
+        monkeypatch.setattr(exact, "spectral_gap", raw_dense_gap)
         for beta in (11.0, 13.0, 14.0):
             with pytest.raises(ConvergenceError, match=rf"is nan, at beta {beta!r} with gap"):
                 tv_mixing_time(G_of(2, beta, PERIODIC))

@@ -5,6 +5,7 @@ recomputes everything from raw arrays without importing this package.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -37,8 +38,10 @@ from plaquette.lattice import (
     _code_defects,
     _defect_bits,
     _enum_size,
+    _frame_defects,
     _plaquettes,
     _site_flat,
+    _site_masks,
 )
 
 HIST_L2_PLUS = {0: 1, 4: 9, 6: 6}
@@ -302,6 +305,35 @@ def test_code_is_the_enumeration_index():
                 assert int(box[i]) == D
 
 
+def xor_walk_defects(spec, code):
+    """The defect int by one XOR of its plaquette mask per minus site, as
+    `_code_defects` formed it before the row shifts."""
+    D = _frame_defects(spec)
+    masks = _site_masks(spec.side, spec.is_periodic)
+    while code:
+        low = code & -code
+        D ^= masks[low.bit_length() - 1]
+        code ^= low
+    return D
+
+
+def test_code_defects_by_row_shifts_match_the_xor_walk():
+    # every code at L <= 3 on plus, periodic and a broken frame; at L = 5,
+    # 16 and 64 every single minus site, all minus and 200 random codes
+    for L in (1, 2, 3):
+        for spec in codec_specs(L):
+            for code in range(1 << spec.n_sites):
+                assert _code_defects(spec, code) == xor_walk_defects(spec, code), (spec, code)
+    rng = random.Random(11)
+    for L in (5, 16, 64):
+        for spec in codec_specs(L):
+            n = spec.n_sites
+            codes = [1 << t for t in range(n)] + [(1 << n) - 1]
+            codes += [rng.getrandbits(n) for _ in range(200)]
+            for code in codes:
+                assert _code_defects(spec, code) == xor_walk_defects(spec, code), (spec, code)
+
+
 def test_spin_config_holds_its_code():
     # for every configuration: decode and encode against an array built bit
     # by bit, equality and hashing against the spin bytes, and flip and
@@ -416,6 +448,17 @@ def test_enumeration_budget():
         _enum_size(LatticeSpec(120))
     assert _enum_size(LatticeSpec(4, PERIODIC)) == 1 << 16
     assert lattice.ENUM_BUDGET == 1 << 20
+
+
+def test_site_budget():
+    # a simulated box is held to SITE_BUDGET sites from its side alone, so
+    # the (L+2)^2 frame of a huge box is never built
+    assert lattice.SITE_BUDGET == 1 << 20
+    lattice._check_sites(1024)
+    for L in (1025, 3269017, 10**100):
+        with pytest.raises(BudgetExceededError,
+                           match=rf"^a box of side {L} has {L}\^2 sites, budget is 2\^20$"):
+            lattice._check_sites(L)
 
 
 def test_site_bounds_checked():
