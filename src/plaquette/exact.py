@@ -855,9 +855,9 @@ def tv_mixing_time(G, eps=0.25):
     Above DENSE_THRESHOLD states it raises BudgetExceededError before the
     gap is solved for. At large beta the gap (`spectral_gap`) rounds to 0
     or below, or to a few ulps above it, and the distance read off the
-    eigenpairs never falls: a gap that is not positive, no time below eps
-    in 200 doublings, or a certificate that is not finite raises
-    ConvergenceError naming beta.
+    eigenpairs never falls: a gap that is not positive or is within the
+    rounding floor, no time below eps in 200 doublings, or a certificate
+    that is not finite raises ConvergenceError naming beta.
     The distance read carries _TV_TAIL, so eps must exceed it
     (ValueError otherwise).
 
