@@ -28,11 +28,11 @@ sqrt(pi) spans its kernel.
   integer check on the k table and the defect counts, so an asymmetric
   frame falls back to fewer or none. It holds each code's orbit
   representative, the element carrying the representative to the code,
-  and each sector's character and kept orbits; the dense +-1 sector
-  bases are formed per generator (`SparseGenerator.sector_bases`).
+  and each sector's kept orbits and the nonzeros of its +-1 basis; the
+  dense N x N bases are formed per generator
+  (`SparseGenerator.sector_bases`) and freed with it.
 - S = V diag(w) V^T is found by one `eigh` per sector
-  (`SparseGenerator.eigen`). A gap within the eigensolver's rounding
-  floor N eps ||S|| is refused. The gap, the slow eigenfunction and
+  (`SparseGenerator.eigen`). The gap, the slow eigenfunction and
   every step of the mixing-time search read it, the last through
   P_t = D^-1/2 V e^{tw} V^T D^1/2. A step forms only the rows of P_t
   whose chi^2 bound could decide it, and only at orbit representatives:
@@ -297,18 +297,19 @@ class Symmetry:
     element is its own inverse. Each code z lies in the orbit
     reps[orbit[z]], whose least code is its representative, and
     act[carrier[z], reps[orbit[z]]] == z. A sector is a character
-    chi(h) = (-1)^popcount(c & h) whose span is nonzero: characters holds
-    its c and columns the orbits on whose stabilizer chi is 1, one basis
-    column each (`bases`). characters[0] is the trivial character, with
-    every orbit.
+    chi(h) = (-1)^popcount(c & h) whose span is nonzero: columns holds the
+    orbits on whose stabilizer chi is 1, one basis column each, and
+    entries the nonzeros (rows, cols, values) of its basis (`bases`), one
+    per code of those orbits. The first sector is the trivial
+    character's, with every orbit.
     """
 
     act: np.ndarray
     reps: np.ndarray
     orbit: np.ndarray
     carrier: np.ndarray
-    characters: tuple
     columns: tuple
+    entries: tuple
 
     @classmethod
     def of(cls, box):
@@ -334,38 +335,34 @@ class Symmetry:
         rep_code, carrier = act.min(axis=0), act.argmin(axis=0)
         reps = np.unique(rep_code)
         orbit = np.searchsorted(reps, rep_code)
+        size = np.bincount(orbit)
         h = np.arange(act.shape[0])
+        chi = np.where(np.bitwise_count(h[:, None] & h) % 2, -1, 1)
         fixes = act[:, reps] == reps  # fixes[h, o]: h fixes orbit o's representative
-        characters, columns = [], []
+        columns, entries = [], []
         for c in h:
-            negative = np.bitwise_count(c & h) % 2 == 1  # where chi_c(h) = -1
-            kept = ~np.any(fixes & negative[:, None], axis=0)
+            kept = ~np.any(fixes & (chi[c] < 0)[:, None], axis=0)
             if kept.any():
-                characters.append(int(c))
+                rows = np.nonzero(kept[orbit])[0]
                 columns.append(np.nonzero(kept)[0])
-        _frozen(act, reps, orbit, carrier, *columns)
-        return cls(act, reps, orbit, carrier, tuple(characters), tuple(columns))
+                entries.append((rows, (np.cumsum(kept) - 1)[orbit[rows]],
+                                chi[c, carrier[rows]] / np.sqrt(size[orbit[rows]])))
+        _frozen(act, reps, orbit, carrier, *columns, *(a for e in entries for a in e))
+        return cls(act, reps, orbit, carrier, tuple(columns), tuple(entries))
 
     def bases(self):
         """The basis B_chi of each sector (dense, N x its columns), in the
-        order of `characters`: column j has chi(carrier[z]) / sqrt(orbit
-        size) at each code z of orbit columns[j]. The bases are orthonormal
-        and read-only, their columns number N, and S maps each sector's
-        span into itself. They are consecutive blocks of one N x N buffer,
-        filled by one scatter."""
-        orbit, N = self.orbit, self.orbit.size
-        widths = np.array([cols.size for cols in self.columns])
-        at = np.full((widths.size, self.reps.size), -1)  # at[s, o]: orbit o's column in sector s
-        for s, cols in enumerate(self.columns):
-            at[s, cols] = np.arange(cols.size)
-        s, z = np.nonzero(at[:, orbit] >= 0)
-        chi = np.where(np.bitwise_count(np.array(self.characters)[s] & self.carrier[z]) % 2, -1, 1)
-        start = N * np.concatenate([[0], np.cumsum(widths)])
-        flat = np.zeros(N * N)
-        flat[start[s] + z * widths[s] + at[s, orbit[z]]] = chi / np.sqrt(np.bincount(orbit))[orbit[z]]
-        bases = tuple(flat[a:b].reshape(N, -1) for a, b in zip(start, start[1:]))
+        order of `columns`: column j has chi(carrier[z]) / sqrt(orbit size)
+        at each code z of orbit columns[j]. The bases are orthonormal and
+        read-only, their columns number N, and S maps each sector's span
+        into itself."""
+        bases = []
+        for cols, (rows, at, values) in zip(self.columns, self.entries):
+            B = np.zeros((self.orbit.size, cols.size))
+            B[rows, at] = values
+            bases.append(B)
         _frozen(*bases)
-        return bases
+        return tuple(bases)
 
 
 def build_generator(spec, model):
@@ -421,10 +418,7 @@ def spectral_gap(G, dense_threshold=DENSE_THRESHOLD):
     """Smallest positive eigenvalue of -Q (via the symmetric conjugate).
 
     Up to min(dense_threshold, DENSE_THRESHOLD) states it is read off the
-    cached dense eigendecomposition. Its eigenvalues carry an error of up
-    to about N eps ||S|| (||S|| the largest |eigenvalue|), so a gap at or
-    below that rounding floor raises ConvergenceError (L=2 `plus` at beta
-    30 read 1.1e-16 where 80-digit arithmetic gives 2.5e-26). Above that it is the smallest
+    cached dense eigendecomposition. Above that it is the smallest
     eigenvalue of -S under the constraint x . sqrt(pi) = 0, which deflates
     the stationary mode, found by `_lobpcg` (block size 1, Jacobi
     preconditioner 1/diag(-S)) to residual _GAP_TOL.
@@ -449,16 +443,10 @@ def spectral_gap(G, dense_threshold=DENSE_THRESHOLD):
     with no RuntimeWarning, and so does a gap from either route that is
     not positive, lost to rounding (`_positive`).
     """
-    beta = G.model.beta
     if G.n_states <= min(dense_threshold, DENSE_THRESHOLD):
-        w = G.eigen[0]
-        gap = _positive(float(-w[-2]), "dense gap", beta)
-        floor = G.n_states * np.finfo(float).eps * float(np.max(np.abs(w)))
-        if not gap > floor:
-            raise ConvergenceError(f"dense gap {gap:.3g} at beta {beta!r}: the gap is within"
-                                   f" the rounding floor {floor:.3g}")
-        return gap
+        return _positive(float(-G.eigen[0][-2]), "dense gap", G.model.beta)
     S = G.S
+    beta = G.model.beta
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             y = np.sqrt(G.pi)
@@ -855,9 +843,9 @@ def tv_mixing_time(G, eps=0.25):
     Above DENSE_THRESHOLD states it raises BudgetExceededError before the
     gap is solved for. At large beta the gap (`spectral_gap`) rounds to 0
     or below, or to a few ulps above it, and the distance read off the
-    eigenpairs never falls: a gap that is not positive or is within the
-    rounding floor, no time below eps in 200 doublings, or a certificate
-    that is not finite raises ConvergenceError naming beta.
+    eigenpairs never falls: a gap that is not positive, no time below eps
+    in 200 doublings, or a certificate that is not finite raises
+    ConvergenceError naming beta.
     The distance read carries _TV_TAIL, so eps must exceed it
     (ValueError otherwise).
 
