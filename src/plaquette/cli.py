@@ -213,7 +213,7 @@ def cmd_flow(args):
         if args.mode == "exhaustive":
             lattice._check_enum(L * L)
         else:
-            _checked_sites("flow", L)
+            lattice._check_sites(L)
         spec = _resolve_spec(args.bc, L)
         if spec.bc != PLUS:
             raise SystemExit("flow: flow bounds are computed for the all-plus boundary"

@@ -715,7 +715,7 @@ def _kernel_below(G, t):
     W = np.zeros((N, R))  # the transposed rows, so each term is one CSR product
     W[sym.reps, np.arange(R)] = 1.0
     q = float(np.max(-G.diagonal))
-    if t <= 0:
+    if t <= 0:  # reached: at eps >= 1/2 the bisection of tv_mixing_time can end at 0
         return W.T.copy()
     s = max(0, math.ceil(math.log2(q * t / 8.0)))
     w = _poisson_weights(q * t / 2**s, _TV_TAIL / 2**s)
@@ -798,7 +798,7 @@ def _tv_chi2_bound(G, t):
     return 0.5 * np.sqrt(U2 @ np.exp(2.0 * t * w)) / np.sqrt(G.pi[G.symmetry.reps])
 
 
-def _first_time_below(tv, lo, t, eps, floor=0.0):
+def _first_time_below(tv, lo, t, eps, floor=0.0, ceiling=math.inf):
     """Double t until tv(t) < eps, then bisect [lo, t] to relative width
     _TV_RTOL; returns the upper endpoint, where tv is below eps.
 
@@ -807,7 +807,10 @@ def _first_time_below(tv, lo, t, eps, floor=0.0):
     eps (`tv_mixing_time`'s relaxation bound), so the brackets, and the
     time returned, are those of the search that called tv there too. The
     default 0 skips nothing, not even t = 0, where the bisection ends for
-    a chain that starts within eps of stationarity.
+    a chain that starts within eps of stationarity. Past `ceiling` the
+    caller knows the distance is below eps, so a tv still at or above eps
+    there has lost the time to rounding: the doubling stops there with
+    ConvergenceError.
     """
     def below(t):
         return t >= floor and tv(t) < eps
@@ -815,6 +818,10 @@ def _first_time_below(tv, lo, t, eps, floor=0.0):
     for _ in range(200):
         if below(t):
             break
+        if t > ceiling:
+            raise ConvergenceError(f"mixing bracket not found: the distance stays at or"
+                                   f" above eps {eps!r} past t* {ceiling:.3g}, where the"
+                                   f" l2 bound puts it below")
         lo = t
         t *= 2.0
     else:
@@ -843,8 +850,9 @@ def tv_mixing_time(G, eps=0.25):
     Above DENSE_THRESHOLD states it raises BudgetExceededError before the
     gap is solved for. At large beta the gap (`spectral_gap`) rounds to 0
     or below, or to a few ulps above it, and the distance read off the
-    eigenpairs never falls: a gap that is not positive, no time below eps
-    in 200 doublings, or a certificate that is not finite raises
+    eigenpairs never falls: a gap that is not positive, a stationary mass
+    that underflows to 0, no time below eps by the ceiling t* below or in
+    200 doublings, or a certificate that is not finite raises
     ConvergenceError naming beta.
     The distance read carries _TV_TAIL, so eps must exceed it
     (ValueError otherwise).
@@ -854,8 +862,12 @@ def tv_mixing_time(G, eps=0.25):
     a reversible chain has d(t) >= e^{-t gap} / 2 (Levin, Peres and
     Wilmer, the t_rel ln(1/(2 eps)) lower bound on the mixing time), so
     there the distance is at or above eps, and both reads would say so.
-    The factor 1 - 1e-9 leaves room for rounding in the gap. The times
-    searched, and the time returned, are those of a search without it.
+    Neither doubles past the ceiling
+    t* = (1 + 1e-9) ln(1/(2 (eps - _TV_TAIL) sqrt(pi_min))) / gap: by the
+    l2 bound d(t) <= e^{-t gap} / (2 sqrt(pi_min)) (`_tv_chi2_bound`) the
+    distance is below eps - _TV_TAIL there, so a read at or above eps is
+    rounding. The factors 1 -+ 1e-9 leave room for rounding in the gap.
+    A time returned is the one a search without floor or ceiling returns.
     """
     if not eps > _TV_TAIL:
         raise ValueError(f"eps must exceed the certificate's tail {_TV_TAIL:g}, got {eps!r}")
@@ -868,9 +880,14 @@ def tv_mixing_time(G, eps=0.25):
     if eps < 0.5:
         floor = (1.0 - 1e-9) * math.log(1.0 / (2.0 * eps)) / gap
     try:
-        hi = _first_time_below(lambda t: _tv_spectral(G, t, eps), 0.0, 1.0 / q, eps, floor)
+        _check_pi(G, "the distance")
+        l2 = 2.0 * (eps - _TV_TAIL) * math.sqrt(float(np.min(G.pi)))
+        ceiling = (1.0 + 1e-9) * math.log(1.0 / l2) / gap
+        hi = _first_time_below(lambda t: _tv_spectral(G, t, eps), 0.0, 1.0 / q, eps, floor,
+                               ceiling)
         if not _tv_all_starts(G, hi) < eps:
-            hi = _first_time_below(lambda t: _tv_all_starts(G, t), hi, 2.0 * hi, eps, floor)
+            hi = _first_time_below(lambda t: _tv_all_starts(G, t), hi, 2.0 * hi, eps, floor,
+                                   ceiling)
     except ConvergenceError as err:
         raise ConvergenceError(f"{err}, at beta {beta!r} with gap {gap:.3g}") from None
     return hi

@@ -22,13 +22,15 @@ occupancies are popcounts, nearest defects along a column are
 A rectangle is its field tuple (y2, x1, y1, x2), which sorts as
 `Rectangle` does, until a public function wraps it.
 The Monte Carlo flow and the public samplers draw segments one state at
-a time through `_segments`, per-call `functools` caches of splits, pools
-and removal orders. The exhaustive flow forms the same segments for every
-state of the enumerated box at once, as arrays (`_box_segments`, on the
-per-side tables of `_flow_tables`), and sums the flow in layer passes over
-them; the tests hold those arrays to `_segments`. Both flows work on codes
-and flat site indices until a public path is built, and hand
-`_flow_result` each edge's numerator, defect count and k as arrays.
+a time through `_segments`, which forms each drawn state's split, pool
+and removal order from its defect int and keeps none of them. The
+exhaustive flow forms the same segments for every state of the
+enumerated box at once, as arrays (`_box_segments`, on the per-side
+tables of `_flow_tables`), and sums the flow in layer passes over them;
+the tests hold those arrays to `_lines`, `_split`, `_pool` and `_block`.
+Both flows work on codes and flat site indices until a public path is
+built, and hand `_flow_result` each edge's numerator, defect count and k
+as arrays.
 
 Everything in this module is for the all-plus boundary (fixed frames
 lack a defect-free reference state, periodic boxes have their own ground
@@ -42,7 +44,6 @@ import hashlib
 import itertools
 import math
 import numbers
-import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -468,58 +469,33 @@ def good_rectangles(sigma, i, beta, c=100):
     return {Rectangle(*R) for R in _pool(rows, cols, *split.part_columns(i), beta)}
 
 
-_SEGMENT_CACHE = 1 << 14
-
-
 def _segments(L, beta, c):
-    """The rectangle segments of defect ints on the plus box of side L at
-    (beta, c), for one call (a Monte Carlo flow, or one sampled path): a
-    uniform part index of the split (`SplitStructure.n` parts), then a
-    uniform rectangle of that part's sorted pool, removed in the
-    order of `_sweep`.
-
-    Three `lru_cache`s of at most _SEGMENT_CACHE entries each, which
-    bounds memory on large boxes, where states rarely repeat:
-    `parts(D)` gives the lines and split bounds of the defect int D,
-    `pool(D, i)` the sorted pool of part i as (y2, x1, y1, x2) tuples
-    (PathSamplingError when empty), and `order(R, sweep)` the `_block` of
-    the rectangle R; all read only. `draw(D, rng)` draws one segment.
+    """The segment draw of defect ints on the plus box of side L at
+    (beta, c), beta and c checked once: `draw(D, rng)` takes a uniform
+    part index of the split (`SplitStructure.n` parts), then a uniform
+    rectangle of that part's sorted pool (PathSamplingError when empty),
+    and returns (flat flips, R, i): R a field tuple removed in the order of
+    `_sweep`, i the part. Each draw forms D's lines, split, pool and
+    removal order afresh and keeps none of them. One part draws no part
+    index, which leaves rng's stream as a draw from [1, 2) would.
     The exhaustive flow reads the same segments for a whole box from
-    `_box_segments`, which the tests hold to these."""
+    `_box_segments`."""
     _check_beta(beta)
     _check_c(c)
-    cache = functools.lru_cache(maxsize=_SEGMENT_CACHE)
 
-    @cache
-    def parts(D):
+    def draw(D, rng):
         rows, cols = _lines(D, L + 1)
         # fewer than c*L defects make one part
-        return rows, cols, _split(cols, c) if D.bit_count() >= c * L else (0, L + 1)
-
-    @cache
-    def pool(D, i):
-        rows, cols, bounds = parts(D)
+        bounds = _split(cols, c) if D.bit_count() >= c * L else (0, L + 1)
+        n = max(1, len(bounds) - 2)
+        i = int(rng.integers(1, n + 1)) if n > 1 else 1
         rects = sorted(_pool(rows, cols, bounds[i - 1], bounds[i] - 1, beta))
         if not rects:
             raise PathSamplingError(f"no good rectangles in part {i}")
-        return rects
-
-    @cache
-    def order(R, sweep):
-        return _block(R, sweep, L)
-
-    def draw(D, rng):
-        """One segment of D as (flat flips, R, i), R a field tuple. One
-        part draws no part index, which leaves rng's stream as a draw from
-        [1, 2) would."""
-        cols, bounds = parts(D)[1:]
-        n = max(1, len(bounds) - 2)
-        i = int(rng.integers(1, n + 1)) if n > 1 else 1
-        rects = pool(D, i)
         R = rects[int(rng.integers(len(rects)))]
-        return order(R, _sweep(R, cols)), R, i
+        return _block(R, _sweep(R, cols), L), R, i
 
-    return types.SimpleNamespace(parts=parts, pool=pool, order=order, draw=draw)
+    return draw
 
 
 def sample_partial_path(sigma, beta, seed, c=100):
@@ -528,7 +504,7 @@ def sample_partial_path(sigma, beta, seed, c=100):
     if not D:
         raise ValueError("empty defect set")
     L = sigma.spec.side
-    flips, R, i = _segments(L, beta, c).draw(D, _as_rng(seed))
+    flips, R, i = _segments(L, beta, c)(D, _as_rng(seed))
     return CanonicalPath(sigma, _sites_of(L, flips),
                          [SegmentMark("rectangle", Rectangle(*R), i, len(flips))])
 
@@ -639,7 +615,7 @@ def sample_full_path(sigma, beta, seed, truncate_at=None, c=100):
     L = spec.side
     code = sigma.code
     trunc = -1 if truncate_at is None else truncate_at
-    draw = _segments(L, beta, c).draw
+    draw = _segments(L, beta, c)
     D = _code_defects(spec, code)
     flips, marks = _sample_path(draw, L, beta, code, D, _as_rng(seed), trunc)
     marks = [SegmentMark("naive", None, None, taken) if R is None
@@ -755,13 +731,13 @@ _BOX_BLOCK = 1 << 12  # states per block of the pool matrix
 def _box_segments(L, D, beta, c):
     """The rectangle segments of the states with defect ints D (a uint64
     array) on the plus box of side L at (beta, c), all at once: what
-    `parts`, `pool` and `order` of `_segments` give one state at a time.
+    `_split`, `_pool` and `_block` give one state at a time.
 
     Returns (state, row, q, empty): per segment, in (state, part,
     rectangle) order, the index of its state in D, its row 4*r + sweep in
     `_flow_tables(L)` and its probability 1/(parts * pool size); and per
-    state the first part whose pool is empty, 0 when none is (`pool`
-    raises there).
+    state the first part whose pool is empty, 0 when none is (a draw of
+    `_segments` raises there).
 
     Splits come from `_split` once per distinct column-count vector, pair
     rows from `_pair_rows` once per distinct row-count vector of a part.
@@ -967,7 +943,7 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
     trunc = level - 1
     rng = _as_rng(seed)
     masks = _site_masks(L, False)
-    draw = _segments(L, beta, c).draw
+    draw = _segments(L, beta, c)
     acc = {}  # edge -> sum of its per-sample terms
     acc2 = {}  # edge -> sum of their squares
     # per edge in acc's order, flat (no tuple per edge for the collector to

@@ -8,6 +8,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import time
 import tracemalloc
 import types
 import warnings
@@ -808,8 +809,10 @@ def test_tv_mixing_time_certified_when_the_spectral_route_under_reports(monkeypa
 
 
 def test_tv_mixing_time_raises_convergence_error_where_the_gap_rounds_away():
-    # each escaped as a bare RuntimeError after 200 doublings
-    cases = ((2, PLUS, 20.0, "200 doublings"), (3, PLUS, 20.0, "not positive"),
+    # each escaped as a bare RuntimeError after 200 doublings; the first
+    # now stops at the l2 ceiling t*
+    cases = ((2, PLUS, 20.0, r"past t\* [\d.e+]+, where the l2 bound"),
+             (3, PLUS, 20.0, "not positive"),
              (2, PERIODIC, 300.0, "not positive"))
     for L, bc, beta, what in cases:
         G = G_of(L, beta, bc)
@@ -818,6 +821,45 @@ def test_tv_mixing_time_raises_convergence_error_where_the_gap_rounds_away():
             with pytest.raises(ConvergenceError, match=rf"{what}.*beta {beta!r} with gap"
                                                        rf"|beta {beta!r}: the gap .*{what}"):
                 tv_mixing_time(G)
+
+
+def test_tv_mixing_time_stops_at_the_l2_ceiling():
+    # the certificate-only search ran 200 doublings, about 20 s, before it
+    # raised; past t* the distance is below eps, so it raises there
+    G = build_generator(LatticeSpec(3, PERIODIC), RateModel(10.0))
+    gap = spectral_gap(G)
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=r"^mixing bracket not found: .* past t\* .*"
+                                               r", where the l2 bound puts it below, at beta 10.0"
+                                               r" with gap") as err:
+        tv_mixing_time(G)
+    assert time.perf_counter() - start < 2.0
+    t_star = (1.0 + 1e-9) * math.log(1.0 / (2.0 * (0.25 - exact._TV_TAIL)
+                                            * math.sqrt(G.pi.min()))) / gap
+    assert f" past t* {t_star:.3g}," in str(err.value)
+
+
+def test_the_certificate_is_read_at_t_zero_only_above_eps_one_half(monkeypatch):
+    # below eps 1/2 the floor keeps every read of the certificate at t > 0;
+    # at or above it a chain can start within eps of stationarity, the
+    # bisection ends at 0 and the certificate reads the identity kernel
+    seen = []
+    monkeypatch.setattr(exact, "_tv_all_starts",
+                        lambda G, t: seen.append(t) or _tv_all_starts(G, t))
+    for L, bc, kind in itertools.product((1, 2, 3), (PLUS, PERIODIC), RateModel.KINDS):
+        for beta in (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0):
+            G = build_generator(LatticeSpec(L, bc), RateModel(beta, kind))
+            for eps in (0.25, 0.1, 0.01):
+                try:
+                    tv_mixing_time(G, eps)
+                except ConvergenceError:
+                    pass
+    assert len(seen) > 288 and min(seen) > 0
+    seen.clear()
+    G = G_of(1, 0.0)
+    assert tv_mixing_time(G, eps=0.9) == 0.0
+    assert seen == [0.0]
+    assert np.array_equal(_kernel_below(G, 0.0), np.eye(2)[G.symmetry.reps])
 
 
 def test_tv_factors_raise_where_the_stationary_mass_underflows():

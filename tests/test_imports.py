@@ -1,12 +1,15 @@
-"""Every name a package or test module imports is read in that module."""
+"""Every name a package or test module imports is read in that module,
+and every private constant of the package is read somewhere."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "plaquette").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "plaquette").glob("*.py"))
+FILES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -32,3 +35,40 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_constants(source):
+    """(line, name) of each module-level `_UPPER_CASE` name the source assigns."""
+    found = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and re.fullmatch(r"_[A-Z][A-Z0-9_]*", target.id):
+                found.append((node.lineno, target.id))
+    return found
+
+
+def names_read(source):
+    """Every name the source reads, bare or as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    bare = {node.id for node in nodes
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bare | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+
+def test_the_scan_finds_an_unread_private_constant():
+    source = ("_A = 1\n_B: int = 2\n_c = 3\nC = 4\n_D = _E = 5\n"
+              "def f():\n    _F = 6\n    return _A + m._E\n")
+    assert private_constants(source) == [(1, "_A"), (2, "_B"), (5, "_D"), (5, "_E")]
+    read = names_read(source)
+    assert [name for _, name in private_constants(source) if name not in read] == ["_B", "_D"]
+
+
+def test_every_private_constant_is_read():
+    # read by the package or the benchmark; a constant only the tests read
+    # is not a setting of the program
+    readers = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(*(names_read(path.read_text()) for path in readers))
+    unread = [(path.name, line, name) for path in SOURCES
+              for line, name in private_constants(path.read_text()) if name not in read]
+    assert unread == []

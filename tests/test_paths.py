@@ -30,7 +30,6 @@ from plaquette.lattice import (
     _site_k,
     _site_masks,
 )
-from plaquette import paths
 from plaquette.paths import (
     CanonicalPath,
     EdgeRef,
@@ -923,10 +922,25 @@ def _ref_pool(rows, cols, a, b, beta):
     return sorted(_ref_extended(rows, cols, pair_rows, a, b))
 
 
+class _Picks:
+    """An rng for one draw of `_segments`: it picks part i and pool entry r,
+    and keeps the number of parts it was asked to pick from."""
+
+    def __init__(self, i, r):
+        self.i, self.r, self.parts = i, r, 1
+
+    def integers(self, low, high=None):
+        if high is None:
+            return self.r
+        self.parts = high - 1
+        return self.i
+
+
 def test_mask_kernel_matches_the_list_reference():
     # lines, split bounds, every part's pool and each pooled rectangle's
     # removal order, on spin-configuration states and on raw defect ints
-    # (not all realizable, so pools may be empty)
+    # (not all realizable, so pools may be empty); the draw of `_segments`
+    # picks from the same parts and pools, and raises on an empty one
     rng = np.random.default_rng(16)
     checked = 0
     for L in range(2, 7):
@@ -946,8 +960,7 @@ def test_mask_kernel_matches_the_list_reference():
                 for c in (2, 100):
                     bounds = _ref_split(ref_cols, c)
                     assert _split(cols, c) == bounds
-                    segments = _segments(L, beta, c)
-                    assert segments.parts(D)[2] == bounds
+                    draw = _segments(L, beta, c)
                     n_parts = max(1, len(bounds) - 2)
                     for i in range(1, len(bounds)):
                         a, b = bounds[i - 1], bounds[i] - 1
@@ -958,13 +971,15 @@ def test_mask_kernel_matches_the_list_reference():
                             continue
                         if not want:
                             with pytest.raises(PathSamplingError):
-                                segments.pool(D, i)
+                                draw(D, _Picks(i, 0))
                             continue
-                        pool = segments.pool(D, i)
-                        assert pool == want
-                        if realizable:
-                            for R in pool:
-                                order = [sites[t] for t in segments.order(R, _sweep(R, cols))]
+                        for r, R in enumerate(want):
+                            pick = _Picks(i, r)
+                            flips, got_R, got_i = draw(D, pick)
+                            assert (got_R, got_i, pick.parts) == (R, i, n_parts)
+                            assert flips == _block(R, _sweep(R, cols), L)
+                            if realizable:
+                                order = [sites[t] for t in flips]
                                 assert order == _five_case_order(Rectangle(*R), dset)
                         checked += 1
     assert checked > 500
@@ -1037,26 +1052,27 @@ def test_the_exhaustive_flow_frees_its_arrays_on_return():
 def _kernel_segments(L, D, beta, c):
     """The per-state reference for `_box_segments`: every segment of D as
     (rectangle, flat flips, q) in (part, rectangle) order, or the first
-    part whose pool is empty."""
-    segments = _segments(L, beta, c)
-    _, cols, bounds = segments.parts(D)
+    part whose pool is empty, where the draw of `_segments` raises."""
+    rows, cols = _lines(D, L + 1)
+    bounds = _split(cols, c)
     n = max(1, len(bounds) - 2)
     out = []
     for i in range(1, n + 1):
-        try:
-            pool = segments.pool(D, i)
-        except PathSamplingError as err:
-            assert str(err) == f"no good rectangles in part {i}"
+        pool = sorted(_pool(rows, cols, bounds[i - 1], bounds[i] - 1, beta))
+        if not pool:
+            with pytest.raises(PathSamplingError) as err:
+                _segments(L, beta, c)(D, _Picks(i, 0))
+            assert str(err.value) == f"no good rectangles in part {i}"
             return i
         for R in pool:
-            out.append((R, segments.order(R, _sweep(R, cols)), 1.0 / (n * len(pool))))
+            out.append((R, _block(R, _sweep(R, cols), L), 1.0 / (n * len(pool))))
     return out
 
 
 def test_box_segments_match_the_per_state_kernel():
-    # the pool matrix, sweeps and q of the box arrays against _segments,
-    # state by state: every state at L = 2 and 3, 3000 random ones at
-    # L = 4, and which states have an empty part (PathSamplingError)
+    # the pool matrix, sweeps and q of the box arrays against the per-state
+    # kernel, state by state: every state at L = 2 and 3, 3000 random ones
+    # at L = 4, and which states have an empty part (PathSamplingError)
     rng = np.random.default_rng(24)
     raised = 0
     for L, codes in ((2, np.arange(16)), (3, np.arange(512)),
@@ -1083,31 +1099,6 @@ def test_box_segments_match_the_per_state_kernel():
                     assert got == want, (L, beta, c, k)
     # the empty states at every (beta, c), and more at L <= 2 with c = 2
     assert raised > 24
-
-
-def test_segment_caches_stay_bounded(monkeypatch):
-    # with room for 8 entries each the caches evict, and no output moves
-    sigma = random_config(LatticeSpec(6, PLUS), np.random.default_rng(25))
-
-    def outputs():
-        res = flow_cost(LatticeSpec(5, PLUS), 1.0, 1, mode="monte_carlo", seed=4, samples=200, c=2)
-        path = sample_full_path(sigma, 2.0, seed=5, c=2)
-        return (res.cost, res.ci_halfwidth, flow_digests(res), heaviest_edge(res),
-                path.flips, path.marks)
-
-    want = outputs()
-    made = []
-    real = paths._segments
-    monkeypatch.setattr(paths, "_SEGMENT_CACHE", 8)
-    monkeypatch.setattr(paths, "_segments", lambda *args: made.append(real(*args)) or made[-1])
-    assert outputs() == want
-    assert len(made) == 2
-    for segments in made:
-        for cache in (segments.parts, segments.pool, segments.order):
-            info = cache.cache_info()
-            assert info.maxsize == 8 and info.currsize <= 8
-    # the flow's caches were filled past their size
-    assert all(c.cache_info().misses > 8 for c in (made[0].parts, made[0].pool, made[0].order))
 
 
 def test_exhaustive_flow_at_side_four_pinned_bit_for_bit():
