@@ -129,16 +129,6 @@ def _resolve_size(size, beta):
         raise SystemExit(f"--size critical: {err}") from None
 
 
-def _checked_sites(command, L):
-    """L, or one line naming the command where a box of side L is past
-    lattice.SITE_BUDGET, before its frame is built."""
-    try:
-        lattice._check_sites(L)
-    except BudgetExceededError as err:
-        raise SystemExit(f"{command}: {err}") from None
-    return L
-
-
 def _resolve_spec(bc, L):
     if bc == "plus":
         return LatticeSpec(L, PLUS)
@@ -184,14 +174,13 @@ def cmd_exact(args):
     lines = [SCHEMA_LINE, "beta,L,bc,gap,trel,tmix,profile_bound,pi_ground"]
     for i, beta in enumerate(args.beta):
         L = _resolve_size(args.size, beta)
+        G = exact.build_generator(_resolve_spec(args.bc, L), RateModel(beta, args.kind))
+        # tmix and the profile bound read nan where the box is past their
+        # dense budget (exact.DENSE_THRESHOLD states)
         try:
-            lattice._check_enum(L * L)  # before the box and its (L+2)^2 frame are built
-            G = exact.build_generator(_resolve_spec(args.bc, L), RateModel(beta, args.kind))
-            # tmix and the profile bound read nan where the box is past their
-            # dense budget (exact.DENSE_THRESHOLD states)
             gap = exact.spectral_gap(G)
             tmix = _nan_over_budget(lambda: exact.tv_mixing_time(G, eps=args.eps))
-        except (BudgetExceededError, exact.ConvergenceError) as err:
+        except exact.ConvergenceError as err:
             raise SystemExit(f"exact: {err}") from None
         profile = _nan_over_budget(lambda: exact.profile_mixing_bound(G).value)
         lines.append(_row(beta, L, args.bc, gap, 1.0 / gap, tmix, profile,
@@ -208,19 +197,13 @@ def cmd_exact(args):
 def cmd_flow(args):
     beta = _one_beta(args)
     L = _resolve_size(args.size, beta)
+    spec = _resolve_spec(args.bc, L)
+    if spec.bc != PLUS:
+        raise SystemExit("flow: flow bounds are computed for the all-plus boundary (--bc plus)")
     try:
-        # before the box and its (L+2)^2 frame are built
-        if args.mode == "exhaustive":
-            lattice._check_enum(L * L)
-        else:
-            lattice._check_sites(L)
-        spec = _resolve_spec(args.bc, L)
-        if spec.bc != PLUS:
-            raise SystemExit("flow: flow bounds are computed for the all-plus boundary"
-                             " (--bc plus)")
         res = paths.flow_cost(spec, beta, args.level, mode=args.mode, seed=args.seed,
                               samples=args.samples, c=args.split_threshold, kind=args.kind)
-    except (BudgetExceededError, paths.PathSamplingError, ValueError) as err:
+    except (paths.PathSamplingError, ValueError) as err:
         raise SystemExit(f"flow: {err}") from None
     lam = float("nan")
     holds = ""
@@ -301,10 +284,12 @@ def cmd_arrhenius(args):
     if args.bc.startswith("fixed:"):
         raise SystemExit("arrhenius sweeps take --bc plus or per")
     payloads = [
-        (beta, _checked_sites("arrhenius", _resolve_size(args.size, beta)), args.bc, args.seed,
-         i, args.replicas, args.kind, args.budget_events)
+        (beta, _resolve_size(args.size, beta), args.bc, args.seed, i, args.replicas, args.kind,
+         args.budget_events)
         for i, beta in enumerate(sorted(args.beta))
     ]
+    for payload in payloads:  # every point's box is refused here, before any replica runs
+        _resolve_spec(args.bc, payload[1])
     if args.workers > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -334,7 +319,7 @@ def cmd_arrhenius(args):
 
 def cmd_simulate(args):
     beta = _one_beta(args)
-    L = _checked_sites("simulate", _resolve_size(args.size, beta))
+    L = _resolve_size(args.size, beta)
     spec = _resolve_spec(args.bc, L)
     if args.init == "plus":
         init = SpinConfig.all_plus(spec)
@@ -357,11 +342,8 @@ def cmd_simulate(args):
             raise ValueError("use events=N, time=T or hit-ground")
     except ValueError as err:
         raise SystemExit(f"bad --stop value {args.stop!r}: {err}") from None
-    try:
-        traj = dynamics.simulate(spec, beta, init, stop, seed=args.seed, kind=args.kind,
-                                 max_events=args.budget_events, record=bool(args.out))
-    except BudgetExceededError as err:
-        raise SystemExit(f"simulate: {err}") from None
+    traj = dynamics.simulate(spec, beta, init, stop, seed=args.seed, kind=args.kind,
+                             max_events=args.budget_events, record=bool(args.out))
     if args.out:
         _write(args.out, dynamics.trajectory_to_text(traj))
     _emit([
@@ -710,7 +692,10 @@ def main(argv=None):
     if args.config:
         commands[args.command].set_defaults(**_config_values(args.config, commands, args.command))
         args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BudgetExceededError as err:  # every spent budget exits here, with one line
+        raise SystemExit(f"{args.command}: {err}") from None
 
 
 if __name__ == "__main__":

@@ -715,8 +715,6 @@ def _kernel_below(G, t):
     W = np.zeros((N, R))  # the transposed rows, so each term is one CSR product
     W[sym.reps, np.arange(R)] = 1.0
     q = float(np.max(-G.diagonal))
-    if t <= 0:  # reached: at eps >= 1/2 the bisection of tv_mixing_time can end at 0
-        return W.T.copy()
     s = max(0, math.ceil(math.log2(q * t / 8.0)))
     w = _poisson_weights(q * t / 2**s, _TV_TAIL / 2**s)
     PT = (sparse.eye(N, format="csr") + Q / q).T.tocsr()
@@ -798,19 +796,17 @@ def _tv_chi2_bound(G, t):
     return 0.5 * np.sqrt(U2 @ np.exp(2.0 * t * w)) / np.sqrt(G.pi[G.symmetry.reps])
 
 
-def _first_time_below(tv, lo, t, eps, floor=0.0, ceiling=math.inf):
+def _first_time_below(tv, lo, t, eps, floor, ceiling):
     """Double t until tv(t) < eps, then bisect [lo, t] to relative width
     _TV_RTOL; returns the upper endpoint, where tv is below eps.
 
     A time below `floor` counts as not below eps without a call to tv:
     the caller passes a floor under which tv is known to be at or above
     eps (`tv_mixing_time`'s relaxation bound), so the brackets, and the
-    time returned, are those of the search that called tv there too. The
-    default 0 skips nothing, not even t = 0, where the bisection ends for
-    a chain that starts within eps of stationarity. Past `ceiling` the
-    caller knows the distance is below eps, so a tv still at or above eps
-    there has lost the time to rounding: the doubling stops there with
-    ConvergenceError.
+    time returned, are those of the search that called tv there too.
+    Past `ceiling` the caller knows the distance is below eps, so a tv
+    still at or above eps there has lost the time to rounding: the
+    doubling stops there with ConvergenceError.
     """
     def below(t):
         return t >= floor and tv(t) < eps
@@ -868,6 +864,9 @@ def tv_mixing_time(G, eps=0.25):
     distance is below eps - _TV_TAIL there, so a read at or above eps is
     rounding. The factors 1 -+ 1e-9 leave room for rounding in the gap.
     A time returned is the one a search without floor or ceiling returns.
+    The distance at t = 0 is 1 - pi_min, read with _TV_TAIL as the
+    spectral read carries it; where that is below eps (only possible at
+    eps > 1/2) the time is 0.0, and neither search runs.
     """
     if not eps > _TV_TAIL:
         raise ValueError(f"eps must exceed the certificate's tail {_TV_TAIL:g}, got {eps!r}")
@@ -875,6 +874,8 @@ def tv_mixing_time(G, eps=0.25):
         raise BudgetExceededError(f"mixing time limited to {DENSE_THRESHOLD} states")
     q = float(np.max(-G.diagonal))  # >= 1/2: a flip or its reverse has k >= 2
     gap = spectral_gap(G)
+    if 1.0 - float(np.min(G.pi)) + _TV_TAIL < eps:
+        return 0.0
     beta = G.model.beta
     floor = 0.0
     if eps < 0.5:

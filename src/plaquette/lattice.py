@@ -68,13 +68,13 @@ FIXED = "fixed"
 PERIODIC = "periodic"
 
 ENUM_BUDGET = 1 << 20  # the most configurations any box enumeration touches
-# the most sites of a simulated box: a chain keeps about 1.4 kB of tables a
-# site (`dynamics.Simulator`'s toggles, patterns and buckets), 1.5 GB here
+# the most sites of any box, checked as it is made: a chain keeps about 1.4 kB
+# of tables a site (`dynamics.Simulator`'s toggles, patterns and buckets)
 SITE_BUDGET = 1 << 20
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive operation would touch more states than allowed."""
+    """An operation would touch more sites, states or events than allowed."""
 
 
 def reading_order_key(x):
@@ -85,7 +85,8 @@ def reading_order_key(x):
 class LatticeSpec:
     """Geometry and boundary condition of one finite box.
 
-    side: interior side length L >= 1.
+    side: interior side length L >= 1, with L^2 at most SITE_BUDGET
+        (BudgetExceededError otherwise, before any frame is built).
     bc: one of "plus", "fixed", "periodic".
     theta: for bc="fixed", an (L+2, L+2) array of +-1 holding the frozen
         frame; interior entries are ignored (forced to +1 internally).
@@ -99,6 +100,7 @@ class LatticeSpec:
         if bc not in (PLUS, FIXED, PERIODIC):
             raise ValueError(f"unknown boundary condition {bc!r}")
         self.side = int(side)
+        _check_sites(self.side)
         self.bc = bc
         if bc == PERIODIC:
             if theta is not None:
@@ -461,14 +463,6 @@ def _code_defects(spec, code):
     return _frame_defects(spec) ^ T ^ T << (L + 1)
 
 
-def _check_enum(n_sites):
-    """Refuse to enumerate 2^n_sites states past ENUM_BUDGET, comparing
-    exponents: the count is named, never formed."""
-    budget = ENUM_BUDGET.bit_length() - 1
-    if n_sites > budget:
-        raise BudgetExceededError(f"enumeration needs 2^{n_sites} states, budget is 2^{budget}")
-
-
 def _check_sites(side):
     """Refuse a box of side L past SITE_BUDGET sites before its (L+2)^2
     frame or any per-site table is built; the count is named as L^2."""
@@ -478,9 +472,12 @@ def _check_sites(side):
 
 
 def _enum_size(spec):
-    """The box's number of configurations, 2^n, if it is within ENUM_BUDGET."""
-    _check_enum(spec.n_sites)
-    return 1 << spec.n_sites
+    """The box's number of configurations, 2^n; past ENUM_BUDGET it raises,
+    comparing exponents, so the count is named, never formed."""
+    n, budget = spec.n_sites, ENUM_BUDGET.bit_length() - 1
+    if n > budget:
+        raise BudgetExceededError(f"enumeration needs 2^{n} states, budget is 2^{budget}")
+    return 1 << n
 
 
 def _box_defects(spec):

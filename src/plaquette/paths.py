@@ -56,7 +56,6 @@ from .lattice import (
     _box_defects,
     _code_bytes,
     _code_defects,
-    _defect_bits,
     _site_codec,
     _site_flat,
     _site_masks,
@@ -950,9 +949,7 @@ def _flow_monte_carlo(spec, beta, level, c, kind, seed, samples):
     # track): its code and t, and the defect count and k at its state
     seen = []
     for _ in range(samples):
-        # a uniform state: bit t of the code is the drawn bit of site t
-        bits = rng.integers(2, size=n)
-        code = _defect_bits(bits)
+        code = SpinConfig.random(spec, rng).code
         D = _code_defects(spec, code)
         count = D.bit_count()
         if count < level:

@@ -589,11 +589,12 @@ def test_unreadable_config_and_init_files_are_named(tmp_path):
      "exact: enumeration needs 2^14400 states, budget is 2^20"),
     (["flow", "--size", "120"], "flow: enumeration needs 2^14400 states, budget is 2^20"),
     (["exact", "--size", "60"], "exact: enumeration needs 2^3600 states, budget is 2^20"),
-    # L = 3269017: the frame alone would take 9.72 TiB
+    # L = 3269017: the frame alone would take 9.72 TiB, and the box is
+    # refused as it is made, before its enumeration is counted
     (["exact", "--size", "critical", "--beta", "30"],
-     "exact: enumeration needs 2^10686472146289 states, budget is 2^20"),
+     "exact: a box of side 3269017 has 3269017^2 sites, budget is 2^20"),
     (["flow", "--size", "critical", "--beta", "30"],
-     "flow: enumeration needs 2^10686472146289 states, budget is 2^20"),
+     "flow: a box of side 3269017 has 3269017^2 sites, budget is 2^20"),
     (["exact", "--size", "critical", "--beta", "1500"],
      "--size critical: critical length exp(beta/2) overflows at beta 1500.0"),
     (["simulate", "--size", "critical", "--beta", "30"],
@@ -602,6 +603,9 @@ def test_unreadable_config_and_init_files_are_named(tmp_path):
      "arrhenius: a box of side 3269017 has 3269017^2 sites, budget is 2^20"),
     (["flow", "--mode", "monte_carlo", "--size", "critical", "--beta", "30"],
      "flow: a box of side 3269017 has 3269017^2 sites, budget is 2^20"),
+    # the boundary is refused before the 2^25 states are
+    (["flow", "--size", "5", "--bc", "per"],
+     "flow: flow bounds are computed for the all-plus boundary (--bc plus)"),
 ])
 def test_boxes_that_cannot_be_built_exit_with_one_line(argv, line):
     # these ended in ValueError (4300-digit int conversion), OverflowError

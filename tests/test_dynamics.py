@@ -386,6 +386,17 @@ def test_trajectory_text_names_what_is_missing():
     assert trajectory_from_text(text).spec == spec
 
 
+def test_a_trajectory_header_past_the_site_budget_is_refused():
+    # side 3269017 used to end in MemoryError, building the plus box's
+    # (L+2)^2 frame before the sections were read
+    for bc in (PLUS, PERIODIC):
+        spec = LatticeSpec(2, bc)
+        traj = simulate(spec, 1.0, SpinConfig.all_minus(spec), stop_after_events(3), seed=0)
+        text = trajectory_to_text(traj).replace("side = 2", "side = 3269017")
+        with pytest.raises(BudgetExceededError, match=r"^a box of side 3269017 has 3269017\^2"):
+            trajectory_from_text(text)
+
+
 def test_trajectory_header_must_match_the_events():
     spec = LatticeSpec(3, PERIODIC)
     traj = simulate(spec, 1.0, SpinConfig.all_minus(spec), stop_after_events(6), seed=0)

@@ -841,8 +841,8 @@ def test_tv_mixing_time_stops_at_the_l2_ceiling():
 
 def test_the_certificate_is_read_at_t_zero_only_above_eps_one_half(monkeypatch):
     # below eps 1/2 the floor keeps every read of the certificate at t > 0;
-    # at or above it a chain can start within eps of stationarity, the
-    # bisection ends at 0 and the certificate reads the identity kernel
+    # above it a chain can start within eps of stationarity, and the time
+    # 0.0 is returned with no read at all
     seen = []
     monkeypatch.setattr(exact, "_tv_all_starts",
                         lambda G, t: seen.append(t) or _tv_all_starts(G, t))
@@ -858,8 +858,31 @@ def test_the_certificate_is_read_at_t_zero_only_above_eps_one_half(monkeypatch):
     seen.clear()
     G = G_of(1, 0.0)
     assert tv_mixing_time(G, eps=0.9) == 0.0
-    assert seen == [0.0]
-    assert np.array_equal(_kernel_below(G, 0.0), np.eye(2)[G.symmetry.reps])
+    assert seen == []
+
+
+def test_tv_mixing_time_is_zero_exactly_where_the_start_is_within_eps(monkeypatch):
+    # d(0) = 1 - pi_min, with the tail the spectral read carries; where it
+    # is below eps the search used to halve its bracket down to t = 0
+    # (1076 reads at L=1, beta 0, eps 0.9) and now does not run
+    reads = []
+    monkeypatch.setattr(exact, "_tv_spectral",
+                        lambda G, t, eps=None: reads.append(t) or _tv_spectral(G, t, eps))
+    zeros = 0
+    for L, bc, kind in itertools.product((1, 2, 3), (PLUS, PERIODIC), RateModel.KINDS):
+        for beta in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0):
+            G = build_generator(LatticeSpec(L, bc), RateModel(beta, kind))
+            for eps in (0.5, 0.6, 0.75, 0.9, 0.95, 0.99, 0.999):
+                reads.clear()
+                tmix = tv_mixing_time(G, eps)
+                within = _tv_spectral(G, 0.0) < eps
+                assert within == (1.0 - G.pi.min() + exact._TV_TAIL < eps)
+                assert within == (tmix == 0.0), (L, bc, kind, beta, eps)
+                if within:
+                    zeros += 1
+                    assert reads == []
+    # as many zeros as the search returned when it bisected down to t = 0
+    assert zeros == 170
 
 
 def test_tv_factors_raise_where_the_stationary_mass_underflows():

@@ -1,5 +1,7 @@
 """Every name a package or test module imports is read in that module,
-and every private constant of the package is read somewhere."""
+every private constant of the package is read somewhere, and every
+top-level function or class of the package is read somewhere or kept on
+purpose by the README."""
 
 import ast
 import pathlib
@@ -10,6 +12,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "plaquette").glob("*.py"))
 FILES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+# a setting or definition of the program is read by the package or the
+# benchmark; one only the tests read is not
+READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source):
@@ -65,10 +70,42 @@ def test_the_scan_finds_an_unread_private_constant():
 
 
 def test_every_private_constant_is_read():
-    # read by the package or the benchmark; a constant only the tests read
-    # is not a setting of the program
-    readers = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
-    read = set().union(*(names_read(path.read_text()) for path in readers))
+    read = set().union(*(names_read(path.read_text()) for path in READERS))
     unread = [(path.name, line, name) for path in SOURCES
               for line, name in private_constants(path.read_text()) if name not in read]
     assert unread == []
+
+
+def definitions(source):
+    """(line, name) of each function or class the module body defines."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, kinds)]
+
+
+def kept_on_purpose(readme):
+    """The last part of each backticked name in the README's list of names
+    that stay on purpose."""
+    section = readme.split("stay on purpose", 1)[1].split("\n\n", 2)[1]
+    return {name.rsplit(".", 1)[-1] for name in re.findall(r"`([\w.]+)`", section)}
+
+
+def test_the_scan_finds_an_unread_definition():
+    source = ("class A:\n    def m(self):\n        return f()\n"
+              "def f():\n    return B\nclass B:\n    pass\n"
+              "def g():\n    def h():\n        pass\n")
+    assert definitions(source) == [(1, "A"), (4, "f"), (6, "B"), (8, "g")]
+    read = names_read(source)
+    assert [name for _, name in definitions(source) if name not in read] == ["A", "g"]
+    readme = ("Some names stay on purpose; the tests use them:\n\n"
+              "- `mod.A`, and `g`;\n- `_x`.\n\nNot `y`.\n")
+    assert kept_on_purpose(readme) == {"A", "g", "_x"}
+
+
+def test_every_definition_is_read_or_kept_on_purpose():
+    read = set().union(*(names_read(path.read_text()) for path in READERS))
+    unread = {name for path in SOURCES for _, name in definitions(path.read_text())
+              if name not in read}
+    # the list names a module too, the one that holds the path objects
+    kept = kept_on_purpose((ROOT / "README.md").read_text()) - {path.stem for path in SOURCES}
+    assert unread == kept

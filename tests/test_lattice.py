@@ -6,6 +6,7 @@ recomputes everything from raw arrays without importing this package.
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,6 +460,27 @@ def test_site_budget():
         with pytest.raises(BudgetExceededError,
                            match=rf"^a box of side {L} has {L}\^2 sites, budget is 2\^20$"):
             lattice._check_sites(L)
+
+
+@pytest.mark.parametrize("bc", [PLUS, PERIODIC, FIXED])
+def test_every_box_is_held_to_the_site_budget_before_its_frame_is_built(bc):
+    # a plus box used to allocate its (L+2)^2 frame (MemoryError at side
+    # 3269017), and a periodic one was built and refused only by the CLI
+    def frame(side):
+        return np.ones((side + 2, side + 2), np.int8) if bc == FIXED else None
+
+    LatticeSpec(1024, bc, frame(1024))  # the largest side within the budget
+    L = 1025
+    theta = frame(L)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match=rf"^a box of side {L} has {L}\^2 sites, budget is 2\^20$"):
+            LatticeSpec(L, bc, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (L + 2) ** 2 // 4, peak
 
 
 def test_site_bounds_checked():
