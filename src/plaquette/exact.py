@@ -22,22 +22,23 @@ sqrt(pi) spans its kernel.
   a rate table on the pattern, formed when read, so the gap above the
   dense threshold forms S and never Q.
 - Below the dense threshold each box builds one `Symmetry` table:
-  the group H of box symmetries that commute with Q (the two axis
-  reflections of a framed box, the 2L - 1 independent whole-line flips
-  of a periodic one), each generator kept only if it passes an exact
-  integer check on the k table and the defect counts, so an asymmetric
-  frame falls back to fewer or none. It holds each code's orbit
-  representative, the element carrying the representative to the code,
-  and each sector's kept orbits and its basis, one sparse matrix with a
-  nonzero per code of those orbits. A generator keeps no basis.
+  the group H of box symmetries that commute with Q, read off the box's
+  geometry (`_involutions`): the 2L - 1 independent whole-line flips of a
+  periodic box, and each axis reflection of a framed box that leaves the
+  frame's defects unchanged, so an asymmetric frame falls back to fewer
+  or none. It holds each code's orbit representative, the element
+  carrying the representative to the code, and each sector's kept orbits
+  and its basis, one sparse matrix with a nonzero per code of those
+  orbits. A generator keeps no basis.
 - S = V diag(w) V^T is found by one `eigh` per sector
   (`SparseGenerator.eigen`). The gap, the slow eigenfunction and
   every step of the mixing-time search read it, the last through
-  P_t = D^-1/2 V e^{tw} V^T D^1/2. A step forms only the rows of P_t
-  whose chi^2 bound could decide it, and only at orbit representatives:
-  a few GEMM blocks near the mixing time, not the N x N product. No step
-  is taken below ln(1/(2 eps)) / gap, where d(t) >= e^{-t gap} / 2
-  already puts the distance at or above eps.
+  P_t = D^-1/2 V e^{tw} V^T D^1/2. A step asks only whether some start
+  is at or above eps, and forms only the rows of P_t whose chi^2 bound
+  reaches eps, at orbit representatives: a few GEMM blocks near the
+  mixing time, not the N x N product. No step is taken below
+  ln(1/(2 eps)) / gap, where d(t) >= e^{-t gap} / 2 already puts the
+  distance at or above eps.
 - Above it the gap is the smallest eigenvalue of -S on the complement of
   sqrt(pi), found by a block-size-1 LOBPCG in numpy (one product with S
   per step, negated in place, so -S is never formed) with a diagonal
@@ -70,8 +71,8 @@ import numpy as np
 from .lattice import (
     PLUS,
     BudgetExceededError,
-    SpinConfig,
     _box_defects,
+    _plaquettes,
     _site_masks,
 )
 
@@ -114,9 +115,6 @@ class SparseGenerator:
     @property
     def n_states(self):
         return self.counts.size
-
-    def config(self, i):
-        return SpinConfig.from_code(self.spec, i)
 
     @functools.cached_property
     def pi(self):
@@ -257,7 +255,7 @@ class _Box:
         above that every read raises."""
         if self.counts.size > DENSE_THRESHOLD:
             raise BudgetExceededError(f"symmetry table limited to {DENSE_THRESHOLD} states")
-        return Symmetry.of(self)
+        return Symmetry.of(self.spec)
 
 
 def _site_k_column(D, mask):
@@ -275,24 +273,34 @@ _box = functools.lru_cache(maxsize=_BOX_CACHE)(_Box)
 
 
 def _involutions(spec):
-    """Candidate symmetries of the box as (sigma, mask): the code z goes to
-    the code with bit sigma[b] set where bit b of z is, XOR mask. Fixed
-    boxes: the two axis reflections. Periodic boxes: the flips of every
-    row and of all columns but the last; each changes two spins of every
-    plaquette it meets, and all rows together flip what all columns do."""
+    """The generators of the box's symmetry group as (sigma, mask): the
+    code z goes to the code with bit sigma[b] set where bit b of z is, XOR
+    mask. Periodic boxes: the flips of every row and of all columns but the
+    last; each changes two spins of every plaquette it meets, and all rows
+    together flip what all columns do. Fixed boxes of side L > 1: each axis
+    reflection that leaves the frame's defects (`_plaquettes` of the frame)
+    unchanged; a `plus` box keeps both, and at L = 1 a reflection is the
+    identity. The defects of code z are the frame's XOR the masks of its
+    minus sites, and a reflection rho of the plaquette grid carries site
+    b's mask to that of site sigma[b]; so D(g(z)) = rho D(z) for every z
+    exactly when rho fixes the frame's defects, and then g permutes the
+    defect counts and each site's k, and commutes with Q."""
     L = spec.side
     t = np.arange(L * L).reshape(L, L)
     if spec.is_periodic:
         lines = list(t) + list(t.T[:-1])
         return [(t.ravel(), sum(1 << int(b) for b in line)) for line in lines]
-    return [(t[::-1].ravel(), 0), (t[:, ::-1].ravel(), 0)]
+    F = _plaquettes(spec, spec.frame_template())
+    return [(np.flip(t, axis).ravel(), 0) for axis in (0, 1)
+            if L > 1 and np.array_equal(np.flip(F, axis), F)]
 
 
 @dataclass
 class Symmetry:
-    """A group H of commuting involutions of the codes that commute with Q.
+    """The group H of commuting involutions of the codes that
+    `_involutions` generates, all commuting with Q.
 
-    act[h, z] is element h applied to code z; h is the product of the kept
+    act[h, z] is element h applied to code z; h is the product of the
     generators whose bit is set in h, so act[0] is the identity and every
     element is its own inverse. Each code z lies in the orbit
     reps[orbit[z]], whose least code is its representative, and
@@ -314,28 +322,20 @@ class Symmetry:
     bases: tuple
 
     @classmethod
-    def of(cls, box):
-        """The table of a `_Box`. A candidate of `_involutions` is kept when
-        it permutes the rates exactly, k[g(i), sigma[b]] == k[i, b] and
-        counts[g(i)] == counts[i] for every state i and site b, and is not
-        already in the group; so a frame that breaks a reflection drops
-        it, and a box with none left gets the trivial group."""
+    def of(cls, spec):
+        """The table of a box, from its geometry alone: a frame that breaks
+        a reflection leaves it out, and a box with no generator gets the
+        trivial group."""
         import scipy.sparse as sparse
 
-        spec, counts = box.spec, box.counts
-        D = _box_defects(spec)
-        k = np.stack([_site_k_column(D, m) for m in _site_masks(spec.side, spec.is_periodic)],
-                     axis=1)
-        N = counts.size
+        N = 1 << spec.n_sites
         z = np.arange(N, dtype=np.int64)
         act = z[None, :]
         for sigma, mask in _involutions(spec):
             g = np.full(N, mask, np.int64)
             for b, s in enumerate(sigma):
                 g ^= (z >> b & 1) << int(s)
-            if (np.array_equal(counts[g], counts) and np.array_equal(k[g][:, sigma], k)
-                    and not (act == g).all(axis=1).any()):
-                act = np.concatenate([act, act[:, g]])
+            act = np.concatenate([act, act[:, g]])
         rep_code, carrier = act.min(axis=0), act.argmin(axis=0)
         reps = np.unique(rep_code)
         orbit = np.searchsorted(reps, rep_code)
@@ -744,38 +744,34 @@ def _tv_all_starts(G, t):
     return tv
 
 
-def _tv_spectral(G, t, eps=None):
-    """Worst-start total variation at time t from the cached eigenpairs.
+def _tv_spectral_reaches(G, t, eps):
+    """Whether the worst-start total variation at time t, read off the
+    cached eigenpairs with _TV_TAIL added, is at or above eps.
 
     P_t - Pi = D^-1/2 V' e^{tw'} V'^T D^1/2, where ' drops the stationary
-    mode (the top eigenvalue, 0). _TV_TAIL is added so that the value is
+    mode (the top eigenvalue, 0). _TV_TAIL is added so that the read is
     at or above the certificate `_tv_all_starts`, which exceeds the true
     distance by at most _TV_TAIL.
 
     Not every row of P_t is formed. A start's row distance and bound are
-    those of its orbit's representative (G.symmetry), so representatives
-    alone are walked, in decreasing `_tv_chi2_bound`, their exact rows
-    formed _TV_BLOCK at a time, until the next bound plus _TV_MARGIN (room
-    for rounding in the rows) is below the largest row found: the value is
-    then the exact worst start.
-    Given eps, the walk also stops at the first start at or above eps, or
-    once the next bound is below eps, so the value is at or above eps
-    exactly when the worst start is.
+    those of its orbit's representative (G.symmetry), so only the
+    representatives whose `_tv_chi2_bound`, plus _TV_TAIL and _TV_MARGIN
+    (room for rounding in the rows), reaches eps can reach it. The rows
+    are formed in decreasing bound, _TV_BLOCK at a time, while a block
+    starts with such a representative, and the answer is yes at the first
+    row at or above eps. The blocks are cut from the order of all
+    representatives whatever eps is, so a row is formed by the same
+    product at every eps and reads the same to the last bit.
     """
     _, left, right, w = G.tv_factors
     e = np.exp(t * w)
     bound = _tv_chi2_bound(G, t) + _TV_TAIL + _TV_MARGIN
     order = np.argsort(-bound)
-    best = 0.0
-    for j in range(0, order.size, _TV_BLOCK):
-        top = bound[order[j]]
-        if top < best or (eps is not None and top < eps):
-            break
+    for j in range(0, np.count_nonzero(bound >= eps), _TV_BLOCK):
         rows = np.abs((left[order[j:j + _TV_BLOCK]] * e) @ right).sum(axis=1)
-        best = max(best, 0.5 * float(np.max(rows)) + _TV_TAIL)
-        if eps is not None and best >= eps:
-            break
-    return best
+        if 0.5 * float(np.max(rows)) + _TV_TAIL >= eps:
+            return True
+    return False
 
 
 def _tv_chi2_bound(G, t):
@@ -789,20 +785,21 @@ def _tv_chi2_bound(G, t):
     return 0.5 * np.sqrt(U2 @ np.exp(2.0 * t * w)) / np.sqrt(G.pi[G.symmetry.reps])
 
 
-def _first_time_below(tv, lo, t, eps, floor, ceiling):
-    """Double t until tv(t) < eps, then bisect [lo, t] to relative width
-    _TV_RTOL; returns the upper endpoint, where tv is below eps.
+def _first_time_below(reaches, lo, t, eps, floor, ceiling):
+    """Double t until reaches(t), whether the distance is at or above eps,
+    is false, then bisect [lo, t] to relative width _TV_RTOL; returns the
+    upper endpoint, where the distance is below eps.
 
-    A time below `floor` counts as not below eps without a call to tv:
-    the caller passes a floor under which tv is known to be at or above
+    A time below `floor` counts as reaching eps without a call: the caller
+    passes a floor under which the distance is known to be at or above
     eps (`tv_mixing_time`'s relaxation bound), so the brackets, and the
-    time returned, are those of the search that called tv there too.
-    Past `ceiling` the caller knows the distance is below eps, so a tv
-    still at or above eps there has lost the time to rounding: the
-    doubling stops there with ConvergenceError.
+    time returned, are those of the search that asked there too. Past
+    `ceiling` the caller knows the distance is below eps, so a read still
+    at or above eps there has lost the time to rounding: the doubling
+    stops there with ConvergenceError.
     """
     def below(t):
-        return t >= floor and tv(t) < eps
+        return t >= floor and not reaches(t)
 
     for _ in range(200):
         if below(t):
@@ -829,13 +826,13 @@ def _first_time_below(tv, lo, t, eps, floor, ceiling):
 def tv_mixing_time(G, eps=0.25):
     """Smallest time with worst-start TV below eps, to 1% relative precision.
 
-    Doubles an upper bracket from 1/q, then bisects, reading the distance
-    off the spectral representation. A step needs only whether some start
-    is at or above eps, so `_tv_spectral` walks the starts in decreasing
-    chi^2 bound and stops once that is decided. The endpoint is then
-    certified by `_tv_all_starts` (truncation slack included). Should the
-    certificate fail, the search goes on above that endpoint with the
-    certificate alone, so the time returned is always certified below eps.
+    Doubles an upper bracket from 1/q, then bisects. A step needs only
+    whether some start is at or above eps, and `_tv_spectral_reaches`
+    answers that off the spectral representation, forming only the rows
+    whose chi^2 bound reaches eps. The endpoint is then certified by
+    `_tv_all_starts` (truncation slack included). Should the certificate
+    fail, the search goes on above that endpoint with the certificate
+    alone, so the time returned is always certified below eps.
     Above DENSE_THRESHOLD states it raises BudgetExceededError before the
     gap is solved for. At large beta the gap (`spectral_gap`) rounds to 0
     or below, or to a few ulps above it, and the distance read off the
@@ -877,11 +874,11 @@ def tv_mixing_time(G, eps=0.25):
         _check_pi(G, "the distance")
         l2 = 2.0 * (eps - _TV_TAIL) * math.sqrt(float(np.min(G.pi)))
         ceiling = (1.0 + 1e-9) * math.log(1.0 / l2) / gap
-        hi = _first_time_below(lambda t: _tv_spectral(G, t, eps), 0.0, 1.0 / q, eps, floor,
-                               ceiling)
+        hi = _first_time_below(lambda t: _tv_spectral_reaches(G, t, eps), 0.0, 1.0 / q, eps,
+                               floor, ceiling)
         if not _tv_all_starts(G, hi) < eps:
-            hi = _first_time_below(lambda t: _tv_all_starts(G, t), hi, 2.0 * hi, eps, floor,
-                                   ceiling)
+            hi = _first_time_below(lambda t: _tv_all_starts(G, t) >= eps, hi, 2.0 * hi, eps,
+                                   floor, ceiling)
     except ConvergenceError as err:
         raise ConvergenceError(f"{err}, at beta {beta!r} with gap {gap:.3g}") from None
     return hi

@@ -113,13 +113,7 @@ class LatticeSpec:
             else:
                 if theta is None:
                     raise ValueError("bc='fixed' requires a theta frame")
-                tpl = np.asarray(theta, dtype=np.int8).copy()
-                if tpl.shape != (L + 2, L + 2):
-                    raise ValueError(
-                        f"theta must have shape {(L + 2, L + 2)}, got {tpl.shape}"
-                    )
-                if not np.all(np.abs(tpl) == 1):
-                    raise ValueError("theta entries must be +-1")
+                tpl = _signs(theta, (L + 2, L + 2), "theta")
                 tpl[1:-1, 1:-1] = 1
             tpl.flags.writeable = False
             self._template = tpl
@@ -168,6 +162,19 @@ class LatticeSpec:
         return f"LatticeSpec(side={self.side}, bc={self.bc!r})"
 
 
+def _signs(values, shape, what):
+    """values as a new int8 array of the given shape, each entry checked to
+    be exactly +1 or -1 before the cast (so 255 or 1.7 is refused, not
+    wrapped or truncated, and so is a bool or complex array, whose True or
+    1+0j equals 1); ValueError naming `what` otherwise."""
+    arr = np.asarray(values)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    if arr.dtype.kind in "bc" or not np.all((arr == 1) | (arr == -1)):
+        raise ValueError(f"{what} must be +-1")
+    return arr.astype(np.int8)
+
+
 def _site_offset(periodic):
     """Coordinate of array index 0: fixed boxes put site (i+1, j+1) at
     array index (i, j), periodic ones site (i, j)."""
@@ -212,12 +219,7 @@ class SpinConfig:
     __slots__ = ("spec", "code")
 
     def __init__(self, spec, spins):
-        arr = np.asarray(spins, dtype=np.int8)
-        L = spec.side
-        if arr.shape != (L, L):
-            raise ValueError(f"spins must have shape {(L, L)}, got {arr.shape}")
-        if not np.all(np.abs(arr) == 1):
-            raise ValueError("spins must be +-1")
+        arr = _signs(spins, (spec.side, spec.side), "spins")
         self.spec = spec
         self.code = _defect_bits(arr == -1)
 
@@ -500,11 +502,7 @@ class DefectConfig:
     __slots__ = ("spec", "bits")
 
     def __init__(self, spec, plaq):
-        arr = np.asarray(plaq, dtype=np.int8)
-        if arr.shape != spec.plaq_shape:
-            raise ValueError(f"plaquette grid must have shape {spec.plaq_shape}")
-        if not np.all(np.abs(arr) == 1):
-            raise ValueError("plaquette variables must be +-1")
+        arr = _signs(plaq, spec.plaq_shape, "plaquette grid")
         self.spec = spec
         self.bits = _defect_bits(arr == -1)
 
@@ -615,10 +613,8 @@ def invert_defects(spec, pattern, anchor=None):
     else:
         grid = np.ones((L, L), dtype=np.int8)
         if anchor is not None:
-            col0 = np.asarray(anchor[0], dtype=np.int8)
-            row0 = np.asarray(anchor[1], dtype=np.int8)
-            if col0.shape != (L,) or row0.shape != (L,):
-                raise ValueError(f"anchor arrays must have length {L}")
+            col0 = _signs(anchor[0], (L,), "anchor column")
+            row0 = _signs(anchor[1], (L,), "anchor row")
             if col0[0] != row0[0]:
                 raise ValueError("anchor column and row disagree at site (0,0)")
             grid[0, :], grid[:, 0] = col0, row0

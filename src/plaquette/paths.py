@@ -369,17 +369,6 @@ class OccupancyVector:
 
     v: tuple
 
-    @property
-    def v_max(self):
-        return max(self.v)
-
-    def num(self, k):
-        return sum(1 for x in self.v if x == k)
-
-    @property
-    def total(self):
-        return sum(self.v)
-
 
 def _row_counts(rows, a, b):
     """Defects per row in plaquette columns a..b."""

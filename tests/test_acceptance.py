@@ -247,9 +247,9 @@ def test_06_occupancy_partition():
                 # the reported offset is the smallest workable one
                 occ = paths.OccupancyVector(v=vec)
                 for smaller in range(cls.theta):
-                    target = occ.v_max - smaller
-                    nm = occ.num(target)
-                    assert any(6.0 * nm < occ.num(target - k) for k in range(-32, 33))
+                    target = max(occ.v) - smaller
+                    nm = occ.v.count(target)
+                    assert any(6.0 * nm < occ.v.count(target - k) for k in range(-32, 33))
     assert n_dense > 30_000
 
     spec = LatticeSpec(8, PLUS)
@@ -300,7 +300,8 @@ def test_08_variational_lower_bounds():
         assert exact.rayleigh_lower_bound(G, f) <= exact.relaxation_time(G) * (1 + 1e-12)
 
         Gt = exact.build_generator(LatticeSpec(3, PERIODIC), RateModel(beta))
-        g = np.array([ground.test_function_g(Gt.config(i)) for i in range(Gt.n_states)])
+        g = np.array([ground.test_function_g(SpinConfig.from_code(Gt.spec, i))
+                      for i in range(Gt.n_states)])
         assert exact.rayleigh_lower_bound(Gt, g) <= exact.relaxation_time(Gt) * (1 + 1e-12)
     assert time.monotonic() - t0 < 60.0
 

@@ -55,7 +55,7 @@ from plaquette.exact import (
     _poisson_weights,
     _tv_all_starts,
     _tv_chi2_bound,
-    _tv_spectral,
+    _tv_spectral_reaches,
 )
 from plaquette.lattice import (
     FIXED,
@@ -64,6 +64,7 @@ from plaquette.lattice import (
     BudgetExceededError,
     LatticeSpec,
     SpinConfig,
+    _box_defects,
     _plaquettes,
     _site_k,
     critical_length,
@@ -101,8 +102,8 @@ def test_generator_shape_and_rowsums():
     assert np.max(np.abs(Q.sum(axis=1))) < 1e-12
     # sixteen states indexed by spin bitmask, counts match a direct pass
     for i in range(16):
-        assert G.counts[i] == defect_count(G.config(i))
-        assert G.config(i).code == i
+        assert G.counts[i] == defect_count(SpinConfig.from_code(G.spec, i))
+        assert SpinConfig.from_code(G.spec, i).code == i
 
 
 def test_config_rejects_codes_outside_the_box():
@@ -111,10 +112,10 @@ def test_config_rejects_codes_outside_the_box():
     G = G_of(3, 1.0)
     for i in (512, 10**6, -1):
         with pytest.raises(ValueError, match="outside"):
-            G.config(i)
+            SpinConfig.from_code(G.spec, i)
     with pytest.raises(TypeError):
-        G.config(1.0)
-    assert G.config(np.int64(511)) == SpinConfig.all_minus(G.spec)
+        SpinConfig.from_code(G.spec, 1.0)
+    assert SpinConfig.from_code(G.spec, np.int64(511)) == SpinConfig.all_minus(G.spec)
 
 
 def test_generator_rates_follow_the_defect_change():
@@ -132,7 +133,7 @@ def test_generator_rates_follow_the_defect_change():
         Q = G.Q.tocsr()
         sites = spec.sites()  # storage order, so bit b is sites[b]
         for i in range(G.n_states):
-            cfg = G.config(i)
+            cfg = SpinConfig.from_code(spec, i)
             d = defect_count(cfg)
             for b, x in enumerate(sites):
                 k = (d - defect_count(cfg.flip([x])) + 4) // 2
@@ -564,6 +565,24 @@ def test_tv_mixing_time_pinned():
     assert tmix >= math.log(2) * relaxation_time(G_of(2, 1.0)) * 0.98
 
 
+def worst_start_reference(G, t):
+    """The worst start's total variation at time t, from every
+    representative row of P_t - Pi formed whole off `G.eigen`."""
+    w, V = G.eigen
+    r = np.sqrt(G.pi)[:, None]
+    U = V[:, :-1]
+    reps = G.symmetry.reps
+    A = (U[reps] / r[reps] * np.exp(t * w[:-1])) @ (U * r).T
+    return 0.5 * float(np.max(np.abs(A).sum(axis=1)))
+
+
+def reaches_like_the_reference(G, t, ref):
+    """The spectral read answers `ref >= eps` on a grid of eps around the
+    reference read ref, the reference plus _TV_TAIL."""
+    for eps in (ref, np.nextafter(ref, 1.0), 0.5 * ref, 0.25, 0.01):
+        assert _tv_spectral_reaches(G, t, eps) == (ref >= eps), (t, eps)
+
+
 def test_spectral_tv_matches_uniformization():
     tail = exact._TV_TAIL
     generators = [
@@ -574,9 +593,10 @@ def test_spectral_tv_matches_uniformization():
     ]
     for G in generators:
         for t in (0.3, 2.0, 7.0, 20.0):
-            spec_tv = _tv_spectral(G, t)
+            spec_tv = worst_start_reference(G, t) + tail
             unif_tv = _tv_all_starts(G, t)
             assert abs(spec_tv - unif_tv) <= tail + 1e-9
+            reaches_like_the_reference(G, t, spec_tv)
 
 
 @pytest.mark.parametrize("bc", [PLUS, PERIODIC])
@@ -645,26 +665,49 @@ def test_orbit_row_certificate_matches_the_full_kernel():
             assert _tv_all_starts(G, t) == pytest.approx(0.5 * np.max(rows), abs=1e-13)
 
 
-def passes_exact_check(G, sigma, g):
+def candidate_involutions(spec):
+    """The involutions the group was once chosen from by the exact check:
+    both axis reflections of a fixed box, whatever its frame and side, and
+    the line flips of a periodic one."""
+    if spec.is_periodic:
+        return _involutions(spec)
+    t = np.arange(spec.n_sites).reshape(spec.side, spec.side)
+    return [(t[::-1].ravel(), 0), (t[:, ::-1].ravel(), 0)]
+
+
+def passes_exact_check(counts, k, sigma, g):
     """k[g(i), sigma[b]] == k[i, b] and counts[g(i)] == counts[i] for all i, b."""
-    k = reference_k(G.spec)
-    return np.array_equal(G.counts[g], G.counts) and np.array_equal(k[g][:, sigma], k)
+    return np.array_equal(counts[g], counts) and np.array_equal(k[g][:, sigma], k)
 
 
-def code_image(G, sigma, mask):
-    z = np.arange(G.n_states)
+def code_image(spec, sigma, mask):
+    z = np.arange(2 ** spec.n_sites)
     return mask ^ sum(((z >> b) & 1) << int(s) for b, s in enumerate(sigma))
+
+
+def reference_act(spec):
+    """The group table as the exact check built it: a candidate is kept
+    when it permutes the defect counts and the spins' k table
+    (`reference_k`) and is not already in the group."""
+    counts, k = np.bitwise_count(_box_defects(spec)), reference_k(spec)
+    act = np.arange(2 ** spec.n_sites)[None, :]
+    for sigma, mask in candidate_involutions(spec):
+        g = code_image(spec, sigma, mask)
+        if passes_exact_check(counts, k, sigma, g) and not (act == g).all(axis=1).any():
+            act = np.concatenate([act, act[:, g]])
+    return act
 
 
 def test_symmetry_keeps_exactly_the_involutions_that_pass_the_check():
     for spec in symmetric_boxes():
         G = build_generator(spec, RateModel(1.0))
+        counts, k = G.counts, reference_k(spec)
         act = G.symmetry.act
         passed = 0
-        for sigma, mask in _involutions(spec):
-            g = code_image(G, sigma, mask)
+        for sigma, mask in candidate_involutions(spec):
+            g = code_image(spec, sigma, mask)
             kept = bool((act == g).all(axis=1).any())
-            assert kept == passes_exact_check(G, sigma, g), (spec, sigma, mask)
+            assert kept == passes_exact_check(counts, k, sigma, g), (spec, sigma, mask)
             passed += kept and not np.array_equal(g, np.arange(G.n_states))
         assert act.shape[0] == 2 ** passed, spec
         assert np.array_equal(act[0], np.arange(G.n_states))
@@ -676,13 +719,50 @@ def test_symmetry_keeps_exactly_the_involutions_that_pass_the_check():
         if spec.bc == FIXED and L > 1:
             # the frame breaks the reflection across the rows: it is dropped
             sigma = np.arange(L * L).reshape(L, L)[::-1].ravel()
-            g = code_image(G, sigma, 0)
-            assert not passes_exact_check(G, sigma, g)
+            g = code_image(spec, sigma, 0)
+            assert not passes_exact_check(counts, k, sigma, g)
             assert not (act == g).all(axis=1).any()
             assert act.shape[0] == 2
     # the group orders: two reflections, and 2L - 1 independent line flips
     assert build_generator(LatticeSpec(3, PLUS), RateModel(1.0)).symmetry.act.shape[0] == 4
     assert build_generator(LatticeSpec(3, PERIODIC), RateModel(1.0)).symmetry.act.shape[0] == 32
+
+
+def frames(L, rng, n):
+    """n frames of side L: random ones, and ones mirrored across the rows,
+    the columns or both, in turn."""
+    for i in range(n):
+        theta = rng.choice(np.array([-1, 1], np.int8), size=(L + 2, L + 2))
+        if i % 4 in (1, 3):
+            theta = theta * theta[::-1]
+        if i % 4 in (2, 3):
+            theta = theta * theta[:, ::-1]
+        yield theta
+
+
+def test_symmetry_group_read_off_the_frame_is_the_exact_check():
+    # every L=2 frame, L=1 frames, and random and mirror-symmetric L=3 frames;
+    # the plus and periodic boxes of side 1 to 4 too
+    ring = np.ones((4, 4), bool)
+    ring[1:3, 1:3] = False
+    specs = []
+    for bits in range(1 << 12):
+        theta = np.ones((4, 4), np.int8)
+        theta[ring] = 1 - 2 * (bits >> np.arange(12) & 1)
+        specs.append(LatticeSpec(2, FIXED, theta))
+    rng = np.random.default_rng(36)
+    specs += [LatticeSpec(1, FIXED, theta) for theta in frames(1, rng, 16)]
+    specs += [LatticeSpec(3, FIXED, theta) for theta in frames(3, rng, 300)]
+    specs += [LatticeSpec(L, bc) for L in (1, 2, 3) for bc in (PLUS, PERIODIC)]
+    orders = {}
+    for spec in specs:
+        act = exact.Symmetry.of(spec).act
+        ref = reference_act(spec)
+        assert act.dtype == ref.dtype and np.array_equal(act, ref), spec
+        orders[spec.side, act.shape[0]] = orders.get((spec.side, act.shape[0]), 0) + 1
+    # each group order is met, the reflections of L=3 kept one at a time too
+    assert {(1, 1), (1, 2), (2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 2), (3, 4),
+            (3, 32)} <= orders.keys()
 
 
 def test_symmetry_orbits_partition_the_codes():
@@ -768,18 +848,17 @@ def test_chi2_bound_is_above_every_start():
 
 
 def test_pruned_tv_search_matches_the_full_kernel():
-    # the value is the worst start; with eps, the value is at or above
-    # eps exactly when the worst start is, also at eps itself
+    # the representative rows hold the worst start; the spectral read is
+    # at or above eps exactly when the worst start is, also at eps itself
     tail = exact._TV_TAIL
     for G, times in tv_boxes():
         for t in times:
             ref = 0.5 * float(np.max(tv_rows_reference(G, t))) + tail
-            tv = _tv_spectral(G, t)
+            tv = worst_start_reference(G, t) + tail
             assert tv == pytest.approx(ref, abs=1e-15), t
-            for eps in (tv, np.nextafter(tv, 1.0), 0.5 * tv, 0.25, 0.01):
-                assert (_tv_spectral(G, t, eps) >= eps) == (tv >= eps), (t, eps)
+            reaches_like_the_reference(G, t, tv)
             if not math.isclose(ref, 0.25, abs_tol=1e-12):
-                assert (_tv_spectral(G, t, 0.25) >= 0.25) == (ref >= 0.25), t
+                assert _tv_spectral_reaches(G, t, 0.25) == (ref >= 0.25), t
 
 
 def test_tv_mixing_time_l3_rows_unchanged():
@@ -792,11 +871,11 @@ def test_tv_mixing_time_l3_rows_unchanged():
         assert tv_mixing_time(G_of(3, beta, bc)) == tmix
 
 
-def first_time_below_reference(tv, lo, t, eps):
+def first_time_below_reference(reaches, lo, t):
     """The bracket search without a floor: every doubling step and every
-    midpoint reads tv."""
+    midpoint asks whether the distance reaches eps."""
     for _ in range(200):
-        if tv(t) < eps:
+        if not reaches(t):
             break
         lo = t
         t *= 2.0
@@ -805,18 +884,18 @@ def first_time_below_reference(tv, lo, t, eps):
     hi = t
     while hi - lo > exact._TV_RTOL * hi:
         mid = 0.5 * (lo + hi)
-        if tv(mid) < eps:
+        if not reaches(mid):
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def tv_mixing_time_reference(G, eps, tv_spectral=_tv_spectral):
+def tv_mixing_time_reference(G, eps, reaches=_tv_spectral_reaches):
     q = float(np.max(-G.Q.diagonal()))
-    hi = first_time_below_reference(lambda t: tv_spectral(G, t, eps), 0.0, 1.0 / q, eps)
+    hi = first_time_below_reference(lambda t: reaches(G, t, eps), 0.0, 1.0 / q)
     if _tv_all_starts(G, hi) >= eps:
-        hi = first_time_below_reference(lambda t: _tv_all_starts(G, t), hi, 2.0 * hi, eps)
+        hi = first_time_below_reference(lambda t: _tv_all_starts(G, t) >= eps, hi, 2.0 * hi)
     return hi
 
 
@@ -834,15 +913,15 @@ def test_tv_mixing_time_skips_the_times_the_relaxation_bound_decides(monkeypatch
     floor = math.log(2.0) / spectral_gap(G)
     times = []
 
-    def counted(G, t, eps=None):
+    def counted(G, t, eps):
         times.append(t)
-        return _tv_spectral(G, t, eps)
+        return _tv_spectral_reaches(G, t, eps)
 
     assert tv_mixing_time_reference(G, 0.25, counted) == 11.11111111111111
     assert len(times) == 14
     assert sum(t < floor for t in times) == 6
     times.clear()
-    monkeypatch.setattr(exact, "_tv_spectral", counted)
+    monkeypatch.setattr(exact, "_tv_spectral_reaches", counted)
     assert tv_mixing_time(G) == 11.11111111111111
     assert len(times) == 8
     assert min(times) >= floor * (1 - 1e-9)
@@ -851,8 +930,9 @@ def test_tv_mixing_time_skips_the_times_the_relaxation_bound_decides(monkeypatch
 def test_tv_mixing_time_certified_when_the_spectral_route_under_reports(monkeypatch):
     G = G_of(2, 1.0)
     honest = tv_mixing_time(G)
-    monkeypatch.setattr(exact, "_tv_spectral",
-                        lambda G, t, eps=None: _tv_spectral(G, t, eps) - 0.05)
+    # the spectral read answers as if the distance were 0.05 lower
+    monkeypatch.setattr(exact, "_tv_spectral_reaches",
+                        lambda G, t, eps: _tv_spectral_reaches(G, t, eps + 0.05))
     tmix = tv_mixing_time(G)
     assert _tv_all_starts(G, tmix) < 0.25
     assert abs(tmix - honest) <= 0.02 * honest
@@ -916,8 +996,8 @@ def test_tv_mixing_time_is_zero_exactly_where_the_start_is_within_eps(monkeypatc
     # is below eps the search used to halve its bracket down to t = 0
     # (1076 reads at L=1, beta 0, eps 0.9) and now does not run
     reads = []
-    monkeypatch.setattr(exact, "_tv_spectral",
-                        lambda G, t, eps=None: reads.append(t) or _tv_spectral(G, t, eps))
+    monkeypatch.setattr(exact, "_tv_spectral_reaches",
+                        lambda G, t, eps: reads.append(t) or _tv_spectral_reaches(G, t, eps))
     zeros = 0
     for L, bc, kind in itertools.product((1, 2, 3), (PLUS, PERIODIC), RateModel.KINDS):
         for beta in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0):
@@ -925,7 +1005,8 @@ def test_tv_mixing_time_is_zero_exactly_where_the_start_is_within_eps(monkeypatc
             for eps in (0.5, 0.6, 0.75, 0.9, 0.95, 0.99, 0.999):
                 reads.clear()
                 tmix = tv_mixing_time(G, eps)
-                within = _tv_spectral(G, 0.0) < eps
+                within = worst_start_reference(G, 0.0) + exact._TV_TAIL < eps
+                assert _tv_spectral_reaches(G, 0.0, eps) == (not within)
                 assert within == (1.0 - G.pi.min() + exact._TV_TAIL < eps)
                 assert within == (tmix == 0.0), (L, bc, kind, beta, eps)
                 if within:
@@ -937,14 +1018,14 @@ def test_tv_mixing_time_is_zero_exactly_where_the_start_is_within_eps(monkeypatc
 
 def test_tv_factors_raise_where_the_stationary_mass_underflows():
     # pi underflows to 0 at periodic L=2, beta 300: the factors divided by
-    # it, and _tv_spectral returned 0.0 from rows of nan
+    # it, and the spectral read returned 0.0 from rows of nan
     G = G_of(2, 300.0, PERIODIC)
     assert not G.pi.all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t in (1.0, 1e300):
             with pytest.raises(ConvergenceError, match=r"underflows to 0 at beta 300\.0"):
-                _tv_spectral(G, t, 0.25)
+                _tv_spectral_reaches(G, t, 0.25)
 
 
 @pytest.mark.parametrize("L, beta, bc", [(2, 300.0, PLUS), (2, 300.0, PERIODIC),
@@ -1113,7 +1194,8 @@ def test_plus_test_function_values_are_the_scalar_ramp_bit_for_bit():
     G = G_of(3, 1.0)
     f = witness_plus_values(G)
     assert np.array_equal(f, [ramp(i.bit_count() / 9) for i in range(G.n_states)])
-    assert np.array_equal(f, [witness_plus(G.config(i)) for i in range(G.n_states)])
+    assert np.array_equal(f, [witness_plus(SpinConfig.from_code(G.spec, i))
+                              for i in range(G.n_states)])
     # L=3 never lands on the ramp's slope; minus fractions of larger boxes do
     x = np.array(sorted({k / n for n in range(1, 65) for k in range(n + 1)}))
     assert np.array_equal(exact._g_profile(x), [ramp(v) for v in x])
@@ -1200,7 +1282,8 @@ def test_mean_hitting_time_solves_the_generator_system():
     for spec, beta in ((LatticeSpec(2, PLUS), 1.0), (LatticeSpec(2, PERIODIC), 2.0)):
         G = build_generator(spec, RateModel(beta))
         target = G.counts == 0
-        tau = np.array([mean_hitting_time(G, G.config(i), target) for i in range(G.n_states)])
+        tau = np.array([mean_hitting_time(G, SpinConfig.from_code(G.spec, i), target)
+                        for i in range(G.n_states)])
         assert np.all(tau[target] == 0.0) and np.all(tau[~target] > 0)
         resid = G.Q.toarray()[~target] @ tau + 1.0
         assert np.max(np.abs(resid)) < 1e-9 * np.max(tau)

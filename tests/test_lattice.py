@@ -505,7 +505,7 @@ def test_lattice_spec_refuses_bad_geometry():
         (lambda: LatticeSpec(3, FIXED), "bc='fixed' requires a theta frame"),
         (lambda: LatticeSpec(3, FIXED, theta=np.ones((4, 4))),
          r"theta must have shape \(5, 5\), got \(4, 4\)"),
-        (lambda: LatticeSpec(3, FIXED, theta=2 * frame), r"theta entries must be \+-1"),
+        (lambda: LatticeSpec(3, FIXED, theta=2 * frame), r"theta must be \+-1"),
         (lambda: LatticeSpec(3, PERIODIC).frame_template(), "periodic boxes have no frame"),
     ]
     for make, message in cases:
@@ -523,12 +523,64 @@ def test_validating_constructors_refuse_bad_arrays():
     with pytest.raises(ValueError, match="^expected 3 rows of 3 characters$"):
         SpinConfig.from_text(spec, "+++\n+++\n")
     assert DefectConfig(spec, np.ones((4, 4))).count == 0
-    with pytest.raises(ValueError, match=r"^plaquette grid must have shape \(4, 4\)$"):
+    with pytest.raises(ValueError,
+                       match=r"^plaquette grid must have shape \(4, 4\), got \(3, 3\)$"):
         DefectConfig(spec, np.ones((3, 3)))
-    with pytest.raises(ValueError, match=r"^plaquette variables must be \+-1$"):
+    with pytest.raises(ValueError, match=r"^plaquette grid must be \+-1$"):
         DefectConfig(spec, np.zeros((4, 4)))
     with pytest.raises(ValueError, match=r"^pattern must have shape \(4, 4\)$"):
         parity_check(spec, np.ones((3, 3)))
+
+
+def test_sign_arrays_are_checked_before_the_int8_cast():
+    # 255 wrapped to -1 and 257 to +1 in the cast, 1.7 and -1.9 were
+    # truncated to +-1, 1.0000001 to +1, and True and 1+0j read as +1; the
+    # anchor was not checked
+    plus, per = LatticeSpec(1, PLUS), LatticeSpec(2, PERIODIC)
+    makers = {
+        "theta": lambda v: LatticeSpec(1, FIXED, np.full((3, 3), v)),
+        "spins": lambda v: SpinConfig(plus, np.full((1, 1), v)),
+        "plaquette grid": lambda v: DefectConfig(plus, np.full((2, 2), v)),
+        "anchor column": lambda v: invert_defects(per, np.ones((2, 2)),
+                                                  anchor=(np.full(2, v), np.ones(2))),
+    }
+    bad = [np.uint8(255), 255, 257, 1.7, -1.9, 1.0000001, 0, 0.5, np.nan, np.inf, -2, True,
+           1 + 0j]
+    for what, make in makers.items():
+        for value in bad:
+            with pytest.raises(ValueError, match=rf"^{what} must be \+-1$"):
+                make(value)
+    with pytest.raises(ValueError, match=r"^spins must be \+-1$"):
+        SpinConfig(LatticeSpec(2, PLUS), [[1, 1], [1, 1.0000001]])
+    with pytest.raises(ValueError, match=r"^anchor row must be \+-1$"):
+        invert_defects(per, np.ones((2, 2)), anchor=(np.ones(2), np.array([1, 255], np.uint8)))
+    with pytest.raises(ValueError, match=r"^anchor column must have shape \(2,\), got \(3,\)$"):
+        invert_defects(per, np.ones((2, 2)), anchor=(np.ones(3), np.ones(2)))
+
+
+def test_valid_sign_arrays_give_the_same_code_whatever_their_dtype():
+    rng = np.random.default_rng(5)
+    for L, bc in ((1, PLUS), (3, PLUS), (3, PERIODIC), (4, FIXED)):
+        frame = rng.choice([-1, 1], size=(L + 2, L + 2)) if bc == FIXED else None
+        specs = [LatticeSpec(L, bc, None if frame is None else frame.astype(dtype))
+                 for dtype in (np.int8, np.int64, float)]
+        assert specs[0] == specs[1] == specs[2]
+        spec = specs[0]
+        for _ in range(5):
+            spins = rng.choice([-1, 1], size=(L, L))
+            cfgs = [SpinConfig(spec, spins.astype(dtype)) for dtype in (np.int8, np.int64, float)]
+            cfgs.append(SpinConfig(spec, spins.tolist()))
+            code = sum(1 << t for t, v in enumerate(spins.ravel()) if v == -1)
+            assert all(cfg.code == code for cfg in cfgs)
+            d = defect_map(cfgs[0])
+            plaq = d.plaq
+            assert all(DefectConfig(spec, plaq.astype(dtype)) == d
+                       for dtype in (np.int8, np.int64, float))
+            if bc == PERIODIC:
+                col0, row0 = spins[0, :], spins[:, 0]
+                backs = [invert_defects(spec, d, anchor=(col0.astype(dtype), row0.astype(dtype)))
+                         for dtype in (np.int8, np.int64, float)]
+                assert all(back == cfgs[0] for back in backs)
 
 
 def test_invert_defects_anchors_and_refusals():
@@ -536,7 +588,7 @@ def test_invert_defects_anchors_and_refusals():
     ones = np.ones(3, np.int8)
     with pytest.raises(ValueError, match="^anchor applies only to periodic boxes$"):
         invert_defects(plus, np.ones((4, 4)), anchor=(ones, ones))
-    with pytest.raises(ValueError, match="^anchor arrays must have length 3$"):
+    with pytest.raises(ValueError, match=r"^anchor row must have shape \(3,\), got \(2,\)$"):
         invert_defects(per, np.ones((3, 3)), anchor=(ones, ones[:2]))
     with pytest.raises(ValueError, match=r"^anchor column and row disagree at site \(0,0\)$"):
         invert_defects(per, np.ones((3, 3)), anchor=(ones, -ones))

@@ -559,7 +559,7 @@ def test_occupancy_vector_counts_rows_in_part_columns():
     cfg = config_with_defects(spec, [(0, 0), (1, 0), (0, 2), (1, 2)])
     v = occupancy_vector(cfg, 1, 100)
     assert v.v == (2, 0, 2, 0)
-    assert v.total == 4 and v.v_max == 2 and v.num(2) == 2 and v.num(0) == 2
+    assert sum(v.v) == 4 and max(v.v) == 2 and v.v.count(2) == 2 and v.v.count(0) == 2
 
 
 def test_classify_sparse_iff_small_max():
