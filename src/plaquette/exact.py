@@ -27,9 +27,9 @@ sqrt(pi) spans its kernel.
   periodic box, and each axis reflection of a framed box that leaves the
   frame's defects unchanged, so an asymmetric frame falls back to fewer
   or none. It holds each code's orbit representative, the element
-  carrying the representative to the code, and each sector's kept orbits
-  and its basis, one sparse matrix with a nonzero per code of those
-  orbits. A generator keeps no basis.
+  carrying the representative to the code, and each sector's character
+  and kept orbits. No sector basis is formed: a sector block is one
+  scatter of the representative rows of S.
 - S = V diag(w) V^T is found by one `eigh` per sector
   (`SparseGenerator.eigen`). The gap, the slow eigenfunction and
   every step of the mixing-time search read it, the last through
@@ -99,10 +99,9 @@ class SparseGenerator:
 
     It holds the rates, the box and Q's `diagonal`. The rest is a
     `functools.cached_property`, formed on first read and freed with this
-    object: Q, pi, S, sector_blocks, eigen and tv_factors. The sector
-    bases are the box's (`Symmetry.bases`); a generator keeps none. A
-    read that raises (eigen above DENSE_THRESHOLD) caches nothing and
-    raises again on the next read.
+    object: Q, pi, S, sector_blocks, eigen and tv_factors; no sector
+    basis is kept or formed. A read that raises (eigen above
+    DENSE_THRESHOLD) caches nothing and raises again on the next read.
     """
 
     def __init__(self, box, model, diagonal):
@@ -146,33 +145,44 @@ class SparseGenerator:
 
     @functools.cached_property
     def sector_blocks(self):
-        """B^T S B for each sector basis B (`Symmetry.bases`)."""
-        S = self.S
-        blocks = []
-        for B in self.symmetry.bases:
-            # dense for this product alone: the pinned gaps carry its GEMM's
-            # rounding, and a sparse product moves them by a few ulps
-            B = B.toarray()
-            blocks.append(B.T @ (S @ B))
-        return blocks
+        """S in each sector (`Symmetry`), on its kept orbits: M[o, o'] =
+        sqrt(|O|/|O'|) sum over z' in O' of chi(carrier z') S[rep_o, z'].
+        That is b_o^T S b_o' for the sector's unit vectors b_o (never
+        formed), as S b_o' lies in the sector, so b_o^T S b_o' =
+        sqrt|O| (S b_o')[rep_o]: one scatter of the representative rows of S.
+        """
+        sym = self.symmetry
+        R = sym.reps.size
+        rows = self.S[sym.reps].tocoo()  # row o is orbit o's representative's
+        to = sym.orbit[rows.col]
+        size = np.bincount(sym.orbit)
+        values = rows.data * np.sqrt(size[rows.row] / size[to])
+        carrier, pair = sym.carrier[rows.col], rows.row * R + to
+        # every orbit pair is summed, and the pairs the sector drops are cut
+        return [np.bincount(pair, chi[carrier] * values, R * R).reshape(R, R)[np.ix_(cols, cols)]
+                for cols, chi in zip(sym.columns, sym.characters)]
 
     @functools.cached_property
     def eigen(self):
         """(w, V) with S = V diag(w) V^T, w ascending, for the symmetrized
-        generator S; only up to DENSE_THRESHOLD states.
-
-        One `eigh` per symmetry sector: B^T S B = V_B diag(w_B) V_B^T for
-        each sector basis B, and the columns B V_B of all sectors, sorted
-        by w, are an orthonormal eigenbasis of S.
+        generator S; only up to DENSE_THRESHOLD states. One `eigh` per
+        sector block, M = V_M diag(w_M) V_M^T. A column of V_M gives the
+        eigenvector of S with chi(carrier z) / sqrt|O_z| times its entry for
+        z's orbit at each code z of a kept orbit, and 0 elsewhere: one gather
+        per sector, put where the order of w puts it.
         """
-        ws, Vs = [], []
-        for B, M in zip(self.symmetry.bases, self.sector_blocks):
-            w, V = np.linalg.eigh(M)
-            ws.append(w)
-            Vs.append(B @ V)
-        w = np.concatenate(ws)
+        sym = self.symmetry
+        pairs = [np.linalg.eigh(M) for M in self.sector_blocks]
+        w = np.concatenate([p[0] for p in pairs])
         order = np.argsort(w, kind="stable")
-        return w[order], np.hstack(Vs)[:, order]
+        places = np.split(np.argsort(order), np.cumsum([c.size for c in sym.columns])[:-1])
+        root = np.sqrt(np.bincount(sym.orbit))
+        V = np.zeros((self.n_states,) * 2)
+        for cols, chi, (_, VM), at in zip(sym.columns, sym.characters, pairs, places):
+            z = np.nonzero(np.isin(sym.orbit, cols))[0]
+            scale = chi[sym.carrier[z]] / root[sym.orbit[z]]
+            V[np.ix_(z, at)] = scale[:, None] * VM[np.searchsorted(cols, sym.orbit[z])]
+        return w[order], V
 
     @functools.cached_property
     def tv_factors(self):
@@ -305,13 +315,12 @@ class Symmetry:
     element is its own inverse. Each code z lies in the orbit
     reps[orbit[z]], whose least code is its representative, and
     act[carrier[z], reps[orbit[z]]] == z. A sector is a character
-    chi(h) = (-1)^popcount(c & h) whose span is nonzero: columns holds the
-    orbits on whose stabilizer chi is 1, and bases the sector's basis, a
-    read-only CSR matrix, N x those orbits: column j has
-    chi(carrier[z]) / sqrt(orbit size) at each code z of orbit columns[j].
-    The bases are orthonormal, their columns number N, and S maps each
-    sector's span into itself. The first sector is the trivial
-    character's, with every orbit.
+    chi(h) = (-1)^popcount(c & h) whose span is nonzero: characters holds
+    chi's values on the elements, and columns the orbits on whose
+    stabilizer chi is 1. Its span has a unit vector per kept orbit,
+    chi(carrier[z]) / sqrt(orbit size) at each code z of the orbit; the N
+    of all sectors are orthonormal, S keeps each span, and no table holds
+    them. The first sector is the trivial character's, with every orbit.
     """
 
     act: np.ndarray
@@ -319,15 +328,13 @@ class Symmetry:
     orbit: np.ndarray
     carrier: np.ndarray
     columns: tuple
-    bases: tuple
+    characters: tuple
 
     @classmethod
     def of(cls, spec):
         """The table of a box, from its geometry alone: a frame that breaks
         a reflection leaves it out, and a box with no generator gets the
         trivial group."""
-        import scipy.sparse as sparse
-
         N = 1 << spec.n_sites
         z = np.arange(N, dtype=np.int64)
         act = z[None, :]
@@ -339,23 +346,14 @@ class Symmetry:
         rep_code, carrier = act.min(axis=0), act.argmin(axis=0)
         reps = np.unique(rep_code)
         orbit = np.searchsorted(reps, rep_code)
-        size = np.bincount(orbit)
         h = np.arange(act.shape[0])
         chi = np.where(np.bitwise_count(h[:, None] & h) % 2, -1, 1)
-        fixes = act[:, reps] == reps  # fixes[h, o]: h fixes orbit o's representative
-        columns, bases = [], []
-        for c in h:
-            kept = ~np.any(fixes & (chi[c] < 0)[:, None], axis=0)
-            if kept.any():
-                rows = np.nonzero(kept[orbit])[0]
-                columns.append(np.nonzero(kept)[0])
-                at = (np.cumsum(kept) - 1)[orbit[rows]]
-                values = chi[c, carrier[rows]] / np.sqrt(size[orbit[rows]])
-                B = sparse.csr_matrix((values, (rows, at)), shape=(N, columns[-1].size))
-                _frozen(B.data, B.indices, B.indptr)
-                bases.append(B)
-        _frozen(act, reps, orbit, carrier, *columns)
-        return cls(act, reps, orbit, carrier, tuple(columns), tuple(bases))
+        # kept[c, o]: no h with chi_c(h) = -1 fixes orbit o's representative
+        kept = ~((chi < 0) @ (act[:, reps] == reps))
+        sectors = kept.any(axis=1)
+        columns, characters = tuple(np.nonzero(k)[0] for k in kept[sectors]), tuple(chi[sectors])
+        _frozen(act, reps, orbit, carrier, *columns, *characters)
+        return cls(act, reps, orbit, carrier, columns, characters)
 
 
 def build_generator(spec, model):
@@ -614,8 +612,9 @@ def _lambda_of_subset(G, idx):
     When idx is a union of orbits of `G.symmetry` (every level set is: the
     counts are invariant), -S_AA keeps each sector, so M is solved one
     sector at a time, on the rows and columns of the sector's block
-    B^T (-S) B whose orbits lie in A. v is constant on orbits, so v and u
-    lie in the trivial sector, whose block alone carries the correction.
+    (`sector_blocks`) whose orbits lie in A. v is constant on orbits, so
+    v and u lie in the trivial sector, whose block alone carries the
+    correction, with v = sqrt(|O| pi(rep_o)) on its orbit o.
     Any other set is one `eigh` of the whole of M.
     """
     N = G.n_states
@@ -631,8 +630,8 @@ def _lambda_of_subset(G, idx):
         return _corrected_bottom(-G.S[idx][:, idx].toarray(), np.sqrt(G.pi[idx]))
     sym = G.symmetry
     blocks = G.sector_blocks
-    keep = inside[sym.reps[sym.columns[0]]]
-    v = (sym.bases[0].T @ np.sqrt(G.pi))[keep]
+    keep = inside[sym.reps]  # the trivial sector keeps every orbit
+    v = np.sqrt(np.bincount(sym.orbit) * G.pi[sym.reps])[keep]
     lam = _corrected_bottom(-blocks[0][np.ix_(keep, keep)], v)
     for cols, block in zip(sym.columns[1:], blocks[1:]):
         keep = inside[sym.reps[cols]]

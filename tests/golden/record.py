@@ -39,6 +39,8 @@ def run(name):
     """{file name: bytes} of one run: its stdout, its stderr if any, and the
     file it wrote if any. A run that exits nonzero raises RuntimeError."""
     env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")  # as tests/conftest.py: the last digits depend on it
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"

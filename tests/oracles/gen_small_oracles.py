@@ -4,12 +4,20 @@ Everything here is computed from raw spin arrays and dense linear
 algebra, independently of the library, so the test constants frozen
 from this script's output cross-check the package rather than echo it.
 
+The keys ending in `_mp` are 30-digit references: the generator is
+built in mpmath at 40 digits, split into the sectors of the box's
+reflections (`plus`) or whole-line flips (torus), and each sector block
+is solved by mpmath `eigsy`. They are printed as strings of 30
+significant digits. The whole run takes 3-4 minutes, most of it in
+`eigsy` on the 168-state `plus` blocks.
+
 Run:  python3 tests/oracles/gen_small_oracles.py > tests/oracles/frozen.txt
 """
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -87,6 +95,115 @@ def tv_mixing(Q, counts, beta, eps=0.25):
     return hi
 
 
+def group_plus(L):
+    """The axis reflections of a square box with a symmetric frame, as
+    (h, map of spin arrays): bit 0 of h reverses the rows, bit 1 the
+    columns."""
+    maps = (lambda s: s, lambda s: s[::-1], lambda s: s[:, ::-1], lambda s: s[::-1, ::-1])
+    return list(enumerate(maps))
+
+
+def group_torus(L):
+    """The flips of whole rows and of all columns but the last, which with
+    the rows give every column flip: the sign pattern u_a v_b, one bit of
+    h per generator."""
+    elements = []
+    for h in range(1 << (2 * L - 1)):
+        u = np.array([-1 if h >> a & 1 else 1 for a in range(L)])
+        v = np.array([-1 if h >> (L + b) & 1 else 1 for b in range(L - 1)] + [1])
+        elements.append((h, lambda s, m=np.outer(u, v): s * m))
+    return elements
+
+
+def mp_sectors(L, beta, plaq, group):
+    """(blocks, v): the blocks b_o^T S b_o' of the symmetrized generator
+    S = D^1/2 Q D^-1/2 at mpmath precision, one per character
+    chi(h) = (-1)^popcount(c & h) of `group` whose span is nonzero, each
+    with the defect count of its orbits' states; and, for the trivial
+    sector, v_o = b_o . sqrt(pi).
+
+    b_o is chi(h)/sqrt|O| at h(x_o), x_o the orbit's first state; an orbit
+    is kept when chi is 1 on the stabilizer of x_o."""
+    states = list(all_states(L))
+    index = {s.tobytes(): i for i, s in enumerate(states)}
+    counts = [int((plaq(s) == -1).sum()) for s in states]
+    N = len(states)
+    weight = [mpmath.exp(-beta * c) for c in counts]
+    Z = mpmath.fsum(weight)
+    sqrt_pi = [mpmath.sqrt(x / Z) for x in weight]
+    S = []  # (i, j, S_ij), S_ij = sqrt(pi_i / pi_j) q_ij
+    for i, s in enumerate(states):
+        diag = mpmath.mpf(0)
+        for a in range(L):
+            for b in range(L):
+                t = s.copy()
+                t[a, b] = -t[a, b]
+                j = index[t.tobytes()]
+                q = min(mpmath.mpf(1), mpmath.exp(-beta * (counts[j] - counts[i])))
+                diag -= q
+                S.append((i, j, sqrt_pi[i] / sqrt_pi[j] * q))
+        S.append((i, i, diag))
+    image = {h: [index[g(s).tobytes()] for s in states] for h, g in group}
+    first = sorted({min(image[h][i] for h in image) for i in range(N)})
+    blocks = []
+    for c in image:
+        def chi(h):
+            return -1 if bin(c & h).count("1") % 2 else 1
+        kept = [x for x in first
+                if all(chi(h) == 1 for h in image if image[h][x] == x)]
+        if not kept:
+            continue
+        b = {}  # state -> (column, coefficient)
+        for col, x in enumerate(kept):
+            orbit = {image[h][x]: h for h in image}
+            for z, h in orbit.items():
+                b[z] = (col, chi(h) / mpmath.sqrt(len(orbit)))
+        M = mpmath.zeros(len(kept))
+        for i, j, value in S:
+            if i in b and j in b:
+                M[b[i][0], b[j][0]] += b[i][1] * value * b[j][1]
+        blocks.append((M, [counts[x] for x in kept]))
+        if c == 0:
+            v = [mpmath.mpf(0)] * len(kept)
+            for z, (col, coef) in b.items():
+                v[col] += coef * sqrt_pi[z]
+    return blocks, v
+
+
+def mp_gap(blocks):
+    """The smallest positive eigenvalue of -S: every sector's eigenvalues
+    of -M, less the trivial sector's stationary 0."""
+    values = []
+    for M, _ in blocks:
+        values += sorted(mpmath.eigsy(-M, eigvals_only=True))
+    values.remove(min(values, key=abs))
+    return min(values)
+
+
+def mp_lambda_of_level(blocks, v, k):
+    """lambda(S_k), the smallest Dirichlet/variance ratio over functions on
+    the states with at least k defects. With v = sqrt(pi) on the set, the
+    pencil (-S_AA, I - v v^T) is congruent under (I - v v^T)^-1/2 =
+    I + c v v^T, c = 1/(r (1 + r)), r = sqrt(1 - |v|^2), to the standard
+    problem A + u v^T + v u^T, A = -S_AA, u = c Av + (c^2/2)(v . Av) v; v lies in
+    the trivial sector, so the other sectors need no correction."""
+    values = []
+    for n, (M, counts) in enumerate(blocks):
+        keep = [a for a, c in enumerate(counts) if c >= k]
+        if not keep:
+            continue
+        A = mpmath.matrix([[-M[a, b] for b in keep] for a in keep])
+        if n == 0:
+            w = mpmath.matrix([v[a] for a in keep])
+            r = mpmath.sqrt(1 - (w.T * w)[0])
+            c = 1 / (r * (1 + r))
+            Aw = A * w
+            u = c * Aw + (c * c / 2 * (w.T * Aw)[0]) * w
+            A = A + u * w.T + w * u.T
+        values.append(min(mpmath.eigsy(A, eigvals_only=True)))
+    return min(values)
+
+
 def srw_band(L, beta):
     """Non-return probability of the idealized weight walk, times L.
 
@@ -157,6 +274,17 @@ def main():
     # idealized excursion walk, far-ground probability times L
     for L in (3, 4, 5):
         out[f"srw_band_L{L}_beta3"] = srw_band(L, 3.0)
+
+    # 30-digit gaps and the level value flow --size 3 prints (level 1)
+    mpmath.mp.dps = 40
+    for name, plaq, group, betas in (("plus", plaq_plus, group_plus, (0.5, 1, 2, 3, 6)),
+                                     ("torus", plaq_torus, group_torus, (1, 3))):
+        for beta in betas:
+            blocks, v = mp_sectors(3, mpmath.mpf(beta), plaq, group(3))
+            out[f"gap_L3_{name}_beta{beta:g}_mp"] = mpmath.nstr(mp_gap(blocks), 30)
+            if (name, beta) == ("plus", 1):
+                out["lambda_S1_L3_plus_beta1_mp"] = mpmath.nstr(
+                    mp_lambda_of_level(blocks, v, 1), 30)
 
     for k in sorted(out):
         print(f"{k} = {out[k]!r}")

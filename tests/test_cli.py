@@ -93,13 +93,15 @@ def test_exact_exits_with_one_line_when_the_gap_does_not_converge(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, what", [
-    (["--beta", "20", "--size", "2"], "mixing bracket not found"),
+    (["--beta", "30", "--size", "2"], "mixing bracket not found"),
     (["--beta", "300", "--size", "2", "--bc", "per"], "dense gap .* is not positive"),
     (["--beta", "150", "--size", "4"], "LOBPCG gap .* is not positive"),
     (["--beta", "200", "--size", "4"], "LOBPCG gap broke down"),
 ])
 def test_exact_exits_with_one_line_at_large_beta(argv, what):
-    # these ended in RuntimeError, ZeroDivisionError and LinAlgError tracebacks
+    # these ended in RuntimeError, ZeroDivisionError and LinAlgError tracebacks;
+    # L=2 reaches the mixing bracket's ceiling at beta 30, where the dense gap
+    # rounds to 6.7e-16 (at beta 20 it rounds to -1.3e-49 and raises first)
     proc = run_python("-W", "error", "-m", "plaquette", "exact", *argv)
     assert proc.returncode == 1 and proc.stdout == ""
     assert re.fullmatch(f"exact: {what}.*\n", proc.stderr), proc.stderr
@@ -434,13 +436,16 @@ def test_command_entry_pins_blas_threads_unless_set():
 
 def test_cli_import_leaves_scipy_stats_out():
     # scipy costs more to import than the rest of the package, and only the
-    # exact layer needs it: importing any module, and running the Monte
-    # Carlo commands, must leave every scipy module unloaded
+    # exact layer needs it: importing any module, building a symmetry table
+    # and running the Monte Carlo commands must leave every scipy module
+    # unloaded
     report = ("; import sys; print(sorted(m for m in sys.modules"
               " if m == 'scipy' or m.startswith('scipy.')))")
     for code in (
         "import plaquette.cli",
         "import plaquette.exact, plaquette.dynamics, plaquette.ground, plaquette.paths",
+        # the symmetry table is numpy alone
+        "from plaquette import exact, lattice; exact.Symmetry.of(lattice.LatticeSpec(3))",
         "from plaquette import cli; cli.main(['simulate', '--beta', '1.0', '--size', '3',"
         " '--stop', 'events=50', '--seed', '2'])",
         "from plaquette import cli; cli.main(['arrhenius', '--workers', '1', '--beta',"

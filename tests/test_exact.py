@@ -12,6 +12,7 @@ import time
 import tracemalloc
 import types
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -86,6 +87,22 @@ GAP_L4_BETA025 = 1.2285479131127321
 GAP_TORUS4_BETA1 = 0.15327804682312
 GAP_TORUS4_BETA3 = 3.90693684248536e-05
 TMIX_L2_BETA1 = 6.6988703495881055  # expm bisection, independent route
+# 30-digit references, mpmath `eigsy` on the symmetry blocks (the `_mp`
+# keys of tests/oracles/frozen.txt); lambda(S_1) at L=3 plus is the gap,
+# as S_1 leaves out one state, and is solved there by its own route
+GAP_L3_MP = {
+    (PLUS, 0.5): "0.615729541413185214568333779224",
+    (PLUS, 1.0): "0.154221940348650835362782977112",
+    (PLUS, 2.0): "0.0220633201356792397938945699739",
+    (PLUS, 3.0): "0.00295262375965891633168295730111",
+    (PLUS, 6.0): "0.00000729633738272029070555059912647",
+    (PERIODIC, 1.0): "0.102832754470986440175784894606",
+    (PERIODIC, 3.0): "0.000032274515514082821550487490235",
+}
+LAMBDA_S1_L3_PLUS_BETA1_MP = "0.154221940348650835362782977112"
+# a dense eigenvalue's absolute error is at most EIGH_C eps ||S||_2; the
+# errors met on these boxes reach 1.4 eps ||S|| (L=3 plus, beta 3)
+EIGH_C = 4
 PI_GROUND_L3_PLUS_BETA2 = 0.9874647454351252
 PI_GROUND_TORUS3_BETA2 = 0.9969532819332968
 
@@ -288,16 +305,15 @@ def test_box_table_is_read_only_and_shared_across_beta():
     sym = G.symmetry
     box = G._box
     # the box keeps its pattern, each entry's k and the counts, and the
-    # symmetry table no N x N basis, only each sparse basis's N or fewer
-    # nonzeros
+    # symmetry table no basis, only each sector's character and orbits
     kept = {name for name, v in vars(box).items() if isinstance(v, np.ndarray)}
     assert kept == {"indptr", "indices", "diag", "kc", "counts"}
     assert [f.name for f in dataclasses.fields(sym)] == [
-        "act", "reps", "orbit", "carrier", "columns", "bases"]
-    assert all(B.nnz <= G.n_states for B in sym.bases)
+        "act", "reps", "orbit", "carrier", "columns", "characters"]
+    assert [chi.shape for chi in sym.characters] == [(sym.act.shape[0],)] * len(sym.columns)
     arrays = [G.counts, box.indptr, box.indices, box.diag, box.kc, G.Q.indices, G.Q.indptr,
               G.S.indices, sym.act, sym.reps, sym.orbit, sym.carrier, *sym.columns,
-              *(a for B in sym.bases for a in (B.data, B.indices, B.indptr))]
+              *sym.characters]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1
@@ -343,34 +359,31 @@ def test_sparse_gap_forms_only_s():
     assert same_csr(G.Q, Q) and same_csr(G.S, S)
 
 
-def test_sector_bases_are_sparse_and_kept_by_the_box():
+def test_sector_table_is_kept_by_the_box_and_a_generator_keeps_no_basis():
     G, H = G_of(3, 1.0), G_of(3, 2.0)
-    spectral_gap(G)
-    tv_mixing_time(G)
-    profile_mixing_bound(G)
-    spectral_gap(H)
     sym = G.symmetry
-    bases = sym.bases
-    assert H.symmetry.bases is bases  # one set per box, whatever beta
-    for cols, B in zip(sym.columns, bases):
-        assert B.format == "csr" and B.shape == (G.n_states, cols.size)
-        for a in (B.data, B.indices, B.indptr):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 1
-        # column j holds exactly the codes of orbit cols[j], one nonzero each
-        rows, at = B.nonzero()
-        assert np.array_equal(sym.orbit[rows], cols[at])
-        assert np.array_equal(np.sort(rows), np.nonzero(np.isin(sym.orbit, cols))[0])
-    # a generator keeps no basis: its square tables are S, Q and the
-    # eigenvectors, and each sector block is the size of its sector
+    assert H.symmetry is sym  # one table per box, whatever beta
+    # the characters are those of the group, each sector's kept orbits those
+    # on whose stabilizer it is 1, and the trivial sector comes first
+    h = np.arange(sym.act.shape[0])
+    fixes = sym.act[:, sym.reps] == sym.reps
+    for cols, chi in zip(sym.columns, sym.characters):
+        assert np.array_equal(chi[h[:, None] ^ h], chi[:, None] * chi)
+        assert np.array_equal(cols, np.nonzero(~np.any(fixes & (chi < 0)[:, None], axis=0))[0])
+    assert np.all(sym.characters[0] == 1) and sym.columns[0].size == sym.reps.size
+    # a generator keeps no basis: each sector block is the size of its
+    # sector, and its square tables are S and Q
     for K in (G, H):
+        spectral_gap(K)
+        tv_mixing_time(K)
+        profile_mixing_bound(K)
         assert [M.shape for M in K.sector_blocks] == [(c.size, c.size) for c in sym.columns]
         square = {name for name, v in vars(K).items()
                   if getattr(v, "shape", None) == (K.n_states, K.n_states)}
         assert square <= {"Q", "S"}
     del G, H
     gc.collect()
-    assert exact._box(LatticeSpec(3, PLUS)).symmetry.bases is bases
+    assert exact._box(LatticeSpec(3, PLUS)).symmetry is sym
 
 
 def dense_bases(sym):
@@ -394,26 +407,58 @@ def dense_bases(sym):
     return bases
 
 
-def test_sector_blocks_and_eigen_match_the_dense_bases_bit_for_bit():
-    for spec, kind in itertools.product(symmetric_boxes(), RateModel.KINDS):
-        G = build_generator(spec, RateModel(1.0, kind))
+def test_sector_blocks_match_the_dense_bases_to_rounding():
+    # the blocks are read off the representative rows of S; the reference
+    # is the product B^T S B with each sector's basis formed whole
+    for spec, kind, beta in itertools.product(symmetric_boxes(), RateModel.KINDS, (1.0, 3.0)):
+        G = build_generator(spec, RateModel(beta, kind))
+        S = G.S.toarray()
+        norm = np.linalg.norm(S, 2)
         bases = dense_bases(G.symmetry)
-        assert len(bases) == len(G.symmetry.bases)
-        for B, sparse_B in zip(bases, G.symmetry.bases):
-            assert np.array_equal(sparse_B.toarray(), B)
-        S = G.S
-        blocks = [B.T @ (S @ B) for B in bases]
-        for M, block in zip(blocks, G.sector_blocks):
-            assert np.array_equal(M, block), spec
-        ws, Vs = [], []
-        for B, M in zip(bases, blocks):
-            w, V = np.linalg.eigh(M)
-            ws.append(w)
-            Vs.append(B @ V)
-        w = np.concatenate(ws)
-        order = np.argsort(w, kind="stable")
-        assert np.array_equal(G.eigen[0], w[order]), spec
-        assert np.array_equal(G.eigen[1], np.hstack(Vs)[:, order]), spec
+        assert len(bases) == len(G.sector_blocks)
+        for B, M in zip(bases, G.sector_blocks):
+            assert np.max(np.abs(M - B.T @ (S @ B))) <= 1e-15 * norm, (spec, kind, beta)
+            assert np.array_equal(M, M.T), (spec, kind, beta)
+        w, V = G.eigen
+        assert np.max(np.abs((V * w) @ V.T - S)) <= 1e-13, (spec, kind, beta)
+
+
+def test_dense_gaps_are_within_rounding_of_the_30_digit_references():
+    # eigh is backward stable, so a gap's error is absolute, of order
+    # eps ||S||, however small the gap: at plus beta 6 that is 3e-10
+    # relative, and no fixed 1e-11 relative pin holds the exact value there
+    eps = np.finfo(float).eps
+    for (bc, beta), ref in GAP_L3_MP.items():
+        G = G_of(3, beta, bc)
+        tol = EIGH_C * eps * np.linalg.norm(G.S.toarray(), 2)
+        assert abs(Decimal(spectral_gap(G)) - Decimal(ref)) <= tol, (bc, beta)
+    # the level value's problem carries S's rounding amplified by
+    # 1 / (1 - pi(S_1)), 1 / pi(ground) (`_lambda_of_subset`)
+    G = G_of(3, 1.0)
+    tol = EIGH_C * eps * np.linalg.norm(G.S.toarray(), 2) / ground_mass(G)
+    assert abs(Decimal(spectral_profile(G, 1)) - Decimal(LAMBDA_S1_L3_PLUS_BETA1_MP)) <= tol
+
+
+def test_lobpcg_residual_is_within_the_gap_tolerance(monkeypatch):
+    # the Ritz value's error is quadratic in the residual, so a looser
+    # _GAP_TOL (1e-6) kept every gap pin; the residual itself is held here,
+    # recomputed from the vector that `_lobpcg` returns
+    returned = []
+    lobpcg = exact._lobpcg
+
+    def spy(S, y, x):
+        out = lobpcg(S, y, x)
+        returned.append((S, y, out))
+        return out
+
+    monkeypatch.setattr(exact, "_lobpcg", spy)
+    for bc in (PLUS, PERIODIC):
+        gap = spectral_gap(G_of(4, 1.0, bc))
+        (S, y, (lam, x, steps)), = returned
+        returned.clear()
+        assert lam == gap and abs(y @ x) <= 1e-12 * np.linalg.norm(x)
+        residual = np.linalg.norm(S @ x + lam * x) / np.linalg.norm(x)
+        assert residual <= 1e-11, (bc, residual, steps)
 
 
 def test_gap_sparse_route_raises_when_unconverged(monkeypatch):
@@ -553,7 +598,7 @@ def test_level_value_of_a_set_that_is_not_closed_is_one_dense_eigh(monkeypatch):
         raise AssertionError("a set that is not a union of orbits read the sectors")
 
     monkeypatch.setattr(exact.SparseGenerator, "sector_blocks", property(no_sectors))
-    monkeypatch.delattr(sym, "bases")  # a read raises AttributeError; put back after the test
+    monkeypatch.delattr(sym, "characters")  # a read raises AttributeError; put back after the test
     assert _lambda_of_subset(G, idx) == pytest.approx(dense_lambda_of_subset(G, idx), rel=1e-12)
 
 
@@ -786,7 +831,7 @@ def test_symmetry_sector_bases_are_orthonormal_and_invariant():
     for spec in symmetric_boxes():
         G = build_generator(spec, RateModel(1.0))
         sym = G.symmetry
-        bases = [B.toarray() for B in sym.bases]
+        bases = dense_bases(sym)
         B = np.hstack(bases)
         assert B.shape == (G.n_states, G.n_states), spec
         assert np.max(np.abs(B.T @ B - np.eye(G.n_states))) <= 1e-14, spec
@@ -798,8 +843,8 @@ def test_symmetry_sector_bases_are_orthonormal_and_invariant():
                 assert sign in (-1, 1) and np.allclose(Bc[g], sign * Bc, rtol=0, atol=1e-15)
             SB = S @ Bc
             assert np.max(np.abs(SB - Bc @ (Bc.T @ SB))) <= 1e-13, spec
-    sizes = sorted(B.shape[1] for B in build_generator(
-        LatticeSpec(3, PLUS), RateModel(1.0)).symmetry.bases)
+    sizes = sorted(c.size for c in build_generator(
+        LatticeSpec(3, PLUS), RateModel(1.0)).symmetry.columns)
     assert sizes == [104, 120, 120, 168]
 
 
@@ -940,8 +985,10 @@ def test_tv_mixing_time_certified_when_the_spectral_route_under_reports(monkeypa
 
 def test_tv_mixing_time_raises_convergence_error_where_the_gap_rounds_away():
     # each escaped as a bare RuntimeError after 200 doublings; the first
-    # now stops at the l2 ceiling t*
-    cases = ((2, PLUS, 20.0, r"past t\* [\d.e+]+, where the l2 bound"),
+    # now stops at the l2 ceiling t*. L=2 plus reaches it at beta 30, where
+    # the dense gap rounds to 6.7e-16; at beta 20 the gap itself rounds to
+    # -1.3e-49 and raises first
+    cases = ((2, PLUS, 30.0, r"past t\* [\d.e+]+, where the l2 bound"),
              (3, PLUS, 20.0, "not positive"),
              (2, PERIODIC, 300.0, "not positive"))
     for L, bc, beta, what in cases:
@@ -1126,10 +1173,14 @@ def test_profile_bound_is_at_least_the_certified_mixing_time():
 
 def test_spectral_values_that_are_not_positive_raise():
     # the dense gap read -2.69e-15 and the profile bound -5.45e16 (L=3 plus
-    # beta 30) and -1.16e18 (L=2 plus beta 20), where the LOBPCG gap raised
+    # beta 30) and -1.16e18 (L=2 plus beta 20), where the LOBPCG gap raised.
+    # At L=2 plus beta 20 the true gap is about 1.2e-17 and the dense one
+    # rounds to -1.3e-49, so lambda(S_4) is read where the gap rounds to
+    # 6.7e-16 but lambda(S_4) to -1.5e-16, at beta 30
     cases = ((spectral_gap, 3, 20.0, "dense gap"),
+             (spectral_gap, 2, 20.0, "dense gap"),
              (profile_mixing_bound, 3, 30.0, r"lambda\(S_\d+\)"),
-             (profile_mixing_bound, 2, 20.0, r"lambda\(S_\d+\)"))
+             (profile_mixing_bound, 2, 30.0, r"lambda\(S_\d+\)"))
     for fn, L, beta, what in cases:
         with pytest.raises(ConvergenceError,
                            match=rf"^{what} -?[\d.e+-]+ at beta {beta!r}: the gap is not positive$"):
